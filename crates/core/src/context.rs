@@ -1,20 +1,24 @@
 //! Per-module compaction context: the netlist and the shared fault lists.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use warpstl_analyze::{analyze, Analysis};
 use warpstl_fault::{
     BridgeConfig, BridgeList, BridgeUniverse, DominanceView, Fault, FaultId, FaultList, FaultModel,
-    FaultSite, FaultUniverse, Polarity, SimGuide,
+    FaultSimConfig, FaultSimReport, FaultSite, FaultUniverse, Polarity, SimGuide,
 };
 use warpstl_gpu::ModulePatterns;
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Levelization, NetId, Netlist, PatternSeq};
+use warpstl_obs::Obs;
 use warpstl_store::{key_netlist, CacheCtx, Key, Store};
+
+use crate::pipeline::simulate_instances;
 
 /// The per-target-module state shared across the PTPs of an STL: the module
 /// netlist, its collapsed fault universe, and one fault list per physical
-/// instance (8 SP cores, 2 SFUs, 1 DU).
+/// instance (8 SP cores, 2 SFUs, 1 DU) under the active fault model.
 ///
 /// This is the paper's fault-dropping mechanism: "this fault list report
 /// initially includes all faults of a target module; after each fault
@@ -36,7 +40,9 @@ pub struct ModuleContext {
     module: ModuleKind,
     netlist: Netlist,
     universe: FaultUniverse,
-    lists: Vec<FaultList>,
+    /// The shared per-instance ledgers: the one place the context names
+    /// its fault model.
+    ledger: Ledger,
     analysis: Analysis,
     dominance: DominanceView,
     order_keys: Vec<f64>,
@@ -48,21 +54,89 @@ pub struct ModuleContext {
     prune: bool,
     store: Option<Arc<Store>>,
     netlist_key: Key,
-    /// The active fault model; the bridging state below is populated iff
-    /// this is [`FaultModel::Bridging`].
-    model: FaultModel,
-    bridge: Option<BridgeState>,
 }
 
-/// The bridging counterpart of the stuck-at `universe` + `lists` pair: a
-/// deterministically sampled two-net bridge universe and one dropping
-/// [`BridgeList`] per instance. Untestability proofs and dominance are
-/// stuck-at constructs, so bridging lists carry neither — every sampled
-/// bridge counts in the coverage denominator.
+/// One detection ledger per module instance, under one fault model.
 #[derive(Debug, Clone)]
-struct BridgeState {
-    universe: BridgeUniverse,
-    lists: Vec<BridgeList>,
+pub(crate) enum Ledger {
+    /// Collapsed stuck-at lists, born with the proven-untestable classes
+    /// marked.
+    StuckAt(Vec<FaultList>),
+    /// Lists over a deterministically sampled two-net bridge universe.
+    /// Untestability proofs and dominance are stuck-at constructs, so
+    /// bridging lists carry neither — every sampled bridge counts in the
+    /// coverage denominator.
+    Bridging(Vec<BridgeList>),
+}
+
+/// Evaluates `$body` with `$lists` bound to the ledger's lists, whatever
+/// their fault type.
+macro_rules! with_lists {
+    ($ledger:expr, $lists:ident => $body:expr) => {
+        match $ledger {
+            Ledger::StuckAt($lists) => $body,
+            Ledger::Bridging($lists) => $body,
+        }
+    };
+}
+
+impl Ledger {
+    /// The number of instances (= lists).
+    fn len(&self) -> usize {
+        with_lists!(self, lists => lists.len())
+    }
+
+    /// Mean fault coverage across the instances (`0.0` when empty).
+    pub(crate) fn coverage(&self) -> f64 {
+        with_lists!(self, lists => {
+            lists.iter().map(FaultList::coverage).sum::<f64>() / lists.len().max(1) as f64
+        })
+    }
+
+    /// Total (uncollapsed) faults across the instances.
+    fn total_faults(&self) -> u64 {
+        with_lists!(self, lists => lists.iter().map(FaultList::total_weight).sum())
+    }
+
+    /// Classes marked statically untestable per instance (0 for bridging).
+    fn untestable_count(&self) -> usize {
+        with_lists!(self, lists => lists.first().map_or(0, FaultList::untestable_count))
+    }
+
+    /// The same lists with every fault undetected again (untestability
+    /// marks kept): the starting point of a standalone evaluation.
+    fn fresh(&self) -> Ledger {
+        let mut fresh = self.clone();
+        with_lists!(&mut fresh, lists => lists.iter_mut().for_each(FaultList::reset));
+        fresh
+    }
+
+    /// Fault-simulates one pattern stream per instance into the lists (see
+    /// [`simulate_instances`]). `guide` is the stuck-at guide of the
+    /// module; bridging takes only its levelization, since dominance,
+    /// untestability and ordering index the stuck-at universe.
+    pub(crate) fn simulate(
+        &mut self,
+        netlist: &Netlist,
+        streams: &[Cow<'_, PatternSeq>],
+        config: &FaultSimConfig,
+        obs: Obs<'_>,
+        guide: SimGuide<'_>,
+        cache: CacheCtx<'_>,
+    ) -> Vec<Option<FaultSimReport>> {
+        match self {
+            Ledger::StuckAt(lists) => {
+                simulate_instances(netlist, streams, lists, config, obs, guide, cache)
+            }
+            Ledger::Bridging(lists) => {
+                let guide = SimGuide {
+                    levels: guide.levels,
+                    ..SimGuide::default()
+                };
+                simulate_instances(netlist, streams, lists, config, obs, guide, cache)
+            }
+        }
+    }
 }
 
 /// Maps the analyzer's per-site untestability proofs and equivalence
@@ -155,6 +229,7 @@ impl ModuleContext {
                 l
             })
             .collect();
+        let ledger = Ledger::StuckAt(lists);
         let order_keys = analysis.scoap.observability_keys();
         let levels = netlist.levelize();
         let netlist_key = key_netlist(&netlist);
@@ -162,7 +237,7 @@ impl ModuleContext {
             module,
             netlist,
             universe,
-            lists,
+            ledger,
             analysis,
             dominance,
             order_keys,
@@ -171,82 +246,30 @@ impl ModuleContext {
             prune: true,
             store: None,
             netlist_key,
-            model: FaultModel::StuckAt,
-            bridge: None,
         }
     }
 
-    /// Selects the fault model. [`FaultModel::Bridging`] samples the
-    /// two-net bridge universe (deterministic in `config`) and replaces
-    /// the per-instance ledgers with [`BridgeList`]s; the stuck-at
-    /// universe and analysis products stay available (the analyze gate is
-    /// model-independent). [`FaultModel::StuckAt`] restores the default.
+    /// Selects the fault model of the per-instance ledgers.
+    /// [`FaultModel::Bridging`] samples the two-net bridge universe
+    /// (deterministic in `config`); the stuck-at universe and analysis
+    /// products stay available (the analyze gate is model-independent).
+    /// [`FaultModel::StuckAt`] restores the default.
     #[must_use]
     pub fn with_model(mut self, model: FaultModel, config: &BridgeConfig) -> ModuleContext {
-        self.model = model;
-        self.bridge = match model {
-            FaultModel::StuckAt => None,
-            FaultModel::Bridging => {
-                let universe = BridgeUniverse::sample(&self.netlist, config);
-                let lists = (0..self.lists.len()).map(|_| universe.new_list()).collect();
-                Some(BridgeState { universe, lists })
+        let instances = self.instances();
+        match (model, &self.ledger) {
+            // Already stuck-at (every context starts so): keep the lists.
+            (FaultModel::StuckAt, Ledger::StuckAt(_)) => {}
+            (FaultModel::StuckAt, Ledger::Bridging(_)) => {
+                self.ledger = Ledger::StuckAt(self.fresh_lists());
             }
-        };
+            (FaultModel::Bridging, _) => {
+                let universe = BridgeUniverse::sample(&self.netlist, config);
+                self.ledger =
+                    Ledger::Bridging((0..instances).map(|_| universe.new_list()).collect());
+            }
+        }
         self
-    }
-
-    /// The active fault model.
-    #[must_use]
-    pub fn model(&self) -> FaultModel {
-        self.model
-    }
-
-    /// The sampled bridge universe (bridging model only).
-    #[must_use]
-    pub fn bridge_universe(&self) -> Option<&BridgeUniverse> {
-        self.bridge.as_ref().map(|b| &b.universe)
-    }
-
-    /// The shared bridge list of instance `i` (bridging model only).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the context is not in bridging mode.
-    #[must_use]
-    pub fn bridge_list(&self, i: usize) -> &BridgeList {
-        &self.bridge.as_ref().expect("bridging model").lists[i]
-    }
-
-    /// Splits the borrow for the bridging model: the shared netlist and
-    /// cache handle alongside all per-instance bridge lists — the
-    /// bridging counterpart of [`netlist_and_lists_mut`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the context is not in bridging mode.
-    ///
-    /// [`netlist_and_lists_mut`]: ModuleContext::netlist_and_lists_mut
-    pub fn bridge_netlist_and_lists_mut(&mut self) -> (&Netlist, &mut [BridgeList], CacheCtx<'_>) {
-        let cache = CacheCtx {
-            store: self.store.as_deref(),
-            netlist_key: self.netlist_key,
-        };
-        let bridge = self.bridge.as_mut().expect("bridging model");
-        (&self.netlist, &mut bridge.lists, cache)
-    }
-
-    /// Fresh bridge lists over the sampled universe (for standalone
-    /// evaluations in bridging mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the context is not in bridging mode.
-    #[must_use]
-    pub fn fresh_bridge_lists(&self) -> Vec<BridgeList> {
-        let bridge = self.bridge.as_ref().expect("bridging model");
-        (0..self.instances())
-            .map(|_| bridge.universe.new_list())
-            .collect()
     }
 
     /// Enables or disables static pruning: when disabled, the simulation
@@ -347,10 +370,7 @@ impl ModuleContext {
     /// are stuck-at constructs; in bridging mode this is always 0.
     #[must_use]
     pub fn untestable_count(&self) -> usize {
-        match self.model {
-            FaultModel::StuckAt => self.untestable.iter().filter(|&&u| u).count(),
-            FaultModel::Bridging => 0,
-        }
+        self.ledger.untestable_count()
     }
 
     /// Whether the simulation guide prunes proven-untestable classes.
@@ -375,26 +395,29 @@ impl ModuleContext {
     /// The number of module instances (= fault lists).
     #[must_use]
     pub fn instances(&self) -> usize {
-        self.lists.len()
+        self.ledger.len()
     }
 
-    /// The shared fault list of instance `i`.
-    #[must_use]
-    pub fn list(&self, i: usize) -> &FaultList {
-        &self.lists[i]
+    /// Fresh ledgers under the active model (for standalone evaluations):
+    /// every fault undetected, untestability marks kept so coverage uses
+    /// the same denominator as the shared ledgers.
+    pub(crate) fn fresh_ledger(&self) -> Ledger {
+        self.ledger.fresh()
     }
 
-    /// Mutable access to instance `i`'s fault list.
-    pub fn list_mut(&mut self, i: usize) -> &mut FaultList {
-        &mut self.lists[i]
-    }
-
-    /// Splits the borrow: the (shared) netlist, simulation guide, and
-    /// cache handle alongside all (mutable) per-instance fault lists, so
-    /// fault simulation can borrow everything at once without cloning.
-    pub fn netlist_and_lists_mut(
+    /// Fault-simulates one pattern stream per instance against the shared
+    /// ledgers, with the module's guide and cache handle, and returns the
+    /// per-instance reports in instance order (`None` where a stream was
+    /// empty). Instances run concurrently, each through the artifact
+    /// cache.
+    pub(crate) fn simulate(
         &mut self,
-    ) -> (&Netlist, &mut [FaultList], SimGuide<'_>, CacheCtx<'_>) {
+        streams: &[Cow<'_, PatternSeq>],
+        config: &FaultSimConfig,
+        obs: Obs<'_>,
+    ) -> Vec<Option<FaultSimReport>> {
+        // Built field by field so the guide and cache borrow beside the
+        // mutable ledger.
         let guide = SimGuide {
             dominance: Some(&self.dominance),
             untestable: self.prune.then_some(self.untestable.as_slice()),
@@ -405,7 +428,8 @@ impl ModuleContext {
             store: self.store.as_deref(),
             netlist_key: self.netlist_key,
         };
-        (&self.netlist, &mut self.lists, guide, cache)
+        self.ledger
+            .simulate(&self.netlist, streams, config, obs, guide, cache)
     }
 
     /// Fresh fault lists (for standalone evaluations), untestability marks
@@ -437,17 +461,7 @@ impl ModuleContext {
     /// full universe of every instance), under the active fault model.
     #[must_use]
     pub fn coverage(&self) -> f64 {
-        if let Some(bridge) = &self.bridge {
-            if bridge.lists.is_empty() {
-                return 0.0;
-            }
-            return bridge.lists.iter().map(BridgeList::coverage).sum::<f64>()
-                / bridge.lists.len() as f64;
-        }
-        if self.lists.is_empty() {
-            return 0.0;
-        }
-        self.lists.iter().map(FaultList::coverage).sum::<f64>() / self.lists.len() as f64
+        self.ledger.coverage()
     }
 
     /// Total faults across instances under the active fault model (the
@@ -455,13 +469,7 @@ impl ModuleContext {
     /// 2 SFUs).
     #[must_use]
     pub fn total_faults(&self) -> u64 {
-        if let Some(bridge) = &self.bridge {
-            return bridge.lists.iter().map(BridgeList::total_weight).sum();
-        }
-        self.lists
-            .iter()
-            .map(warpstl_fault::FaultList::total_weight)
-            .sum()
+        self.ledger.total_faults()
     }
 }
 
@@ -523,16 +531,18 @@ mod tests {
         let run = |prune: bool| {
             let mut ctx = ModuleContext::new(ModuleKind::DecoderUnit, 1).with_pruning(prune);
             assert_eq!(ctx.sim_guide().untestable.is_some(), prune);
-            let (netlist, lists, guide, _) = ctx.netlist_and_lists_mut();
-            let report = warpstl_fault::fault_simulate_guided(
-                netlist,
-                &patterns,
-                &mut lists[0],
-                &warpstl_fault::FaultSimConfig::default(),
-                None,
-                &guide,
-            );
-            (ctx.list(0).to_report_text(), ctx.coverage(), report)
+            let report = ctx
+                .simulate(
+                    &[Cow::Borrowed(&patterns)],
+                    &FaultSimConfig::default(),
+                    None,
+                )
+                .remove(0)
+                .expect("the stream is non-empty");
+            let Ledger::StuckAt(lists) = &ctx.ledger else {
+                unreachable!("contexts start under stuck-at")
+            };
+            (lists[0].to_report_text(), ctx.coverage(), report)
         };
         let (text_on, cov_on, rep_on) = run(true);
         let (text_off, cov_off, rep_off) = run(false);
@@ -544,17 +554,40 @@ mod tests {
         let ctx = ModuleContext::new(ModuleKind::DecoderUnit, 1);
         assert_eq!(rep_on.untestable_count() as usize, ctx.untestable_count());
         assert_eq!(rep_off.untestable_count(), 0);
-        assert_eq!(ctx.untestable_count(), ctx.list(0).untestable_count());
+        let proven = ctx.untestable_bitmap().iter().filter(|&&u| u).count();
+        assert_eq!(ctx.untestable_count(), proven);
     }
 
     #[test]
     fn coverage_averages_instances() {
         let mut c = ModuleContext::new(ModuleKind::DecoderUnit, 1);
         assert_eq!(c.coverage(), 0.0);
-        c.list_mut(0).begin_run();
-        for id in 0..c.list(0).len() {
-            c.list_mut(0).mark_detected(id, 0, 0);
+        let Ledger::StuckAt(lists) = &mut c.ledger else {
+            unreachable!("contexts start under stuck-at")
+        };
+        lists[0].begin_run();
+        for id in 0..lists[0].len() {
+            lists[0].mark_detected(id, 0, 0);
         }
         assert!((c.coverage() - 1.0).abs() < 1e-12);
+        // A fresh ledger starts from zero again.
+        assert_eq!(c.fresh_ledger().coverage(), 0.0);
+    }
+
+    #[test]
+    fn bridging_model_swaps_the_ledger() {
+        let c = ModuleContext::new(ModuleKind::Sfu, 2)
+            .with_model(FaultModel::Bridging, &BridgeConfig::default());
+        assert!(matches!(&c.ledger, Ledger::Bridging(lists) if lists.len() == 2));
+        assert_eq!(c.instances(), 2);
+        // Two faults per sampled pair, per instance; no untestable proofs.
+        assert_eq!(
+            c.total_faults(),
+            2 * 2 * BridgeConfig::default().pairs as u64
+        );
+        assert_eq!(c.untestable_count(), 0);
+        let back = c.with_model(FaultModel::StuckAt, &BridgeConfig::default());
+        assert!(matches!(back.ledger, Ledger::StuckAt(_)));
+        assert!(back.untestable_count() > 0);
     }
 }

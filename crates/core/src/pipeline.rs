@@ -5,40 +5,40 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use warpstl_fault::{
-    BridgeConfig, BridgeList, FaultList, FaultModel, FaultSimConfig, FaultSimReport, SimGuide,
+    BridgeConfig, FaultList, FaultModel, FaultSimConfig, FaultSimReport, SimGuide,
 };
 use warpstl_gpu::{Gpu, RunOptions, RunResult, SimError};
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
 use warpstl_obs::{Metrics, Obs, ObsExt, Recorder};
 use warpstl_programs::{ArcAnalysis, BasicBlocks, Ptp};
-use warpstl_store::{cached_analyze, cached_bridge_sim, cached_fault_sim, CacheCtx, Store};
+use warpstl_store::{cached_analyze, cached_fault_sim, CacheCtx, KeyedFault, Store};
 use warpstl_verify::{verify_reduction_observed, Severity, VerifyOptions};
 
+use crate::context::Ledger;
 use crate::{
     label_instructions, CompactionError, CompactionReport, ModuleContext, PtpFeatures, StageTimings,
 };
 
 /// Fault-simulates the per-instance pattern streams against their fault
-/// lists, one scoped worker per non-empty stream (instance-level
-/// parallelism), and returns the per-instance reports in instance order
-/// (`None` where the stream was empty and the list untouched).
+/// lists through [`cached_fault_sim`], one scoped worker per non-empty
+/// stream (instance-level parallelism), and returns the per-instance
+/// reports in instance order (`None` where the stream was empty and the
+/// list untouched). Generic over the fault model of the lists.
 ///
 /// The engine's thread budget is divided across the concurrent instances so
 /// instance- and batch-level parallelism compose instead of oversubscribing.
 /// Reports and list updates are bit-identical to a serial instance loop:
 /// each instance owns its list, and results are collected in instance order.
-fn simulate_instances_with<L, F>(
+pub(crate) fn simulate_instances<F: KeyedFault>(
+    netlist: &Netlist,
     streams: &[Cow<'_, PatternSeq>],
-    lists: &mut [L],
+    lists: &mut [FaultList<F>],
     config: &FaultSimConfig,
     obs: Obs<'_>,
-    sim: F,
-) -> Vec<Option<FaultSimReport>>
-where
-    L: Send,
-    F: Fn(&PatternSeq, &mut L, &FaultSimConfig) -> FaultSimReport + Sync,
-{
+    guide: SimGuide<'_>,
+    cache: CacheCtx<'_>,
+) -> Vec<Option<FaultSimReport>> {
     debug_assert_eq!(streams.len(), lists.len());
     let active = streams.iter().filter(|s| !s.is_empty()).count();
     let budget = config.resolved_threads();
@@ -49,59 +49,27 @@ where
     let mut span = obs.span("pipeline", "pipeline.instances");
     span.arg("active", active);
     span.arg("threads_each", per_instance.threads);
+    let sim = |s: &PatternSeq, list: &mut FaultList<F>| {
+        cached_fault_sim(cache, netlist, s, list, &per_instance, obs, &guide)
+    };
     if active <= 1 || budget <= 1 {
         return streams
             .iter()
             .zip(lists.iter_mut())
-            .map(|(s, list)| (!s.is_empty()).then(|| sim(s.as_ref(), list, &per_instance)))
+            .map(|(s, list)| (!s.is_empty()).then(|| sim(s.as_ref(), list)))
             .collect();
     }
     let sim = &sim;
-    let per_instance = &per_instance;
     std::thread::scope(|scope| {
         let handles: Vec<_> = streams
             .iter()
             .zip(lists.iter_mut())
-            .map(|(s, list)| {
-                (!s.is_empty()).then(|| scope.spawn(move || sim(s.as_ref(), list, per_instance)))
-            })
+            .map(|(s, list)| (!s.is_empty()).then(|| scope.spawn(move || sim(s.as_ref(), list))))
             .collect();
         handles
             .into_iter()
             .map(|h| h.map(|h| h.join().expect("fault-sim worker panicked")))
             .collect()
-    })
-}
-
-/// The stuck-at instantiation: each instance runs through
-/// [`cached_fault_sim`] with the shared simulation guide.
-fn simulate_instances(
-    netlist: &Netlist,
-    streams: &[Cow<'_, PatternSeq>],
-    lists: &mut [FaultList],
-    config: &FaultSimConfig,
-    obs: Obs<'_>,
-    guide: SimGuide<'_>,
-    cache: CacheCtx<'_>,
-) -> Vec<Option<FaultSimReport>> {
-    simulate_instances_with(streams, lists, config, obs, |s, list, cfg| {
-        cached_fault_sim(cache, netlist, s, list, cfg, obs, &guide)
-    })
-}
-
-/// The bridging instantiation: each instance runs through
-/// [`cached_bridge_sim`] (no guide — dominance and untestability proofs
-/// are stuck-at constructs).
-fn simulate_bridge_instances(
-    netlist: &Netlist,
-    streams: &[Cow<'_, PatternSeq>],
-    lists: &mut [BridgeList],
-    config: &FaultSimConfig,
-    obs: Obs<'_>,
-    cache: CacheCtx<'_>,
-) -> Vec<Option<FaultSimReport>> {
-    simulate_instances_with(streams, lists, config, obs, |s, list, cfg| {
-        cached_bridge_sim(cache, netlist, s, list, cfg, obs)
     })
 }
 
@@ -234,31 +202,7 @@ impl Compactor {
             ctx.instances(),
             "context instance count must match the GPU configuration"
         );
-        let reports = match ctx.model() {
-            FaultModel::StuckAt => {
-                let (netlist, lists, guide, cache) = ctx.netlist_and_lists_mut();
-                simulate_instances(
-                    netlist,
-                    &streams,
-                    lists,
-                    &self.fsim_config,
-                    self.observer(),
-                    guide,
-                    cache,
-                )
-            }
-            FaultModel::Bridging => {
-                let (netlist, lists, cache) = ctx.bridge_netlist_and_lists_mut();
-                simulate_bridge_instances(
-                    netlist,
-                    &streams,
-                    lists,
-                    &self.fsim_config,
-                    self.observer(),
-                    cache,
-                )
-            }
-        };
+        let reports = ctx.simulate(&streams, &self.fsim_config, self.observer());
         let mut merged = FaultSimReport::new();
         for report in reports.iter().flatten() {
             merged.merge(report);
@@ -451,6 +395,15 @@ impl Compactor {
     /// lists under the active model, dropping within the run), instances
     /// simulated concurrently.
     fn standalone_coverage_of_run(&self, run: &RunResult, ctx: &ModuleContext) -> f64 {
+        let mut fresh = ctx.fresh_ledger();
+        self.simulate_fresh(run, ctx, &mut fresh);
+        fresh.coverage()
+    }
+
+    /// Fault-simulates a traced run into `fresh` (standalone evaluation
+    /// lists), with dropping on and the compactor's thread and backend
+    /// choices.
+    fn simulate_fresh(&self, run: &RunResult, ctx: &ModuleContext, fresh: &mut Ledger) {
         let cfg = FaultSimConfig {
             threads: self.fsim_config.threads,
             backend: self.fsim_config.backend,
@@ -461,33 +414,14 @@ impl Compactor {
             .into_iter()
             .map(Cow::Borrowed)
             .collect();
-        match ctx.model() {
-            FaultModel::StuckAt => {
-                let mut lists: Vec<FaultList> = ctx.fresh_lists();
-                simulate_instances(
-                    ctx.netlist(),
-                    &streams,
-                    &mut lists,
-                    &cfg,
-                    self.observer(),
-                    ctx.sim_guide(),
-                    ctx.cache_ctx(),
-                );
-                lists.iter().map(FaultList::coverage).sum::<f64>() / lists.len().max(1) as f64
-            }
-            FaultModel::Bridging => {
-                let mut lists: Vec<BridgeList> = ctx.fresh_bridge_lists();
-                simulate_bridge_instances(
-                    ctx.netlist(),
-                    &streams,
-                    &mut lists,
-                    &cfg,
-                    self.observer(),
-                    ctx.cache_ctx(),
-                );
-                lists.iter().map(BridgeList::coverage).sum::<f64>() / lists.len().max(1) as f64
-            }
-        }
+        fresh.simulate(
+            ctx.netlist(),
+            &streams,
+            &cfg,
+            self.observer(),
+            ctx.sim_guide(),
+            ctx.cache_ctx(),
+        );
     }
 
     /// Evaluates a PTP's Table I features: size, ARC fraction, duration and
@@ -517,59 +451,12 @@ impl Compactor {
     ///
     /// Propagates [`SimError`] from the GPU model.
     pub fn combined_coverage(&self, ptps: &[&Ptp], ctx: &ModuleContext) -> Result<f64, SimError> {
-        let cfg = FaultSimConfig {
-            threads: self.fsim_config.threads,
-            backend: self.fsim_config.backend,
-            ..FaultSimConfig::default()
-        };
-        let mut sa_lists: Vec<FaultList> = match ctx.model() {
-            FaultModel::StuckAt => ctx.fresh_lists(),
-            FaultModel::Bridging => Vec::new(),
-        };
-        let mut bridge_lists: Vec<BridgeList> = match ctx.model() {
-            FaultModel::StuckAt => Vec::new(),
-            FaultModel::Bridging => ctx.fresh_bridge_lists(),
-        };
+        let mut fresh = ctx.fresh_ledger();
         for ptp in ptps {
             let run = self.trace(ptp)?;
-            let streams: Vec<Cow<'_, PatternSeq>> = ctx
-                .streams(&run.patterns)
-                .into_iter()
-                .map(Cow::Borrowed)
-                .collect();
-            match ctx.model() {
-                FaultModel::StuckAt => {
-                    simulate_instances(
-                        ctx.netlist(),
-                        &streams,
-                        &mut sa_lists,
-                        &cfg,
-                        self.observer(),
-                        ctx.sim_guide(),
-                        ctx.cache_ctx(),
-                    );
-                }
-                FaultModel::Bridging => {
-                    simulate_bridge_instances(
-                        ctx.netlist(),
-                        &streams,
-                        &mut bridge_lists,
-                        &cfg,
-                        self.observer(),
-                        ctx.cache_ctx(),
-                    );
-                }
-            }
+            self.simulate_fresh(&run, ctx, &mut fresh);
         }
-        Ok(match ctx.model() {
-            FaultModel::StuckAt => {
-                sa_lists.iter().map(FaultList::coverage).sum::<f64>() / sa_lists.len().max(1) as f64
-            }
-            FaultModel::Bridging => {
-                bridge_lists.iter().map(BridgeList::coverage).sum::<f64>()
-                    / bridge_lists.len().max(1) as f64
-            }
-        })
+        Ok(fresh.coverage())
     }
 }
 

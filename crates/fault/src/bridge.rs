@@ -22,22 +22,22 @@
 //!   `w = kind(good_a, good_b)` computed from the good machine is the exact
 //!   steady-state wired value.
 //!
-//! Simulation reuses the whole stuck-at reporting stack: the ledger is
-//! [`BridgeList`] (the generic [`FaultList`] over [`BridgeFault`]) and the
-//! output is the same [`FaultSimReport`]. A bridge is *activated* by a
-//! pattern when `good_a != good_b` (equal values make the wired value a
-//! no-op) and *detected* when the forced cone evaluation differs from the
-//! good machine at a module output. Like the stuck-at engine, an event path
-//! (63 bridges + good machine per 64-bit word, lane-parallel) and a
-//! pattern-parallel kernel path (64 patterns per word, one bridge cone at a
-//! time) produce **bit-identical** reports.
+//! A bridge is a [`SiteOverride`]: both endpoints are seed gates and both
+//! carry `wired(good_a, good_b)`. Bridging therefore runs on the shared
+//! engine — [`fault_simulate`](crate::fault_simulate) and friends, with
+//! the same batching, worker threads, 256-bit kernel blocks, and drop-mode
+//! narrow probe as stuck-at — over the generic ledger [`BridgeList`],
+//! producing the same [`FaultSimReport`](crate::FaultSimReport). A bridge
+//! is *activated* by a pattern when `good_a != good_b` (equal values make
+//! the wired value a no-op) and *detected* when the forced evaluation
+//! differs from the good machine at a module output. Bridging universes
+//! are combinational, so bridging always runs on the levelized kernel.
 
 use std::fmt;
 
-use warpstl_netlist::{FanoutCones, Gate, GateKind, NetId, Netlist, PatternSeq};
-use warpstl_obs::{Obs, ObsExt};
+use warpstl_netlist::{Gate, GateKind, NetId, Netlist};
 
-use crate::{FaultId, FaultList, FaultSimConfig, FaultSimReport, SimBackend};
+use crate::{FaultList, SiteOverride};
 
 /// The detection ledger for bridging faults: the generic [`FaultList`]
 /// instantiated at [`BridgeFault`]. Every fault weighs 1 (bridges carry no
@@ -155,8 +155,9 @@ impl fmt::Display for FaultModel {
 }
 
 /// Configuration of the bridge-pair sampler. Both fields are **cache-key
-/// material** (see `key_bridge_sim` in `warpstl-store`): they determine the
-/// sampled universe and therefore every downstream result.
+/// material**: they determine the sampled universe, whose faults
+/// `key_fsim` in `warpstl-store` absorbs, and therefore every downstream
+/// result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BridgeConfig {
     /// How many candidate net pairs to sample; each pair yields one
@@ -307,541 +308,35 @@ impl BridgeUniverse {
     }
 }
 
-/// One 63-bridge batch of the event path, resolved for simulation.
-struct BridgePlan {
-    /// `(fault id, fault)` per lane; lane `i + 1` simulates `faults[i]`.
-    faults: Vec<(FaultId, BridgeFault)>,
-    /// Bits of the faulty lanes (bit 0, the good machine, excluded).
-    lanes_mask: u64,
-    /// Union fanout cone of all endpoint nets, ascending gate indices.
-    cone: Vec<u32>,
-    /// Nets read by cone gates but not in the cone (always good values).
-    boundary: Vec<u32>,
-    /// Per cone position: lanes whose bridge has an endpoint at this gate.
-    /// After evaluating the gate, those lanes are forced to the per-pattern
-    /// wired value.
-    ep_lanes: Vec<u64>,
-    /// Output nets inside the cone (the only ones that can observe a diff).
-    outs: Vec<u32>,
-}
+/// Both endpoints are seeds and both carry the wired value. The sampler
+/// admits only non-feedback pairs, so neither endpoint's good value
+/// depends on the injection and `wired(good_a, good_b)` is exact.
+impl SiteOverride for BridgeFault {
+    const EVENT_PATH: bool = false;
 
-impl BridgePlan {
-    /// Resolves one batch. `in_cone` is caller-provided scratch of
-    /// `gates.len()`, false on entry and restored to false on exit.
-    fn build(
-        gates: &[Gate],
-        cones: &FanoutCones,
-        out_nets: &[usize],
-        faults: &[(FaultId, BridgeFault)],
-        in_cone: &mut [bool],
-    ) -> BridgePlan {
-        let cone = cones.union_cone(faults.iter().flat_map(|&(_, f)| [f.a.index(), f.b.index()]));
-        for &g in &cone {
-            in_cone[g as usize] = true;
-        }
-        let mut ep_lanes = vec![0u64; cone.len()];
-        for (lane0, &(_, f)) in faults.iter().enumerate() {
-            let bit = 1u64 << (lane0 + 1);
-            for n in [f.a, f.b] {
-                let j = cone
-                    .binary_search(&(n.index() as u32))
-                    .expect("endpoint is a cone seed");
-                ep_lanes[j] |= bit;
-            }
-        }
-        let mut boundary: Vec<u32> = Vec::new();
-        for &gu in &cone {
-            for &pin in gates[gu as usize].inputs() {
-                if !in_cone[pin.index()] {
-                    boundary.push(pin.index() as u32);
-                }
-            }
-        }
-        boundary.sort_unstable();
-        boundary.dedup();
-        let outs = out_nets
-            .iter()
-            .filter(|&&o| in_cone[o])
-            .map(|&o| o as u32)
-            .collect();
-        for &g in &cone {
-            in_cone[g as usize] = false;
-        }
-        let lanes_mask: u64 = if faults.len() == 63 {
-            !1u64
-        } else {
-            ((1u64 << (faults.len() + 1)) - 1) & !1
-        };
-        BridgePlan {
-            faults: faults.to_vec(),
-            lanes_mask,
-            cone,
-            boundary,
-            ep_lanes,
-            outs,
-        }
-    }
-}
-
-/// Per-batch mutable state of the event path.
-struct BridgeState {
-    vals: Vec<u64>,
-    detected_mask: u64,
-    active: bool,
-    detections: Vec<(FaultId, u64, usize)>,
-}
-
-/// Shared read-only inputs of both backends.
-struct BridgeCtx<'a> {
-    gates: &'a [Gate],
-    patterns: &'a PatternSeq,
-    cones: &'a FanoutCones,
-    in_nets: Vec<usize>,
-    out_nets: Vec<usize>,
-    config: FaultSimConfig,
-}
-
-/// Evaluates one combinational gate from lane- or pattern-parallel words.
-/// `Dff` is unreachable: bridging simulation is combinational-only (the
-/// sampler returns an empty universe for sequential netlists, and the
-/// entry point asserts the invariant).
-fn eval_gate(gates: &[Gate], vals: &[u64], i: usize, input_word: u64) -> u64 {
-    let g = &gates[i];
-    match g.kind {
-        GateKind::Input => input_word,
-        GateKind::Const0 => 0,
-        GateKind::Const1 => !0,
-        GateKind::Dff => unreachable!("bridging simulation is combinational-only"),
-        kind => {
-            let p = g.pins;
-            let a = vals[p[0].index()];
-            let (b, c) = match kind.arity() {
-                2 => (vals[p[1].index()], 0),
-                3 => (vals[p[1].index()], vals[p[2].index()]),
-                _ => (0, 0),
-            };
-            kind.eval(a, b, c)
-        }
-    }
-}
-
-/// Advances one batch by one pattern: wired-value word, forced cone
-/// evaluation, output observation, activation counting, and detection
-/// recording — mirroring the stuck-at `step_batch` sequence exactly.
-#[allow(clippy::too_many_arguments)]
-fn step_bridge_batch(
-    ctx: &BridgeCtx<'_>,
-    plan: &BridgePlan,
-    st: &mut BridgeState,
-    good: &[u64],
-    t: usize,
-    cc: u64,
-    activated_per_pattern: &mut [u32],
-    detected_per_pattern: &mut [u32],
-) {
-    // Per-lane wired value from the (injection-free) good machine — exact
-    // because the sampler admits only non-feedback pairs.
-    let mut w_word = 0u64;
-    for (lane0, &(_, f)) in plan.faults.iter().enumerate() {
-        let ga = good[f.a.index()] & 1 == 1;
-        let gb = good[f.b.index()] & 1 == 1;
-        if f.kind.wired(ga, gb) {
-            w_word |= 1u64 << (lane0 + 1);
-        }
+    fn seeds(&self) -> (usize, Option<usize>) {
+        (self.a.index(), Some(self.b.index()))
     }
 
-    let vals = &mut st.vals;
-    for &p in &plan.boundary {
-        vals[p as usize] = good[p as usize];
-    }
-    for (j, &gu) in plan.cone.iter().enumerate() {
-        let i = gu as usize;
-        let mut v = eval_gate(ctx.gates, vals, i, good[i]);
-        let ep = plan.ep_lanes[j];
-        if ep != 0 {
-            v = (v & !ep) | (w_word & ep);
-        }
-        vals[i] = v;
+    #[inline]
+    fn faulty_word(&self, _gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+        self.kind
+            .wired_word(good(self.a.index()), good(self.b.index()))
     }
 
-    // Observe: only cone outputs can differ from the good machine.
-    let mut diff: u64 = 0;
-    for &o in &plan.outs {
-        let v = vals[o as usize];
-        let good_bcast = (v & 1).wrapping_neg();
-        diff |= v ^ good_bcast;
+    /// `good_a ^ good_b`: equal endpoint values make the wired value a
+    /// no-op.
+    #[inline]
+    fn activation(&self, _gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+        good(self.a.index()) ^ good(self.b.index())
     }
-    diff &= plan.lanes_mask;
-
-    // Activation: the wired value changes something only when the endpoint
-    // values differ. Detected lanes stop counting in drop mode.
-    let drop = ctx.config.drop_detected;
-    let mut activated = 0u32;
-    for (lane0, &(_, f)) in plan.faults.iter().enumerate() {
-        if drop && st.detected_mask >> (lane0 + 1) & 1 == 1 {
-            continue;
-        }
-        if (good[f.a.index()] ^ good[f.b.index()]) & 1 == 1 {
-            activated += 1;
-        }
-    }
-    activated_per_pattern[t] += activated;
-
-    if drop {
-        let newly = diff & !st.detected_mask;
-        if newly != 0 {
-            let mut rest = newly;
-            while rest != 0 {
-                let lane = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                st.detections.push((plan.faults[lane - 1].0, cc, t));
-            }
-            detected_per_pattern[t] += newly.count_ones();
-            st.detected_mask |= newly;
-            if ctx.config.early_exit && st.detected_mask == plan.lanes_mask {
-                st.active = false;
-            }
-        }
-    } else {
-        detected_per_pattern[t] += diff.count_ones();
-        let mut rest = diff & !st.detected_mask;
-        while rest != 0 {
-            let lane = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            st.detections.push((plan.faults[lane - 1].0, cc, t));
-        }
-        st.detected_mask |= diff;
-    }
-}
-
-/// The event path: 63 bridges + good machine per word, one shared good
-/// pass per pattern across all batches, batches evaluated serially (the
-/// report is deterministic by construction).
-fn run_event(
-    ctx: &BridgeCtx<'_>,
-    batches: &[Vec<(FaultId, BridgeFault)>],
-    activated_per_pattern: &mut [u32],
-    detected_per_pattern: &mut [u32],
-) -> Vec<Vec<(FaultId, u64, usize)>> {
-    let n_gates = ctx.gates.len();
-    let mut in_cone = vec![false; n_gates];
-    let plans: Vec<BridgePlan> = batches
-        .iter()
-        .map(|b| BridgePlan::build(ctx.gates, ctx.cones, &ctx.out_nets, b, &mut in_cone))
-        .collect();
-    let mut states: Vec<BridgeState> = plans
-        .iter()
-        .map(|_| BridgeState {
-            vals: vec![0u64; n_gates],
-            detected_mask: 0,
-            active: true,
-            detections: Vec::new(),
-        })
-        .collect();
-    let mut good = vec![0u64; n_gates];
-
-    for t in 0..ctx.patterns.len() {
-        if states.iter().all(|s| !s.active) {
-            break;
-        }
-        for (bit_pos, &net) in ctx.in_nets.iter().enumerate() {
-            good[net] = if ctx.patterns.bit(t, bit_pos) { !0 } else { 0 };
-        }
-        for i in 0..n_gates {
-            good[i] = eval_gate(ctx.gates, &good, i, good[i]);
-        }
-        let cc = ctx.patterns.cc(t);
-        for (plan, st) in plans.iter().zip(states.iter_mut()) {
-            if !st.active {
-                continue;
-            }
-            step_bridge_batch(
-                ctx,
-                plan,
-                st,
-                &good,
-                t,
-                cc,
-                activated_per_pattern,
-                detected_per_pattern,
-            );
-        }
-    }
-    states.into_iter().map(|s| s.detections).collect()
-}
-
-/// The kernel path: pattern-parallel (64 patterns per word) good pass over
-/// the whole sequence, then one forced cone re-evaluation per bridge per
-/// block. Tallies and detection order are reconstructed to match the event
-/// path bit-for-bit: per-batch detections are emitted in `(pattern, lane)`
-/// order, and in drop mode a lane contributes activations only up to and
-/// including its detecting pattern.
-fn run_kernel(
-    ctx: &BridgeCtx<'_>,
-    batches: &[Vec<(FaultId, BridgeFault)>],
-    activated_per_pattern: &mut [u32],
-    detected_per_pattern: &mut [u32],
-) -> Vec<Vec<(FaultId, u64, usize)>> {
-    let n_gates = ctx.gates.len();
-    let n_pat = ctx.patterns.len();
-    let n_blocks = n_pat.div_ceil(64);
-
-    // Good machine for every block up front: bit p of `gblocks[blk][net]`
-    // is the net's fault-free value at pattern `blk * 64 + p`.
-    let mut gblocks: Vec<Vec<u64>> = Vec::with_capacity(n_blocks);
-    for blk in 0..n_blocks {
-        let base = blk * 64;
-        let here = 64.min(n_pat - base);
-        let mut vals = vec![0u64; n_gates];
-        for (bit_pos, &net) in ctx.in_nets.iter().enumerate() {
-            let mut w = 0u64;
-            for p in 0..here {
-                if ctx.patterns.bit(base + p, bit_pos) {
-                    w |= 1u64 << p;
-                }
-            }
-            vals[net] = w;
-        }
-        for i in 0..n_gates {
-            vals[i] = eval_gate(ctx.gates, &vals, i, vals[i]);
-        }
-        gblocks.push(vals);
-    }
-
-    let mut scratch = vec![0u64; n_gates];
-    let mut in_cone = vec![false; n_gates];
-    let mut out = Vec::with_capacity(batches.len());
-    for batch in batches {
-        // `(pattern, lane, fault, cc)` first detections, sorted at the end
-        // to reproduce the event path's emission order.
-        let mut firsts: Vec<(usize, usize, FaultId, u64)> = Vec::new();
-        for (lane0, &(fid, f)) in batch.iter().enumerate() {
-            let cone = ctx.cones.union_cone([f.a.index(), f.b.index()]);
-            for &g in &cone {
-                in_cone[g as usize] = true;
-            }
-            let mut boundary: Vec<u32> = Vec::new();
-            for &gu in &cone {
-                for &pin in ctx.gates[gu as usize].inputs() {
-                    if !in_cone[pin.index()] {
-                        boundary.push(pin.index() as u32);
-                    }
-                }
-            }
-            boundary.sort_unstable();
-            boundary.dedup();
-            let outs: Vec<u32> = ctx
-                .out_nets
-                .iter()
-                .filter(|&&o| in_cone[o])
-                .map(|&o| o as u32)
-                .collect();
-            for &g in &cone {
-                in_cone[g as usize] = false;
-            }
-
-            'blocks: for (blk, gvals) in gblocks.iter().enumerate() {
-                let base = blk * 64;
-                let here = 64.min(n_pat - base);
-                let live: u64 = if here == 64 { !0 } else { (1u64 << here) - 1 };
-                let w = f.kind.wired_word(gvals[f.a.index()], gvals[f.b.index()]);
-                for &p in &boundary {
-                    scratch[p as usize] = gvals[p as usize];
-                }
-                for &gu in &cone {
-                    let i = gu as usize;
-                    let mut v = eval_gate(ctx.gates, &scratch, i, gvals[i]);
-                    if i == f.a.index() || i == f.b.index() {
-                        v = w;
-                    }
-                    scratch[i] = v;
-                }
-                let mut diff: u64 = 0;
-                for &o in &outs {
-                    diff |= scratch[o as usize] ^ gvals[o as usize];
-                }
-                diff &= live;
-                let act = (gvals[f.a.index()] ^ gvals[f.b.index()]) & live;
-
-                if ctx.config.drop_detected {
-                    if diff != 0 {
-                        let tz = diff.trailing_zeros() as usize;
-                        // Activations stop after the detecting pattern.
-                        let upto: u64 = if tz == 63 { !0 } else { (1u64 << (tz + 1)) - 1 };
-                        let mut rest = act & upto;
-                        while rest != 0 {
-                            let p = rest.trailing_zeros() as usize;
-                            rest &= rest - 1;
-                            activated_per_pattern[base + p] += 1;
-                        }
-                        let t = base + tz;
-                        detected_per_pattern[t] += 1;
-                        firsts.push((t, lane0, fid, ctx.patterns.cc(t)));
-                        break 'blocks;
-                    }
-                    let mut rest = act;
-                    while rest != 0 {
-                        let p = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        activated_per_pattern[base + p] += 1;
-                    }
-                } else {
-                    let mut rest = act;
-                    while rest != 0 {
-                        let p = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        activated_per_pattern[base + p] += 1;
-                    }
-                    let mut rest = diff;
-                    while rest != 0 {
-                        let p = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        detected_per_pattern[base + p] += 1;
-                    }
-                    if diff != 0 && !firsts.iter().any(|&(_, l, _, _)| l == lane0) {
-                        let tz = diff.trailing_zeros() as usize;
-                        let t = base + tz;
-                        firsts.push((t, lane0, fid, ctx.patterns.cc(t)));
-                    }
-                }
-            }
-        }
-        firsts.sort_unstable_by_key(|&(t, lane, _, _)| (t, lane));
-        out.push(
-            firsts
-                .into_iter()
-                .map(|(t, _, fid, cc)| (fid, cc, t))
-                .collect(),
-        );
-    }
-    out
-}
-
-/// Runs one bridging fault simulation of `patterns` against `netlist`,
-/// updating `list` and returning the per-pattern [`FaultSimReport`].
-///
-/// Semantics mirror [`fault_simulate`](crate::fault_simulate): drop mode
-/// simulates only still-undetected bridges and records first detections;
-/// non-drop mode tallies every observation. The backend resolves via
-/// [`FaultSimConfig::resolved_backend`] and both paths are bit-identical;
-/// batches run serially, so the report is deterministic unconditionally.
-///
-/// # Panics
-///
-/// Panics if `patterns.width()` differs from the netlist's input width, or
-/// if `netlist` is sequential while `list` is non-empty (bridging
-/// simulation is combinational-only; [`BridgeUniverse::sample`] already
-/// returns an empty universe for sequential netlists).
-pub fn bridge_simulate(
-    netlist: &Netlist,
-    patterns: &PatternSeq,
-    list: &mut BridgeList,
-    config: &FaultSimConfig,
-) -> FaultSimReport {
-    bridge_simulate_observed(netlist, patterns, list, config, None)
-}
-
-/// [`bridge_simulate`] with an observability handle: emits an
-/// `fsim.bridge.run` span and `fsim.bridge.*` counters when `obs` is live.
-///
-/// # Panics
-///
-/// Same contract as [`bridge_simulate`].
-pub fn bridge_simulate_observed(
-    netlist: &Netlist,
-    patterns: &PatternSeq,
-    list: &mut BridgeList,
-    config: &FaultSimConfig,
-    obs: Obs<'_>,
-) -> FaultSimReport {
-    assert_eq!(
-        patterns.width(),
-        netlist.inputs().width(),
-        "pattern width must match netlist inputs"
-    );
-    assert!(
-        netlist.is_combinational() || list.is_empty(),
-        "bridging simulation is combinational-only"
-    );
-    let mut run_span = obs.span("fsim", "fsim.bridge.run");
-    list.begin_run();
-    let mut report = FaultSimReport::new();
-
-    let targets: Vec<FaultId> = if config.drop_detected {
-        list.undetected().collect()
-    } else {
-        (0..list.len()).collect()
-    };
-    let n_pat = patterns.len();
-    let mut activated_per_pattern = vec![0u32; n_pat];
-    let mut detected_per_pattern = vec![0u32; n_pat];
-
-    if !targets.is_empty() {
-        let backend = config.resolved_backend(true);
-        let cones = netlist.fanout_cones();
-        let ctx = BridgeCtx {
-            gates: netlist.gates(),
-            patterns,
-            cones: &cones,
-            in_nets: netlist.inputs().nets().iter().map(|n| n.index()).collect(),
-            out_nets: netlist.outputs().nets().iter().map(|n| n.index()).collect(),
-            config: *config,
-        };
-        // Snapshot fault data so the runners need no access to the list.
-        let batches: Vec<Vec<(FaultId, BridgeFault)>> = targets
-            .chunks(63)
-            .map(|c| c.iter().map(|&fid| (fid, list.fault(fid))).collect())
-            .collect();
-        if obs.enabled() {
-            run_span.arg("faults", targets.len());
-            run_span.arg("patterns", n_pat);
-            run_span.arg("backend", backend);
-            obs.add("fsim.bridge.runs", 1);
-            obs.add("fsim.bridge.targets", targets.len() as u64);
-        }
-        let detections = match backend {
-            SimBackend::Event => run_event(
-                &ctx,
-                &batches,
-                &mut activated_per_pattern,
-                &mut detected_per_pattern,
-            ),
-            _ => run_kernel(
-                &ctx,
-                &batches,
-                &mut activated_per_pattern,
-                &mut detected_per_pattern,
-            ),
-        };
-        // Batch-major merge, matching the stuck-at engine's contract.
-        for batch_log in detections {
-            for (fid, cc, t) in batch_log {
-                list.mark_detected(fid, cc, t);
-                report.record_detection(fid, cc, t);
-            }
-        }
-    }
-
-    for t in 0..n_pat {
-        report.record_pattern(
-            patterns.cc(t),
-            activated_per_pattern[t],
-            detected_per_pattern[t],
-        );
-    }
-    if obs.enabled() {
-        obs.add(
-            "fsim.bridge.detections",
-            u64::from(detected_per_pattern.iter().sum::<u32>()),
-        );
-    }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warpstl_netlist::Builder;
+    use crate::{fault_simulate, FaultSimConfig, SimBackend};
+    use warpstl_netlist::{Builder, PatternSeq};
 
     fn small_netlist() -> Netlist {
         let mut b = Builder::new("t");
@@ -910,7 +405,7 @@ mod tests {
         assert!(u.is_empty());
         // Simulating the empty list is a no-op that still reports patterns.
         let mut list = u.new_list();
-        let r = bridge_simulate(&n, &exhaustive(1), &mut list, &FaultSimConfig::default());
+        let r = fault_simulate(&n, &exhaustive(1), &mut list, &FaultSimConfig::default());
         assert_eq!(r.total_detected(), 0);
         assert_eq!(r.patterns().len(), 2);
     }
@@ -920,14 +415,16 @@ mod tests {
         let n = small_netlist();
         let u = BridgeUniverse::sample(&n, &BridgeConfig::default());
         let mut list = u.new_list();
-        let r = bridge_simulate(&n, &exhaustive(3), &mut list, &FaultSimConfig::default());
+        let r = fault_simulate(&n, &exhaustive(3), &mut list, &FaultSimConfig::default());
         assert!(r.total_detected() > 0, "{r}");
         assert!(list.coverage() > 0.0);
         assert_eq!(list.detected().count() as u32, r.total_detected());
     }
 
     #[test]
-    fn event_and_kernel_paths_are_bit_identical() {
+    fn event_requests_run_on_the_kernel() {
+        // Bridges have no event path: an explicit event request resolves
+        // to the kernel and reproduces its report exactly.
         let n = small_netlist();
         let u = BridgeUniverse::sample(&n, &BridgeConfig::default());
         for drop in [true, false] {
@@ -938,9 +435,9 @@ mod tests {
                 backend,
             };
             let mut el = u.new_list();
-            let event = bridge_simulate(&n, &exhaustive(3), &mut el, &cfg(SimBackend::Event));
+            let event = fault_simulate(&n, &exhaustive(3), &mut el, &cfg(SimBackend::Event));
             let mut kl = u.new_list();
-            let kernel = bridge_simulate(&n, &exhaustive(3), &mut kl, &cfg(SimBackend::Kernel));
+            let kernel = fault_simulate(&n, &exhaustive(3), &mut kl, &cfg(SimBackend::Kernel));
             assert_eq!(event, kernel, "drop={drop}");
             assert_eq!(el.to_report_text(), kl.to_report_text(), "drop={drop}");
         }
@@ -952,8 +449,8 @@ mod tests {
         let u = BridgeUniverse::sample(&n, &BridgeConfig::default());
         let mut list = u.new_list();
         let cfg = FaultSimConfig::default();
-        let r1 = bridge_simulate(&n, &exhaustive(3), &mut list, &cfg);
-        let r2 = bridge_simulate(&n, &exhaustive(3), &mut list, &cfg);
+        let r1 = fault_simulate(&n, &exhaustive(3), &mut list, &cfg);
+        let r2 = fault_simulate(&n, &exhaustive(3), &mut list, &cfg);
         assert!(r1.total_detected() > 0);
         assert_eq!(r2.total_detected(), 0);
     }
@@ -963,7 +460,7 @@ mod tests {
         let n = small_netlist();
         let u = BridgeUniverse::sample(&n, &BridgeConfig::default());
         let mut list = u.new_list();
-        bridge_simulate(&n, &exhaustive(3), &mut list, &FaultSimConfig::default());
+        fault_simulate(&n, &exhaustive(3), &mut list, &FaultSimConfig::default());
         let text = list.to_report_text();
         assert!(text.contains("bridge("), "{text}");
         let mut fresh = u.new_list();

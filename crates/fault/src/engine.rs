@@ -31,7 +31,7 @@ use warpstl_obs::{Metrics, Obs, ObsExt};
 
 use crate::{
     Fault, FaultId, FaultList, FaultSimConfig, FaultSimReport, FaultSite, FaultStatus, Polarity,
-    SimBackend, SimGuide,
+    SimBackend, SimGuide, SiteOverride,
 };
 
 /// How many batches a worker interleaves in one pattern sweep. Each batch in
@@ -256,15 +256,15 @@ pub(crate) struct WorkerOut {
 /// in the context. Both runners honor the same contract — detections per
 /// batch in serial `(pattern, lane)` order, exact per-pattern tallies — so
 /// the merge in [`run_target_list`] is backend-agnostic.
-fn run_range(
+fn run_range<F: SiteOverride>(
     ctx: &Ctx<'_>,
-    batches: &[Vec<(FaultId, Fault)>],
+    batches: &[Vec<(FaultId, F)>],
     obs: Obs<'_>,
     first_batch: usize,
     pat_range: (usize, usize),
 ) -> WorkerOut {
     match ctx.backend {
-        SimBackend::Kernel => crate::kernel::run_batches_kernel::<4>(
+        SimBackend::Kernel => crate::kernel::run_batches_kernel::<F, 4>(
             ctx,
             ctx.levels.expect("kernel backend carries a levelization"),
             batches,
@@ -272,7 +272,7 @@ fn run_range(
             first_batch,
             pat_range,
         ),
-        SimBackend::Kernel64 => crate::kernel::run_batches_kernel::<1>(
+        SimBackend::Kernel64 => crate::kernel::run_batches_kernel::<F, 1>(
             ctx,
             ctx.levels.expect("kernel backend carries a levelization"),
             batches,
@@ -280,7 +280,13 @@ fn run_range(
             first_batch,
             pat_range,
         ),
-        _ => run_batches(ctx, batches, obs, first_batch, pat_range),
+        _ => run_batches(
+            ctx,
+            F::as_stuck_at(batches).expect("only models with an event path resolve to it"),
+            obs,
+            first_batch,
+            pat_range,
+        ),
     }
 }
 
@@ -529,10 +535,10 @@ fn step_batch(
 /// `pat_range` is the half-open pattern window to simulate — `(0, n_pat)`
 /// for a monolithic run.
 #[allow(clippy::too_many_arguments)]
-fn run_target_list(
+fn run_target_list<F: SiteOverride>(
     ctx: &Ctx<'_>,
     targets: &[FaultId],
-    list: &mut FaultList,
+    list: &mut FaultList<F>,
     report: &mut FaultSimReport,
     activated_per_pattern: &mut [u32],
     detected_per_pattern: &mut [u32],
@@ -543,7 +549,7 @@ fn run_target_list(
         return;
     }
     // Snapshot fault data so workers need no access to the list.
-    let batches: Vec<Vec<(FaultId, Fault)>> = targets
+    let batches: Vec<Vec<(FaultId, F)>> = targets
         .chunks(63)
         .map(|c| c.iter().map(|&fid| (fid, list.fault(fid))).collect())
         .collect();
@@ -600,10 +606,10 @@ fn run_target_list(
 /// The parallel engine behind [`fault_simulate`](crate::fault_simulate):
 /// plans batches, fans them out over a scoped worker pool, and merges the
 /// results deterministically.
-pub(crate) fn simulate(
+pub(crate) fn simulate<F: SiteOverride>(
     netlist: &Netlist,
     patterns: &PatternSeq,
-    list: &mut FaultList,
+    list: &mut FaultList<F>,
     config: &FaultSimConfig,
     obs: Obs<'_>,
 ) -> FaultSimReport {
@@ -620,15 +626,15 @@ pub(crate) fn simulate(
 /// schedule their longest jobs first and the dropping list sheds its
 /// stubborn classes as early as possible. Per-fault first detections are
 /// independent of batch composition and order, so stamps are unchanged.
-fn order_groups_hardest_first(targets: &mut Vec<FaultId>, keys: &[f64], list: &FaultList) {
+fn order_groups_hardest_first<F: SiteOverride>(
+    targets: &mut Vec<FaultId>,
+    keys: &[f64],
+    list: &FaultList<F>,
+) {
     if targets.is_empty() {
         return;
     }
-    let key = |id: FaultId| {
-        keys.get(list.fault(id).site.gate().index())
-            .copied()
-            .unwrap_or(0.0)
-    };
+    let key = |id: FaultId| keys.get(list.fault(id).seeds().0).copied().unwrap_or(0.0);
     let mut groups: Vec<&[FaultId]> = targets.chunks(63).collect();
     let mean = |g: &[FaultId]| g.iter().map(|&id| key(id)).sum::<f64>() / g.len() as f64;
     // Descending mean cost; ties keep ascending first-id order so the
@@ -661,11 +667,11 @@ const REPACK_SEGMENT: usize = 64;
 /// still sees every pattern in order until it drops, and drop mode
 /// ignores later detections anyway.
 #[allow(clippy::too_many_arguments)]
-fn run_dropping_repacked(
+fn run_dropping_repacked<F: SiteOverride>(
     ctx: &Ctx<'_>,
     mut targets: Vec<FaultId>,
     keys: &[f64],
-    list: &mut FaultList,
+    list: &mut FaultList<F>,
     report: &mut FaultSimReport,
     activated_per_pattern: &mut [u32],
     detected_per_pattern: &mut [u32],
@@ -706,11 +712,11 @@ fn run_dropping_repacked(
 /// reordering) otherwise. Without keys this is byte-identical to the
 /// unguided engine.
 #[allow(clippy::too_many_arguments)]
-fn run_guided_list(
+fn run_guided_list<F: SiteOverride>(
     ctx: &Ctx<'_>,
     targets: Vec<FaultId>,
     guide: &SimGuide<'_>,
-    list: &mut FaultList,
+    list: &mut FaultList<F>,
     report: &mut FaultSimReport,
     activated_per_pattern: &mut [u32],
     detected_per_pattern: &mut [u32],
@@ -770,10 +776,10 @@ fn run_guided_list(
 ///   reported coverage — is identical to simulating every class: a
 ///   supporter detection implies the dominator is detectable by that very
 ///   pattern, and undetected dominators are still simulated for real.
-pub(crate) fn simulate_guided(
+pub(crate) fn simulate_guided<F: SiteOverride>(
     netlist: &Netlist,
     patterns: &PatternSeq,
-    list: &mut FaultList,
+    list: &mut FaultList<F>,
     config: &FaultSimConfig,
     obs: Obs<'_>,
     guide: &SimGuide<'_>,
@@ -782,6 +788,10 @@ pub(crate) fn simulate_guided(
         patterns.width(),
         netlist.inputs().width(),
         "pattern width must match netlist inputs"
+    );
+    assert!(
+        F::EVENT_PATH || netlist.is_combinational() || list.is_empty(),
+        "models without an event path are combinational-only"
     );
     let mut run_span = obs.span("fsim", "fsim.run");
     list.begin_run();
@@ -811,7 +821,12 @@ pub(crate) fn simulate_guided(
     let in_nets: Vec<usize> = netlist.inputs().nets().iter().map(|n| n.index()).collect();
     let out_nets: Vec<usize> = netlist.outputs().nets().iter().map(|n| n.index()).collect();
     let dff_nets: Vec<usize> = netlist.dffs().iter().map(|n| n.index()).collect();
-    let backend = resolve_backend(config, dff_nets.is_empty());
+    let backend = match resolve_backend(config, dff_nets.is_empty()) {
+        // Models without an event path are combinational by construction:
+        // an event request runs on the kernel.
+        SimBackend::Event if !F::EVENT_PATH => SimBackend::Kernel,
+        backend => backend,
+    };
     // The kernel needs the rank-major layout; levelize here only when the
     // guide did not bring the module's cached copy (O(gates log gates),
     // negligible next to one pattern sweep).

@@ -1,8 +1,11 @@
-//! Single stuck-at faults and their sites.
+//! Single stuck-at faults, their sites, and the site-override trait every
+//! fault model implements for the shared simulation engine.
 
 use std::fmt;
 
-use warpstl_netlist::NetId;
+use warpstl_netlist::{Gate, NetId};
+
+use crate::FaultId;
 
 /// The stuck value of a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -101,6 +104,104 @@ impl Fault {
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.site, self.polarity)
+    }
+}
+
+/// A fault model expressed as a **site override on good-machine words**:
+/// the faulty machine equals the good one except at one or two *seed*
+/// gates, whose output words the fault replaces with a function of the
+/// good words. The levelized kernel consumes exactly this — it forces the
+/// seed words and chases the difference frontier from there — so every
+/// model implementing the trait shares one engine (batching, threading,
+/// guided ordering, tallies, detection merge).
+///
+/// Words are pattern-parallel: bit `p` of every word is pattern `p` of the
+/// block, and `good(net)` reads the good-machine word of `net`. The engine
+/// is generic over the model (never `dyn`), so each implementation
+/// compiles into its own specialized inner loop.
+pub trait SiteOverride: Copy + Send + Sync {
+    /// Whether the model runs on the event path, the only path that
+    /// carries flip-flop state. Models without it are combinational by
+    /// construction and resolve every backend request to the kernel.
+    const EVENT_PATH: bool;
+
+    /// The seed gates: the overridden gate, plus a second one for two-site
+    /// faults. Two seeds never lie in each other's fanout cone.
+    fn seeds(&self) -> (usize, Option<usize>);
+
+    /// The word every seed carries in the faulty machine.
+    fn faulty_word(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64;
+
+    /// The activation word: the patterns where the override differs from
+    /// the good machine at the fault site.
+    fn activation(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64;
+
+    /// The stuck-at view of a batch list, for the event path; `None` for
+    /// models without one (see [`EVENT_PATH`](SiteOverride::EVENT_PATH)).
+    fn as_stuck_at(batches: &[Vec<(FaultId, Self)>]) -> Option<&[Vec<(FaultId, Fault)>]> {
+        let _ = batches;
+        None
+    }
+}
+
+impl Fault {
+    /// The stuck value broadcast to a full word.
+    fn stuck_word(self) -> u64 {
+        if self.polarity.value() {
+            !0
+        } else {
+            0
+        }
+    }
+}
+
+impl SiteOverride for Fault {
+    const EVENT_PATH: bool = true;
+
+    fn seeds(&self) -> (usize, Option<usize>) {
+        (self.site.gate().index(), None)
+    }
+
+    /// A stem fault forces the stuck constant; a branch fault evaluates
+    /// its gate with the stuck pin forced (the other inputs are upstream
+    /// of the cone, so they carry good values).
+    #[inline]
+    fn faulty_word(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+        let stuck = self.stuck_word();
+        match self.site {
+            FaultSite::Output(_) => stuck,
+            FaultSite::InputPin(n, p) => {
+                let gate = &gates[n.index()];
+                let pin = |q: usize| {
+                    if q == p as usize {
+                        stuck
+                    } else {
+                        good(gate.pins[q].index())
+                    }
+                };
+                let (b, c) = match gate.kind.arity() {
+                    2 => (pin(1), 0),
+                    3 => (pin(1), pin(2)),
+                    _ => (0, 0),
+                };
+                gate.kind.eval(pin(0), b, c)
+            }
+        }
+    }
+
+    /// `good ^ stuck` at the site's source net (the driver of a faulted
+    /// pin).
+    #[inline]
+    fn activation(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+        let src = match self.site {
+            FaultSite::Output(n) => n.index(),
+            FaultSite::InputPin(n, p) => gates[n.index()].pins[p as usize].index(),
+        };
+        good(src) ^ self.stuck_word()
+    }
+
+    fn as_stuck_at(batches: &[Vec<(FaultId, Fault)>]) -> Option<&[Vec<(FaultId, Fault)>]> {
+        Some(batches)
     }
 }
 

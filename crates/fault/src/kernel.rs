@@ -19,21 +19,22 @@
 //!   the engine's exact composition (that is what fixes the report order);
 //!   within a batch each fault is propagated alone: its faulty machine
 //!   differs from the good one only where the fault's effect survives, so
-//!   the kernel forces the site word and chases the **difference frontier**
-//!   through the levelization's rank buckets — a gate is (re)evaluated for
-//!   a block only if one of its inputs actually changed, and the frontier
-//!   dies wherever the faulty word equals the good word. Fanout-cone
-//!   pruning is implicit: the frontier is confined to the site's cone and
-//!   is usually far smaller.
+//!   the kernel forces the fault's seed words (a [`SiteOverride`]: one site
+//!   for stuck-at, both endpoints for a bridge) and chases the **difference
+//!   frontier** through the levelization's rank buckets — a gate is
+//!   (re)evaluated for a block only if one of its inputs actually changed,
+//!   and the frontier dies wherever the faulty word equals the good word.
+//!   Fanout-cone pruning is implicit: the frontier is confined to the
+//!   seeds' cones and is usually far smaller.
 //!
 //! Two screens keep per-fault work near zero for inert blocks: an
-//! activation screen (a fault whose site sees no opposing good value in a
-//! block cannot change anything) and the frontier itself (a pin fault whose
-//! effect is absorbed by the seed gate propagates nowhere). Detection,
-//! activation, and per-pattern tallies are extracted per pattern, and the
-//! per-batch detection log is sorted back into the serial
-//! `(pattern, lane)` order — making the report **bit-identical** to the
-//! event path (the equivalence suite asserts this).
+//! activation screen (a fault whose override equals the good value in
+//! every lane of a block cannot change anything) and the frontier itself
+//! (a pin fault whose effect is absorbed by the seed gate propagates
+//! nowhere). Detection, activation, and per-pattern tallies are extracted
+//! per pattern, and the per-batch detection log is sorted back into the
+//! serial `(pattern, lane)` order — making the report **bit-identical** to
+//! the event path (the equivalence suite asserts this).
 //!
 //! Fault dropping maps naturally: a dropped fault simply stops after the
 //! block containing its first detection — the pattern-block analogue of the
@@ -47,7 +48,7 @@ use warpstl_netlist::{GateKind, Levelization};
 use warpstl_obs::{Metrics, Obs, ObsExt};
 
 use crate::engine::{Ctx, WorkerOut};
-use crate::{Fault, FaultId, FaultSite};
+use crate::{FaultId, SiteOverride};
 
 /// Evaluates one run of same-kind gates over the gate-major span buffer
 /// (`row` words per net, block at word offset `base`). Operands are staged
@@ -177,16 +178,11 @@ fn tally_bits(mut word: u64, t_base: usize, tally: &mut [u32]) {
 }
 
 /// Per-fault cross-block state.
-struct FaultRun {
+struct FaultRun<F> {
     fid: FaultId,
-    fault: Fault,
+    fault: F,
     /// 1-based batch lane (serial tie-break within a pattern).
     lane: usize,
-    /// Activation is counted where the good site value opposes the stuck
-    /// value; `invert` is true for SA1 (activated when the good bit is 0).
-    invert: bool,
-    /// Gate-major row of the activation source net in the good span buffer.
-    src: usize,
     /// First-detection pattern, once found.
     detected_at: Option<usize>,
 }
@@ -231,12 +227,16 @@ impl Frontier {
 /// Propagates one fault's difference frontier through one block, returning
 /// the diff word(s) observed at the module outputs (already confined to the
 /// span's valid lanes) and counting evaluated gates into `gate_evals`.
+///
+/// Every seed gate is forced to the fault's faulty word. Two seeds never
+/// lie in each other's cone, so the rank walk starts after the lower one
+/// and never revisits a seed.
 #[allow(clippy::too_many_arguments)]
-fn propagate<const BW: usize>(
+fn propagate<F: SiteOverride, const BW: usize>(
     ctx: &Ctx<'_>,
     levels: &Levelization,
     fr: &mut Frontier,
-    run: &FaultRun,
+    run: &FaultRun<F>,
     good: &[u64],
     word_mask: &[u64],
     stride: usize,
@@ -245,48 +245,19 @@ fn propagate<const BW: usize>(
 ) -> [u64; BW] {
     fr.epoch += 1;
     let epoch = fr.epoch;
-    let seed = run.fault.site.gate().index();
-    let forced = if run.invert { !0u64 } else { 0 };
+    let (s0, s1) = run.fault.seeds();
 
-    // Seed word: the injected faulty value, masked to the valid lanes so
-    // the frontier never chases garbage in a span's tail bits.
-    let g0 = seed * stride + base;
-    let mut diff = [0u64; BW];
-    match run.fault.site {
-        // Output stem: the net is stuck regardless of the gate's inputs —
-        // exactly the event path's `(v & !sa0) | sa1`.
-        FaultSite::Output(_) => {
-            for w in 0..BW {
-                diff[w] = (forced ^ good[g0 + w]) & word_mask[base + w];
-            }
+    // Seed diffs: the injected faulty word against the good word, masked
+    // to the valid lanes so the frontier never chases garbage in a span's
+    // tail bits.
+    let mut diffs = [[0u64; BW]; 2];
+    for w in 0..BW {
+        let at = |net: usize| good[net * stride + base + w];
+        let faulty = run.fault.faulty_word(ctx.gates, at);
+        diffs[0][w] = (faulty ^ at(s0)) & word_mask[base + w];
+        if let Some(s1) = s1 {
+            diffs[1][w] = (faulty ^ at(s1)) & word_mask[base + w];
         }
-        // Branch fault: evaluate the seed gate with the stuck pin forced;
-        // its inputs are upstream of the cone, so they carry good values.
-        FaultSite::InputPin(_, p) => {
-            let gate = &ctx.gates[seed];
-            let arity = gate.kind.arity();
-            let pin = |q: usize, w: usize| -> u64 {
-                if q == p as usize {
-                    forced
-                } else {
-                    good[gate.pins[q].index() * stride + base + w]
-                }
-            };
-            for w in 0..BW {
-                let a = pin(0, w);
-                let (b, c) = match arity {
-                    2 => (pin(1, w), 0),
-                    3 => (pin(1, w), pin(2, w)),
-                    _ => (0, 0),
-                };
-                diff[w] = (gate.kind.eval(a, b, c) ^ good[g0 + w]) & word_mask[base + w];
-            }
-        }
-    }
-    if diff.iter().all(|&d| d == 0) {
-        // The seed gate absorbed the fault in every lane of this block
-        // (possible for pin faults when another input is controlling).
-        return diff;
     }
 
     let mut d_acc = [0u64; BW];
@@ -294,16 +265,6 @@ fn propagate<const BW: usize>(
         fr.faulty[net * 4..net * 4 + BW].copy_from_slice(words);
         fr.stamp_val[net] = epoch;
     };
-    let mut fw = [0u64; BW];
-    for w in 0..BW {
-        fw[w] = good[g0 + w] ^ diff[w];
-    }
-    store(fr, seed, &fw);
-    if fr.is_out[seed] {
-        d_acc = diff;
-    }
-
-    let mut max_rank = levels.rank_of(seed) as usize;
     let push = |fr: &mut Frontier, levels: &Levelization, max_rank: &mut usize, from: usize| {
         for &r in ctx.cones.successors(from) {
             let ri = r as usize;
@@ -317,9 +278,29 @@ fn propagate<const BW: usize>(
             }
         }
     };
-    push(fr, levels, &mut max_rank, seed);
+    let mut rank = usize::MAX;
+    let mut max_rank = 0usize;
+    for (seed, diff) in std::iter::once((s0, diffs[0])).chain(s1.map(|s| (s, diffs[1]))) {
+        if diff.iter().all(|&d| d == 0) {
+            // The seed absorbed the fault in every lane of this block
+            // (possible for pin faults when another input is controlling).
+            continue;
+        }
+        let g0 = seed * stride + base;
+        let mut fw = [0u64; BW];
+        for w in 0..BW {
+            fw[w] = good[g0 + w] ^ diff[w];
+        }
+        store(fr, seed, &fw);
+        if fr.is_out[seed] {
+            for w in 0..BW {
+                d_acc[w] |= diff[w];
+            }
+        }
+        rank = rank.min(levels.rank_of(seed) as usize + 1);
+        push(fr, levels, &mut max_rank, seed);
+    }
 
-    let mut rank = levels.rank_of(seed) as usize + 1;
     while rank <= max_rank {
         if fr.buckets[rank].is_empty() {
             rank += 1;
@@ -336,8 +317,8 @@ fn propagate<const BW: usize>(
                 if fr.stamp_val[pi] == epoch {
                     ops[q].copy_from_slice(&fr.faulty[pi * 4..pi * 4 + BW]);
                 } else {
-                    let s0 = pi * stride + base;
-                    ops[q].copy_from_slice(&good[s0..s0 + BW]);
+                    let g = pi * stride + base;
+                    ops[q].copy_from_slice(&good[g..g + BW]);
                 }
             }
             let o0 = gi * stride + base;
@@ -371,10 +352,10 @@ fn propagate<const BW: usize>(
 /// only the first observation in drop mode, every observation otherwise.
 /// Both `d` and `a` arrive masked to the span's valid lanes.
 #[allow(clippy::too_many_arguments)]
-fn absorb_block<const BW: usize>(
+fn absorb_block<F, const BW: usize>(
     d: [u64; BW],
     mut a: [u64; BW],
-    run: &mut FaultRun,
+    run: &mut FaultRun<F>,
     base: usize,
     p0: usize,
     drop: bool,
@@ -426,11 +407,11 @@ fn absorb_block<const BW: usize>(
 /// Runs one block for one fault: activation screen, frontier propagation,
 /// tally/detection fold. Returns 1 if the cone was actually propagated.
 #[allow(clippy::too_many_arguments)]
-fn fault_block<const BW: usize>(
+fn fault_block<F: SiteOverride, const BW: usize>(
     ctx: &Ctx<'_>,
     levels: &Levelization,
     fr: &mut Frontier,
-    run: &mut FaultRun,
+    run: &mut FaultRun<F>,
     good: &[u64],
     word_mask: &[u64],
     stride: usize,
@@ -441,24 +422,23 @@ fn fault_block<const BW: usize>(
     out: &mut WorkerOut,
     gate_evals: &mut u64,
 ) -> u64 {
-    // Activation screen: lanes where the good site value opposes the stuck
-    // value. All-zero means the faulty machine is identical in this block —
-    // no detection, no activation, nothing to do.
-    let g0 = run.src * stride + base;
+    // Activation screen: lanes where the override differs from the good
+    // machine at the site. All-zero means the faulty machine is identical
+    // in this block — no detection, no activation, nothing to do.
     let mut a = [0u64; BW];
     let mut any = 0u64;
     for w in 0..BW {
-        let g = good[g0 + w];
-        a[w] = (if run.invert { !g } else { g }) & word_mask[base + w];
+        let at = |net: usize| good[net * stride + base + w];
+        a[w] = run.fault.activation(ctx.gates, at) & word_mask[base + w];
         any |= a[w];
     }
     if any == 0 {
         return 0;
     }
-    let d = propagate::<BW>(
+    let d = propagate::<F, BW>(
         ctx, levels, fr, run, good, word_mask, stride, base, gate_evals,
     );
-    absorb_block::<BW>(d, a, run, base, p0, drop, out, det);
+    absorb_block::<F, BW>(d, a, run, base, p0, drop, out, det);
     1
 }
 
@@ -469,10 +449,10 @@ fn fault_block<const BW: usize>(
 /// spans that don't fill a wide block fall through to the 64-bit remainder
 /// path, and drop mode probes each fault's first `W` words as narrow
 /// blocks before graduating to wide ones.
-pub(crate) fn run_batches_kernel<const W: usize>(
+pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
     ctx: &Ctx<'_>,
     levels: &Levelization,
-    batches: &[Vec<(FaultId, Fault)>],
+    batches: &[Vec<(FaultId, F)>],
     obs: Obs<'_>,
     first_batch: usize,
     pat_range: (usize, usize),
@@ -556,11 +536,6 @@ pub(crate) fn run_batches_kernel<const W: usize>(
                 fid,
                 fault: f,
                 lane: lane0 + 1,
-                invert: f.polarity.value(),
-                src: match f.site {
-                    FaultSite::Output(n) => n.index(),
-                    FaultSite::InputPin(n, p) => ctx.gates[n.index()].pins[p as usize].index(),
-                },
                 detected_at: None,
             };
             let mut base = 0usize;
@@ -573,7 +548,7 @@ pub(crate) fn run_batches_kernel<const W: usize>(
                 // blocks; survivors use full-width blocks where aligned.
                 let wide_ok = base.is_multiple_of(W) && base + W <= stride && !(drop && base < W);
                 if wide_ok {
-                    fault_blocks += fault_block::<W>(
+                    fault_blocks += fault_block::<F, W>(
                         ctx,
                         levels,
                         &mut fr,
@@ -590,7 +565,7 @@ pub(crate) fn run_batches_kernel<const W: usize>(
                     );
                     base += W;
                 } else {
-                    fault_blocks += fault_block::<1>(
+                    fault_blocks += fault_block::<F, 1>(
                         ctx,
                         levels,
                         &mut fr,

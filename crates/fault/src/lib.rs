@@ -1,21 +1,27 @@
 #![warn(missing_docs)]
 //! # warpstl-fault
 //!
-//! Stuck-at fault modelling and fault simulation for the gate-level modules
-//! of [`warpstl-netlist`](warpstl_netlist).
+//! Fault models and fault simulation for the gate-level modules of
+//! [`warpstl-netlist`](warpstl_netlist).
 //!
 //! The crate provides:
 //!
 //! - [`Fault`] / [`FaultSite`] — single stuck-at faults on gate outputs
 //!   (stems) and gate input pins (fanout branches);
-//! - [`FaultUniverse`] — exhaustive fault enumeration with structural
+//! - [`BridgeFault`] / [`BridgeUniverse`] — sampled wired-AND/OR two-net
+//!   bridging faults;
+//! - [`SiteOverride`] — the one trait a fault model implements to run on
+//!   the shared engine: its seed gates, their faulty word, and its
+//!   activation word, all computed from good-machine words;
+//! - [`FaultUniverse`] — exhaustive stuck-at enumeration with structural
 //!   equivalence collapsing;
-//! - [`FaultList`] — the mutable detection ledger the compaction flow
-//!   shares across test programs (the paper's *fault dropping* mechanism);
-//! - [`fault_simulate`] — a parallel-fault (63 faults + 1 good machine per
-//!   machine word) simulator over timestamped pattern sequences, producing
-//!   the per-cycle *Fault Sim Report* the instruction-labeling stage
-//!   consumes.
+//! - [`FaultList`] — the mutable detection ledger, generic over the fault
+//!   type, that the compaction flow shares across test programs (the
+//!   paper's *fault dropping* mechanism);
+//! - [`fault_simulate`] — the parallel fault-simulation engine over
+//!   timestamped pattern sequences, generic over the model, producing the
+//!   per-cycle *Fault Sim Report* the instruction-labeling stage consumes;
+//! - [`tdf`] — transition-delay faults on a serial simulator of their own.
 //!
 //! # Examples
 //!
@@ -54,13 +60,10 @@ mod sim;
 pub mod tdf;
 mod universe;
 
-pub use bridge::{
-    bridge_simulate, bridge_simulate_observed, BridgeConfig, BridgeFault, BridgeKind, BridgeList,
-    BridgeUniverse, FaultModel,
-};
+pub use bridge::{BridgeConfig, BridgeFault, BridgeKind, BridgeList, BridgeUniverse, FaultModel};
 pub use dominance::DominanceView;
 pub use engine::host_parallelism;
-pub use fault::{Fault, FaultSite, Polarity};
+pub use fault::{Fault, FaultSite, Polarity, SiteOverride};
 pub use list::{FaultId, FaultList, FaultStatus};
 pub use report::{FaultSimReport, PatternStats};
 pub use sim::{

@@ -1,8 +1,8 @@
-//! Parallel-fault stuck-at simulation over pattern sequences.
+//! Parallel fault simulation over pattern sequences.
 
 use warpstl_netlist::{GateKind, Levelization, Netlist, PatternSeq};
 
-use crate::{DominanceView, FaultId, FaultList, FaultSimReport, FaultSite, Polarity};
+use crate::{DominanceView, FaultId, FaultList, FaultSimReport, FaultSite, Polarity, SiteOverride};
 
 /// Which simulation path the engine runs.
 ///
@@ -11,6 +11,11 @@ use crate::{DominanceView, FaultId, FaultList, FaultSimReport, FaultSite, Polari
 /// performance knob and is deliberately excluded from the artifact-store
 /// cache key (`key_fsim`): entries written by either backend replay
 /// interchangeably.
+///
+/// Only stuck-at faults have an event path. Models without one (see
+/// [`SiteOverride::EVENT_PATH`]) — bridging — are combinational by
+/// construction and always run on the kernel: a [`SimBackend::Event`]
+/// request resolves to [`SimBackend::Kernel`] for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimBackend {
     /// Resolve via `WARPSTL_SIM_BACKEND` if set, else pick the levelized
@@ -154,11 +159,13 @@ pub struct SimGuide<'a> {
 /// Runs one fault simulation of `patterns` against `netlist`, updating
 /// `list` and returning the per-pattern Fault Sim Report.
 ///
-/// The simulator packs 63 faulty machines plus the good machine into each
-/// 64-bit word (parallel-fault simulation) and observes discrepancies at
-/// the module outputs — the paper's *module-level fault observability*.
-/// Sequential netlists are supported: each fault lane carries its own
-/// flip-flop state.
+/// The engine is generic over the fault model ([`SiteOverride`]): the
+/// ledger may hold stuck-at [`Fault`](crate::Fault)s or
+/// [`BridgeFault`](crate::BridgeFault)s. Discrepancies are observed at the
+/// module outputs — the paper's *module-level fault observability*.
+/// Sequential netlists are supported for stuck-at faults on the event
+/// path, which packs 63 faulty machines plus the good machine into each
+/// 64-bit word and gives each fault lane its own flip-flop state.
 ///
 /// Fault batches are independent, so the engine prunes each batch to the
 /// fanout cone of its injection sites and fans batches out over
@@ -168,7 +175,10 @@ pub struct SimGuide<'a> {
 ///
 /// # Panics
 ///
-/// Panics if `patterns.width()` differs from the netlist's input width.
+/// Panics if `patterns.width()` differs from the netlist's input width, or
+/// if a model without an event path (bridging) meets a sequential netlist
+/// with a non-empty list ([`BridgeUniverse::sample`](crate::BridgeUniverse::sample)
+/// returns an empty universe for sequential netlists).
 ///
 /// # Examples
 ///
@@ -193,10 +203,10 @@ pub struct SimGuide<'a> {
 /// assert_eq!(list.coverage(), 1.0); // exhaustive patterns test XOR fully
 /// assert_eq!(report.total_detected() as usize, list.len());
 /// ```
-pub fn fault_simulate(
+pub fn fault_simulate<F: SiteOverride>(
     netlist: &Netlist,
     patterns: &PatternSeq,
-    list: &mut FaultList,
+    list: &mut FaultList<F>,
     config: &FaultSimConfig,
 ) -> FaultSimReport {
     crate::engine::simulate(netlist, patterns, list, config, None)
@@ -212,10 +222,10 @@ pub fn fault_simulate(
 /// # Panics
 ///
 /// Panics if `patterns.width()` differs from the netlist's input width.
-pub fn fault_simulate_observed(
+pub fn fault_simulate_observed<F: SiteOverride>(
     netlist: &Netlist,
     patterns: &PatternSeq,
-    list: &mut FaultList,
+    list: &mut FaultList<F>,
     config: &FaultSimConfig,
     obs: warpstl_obs::Obs<'_>,
 ) -> FaultSimReport {
@@ -264,10 +274,10 @@ pub fn fault_simulate_observed(
 /// fault_simulate_guided(&n, &pats, &mut list, &FaultSimConfig::default(), None, &guide);
 /// assert_eq!(list.coverage(), 1.0); // identical to the unguided run
 /// ```
-pub fn fault_simulate_guided(
+pub fn fault_simulate_guided<F: SiteOverride>(
     netlist: &Netlist,
     patterns: &PatternSeq,
-    list: &mut FaultList,
+    list: &mut FaultList<F>,
     config: &FaultSimConfig,
     obs: warpstl_obs::Obs<'_>,
     guide: &SimGuide<'_>,

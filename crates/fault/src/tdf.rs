@@ -10,7 +10,7 @@
 
 use warpstl_netlist::{GateKind, NetId, Netlist, PatternSeq};
 
-use crate::{FaultSimConfig, FaultSimReport, Polarity};
+use crate::{FaultList, FaultSimConfig, FaultSimReport, Polarity};
 
 /// The slow transition direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,7 +59,8 @@ impl std::fmt::Display for TransitionFault {
     }
 }
 
-/// The transition-fault ledger: universe, status and coverage.
+/// The transition-fault ledger: the generic [`FaultList`] over
+/// [`TransitionFault`], every fault weighing 1.
 ///
 /// # Examples
 ///
@@ -82,11 +83,7 @@ impl std::fmt::Display for TransitionFault {
 /// tdf_simulate(&n, &p, &mut list, &FaultSimConfig::default());
 /// assert_eq!(list.coverage(), 1.0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct TdfList {
-    faults: Vec<TransitionFault>,
-    detected_at: Vec<Option<u64>>,
-}
+pub type TdfList = FaultList<TransitionFault>;
 
 impl TdfList {
     /// Enumerates both transitions on every gate-output line (constants
@@ -105,59 +102,7 @@ impl TdfList {
                 });
             }
         }
-        let detected_at = vec![None; faults.len()];
-        TdfList {
-            faults,
-            detected_at,
-        }
-    }
-
-    /// The number of transition faults.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the universe is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// The fault with index `i`.
-    #[must_use]
-    pub fn fault(&self, i: usize) -> TransitionFault {
-        self.faults[i]
-    }
-
-    /// The clock cycle at which fault `i` was first detected, if any.
-    #[must_use]
-    pub fn detected_at(&self, i: usize) -> Option<u64> {
-        self.detected_at[i]
-    }
-
-    /// Iterates the indices of undetected faults.
-    pub fn undetected(&self) -> impl Iterator<Item = usize> + '_ {
-        self.detected_at
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_none())
-            .map(|(i, _)| i)
-    }
-
-    /// The fraction of detected transition faults.
-    #[must_use]
-    pub fn coverage(&self) -> f64 {
-        if self.faults.is_empty() {
-            return 0.0;
-        }
-        let det = self.detected_at.iter().filter(|d| d.is_some()).count();
-        det as f64 / self.faults.len() as f64
-    }
-
-    /// Resets all faults to undetected.
-    pub fn reset(&mut self) {
-        self.detected_at.fill(None);
+        TdfList::from_faults(faults)
     }
 }
 
@@ -186,6 +131,7 @@ pub fn tdf_simulate(
         netlist.inputs().width(),
         "pattern width must match netlist inputs"
     );
+    list.begin_run();
     let mut report = FaultSimReport::new();
     let targets: Vec<usize> = if config.drop_detected {
         list.undetected().collect()
@@ -297,7 +243,7 @@ pub fn tdf_simulate(
                 }
                 launched += 1;
                 if diff & lane_bit != 0 && detected_mask & lane_bit == 0 {
-                    list.detected_at[fi] = Some(cc);
+                    list.mark_detected(fi, cc, t);
                     report.record_detection(fi, cc, t);
                     detected_per_pattern[t] += 1;
                     detected_mask |= lane_bit;
@@ -323,6 +269,7 @@ pub fn tdf_simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultStatus;
     use warpstl_netlist::Builder;
 
     fn and2() -> Netlist {
@@ -357,7 +304,7 @@ mod tests {
         // Detected: z/STR (z rose and the stale 0 is visible) and y/STR
         // (y's rise is what made z rise). x held, so x/STR launched nothing.
         let detected: Vec<String> = (0..list.len())
-            .filter(|&i| list.detected_at(i).is_some())
+            .filter(|&i| list.status(i) != FaultStatus::Undetected)
             .map(|i| list.fault(i).to_string())
             .collect();
         assert!(detected.contains(&"n2/STR".to_string()), "{detected:?}");
@@ -401,10 +348,8 @@ mod tests {
         p.push_value(100, 0b01);
         p.push_value(200, 0b11);
         tdf_simulate(&n, &p, &mut list, &FaultSimConfig::default());
-        for i in 0..list.len() {
-            if let Some(cc) = list.detected_at(i) {
-                assert_eq!(cc, 200, "{}", list.fault(i));
-            }
+        for (i, cc, _, _) in list.detected() {
+            assert_eq!(cc, 200, "{}", list.fault(i));
         }
     }
 

@@ -1,12 +1,13 @@
 //! Bridging-model soundness properties:
 //!
 //! 1. On small random combinational netlists under **exhaustive** 2^n
-//!    stimulus, the parallel bridge simulator's detected set and
+//!    stimulus, the shared engine's bridging detected set and
 //!    first-detection stamps match a trivial scalar oracle that re-evaluates
 //!    the whole netlist per fault per assignment with the wired value
 //!    forced at both endpoints.
-//! 2. The event and kernel bridge paths are **bit-identical** — same
-//!    report (detections, stamps, tallies) and same list state — in drop
+//! 2. Bridging runs are **bit-identical** — same report (detections,
+//!    stamps, tallies) and same list state — across worker counts (1 vs 2)
+//!    and block widths (`Kernel`'s 256-bit blocks vs `Kernel64`), in drop
 //!    and non-drop mode.
 //! 3. Non-drop per-pattern activation tallies equal the count of bridges
 //!    whose endpoint values differ under that assignment.
@@ -14,7 +15,7 @@
 use proptest::prelude::*;
 
 use warpstl_fault::{
-    bridge_simulate, BridgeConfig, BridgeFault, BridgeUniverse, FaultSimConfig, SimBackend,
+    fault_simulate, BridgeConfig, BridgeFault, BridgeUniverse, FaultSimConfig, SimBackend,
 };
 use warpstl_netlist::{Builder, GateKind, NetId, Netlist, PatternSeq};
 
@@ -53,6 +54,19 @@ fn exhaustive(width: usize) -> PatternSeq {
     let mut p = PatternSeq::new(width);
     for v in 0..(1u64 << width) {
         p.push_value(v, v);
+    }
+    p
+}
+
+/// `len` xorshift rows over `width` inputs, stamped with their index.
+fn pseudorandom(width: usize, len: usize, mut state: u64) -> PatternSeq {
+    state |= 1;
+    let mut p = PatternSeq::new(width);
+    for cc in 0..len as u64 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        p.push_value(cc, state);
     }
     p
 }
@@ -136,7 +150,7 @@ proptest! {
         let patterns = exhaustive(width);
 
         let mut list = universe.new_list();
-        bridge_simulate(&netlist, &patterns, &mut list, &FaultSimConfig::default());
+        fault_simulate(&netlist, &patterns, &mut list, &FaultSimConfig::default());
 
         for (id, &f) in universe.faults().iter().enumerate() {
             let expected = oracle_first_detection(&netlist, f, width);
@@ -157,37 +171,50 @@ proptest! {
     }
 
     #[test]
-    fn bridge_event_and_kernel_paths_are_bit_identical(
-        n_inputs in 2usize..6,
+    fn bridging_is_bit_identical_across_threads_and_block_widths(
+        n_inputs in 2usize..9,
         specs in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
-            4..48,
+            16..96,
         ),
         seed in any::<u64>(),
+        n_patterns in 1usize..1200,
         drop in any::<bool>(),
     ) {
+        // Enough pairs for several 63-fault batches (so two workers really
+        // split them) and enough patterns for wide blocks past the
+        // drop-mode probe.
         let netlist = build_netlist(n_inputs, &specs);
-        let universe = BridgeUniverse::sample(&netlist, &BridgeConfig { pairs: 48, seed });
-        let patterns = exhaustive(netlist.inputs().width());
-        let cfg = |backend| FaultSimConfig {
-            drop_detected: drop,
-            early_exit: drop,
-            threads: 1,
-            backend,
+        let universe = BridgeUniverse::sample(&netlist, &BridgeConfig { pairs: 96, seed });
+        let patterns = pseudorandom(netlist.inputs().width(), n_patterns, seed);
+        let run = |threads, backend| {
+            let cfg = FaultSimConfig {
+                drop_detected: drop,
+                early_exit: drop,
+                threads,
+                backend,
+            };
+            let mut list = universe.new_list();
+            let report = fault_simulate(&netlist, &patterns, &mut list, &cfg);
+            (report, list.to_report_text())
         };
 
-        let mut event_list = universe.new_list();
-        let event = bridge_simulate(&netlist, &patterns, &mut event_list, &cfg(SimBackend::Event));
-        let mut kernel_list = universe.new_list();
-        let kernel =
-            bridge_simulate(&netlist, &patterns, &mut kernel_list, &cfg(SimBackend::Kernel));
-
-        prop_assert_eq!(&kernel, &event, "report diverged");
-        prop_assert_eq!(
-            kernel_list.to_report_text(),
-            event_list.to_report_text(),
-            "list state diverged"
-        );
+        let reference = run(1, SimBackend::Kernel);
+        for (threads, backend) in [
+            (2, SimBackend::Kernel),
+            (1, SimBackend::Kernel64),
+            (2, SimBackend::Kernel64),
+        ] {
+            let other = run(threads, backend);
+            prop_assert_eq!(
+                &other.0, &reference.0,
+                "report diverged at threads={} backend={}", threads, backend
+            );
+            prop_assert_eq!(
+                &other.1, &reference.1,
+                "list state diverged at threads={} backend={}", threads, backend
+            );
+        }
     }
 
     #[test]
@@ -207,10 +234,10 @@ proptest! {
             drop_detected: false,
             early_exit: false,
             threads: 1,
-            backend: SimBackend::Event,
+            backend: SimBackend::Auto,
         };
         let mut list = universe.new_list();
-        let report = bridge_simulate(&netlist, &patterns, &mut list, &cfg);
+        let report = fault_simulate(&netlist, &patterns, &mut list, &cfg);
 
         for (t, stats) in report.patterns().iter().enumerate() {
             let good = scalar_eval(&netlist, t as u64, None);

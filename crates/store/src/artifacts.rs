@@ -19,14 +19,13 @@ use warpstl_analyze::{
     analyze_observed, AnalyzeReport, Diagnostic, ImplicationStats, Rule, Severity,
 };
 use warpstl_fault::{
-    bridge_simulate_observed, fault_simulate_guided, BridgeList, FaultList, FaultSimConfig,
-    FaultSimReport, FaultStatus, SimGuide,
+    fault_simulate_guided, FaultList, FaultSimConfig, FaultSimReport, FaultStatus, SimGuide,
 };
 use warpstl_netlist::{NetId, Netlist, PatternSeq};
 use warpstl_obs::{Obs, ObsExt};
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::hash::{key_analysis, key_bridge_sim, key_fsim, Key};
+use crate::hash::{key_analysis, key_fsim, Key, KeyedFault};
 use crate::store::{EntryKind, Store};
 
 /// The persisted result of one fault-engine invocation.
@@ -337,18 +336,19 @@ pub fn cached_analyze(
     report
 }
 
-/// [`fault_simulate_guided`] behind the cache.
+/// [`fault_simulate_guided`] behind the cache, for any fault model the key
+/// covers ([`KeyedFault`]: stuck-at and bridging).
 ///
 /// On a hit the persisted stamps are replayed onto `list` (new run,
 /// detection stamps, rebuilt report) under a `store.replay` span — the
 /// result is bit-identical to re-running the engine from the same entry
 /// state, because the key absorbs that state. On a miss the engine runs
 /// and its stamps are captured and persisted.
-pub fn cached_fault_sim(
+pub fn cached_fault_sim<F: KeyedFault>(
     cache: CacheCtx<'_>,
     netlist: &Netlist,
     patterns: &PatternSeq,
-    list: &mut FaultList,
+    list: &mut FaultList<F>,
     config: &FaultSimConfig,
     obs: Obs<'_>,
     guide: &SimGuide<'_>,
@@ -363,33 +363,6 @@ pub fn cached_fault_sim(
     }
     let before = detection_flags(list);
     let report = fault_simulate_guided(netlist, patterns, list, config, obs, guide);
-    store.put_stamps(key, &FsimStamps::capture(&report, list, &before), obs);
-    report
-}
-
-/// [`bridge_simulate_observed`] behind the cache — the bridging twin of
-/// [`cached_fault_sim`]. The key ([`key_bridge_sim`]) absorbs the sampled
-/// universe content alongside the entry list state, so entries can never
-/// alias across models, seeds, or pair budgets; stamps replay through the
-/// same [`FsimStamps`] machinery (the payload carries only fault ids).
-pub fn cached_bridge_sim(
-    cache: CacheCtx<'_>,
-    netlist: &Netlist,
-    patterns: &PatternSeq,
-    list: &mut BridgeList,
-    config: &FaultSimConfig,
-    obs: Obs<'_>,
-) -> FaultSimReport {
-    let Some(store) = cache.store else {
-        return bridge_simulate_observed(netlist, patterns, list, config, obs);
-    };
-    let key = key_bridge_sim(cache.netlist_key, patterns, list, config);
-    if let Some(stamps) = store.get_stamps(key, list.len(), obs) {
-        let _span = obs.span("store", "store.replay");
-        return stamps.replay(list);
-    }
-    let before = detection_flags(list);
-    let report = bridge_simulate_observed(netlist, patterns, list, config, obs);
     store.put_stamps(key, &FsimStamps::capture(&report, list, &before), obs);
     report
 }
@@ -595,13 +568,14 @@ mod tests {
     }
 
     #[test]
-    fn cached_bridge_sim_warm_replay_is_bit_identical() {
+    fn cached_fault_sim_bridging_warm_replay_is_bit_identical() {
         use warpstl_fault::{BridgeConfig, BridgeUniverse};
         let netlist = build_netlist();
         let universe = BridgeUniverse::sample(&netlist, &BridgeConfig::default());
         assert!(!universe.is_empty());
         let patterns = patterns_for(&netlist, 6);
         let config = FaultSimConfig::default();
+        let guide = SimGuide::default();
         let store = temp_store("bridge-warm");
         let cache = CacheCtx {
             store: Some(&store),
@@ -609,17 +583,26 @@ mod tests {
         };
 
         let mut cold_list = universe.new_list();
-        let cold = cached_bridge_sim(cache, &netlist, &patterns, &mut cold_list, &config, None);
+        let cold = cached_fault_sim(
+            cache,
+            &netlist,
+            &patterns,
+            &mut cold_list,
+            &config,
+            None,
+            &guide,
+        );
 
         let rec = Recorder::new();
         let mut warm_list = universe.new_list();
-        let warm = cached_bridge_sim(
+        let warm = cached_fault_sim(
             cache,
             &netlist,
             &patterns,
             &mut warm_list,
             &config,
             Some(&rec),
+            &guide,
         );
         assert_eq!(warm, cold);
         assert_eq!(warm_list.to_report_text(), cold_list.to_report_text());
@@ -637,7 +620,7 @@ mod tests {
             &mut sa_list,
             &config,
             Some(&rec2),
-            &SimGuide::default(),
+            &guide,
         );
         assert_eq!(rec2.metrics().counter(names::CACHE_MISS), 1);
         let _ = std::fs::remove_dir_all(store.root());

@@ -26,7 +26,9 @@
 
 use std::fmt;
 
-use warpstl_fault::{BridgeKind, BridgeList, FaultList, FaultSimConfig, FaultStatus, SimGuide};
+use warpstl_fault::{
+    BridgeFault, BridgeKind, Fault, FaultList, FaultSimConfig, FaultStatus, SimGuide, SiteOverride,
+};
 use warpstl_netlist::{GateKind, Netlist, PatternSeq};
 use warpstl_programs::serialize::ptp_to_text;
 use warpstl_programs::Ptp;
@@ -36,7 +38,8 @@ use warpstl_programs::Ptp;
 /// v2: the guide's untestable bitmap prunes targets (pattern tallies and
 /// the report's untestable row change with it).
 /// v3: a fault-model tag domain-separates stuck-at from bridging entries
-/// (see [`key_bridge_sim`]) so cache entries never alias across models.
+/// (see [`KeyedFault::MODEL_TAG`]) so cache entries never alias across
+/// models.
 pub const FSIM_SCHEMA: u32 = 3;
 
 /// Bump when the netlist analyzer's rules or report shape change.
@@ -270,85 +273,100 @@ fn absorb_stream(h: &mut CanonicalHasher, seq: &PatternSeq) {
     }
 }
 
-/// The canonical key of one fault-engine invocation: netlist structure,
-/// the exact pattern stream, the fault list's *entry state* (which faults
-/// are still undetected — drop mode's behavior depends on it), the
-/// semantic `FaultSimConfig` flags, and the guide shape. Deliberately
-/// excluded: `threads` (the engine is bit-identical at every thread
-/// count), prior detection stamps (first-detection-wins makes them
-/// unobservable), and the list's run counter (replay stamps the warm
-/// list's own run number, exactly as a live simulation would).
+/// The fault-model half of [`key_fsim`]: what a model contributes to the
+/// key beyond the shared material.
+pub trait KeyedFault: SiteOverride {
+    /// The fault-model tag: `0` = stuck-at, `1` = bridging. The models
+    /// share the stamp payload format but never the key space.
+    const MODEL_TAG: u8;
+
+    /// Absorbs one fault's identity, ahead of its entry status.
+    fn absorb_fault(&self, h: &mut CanonicalHasher);
+
+    /// Absorbs the semantic shape of the simulation guide.
+    fn absorb_guide(h: &mut CanonicalHasher, guide: &SimGuide<'_>);
+}
+
+/// Stuck-at universes are a pure function of the netlist structure, so the
+/// faults themselves add nothing; the guide's dominance, ordering, and
+/// untestable pruning are stuck-at constructs and key here.
+impl KeyedFault for Fault {
+    const MODEL_TAG: u8 = 0;
+
+    fn absorb_fault(&self, _h: &mut CanonicalHasher) {}
+
+    fn absorb_guide(h: &mut CanonicalHasher, guide: &SimGuide<'_>) {
+        h.bool(guide.dominance.is_some());
+        h.bool(guide.order_keys.is_some());
+        // The untestable bitmap changes the target set, and with it the
+        // per-pattern tallies and the report's untestable row — so, unlike
+        // `levels`, its *content* is key material.
+        h.bool(guide.untestable.is_some());
+        if let Some(unt) = guide.untestable {
+            h.len(unt.len());
+            for &u in unt {
+                h.bool(u);
+            }
+        }
+    }
+}
+
+/// Bridging universes are drawn by a seeded sampler, not derived from
+/// structure alone, so the endpoint/kind triples are key material (two
+/// configs sampling different pair sets must never alias). Bridging
+/// guides carry only the levelization, which never keys.
+impl KeyedFault for BridgeFault {
+    const MODEL_TAG: u8 = 1;
+
+    fn absorb_fault(&self, h: &mut CanonicalHasher) {
+        h.u32(self.a.0);
+        h.u32(self.b.0);
+        h.byte(match self.kind {
+            BridgeKind::And => 0,
+            BridgeKind::Or => 1,
+        });
+    }
+
+    fn absorb_guide(_h: &mut CanonicalHasher, guide: &SimGuide<'_>) {
+        debug_assert!(
+            guide.dominance.is_none() && guide.order_keys.is_none() && guide.untestable.is_none(),
+            "bridging guides carry only the levelization"
+        );
+    }
+}
+
+/// The canonical key of one fault-engine invocation: the fault-model tag,
+/// netlist structure, the exact pattern stream, the fault list's *entry
+/// state* (which faults are still undetected — drop mode's behavior
+/// depends on it) with whatever identity the model keys per fault, the
+/// semantic `FaultSimConfig` flags, and the guide shape the model keys.
+/// Deliberately excluded: `threads` and `backend` (the engine is
+/// bit-identical across both), prior detection stamps
+/// (first-detection-wins makes them unobservable), and the list's run
+/// counter (replay stamps the warm list's own run number, exactly as a
+/// live simulation would).
 #[must_use]
-pub fn key_fsim(
+pub fn key_fsim<F: KeyedFault>(
     netlist_key: Key,
     patterns: &PatternSeq,
-    list: &FaultList,
+    list: &FaultList<F>,
     config: &FaultSimConfig,
     guide: &SimGuide<'_>,
 ) -> Key {
     let mut h = CanonicalHasher::new();
     h.str("warpstl.fsim/v1");
     h.u32(FSIM_SCHEMA);
-    // Fault-model tag: 0 = stuck-at, 1 = bridging (key_bridge_sim). The
-    // models share the stamp payload format but never the key space.
-    h.byte(0);
+    h.byte(F::MODEL_TAG);
     h.u128(netlist_key.0);
     absorb_stream(&mut h, patterns);
     h.len(list.len());
     for id in 0..list.len() {
+        list.fault(id).absorb_fault(&mut h);
         h.bool(matches!(list.status(id), FaultStatus::Undetected));
     }
     h.bool(config.drop_detected);
     h.bool(config.early_exit);
-    h.bool(guide.dominance.is_some());
-    h.bool(guide.order_keys.is_some());
-    // The untestable bitmap changes the target set, and with it the
-    // per-pattern tallies and the report's untestable row — so, unlike
-    // `levels`, its *content* is key material.
-    h.bool(guide.untestable.is_some());
-    if let Some(unt) = guide.untestable {
-        h.len(unt.len());
-        for &u in unt {
-            h.bool(u);
-        }
-    }
-    h.finish()
-}
-
-/// The canonical key of one bridging-fault simulation: the stuck-at
-/// [`key_fsim`] material with the model tag set to `1`, plus the *sampled
-/// universe content* — bridging universes are drawn by a seeded sampler,
-/// not derived from structure alone, so the endpoint/kind triples are key
-/// material (two configs sampling different pair sets must never alias).
-/// `threads` and `backend` stay excluded: the bridge engine is
-/// bit-identical across both.
-#[must_use]
-pub fn key_bridge_sim(
-    netlist_key: Key,
-    patterns: &PatternSeq,
-    list: &BridgeList,
-    config: &FaultSimConfig,
-) -> Key {
-    let mut h = CanonicalHasher::new();
-    h.str("warpstl.fsim/v1");
-    h.u32(FSIM_SCHEMA);
-    // Fault-model tag: 1 = bridging (see key_fsim).
-    h.byte(1);
-    h.u128(netlist_key.0);
-    absorb_stream(&mut h, patterns);
-    h.len(list.len());
-    for id in 0..list.len() {
-        let f = list.fault(id);
-        h.u32(f.a.0);
-        h.u32(f.b.0);
-        h.byte(match f.kind {
-            BridgeKind::And => 0,
-            BridgeKind::Or => 1,
-        });
-        h.bool(matches!(list.status(id), FaultStatus::Undetected));
-    }
-    h.bool(config.drop_detected);
-    h.bool(config.early_exit);
+    F::absorb_guide(&mut h, guide);
     h.finish()
 }
 
@@ -562,7 +580,7 @@ mod tests {
         );
         assert!(!bridges.is_empty());
         let br_list = bridges.new_list();
-        let br_key = key_bridge_sim(nk, &pats, &br_list, &cfg);
+        let br_key = key_fsim(nk, &pats, &br_list, &cfg, &SimGuide::default());
         assert_ne!(sa_key, br_key, "stuck-at and bridging keys alias");
 
         // The sampled universe content is key material: a different seed
@@ -572,7 +590,7 @@ mod tests {
             &warpstl_fault::BridgeConfig { pairs: 3, seed: 7 },
         );
         if other.faults() != bridges.faults() {
-            let other_key = key_bridge_sim(nk, &pats, &other.new_list(), &cfg);
+            let other_key = key_fsim(nk, &pats, &other.new_list(), &cfg, &SimGuide::default());
             assert_ne!(br_key, other_key, "universe content must enter the key");
         }
 
@@ -580,6 +598,53 @@ mod tests {
         let mut warm = bridges.new_list();
         warm.begin_run();
         warm.mark_detected(0, 1, 0);
-        assert_ne!(br_key, key_bridge_sim(nk, &pats, &warm, &cfg));
+        assert_ne!(
+            br_key,
+            key_fsim(nk, &pats, &warm, &cfg, &SimGuide::default())
+        );
+    }
+
+    #[test]
+    fn fsim_keys_match_the_pinned_hex_goldens() {
+        // Keys name files on disk: a stuck-at and a bridging input whose
+        // keys must never drift, or warm stores written by earlier builds
+        // would silently stop hitting.
+        let netlist = ModuleKind::Sfu.build();
+        let nk = key_netlist(&netlist);
+        let cfg = FaultSimConfig::default();
+        let mut pats = PatternSeq::new(netlist.inputs().width());
+        pats.push_value(0, 0xdead_beef);
+        pats.push_value(3, 0x0123_4567_89ab_cdef);
+
+        let universe = warpstl_fault::FaultUniverse::enumerate(&netlist);
+        let mut sa = warpstl_fault::FaultList::new(&universe);
+        sa.begin_run();
+        sa.mark_detected(2, 7, 1);
+        let unt: Vec<bool> = (0..sa.len()).map(|i| i % 7 == 0).collect();
+        let guide = SimGuide {
+            untestable: Some(&unt),
+            ..SimGuide::default()
+        };
+        assert_eq!(
+            key_fsim(nk, &pats, &sa, &cfg, &guide).to_hex(),
+            "75bdb37023a88f70ba07c507b0b7a105"
+        );
+
+        let bridges = warpstl_fault::BridgeUniverse::sample(
+            &netlist,
+            &warpstl_fault::BridgeConfig { pairs: 16, seed: 0 },
+        );
+        let mut br = bridges.new_list();
+        br.begin_run();
+        br.mark_detected(1, 5, 0);
+        let levels = netlist.levelize();
+        let leveled = SimGuide {
+            levels: Some(&levels),
+            ..SimGuide::default()
+        };
+        assert_eq!(
+            key_fsim(nk, &pats, &br, &cfg, &leveled).to_hex(),
+            "b061c3a423897851f9d653d0ecf4692f"
+        );
     }
 }

@@ -68,12 +68,10 @@ pub mod codec;
 pub mod hash;
 pub mod store;
 
-pub use artifacts::{
-    cached_analyze, cached_bridge_sim, cached_fault_sim, detection_flags, CacheCtx, FsimStamps,
-};
+pub use artifacts::{cached_analyze, cached_fault_sim, detection_flags, CacheCtx, FsimStamps};
 pub use hash::{
-    key_analysis, key_bridge_sim, key_fsim, key_netlist, key_ptp, CanonicalHasher, Key,
-    ANALYZE_SCHEMA, FSIM_SCHEMA,
+    key_analysis, key_fsim, key_netlist, key_ptp, CanonicalHasher, Key, KeyedFault, ANALYZE_SCHEMA,
+    FSIM_SCHEMA,
 };
 pub use store::{
     atomic_write, EntryInfo, EntryKind, EntryStatus, ScanReport, SessionStats, Store,

@@ -184,6 +184,38 @@ cmp "$SMOKE_DIR/be-event.json" "$SMOKE_DIR/be-kernel.json" || {
 }
 echo "backend OK: event and kernel reports byte-identical"
 
+echo "== bridging smoke test =="
+# Bridging runs on the shared threaded engine: its report JSON must not
+# depend on the worker count, and a warm --cache-dir rerun must hit the
+# cache and reproduce the cold bytes.
+cargo run -q --release -p warpstl-cli -- compact "$SMOKE_DIR/imm.ptp" \
+    --fault-model bridging --no-cache --json "$SMOKE_DIR/br-auto.json" \
+    >/dev/null || exit 1
+WARPSTL_THREADS=1 cargo run -q --release -p warpstl-cli -- compact \
+    "$SMOKE_DIR/imm.ptp" --fault-model bridging --no-cache \
+    --json "$SMOKE_DIR/br-t1.json" >/dev/null || exit 1
+cmp "$SMOKE_DIR/br-auto.json" "$SMOKE_DIR/br-t1.json" || {
+    echo "bridging report JSON differs between WARPSTL_THREADS=1 and auto" >&2
+    exit 1
+}
+BRIDGE_CACHE="$SMOKE_DIR/bridge-cache"
+cargo run -q --release -p warpstl-cli -- compact "$SMOKE_DIR/imm.ptp" \
+    --fault-model bridging --cache-dir "$BRIDGE_CACHE" \
+    --json "$SMOKE_DIR/br-cold.json" > "$SMOKE_DIR/br-cold.out" || exit 1
+cargo run -q --release -p warpstl-cli -- compact "$SMOKE_DIR/imm.ptp" \
+    --fault-model bridging --cache-dir "$BRIDGE_CACHE" \
+    --json "$SMOKE_DIR/br-warm.json" > "$SMOKE_DIR/br-warm.out" || exit 1
+cmp "$SMOKE_DIR/br-cold.json" "$SMOKE_DIR/br-warm.json" || {
+    echo "cold and warm bridging report JSON differ" >&2
+    exit 1
+}
+grep -Eq '^cache +[1-9][0-9]* hit' "$SMOKE_DIR/br-warm.out" || {
+    echo "warm bridging run reported no cache hits:" >&2
+    cat "$SMOKE_DIR/br-warm.out" >&2
+    exit 1
+}
+echo "bridging OK: thread-count and cold/warm reports byte-identical, warm hits"
+
 echo "== serve smoke test =="
 # Start the daemon on an ephemeral port with a shared cache directory,
 # probe /healthz and /metrics, then run two concurrent clients submitting
