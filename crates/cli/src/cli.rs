@@ -552,7 +552,7 @@ fn analyze(args: &[String]) -> CliResult {
             "levels     {} ranks, {} segments; sim backend {}",
             levels.ranks(),
             levels.segments().len(),
-            cfg.resolved_backend(combinational)
+            cfg.resolved_backend(model, combinational)
         );
         // The fault model (and with it the dominance view) is only
         // defined on netlists that pass the lint gate — that is what the

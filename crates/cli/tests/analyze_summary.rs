@@ -1,0 +1,31 @@
+//! The `analyze` summary names the backend the fault engine will really
+//! run for the chosen fault model, not the one the flag asked for.
+
+use std::process::Command;
+
+fn analyze_stdout(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_warpstl"))
+        .arg("analyze")
+        .arg("decoder_unit")
+        .args(args)
+        .env_remove("WARPSTL_SIM_BACKEND")
+        .output()
+        .expect("run warpstl analyze");
+    assert!(
+        out.status.success(),
+        "analyze {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("UTF-8 output")
+}
+
+#[test]
+fn sim_backend_line_reports_the_resolved_backend_per_fault_model() {
+    // Bridging has no event path: an event request runs on the kernel.
+    let bridging = analyze_stdout(&["--fault-model", "bridging", "--sim-backend", "event"]);
+    assert!(bridging.contains("sim backend kernel"), "{bridging}");
+
+    // Stuck-at keeps the event path it asked for.
+    let stuck_at = analyze_stdout(&["--fault-model", "stuck-at", "--sim-backend", "event"]);
+    assert!(stuck_at.contains("sim backend event"), "{stuck_at}");
+}

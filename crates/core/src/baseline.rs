@@ -46,9 +46,14 @@ impl IterativeCompactor {
         let mut fault_sims = 0usize;
         let mut logic_sims = 0usize;
 
+        // Only the target module's streams are read, and never the trace.
+        let opts = RunOptions {
+            trace: false,
+            ..RunOptions::capturing(ctx.module())
+        };
         let mut coverage = |candidate: &Ptp| -> Result<(f64, u64), SimError> {
             let kernel = candidate.to_kernel()?;
-            let run = self.gpu.run(&kernel, &RunOptions::capture_all())?;
+            let run = self.gpu.run(&kernel, &opts)?;
             logic_sims += 1;
             fault_sims += 1;
             let netlist = ctx.netlist();

@@ -169,14 +169,22 @@ impl Compactor {
     }
 
     /// Runs `ptp` with the hardware monitor on (the stage-2 logic
-    /// simulation).
+    /// simulation): the tracing report plus the pattern streams of the
+    /// PTP's target module (`ptp.target`). Other modules' streams in the
+    /// result are empty.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`] from the GPU model.
     pub fn trace(&self, ptp: &Ptp) -> Result<RunResult, SimError> {
+        self.trace_for(ptp, ptp.target)
+    }
+
+    /// [`Compactor::trace`] capturing `module`'s streams: the ones the
+    /// fault simulation against a `module` context reads.
+    fn trace_for(&self, ptp: &Ptp, module: ModuleKind) -> Result<RunResult, SimError> {
         let kernel = ptp.to_kernel()?;
-        self.gpu.run(&kernel, &RunOptions::capture_all())
+        self.gpu.run(&kernel, &RunOptions::capturing(module))
     }
 
     /// Fault-simulates a traced run's module patterns against the context's
@@ -263,7 +271,7 @@ impl Compactor {
         let stamp = Instant::now();
         let run = {
             let _s = obs.span("stage", "stage.trace");
-            self.trace(ptp)?
+            self.trace_for(ptp, ctx.module())?
         };
         obs.add("pipeline.logic_sim_runs", 1);
         let trace_time = stamp.elapsed();
@@ -337,7 +345,7 @@ impl Compactor {
         let (fc_before, compacted_run, fc_after) = {
             let _s = obs.span("stage", "stage.eval");
             let fc_before = self.standalone_coverage_of_run(&run, ctx);
-            let compacted_run = self.trace(&compacted)?;
+            let compacted_run = self.trace_for(&compacted, ctx.module())?;
             let fc_after = self.standalone_coverage_of_run(&compacted_run, ctx);
             (fc_before, compacted_run, fc_after)
         };
@@ -433,7 +441,7 @@ impl Compactor {
     pub fn features(&self, ptp: &Ptp, ctx: &ModuleContext) -> Result<PtpFeatures, SimError> {
         let bbs = BasicBlocks::of(&ptp.program);
         let arc = ArcAnalysis::of(&ptp.program, &bbs);
-        let run = self.trace(ptp)?;
+        let run = self.trace_for(ptp, ctx.module())?;
         let fc = self.standalone_coverage_of_run(&run, ctx);
         Ok(PtpFeatures {
             name: ptp.name.clone(),
@@ -453,7 +461,7 @@ impl Compactor {
     pub fn combined_coverage(&self, ptps: &[&Ptp], ctx: &ModuleContext) -> Result<f64, SimError> {
         let mut fresh = ctx.fresh_ledger();
         for ptp in ptps {
-            let run = self.trace(ptp)?;
+            let run = self.trace_for(ptp, ctx.module())?;
             self.simulate_fresh(&run, ctx, &mut fresh);
         }
         Ok(fresh.coverage())

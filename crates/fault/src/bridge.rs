@@ -143,6 +143,17 @@ impl FaultModel {
             _ => None,
         }
     }
+
+    /// Whether the model's faults run on the event path
+    /// ([`SiteOverride::EVENT_PATH`]); models without one always run on
+    /// the kernel.
+    #[must_use]
+    pub fn has_event_path(self) -> bool {
+        match self {
+            FaultModel::StuckAt => crate::Fault::EVENT_PATH,
+            FaultModel::Bridging => BridgeFault::EVENT_PATH,
+        }
+    }
 }
 
 impl fmt::Display for FaultModel {

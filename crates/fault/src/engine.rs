@@ -78,10 +78,16 @@ pub(crate) fn resolve_threads(config: &FaultSimConfig) -> usize {
 /// Resolves the simulation backend: explicit config, then
 /// `WARPSTL_SIM_BACKEND`, then auto — and every kernel choice falls back to
 /// the event path on sequential netlists, since only the event path carries
-/// flip-flop state across patterns. Both paths produce bit-identical
+/// flip-flop state across patterns. Models without an event path
+/// (`event_path == false`) are combinational by construction, so an event
+/// request runs them on the kernel. Both paths produce bit-identical
 /// results, so this is purely a performance knob (and, like the thread
 /// count, it never enters artifact-cache keys).
-pub(crate) fn resolve_backend(config: &FaultSimConfig, combinational: bool) -> SimBackend {
+pub(crate) fn resolve_backend(
+    config: &FaultSimConfig,
+    combinational: bool,
+    event_path: bool,
+) -> SimBackend {
     let requested = if config.backend != SimBackend::Auto {
         config.backend
     } else {
@@ -95,7 +101,7 @@ pub(crate) fn resolve_backend(config: &FaultSimConfig, combinational: bool) -> S
         )
         .unwrap_or(SimBackend::Auto)
     };
-    match requested {
+    let backend = match requested {
         SimBackend::Event => SimBackend::Event,
         SimBackend::Auto => {
             if combinational {
@@ -111,6 +117,11 @@ pub(crate) fn resolve_backend(config: &FaultSimConfig, combinational: bool) -> S
                 SimBackend::Event
             }
         }
+    };
+    if backend == SimBackend::Event && !event_path {
+        SimBackend::Kernel
+    } else {
+        backend
     }
 }
 
@@ -821,12 +832,7 @@ pub(crate) fn simulate_guided<F: SiteOverride>(
     let in_nets: Vec<usize> = netlist.inputs().nets().iter().map(|n| n.index()).collect();
     let out_nets: Vec<usize> = netlist.outputs().nets().iter().map(|n| n.index()).collect();
     let dff_nets: Vec<usize> = netlist.dffs().iter().map(|n| n.index()).collect();
-    let backend = match resolve_backend(config, dff_nets.is_empty()) {
-        // Models without an event path are combinational by construction:
-        // an event request runs on the kernel.
-        SimBackend::Event if !F::EVENT_PATH => SimBackend::Kernel,
-        backend => backend,
-    };
+    let backend = resolve_backend(config, dff_nets.is_empty(), F::EVENT_PATH);
     // The kernel needs the rank-major layout; levelize here only when the
     // guide did not bring the module's cached copy (O(gates log gates),
     // negligible next to one pattern sweep).

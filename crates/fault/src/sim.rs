@@ -100,15 +100,16 @@ impl FaultSimConfig {
         crate::engine::resolve_threads(self)
     }
 
-    /// The backend this configuration resolves to for a netlist that is
-    /// (`combinational == true`) or is not purely combinational: `backend`
-    /// if not [`SimBackend::Auto`], else `WARPSTL_SIM_BACKEND`, else auto —
-    /// with every kernel choice falling back to [`SimBackend::Event`] on
-    /// sequential netlists (only the event path carries flip-flop state).
-    /// Never returns `Auto`, `Kernel`, or `Kernel64` for sequential input.
+    /// The backend this configuration resolves to for `model`'s faults on a
+    /// netlist that is (`combinational == true`) or is not purely
+    /// combinational: `backend` if not [`SimBackend::Auto`], else
+    /// `WARPSTL_SIM_BACKEND`, else auto — with every kernel choice falling
+    /// back to [`SimBackend::Event`] on sequential netlists (only the event
+    /// path carries flip-flop state), and an event request running on the
+    /// kernel for models without an event path. Never returns `Auto`.
     #[must_use]
-    pub fn resolved_backend(&self, combinational: bool) -> SimBackend {
-        crate::engine::resolve_backend(self, combinational)
+    pub fn resolved_backend(&self, model: crate::FaultModel, combinational: bool) -> SimBackend {
+        crate::engine::resolve_backend(self, combinational, model.has_event_path())
     }
 }
 

@@ -1,5 +1,7 @@
 //! The top-level GPU object and kernel launcher.
 
+use warpstl_netlist::modules::ModuleKind;
+
 use crate::sm::{encode_program, BlockExec};
 use crate::trace::{ModulePatterns, Trace};
 use crate::{GpuConfig, Kernel, Memory, SimError};
@@ -7,7 +9,12 @@ use crate::{GpuConfig, Kernel, Memory, SimError};
 /// What the hardware monitor records during a run.
 ///
 /// Tracing and pattern capture exist for the compaction flow; plain
-/// functional runs leave everything off.
+/// functional runs leave everything off. The compaction flow records only
+/// the module it targets ([`RunOptions::capturing`]);
+/// [`RunOptions::capture_all`] dumps every module's patterns at once.
+///
+/// Capture only observes: cycles, the trace, signatures and memory are the
+/// same whichever streams are switched on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunOptions {
     /// Record the RT-level tracing report.
@@ -32,8 +39,22 @@ impl RunOptions {
         }
     }
 
-    /// Everything on: the full hardware-monitor configuration the
-    /// compaction flow uses.
+    /// Tracing plus the pattern streams of `module` alone: the paper's
+    /// stage-2 monitor, which records "the per-cc test patterns applied at
+    /// the I/O of the target module" and nothing else.
+    #[must_use]
+    pub fn capturing(module: ModuleKind) -> RunOptions {
+        RunOptions {
+            trace: true,
+            capture_du: module == ModuleKind::DecoderUnit,
+            capture_sp: module == ModuleKind::SpCore,
+            capture_sfu: module == ModuleKind::Sfu,
+            capture_fp32: module == ModuleKind::Fp32,
+        }
+    }
+
+    /// Tracing plus every module's pattern streams: [`RunOptions::capturing`]
+    /// for all modules at once (`warpstl patterns` dumps them all).
     #[must_use]
     pub fn capture_all() -> RunOptions {
         RunOptions {

@@ -3,6 +3,7 @@
 //! module pattern capture.
 
 use warpstl_isa::{encoding, ExecUnit, Instruction, Opcode, SpecialReg, SrcOperand};
+use warpstl_netlist::modules::{decoder_unit, fp32, sfu, sp_core};
 
 use crate::exec::{exec_alu, fp_op_for, sfu_func_for, sp_op_for};
 use crate::timing::{decode_offset, execute_offset, instruction_cost};
@@ -175,13 +176,9 @@ impl<'a> BlockExec<'a> {
             });
         }
         if self.opts.capture_du {
-            let bits = warpstl_netlist::modules::decoder_unit::pack_pattern(
-                self.encoded[pc],
-                pc as u16,
-                self.prev_dst,
-                self.prev_we,
-            );
-            patterns.du.push_bits(cc_start + decode_offset(), &bits);
+            let row =
+                decoder_unit::pack_row(self.encoded[pc], pc as u16, self.prev_dst, self.prev_we);
+            patterns.du.push_row(cc_start + decode_offset(), &row);
         }
         self.prev_we = instr.dst.is_some();
         self.prev_dst = instr.dst.map_or(0, |d| d.index());
@@ -294,31 +291,26 @@ impl<'a> BlockExec<'a> {
                     let pat_cc = cc_start + execute_offset(op, pass);
                     if self.opts.capture_sp {
                         if let Some((spop, cmpb)) = sp_sel {
-                            let bits = warpstl_netlist::modules::sp_core::pack_pattern(
-                                spop, cmpb, a, b, c,
-                            );
-                            patterns.sp[unit].push_bits(pat_cc, &bits);
+                            let row = sp_core::pack_row(spop, cmpb, a, b, c);
+                            patterns.sp[unit].push_row(pat_cc, &row);
                         }
                     }
                     if self.opts.capture_sfu {
                         if let Some(f) = sfu_sel {
-                            let bits = warpstl_netlist::modules::sfu::pack_pattern(f, a);
-                            patterns.sfu[unit].push_bits(pat_cc, &bits);
+                            patterns.sfu[unit].push_row(pat_cc, &sfu::pack_row(f, a));
                         }
                     }
                     if self.opts.capture_fp32 {
-                        use warpstl_netlist::modules::fp32;
                         if let Some(fop) = fp_sel {
-                            let bits = fp32::pack_pattern(fop, a, b);
-                            patterns.fp32[unit].push_bits(pat_cc, &bits);
+                            patterns.fp32[unit].push_row(pat_cc, &fp32::pack_row(fop, a, b));
                         } else if op == Opcode::Ffma {
                             // FFMA occupies the unit twice: multiply, then
                             // add of the product and the addend.
-                            let bits = fp32::pack_pattern(fp32::OP_FMUL, a, b);
-                            patterns.fp32[unit].push_bits(pat_cc, &bits);
+                            let row = fp32::pack_row(fp32::OP_FMUL, a, b);
+                            patterns.fp32[unit].push_row(pat_cc, &row);
                             let prod = fp32::reference(fp32::OP_FMUL, a, b);
-                            let bits = fp32::pack_pattern(fp32::OP_FADD, prod, c);
-                            patterns.fp32[unit].push_bits(pat_cc + 1, &bits);
+                            let row = fp32::pack_row(fp32::OP_FADD, prod, c);
+                            patterns.fp32[unit].push_row(pat_cc + 1, &row);
                         }
                     }
                     if guard >> lane & 1 == 0 {

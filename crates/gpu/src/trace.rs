@@ -1,6 +1,5 @@
 //! The hardware monitor: execution tracing and module pattern capture.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use warpstl_isa::Opcode;
@@ -47,7 +46,8 @@ pub struct TraceRecord {
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     records: Vec<TraceRecord>,
-    by_pc: HashMap<usize, Vec<usize>>,
+    /// Record indices per program counter, dense over `0..=max pc`.
+    by_pc: Vec<Vec<usize>>,
 }
 
 impl Trace {
@@ -59,10 +59,10 @@ impl Trace {
 
     /// Appends a record.
     pub fn push(&mut self, rec: TraceRecord) {
-        self.by_pc
-            .entry(rec.pc)
-            .or_default()
-            .push(self.records.len());
+        if rec.pc >= self.by_pc.len() {
+            self.by_pc.resize_with(rec.pc + 1, Vec::new);
+        }
+        self.by_pc[rec.pc].push(self.records.len());
         self.records.push(rec);
     }
 
@@ -76,7 +76,7 @@ impl Trace {
     /// warp per dynamic execution).
     pub fn records_for_pc(&self, pc: usize) -> impl Iterator<Item = &TraceRecord> + '_ {
         self.by_pc
-            .get(&pc)
+            .get(pc)
             .into_iter()
             .flatten()
             .map(move |&i| &self.records[i])

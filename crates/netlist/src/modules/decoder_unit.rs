@@ -193,15 +193,19 @@ fn has_cmp_or_alu(b: &mut Builder, onehot: &[NetId]) -> NetId {
     b.or_many(&terms)
 }
 
-/// Packs a decode-stage stimulus into pattern bits (flat input order:
-/// `word`, `pc`, `prev_dst`, `prev_we`).
+/// Packs a decode-stage stimulus into one packed pattern row, the form
+/// [`PatternSeq::push_row`](crate::PatternSeq::push_row) takes (flat input
+/// order: `word`, `pc`, `prev_dst`, `prev_we`; bit 0 is the LSB of word 0).
+#[must_use]
+pub fn pack_row(word: u64, pc: u16, prev_dst: u8, prev_we: bool) -> [u64; 2] {
+    let hi = u64::from(pc) | (u64::from(prev_dst & 0x3f) << 16) | (u64::from(prev_we) << 22);
+    [word, hi]
+}
+
+/// [`pack_row`] as individual pattern bits.
 #[must_use]
 pub fn pack_pattern(word: u64, pc: u16, prev_dst: u8, prev_we: bool) -> Vec<bool> {
-    let mut bits: Vec<bool> = (0..64).map(|i| (word >> i) & 1 == 1).collect();
-    bits.extend((0..16).map(|i| (pc >> i) & 1 == 1));
-    bits.extend((0..6).map(|i| (prev_dst >> i) & 1 == 1));
-    bits.push(prev_we);
-    bits
+    super::row_bits(&pack_row(word, pc, prev_dst, prev_we), PATTERN_WIDTH)
 }
 
 #[cfg(test)]

@@ -193,20 +193,18 @@ fn pack(b: &mut Builder, s: crate::NetId, e: &[crate::NetId], m: &[crate::NetId]
     v
 }
 
-/// Packs an FP32 stimulus into pattern bits (flat input order: `op`, `a`,
-/// `b`).
+/// Packs an FP32 stimulus into one packed pattern row (flat input order:
+/// `op`, `a`, `b`; bit 0 is the LSB of word 0).
+#[must_use]
+pub fn pack_row(op: u8, a: u32, b: u32) -> [u64; 2] {
+    let v = u128::from(op & 0x3) | (u128::from(a) << 2) | (u128::from(b) << 34);
+    [v as u64, (v >> 64) as u64]
+}
+
+/// [`pack_row`] as individual pattern bits.
 #[must_use]
 pub fn pack_pattern(op: u8, a: u32, b: u32) -> Vec<bool> {
-    let mut bits = Vec::with_capacity(PATTERN_WIDTH);
-    for i in 0..2 {
-        bits.push((op >> i) & 1 == 1);
-    }
-    for v in [a, b] {
-        for i in 0..32 {
-            bits.push((v >> i) & 1 == 1);
-        }
-    }
-    bits
+    super::row_bits(&pack_row(op, a, b), PATTERN_WIDTH)
 }
 
 /// The architectural function computed by the FP32 datapath (simplified

@@ -78,6 +78,14 @@ impl ModuleKind {
     }
 }
 
+/// The first `width` bits of a packed pattern row, bit 0 being the LSB of
+/// word 0: the `Vec<bool>` form behind every module's `pack_pattern`.
+fn row_bits(row: &[u64], width: usize) -> Vec<bool> {
+    (0..width)
+        .map(|i| (row[i / 64] >> (i % 64)) & 1 == 1)
+        .collect()
+}
+
 impl std::fmt::Display for ModuleKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())

@@ -103,17 +103,17 @@ pub fn build() -> Netlist {
     b.finish()
 }
 
-/// Packs an SFU stimulus into pattern bits (flat input order: `func`, `x`).
+/// Packs an SFU stimulus into one packed pattern row (flat input order:
+/// `func`, `x`; bit 0 is the LSB).
+#[must_use]
+pub fn pack_row(func: u8, x: u32) -> [u64; 1] {
+    [u64::from(func & 0x7) | (u64::from(x) << 3)]
+}
+
+/// [`pack_row`] as individual pattern bits.
 #[must_use]
 pub fn pack_pattern(func: u8, x: u32) -> Vec<bool> {
-    let mut bits = Vec::with_capacity(PATTERN_WIDTH);
-    for i in 0..3 {
-        bits.push((func >> i) & 1 == 1);
-    }
-    for i in 0..32 {
-        bits.push((x >> i) & 1 == 1);
-    }
-    bits
+    super::row_bits(&pack_row(func, x), PATTERN_WIDTH)
 }
 
 /// The architectural function computed by the SFU datapath.

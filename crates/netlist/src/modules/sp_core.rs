@@ -159,23 +159,23 @@ pub fn build() -> Netlist {
     b.finish()
 }
 
-/// Packs an SP-core stimulus into pattern bits (the flat input order of the
-/// netlist's port map: `op`, `cmp`, `a`, `b`, `c`).
+/// Packs an SP-core stimulus into one packed pattern row (the flat input
+/// order of the netlist's port map: `op`, `cmp`, `a`, `b`, `c`; bit 0 is
+/// the LSB of word 0).
+#[must_use]
+pub fn pack_row(op: u8, cmp: u8, a: u32, b: u32, c: u32) -> [u64; 2] {
+    let v = u128::from(op & 0xf)
+        | (u128::from(cmp & 0x7) << 4)
+        | (u128::from(a) << 7)
+        | (u128::from(b) << 39)
+        | (u128::from(c) << 71);
+    [v as u64, (v >> 64) as u64]
+}
+
+/// [`pack_row`] as individual pattern bits.
 #[must_use]
 pub fn pack_pattern(op: u8, cmp: u8, a: u32, b: u32, c: u32) -> Vec<bool> {
-    let mut bits = Vec::with_capacity(PATTERN_WIDTH);
-    for i in 0..4 {
-        bits.push((op >> i) & 1 == 1);
-    }
-    for i in 0..3 {
-        bits.push((cmp >> i) & 1 == 1);
-    }
-    for v in [a, b, c] {
-        for i in 0..32 {
-            bits.push((v >> i) & 1 == 1);
-        }
-    }
-    bits
+    super::row_bits(&pack_row(op, cmp, a, b, c), PATTERN_WIDTH)
 }
 
 /// The reference (good-machine) function computed by the netlist; used by

@@ -163,12 +163,18 @@ impl PatternSeq {
     /// SFU_IMM patterns "in reverse order during the fault simulation").
     #[must_use]
     pub fn reversed(&self) -> PatternSeq {
-        let mut out = PatternSeq::new(self.width);
-        for i in (0..self.len()).rev() {
-            let row = self.row(i).to_vec();
-            out.push_row(self.cc(i), &row);
+        PatternSeq {
+            width: self.width,
+            words_per_row: self.words_per_row,
+            ccs: self.ccs.iter().rev().copied().collect(),
+            data: self
+                .data
+                .chunks_exact(self.words_per_row)
+                .rev()
+                .flatten()
+                .copied()
+                .collect(),
         }
-        out
     }
 
     /// Serializes to VCDE text.

@@ -16,6 +16,11 @@ cargo clippy --workspace --all-targets -- -D warnings || exit 1
 echo "== tests =="
 cargo test -q || exit 1
 
+echo "== bench_e2e tests =="
+# bench_e2e is a workspace of its own, so the tests above never compile
+# it; this catches public-API changes that break the benchmark.
+cargo test -q --manifest-path bench_e2e/Cargo.toml || exit 1
+
 echo "== xlint (workspace policy lint) =="
 # Source-level policy rules (raw-sync, safety-comment, no-unwrap,
 # timestamp-in-key); nonzero exit on any finding.
@@ -59,6 +64,23 @@ assert complete.count("fsim.worker") >= 1, "missing fsim.worker spans"
 assert "warpstlMetrics" in trace, "missing embedded metrics"
 print(f"trace OK: {len(events)} events, all {len(stages)} stage spans present")
 EOF
+
+echo "== patterns smoke test =="
+# `warpstl patterns` is the one command that captures every module in one
+# run (compaction captures only its target): the IMM program must still
+# yield the Decoder Unit stream and the SP-core streams its ALU
+# instructions drive.
+cargo run -q --release -p warpstl-cli -- patterns "$SMOKE_DIR/imm.ptp" \
+    --out-dir "$SMOKE_DIR/vcde" >/dev/null || exit 1
+[ -s "$SMOKE_DIR/vcde/decoder_unit.vcde" ] || {
+    echo "patterns wrote no decoder_unit.vcde" >&2
+    exit 1
+}
+ls "$SMOKE_DIR"/vcde/sp_core*.vcde >/dev/null 2>&1 || {
+    echo "patterns wrote no sp_core*.vcde" >&2
+    exit 1
+}
+echo "patterns OK: decoder_unit and sp_core VCDE files written"
 
 echo "== netlist analyzer smoke test =="
 # The analyze command must produce valid JSON for a healthy bundled module

@@ -177,3 +177,88 @@ fn fp32_patterns_only_captured_when_requested() {
     let op = (seq.bit(0, 0) as u8) | ((seq.bit(0, 1) as u8) << 1);
     assert_eq!(op, warpstl::netlist::modules::fp32::OP_FADD);
 }
+
+/// Target-only capture only observes: for a PTP of every generator,
+/// `RunOptions::capturing(target)` reproduces the `capture_all` run in
+/// everything but the other modules' streams, which stay empty.
+#[test]
+fn target_capture_matches_capture_all_on_every_generator() {
+    use warpstl::gpu::ModulePatterns;
+    use warpstl::netlist::modules::ModuleKind;
+    use warpstl::netlist::PatternSeq;
+    use warpstl::programs::generators::*;
+
+    fn streams(p: &ModulePatterns, module: ModuleKind) -> Vec<&PatternSeq> {
+        match module {
+            ModuleKind::DecoderUnit => vec![&p.du],
+            ModuleKind::SpCore => p.sp.iter().collect(),
+            ModuleKind::Sfu => p.sfu.iter().collect(),
+            ModuleKind::Fp32 => p.fp32.iter().collect(),
+        }
+    }
+
+    let ptps = [
+        generate_imm(&ImmConfig {
+            sb_count: 4,
+            ..ImmConfig::default()
+        }),
+        generate_mem(&MemConfig {
+            sb_count: 4,
+            ..MemConfig::default()
+        }),
+        generate_cntrl(&CntrlConfig {
+            regions: 2,
+            loops: 1,
+            threads: 64,
+            ..CntrlConfig::default()
+        }),
+        generate_tpgen(&TpgenConfig {
+            max_patterns: 4,
+            ..TpgenConfig::default()
+        }),
+        generate_rand_sp(&RandConfig {
+            sb_count: 4,
+            ..RandConfig::default()
+        }),
+        generate_sfu_imm(&SfuImmConfig {
+            max_patterns: 4,
+            ..SfuImmConfig::default()
+        }),
+        generate_fpu(&FpuConfig {
+            sb_count: 4,
+            ..FpuConfig::default()
+        }),
+    ];
+    for ptp in &ptps {
+        let name = &ptp.name;
+        let kernel = ptp.to_kernel().expect("kernel");
+        let gpu = Gpu::default();
+        let all = gpu.run(&kernel, &RunOptions::capture_all()).expect("runs");
+        let only = gpu
+            .run(&kernel, &RunOptions::capturing(ptp.target))
+            .expect("runs");
+        assert_eq!(only.cycles, all.cycles, "{name}");
+        assert_eq!(only.trace.records(), all.trace.records(), "{name}");
+        assert_eq!(only.signatures, all.signatures, "{name}");
+        assert_eq!(only.global_mem, all.global_mem, "{name}");
+        for module in ModuleKind::ALL {
+            let (got, want) = (
+                streams(&only.patterns, module),
+                streams(&all.patterns, module),
+            );
+            if module == ptp.target {
+                assert_eq!(got, want, "{name}: {module} streams");
+                assert!(
+                    want.iter().any(|s| !s.is_empty()),
+                    "{name}: nothing captured"
+                );
+            } else {
+                assert!(
+                    got.iter().all(|s| s.is_empty()),
+                    "{name}: captured {module} while targeting {}",
+                    ptp.target
+                );
+            }
+        }
+    }
+}

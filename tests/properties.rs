@@ -284,4 +284,38 @@ proptest! {
         let text = p.to_vcde();
         prop_assert_eq!(PatternSeq::from_vcde(&text).expect("round-trip"), p);
     }
+
+    /// Every module's packed row is its pattern bits: pushing
+    /// `pack_row(x)` and pushing `pack_pattern(x)` store the same row, for
+    /// arbitrary field values (including bits beyond each field's width).
+    #[test]
+    fn pack_row_equals_pack_pattern_bits(x in any::<u64>(), y in any::<u64>(), z in any::<u64>()) {
+        use warpstl::netlist::modules::{decoder_unit, fp32, sfu, sp_core};
+        let same = |width: usize, bits: Vec<bool>, row: &[u64]| {
+            let mut from_bits = PatternSeq::new(width);
+            from_bits.push_bits(3, &bits);
+            let mut from_row = PatternSeq::new(width);
+            from_row.push_row(3, row);
+            from_bits == from_row
+        };
+        let (b8, c8) = (y as u8, (y >> 8) as u8);
+        let (a32, b32, c32) = (y as u32, (y >> 32) as u32, z as u32);
+        let du = (x, (z >> 32) as u16, b8, z >> 63 == 1);
+        prop_assert!(same(
+            decoder_unit::PATTERN_WIDTH,
+            decoder_unit::pack_pattern(du.0, du.1, du.2, du.3),
+            &decoder_unit::pack_row(du.0, du.1, du.2, du.3),
+        ));
+        prop_assert!(same(
+            sp_core::PATTERN_WIDTH,
+            sp_core::pack_pattern(b8, c8, a32, b32, c32),
+            &sp_core::pack_row(b8, c8, a32, b32, c32),
+        ));
+        prop_assert!(same(sfu::PATTERN_WIDTH, sfu::pack_pattern(b8, a32), &sfu::pack_row(b8, a32)));
+        prop_assert!(same(
+            fp32::PATTERN_WIDTH,
+            fp32::pack_pattern(c8, a32, b32),
+            &fp32::pack_row(c8, a32, b32),
+        ));
+    }
 }
