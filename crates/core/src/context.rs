@@ -103,18 +103,46 @@ impl Ledger {
         with_lists!(self, lists => lists.first().map_or(0, FaultList::untestable_count))
     }
 
+    /// Sets every fault undetected again (untestability marks kept).
+    pub(crate) fn reset(&mut self) {
+        with_lists!(self, lists => lists.iter_mut().for_each(FaultList::reset));
+    }
+
     /// The same lists with every fault undetected again (untestability
     /// marks kept): the starting point of a standalone evaluation.
     fn fresh(&self) -> Ledger {
         let mut fresh = self.clone();
-        with_lists!(&mut fresh, lists => lists.iter_mut().for_each(FaultList::reset));
+        fresh.reset();
         fresh
     }
 
+    /// Per-instance detection flags (see [`FaultList::detection_flags`]).
+    pub(crate) fn detection_flags(&self) -> Vec<Vec<bool>> {
+        with_lists!(self, lists => lists.iter().map(FaultList::detection_flags).collect())
+    }
+
+    /// The [`coverage`](Ledger::coverage) these lists would report if
+    /// instance `i` had detected exactly the faults flagged in
+    /// `detected[i]` — bit-identical, since each list sums its own weights
+    /// over the flags exactly as it sums them over its statuses.
+    pub(crate) fn coverage_of(&self, detected: &[Vec<bool>]) -> f64 {
+        debug_assert_eq!(detected.len(), self.len());
+        with_lists!(self, lists => {
+            lists
+                .iter()
+                .zip(detected)
+                .map(|(list, flags)| list.coverage_of(flags))
+                .sum::<f64>()
+                / lists.len().max(1) as f64
+        })
+    }
+
     /// Fault-simulates one pattern stream per instance into the lists (see
-    /// [`simulate_instances`]). `guide` is the stuck-at guide of the
-    /// module; bridging takes only its levelization, since dominance,
-    /// untestability and ordering index the stuck-at universe.
+    /// [`simulate_instances`]), instance `i` restricted to `targets[i]`
+    /// when present. `guide` is the stuck-at guide of the module; bridging
+    /// takes only its levelization, since dominance, untestability and
+    /// ordering index the stuck-at universe.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn simulate(
         &mut self,
         netlist: &Netlist,
@@ -122,18 +150,19 @@ impl Ledger {
         config: &FaultSimConfig,
         obs: Obs<'_>,
         guide: SimGuide<'_>,
+        targets: &[Option<&[bool]>],
         cache: CacheCtx<'_>,
     ) -> Vec<Option<FaultSimReport>> {
         match self {
             Ledger::StuckAt(lists) => {
-                simulate_instances(netlist, streams, lists, config, obs, guide, cache)
+                simulate_instances(netlist, streams, lists, config, obs, guide, targets, cache)
             }
             Ledger::Bridging(lists) => {
                 let guide = SimGuide {
                     levels: guide.levels,
                     ..SimGuide::default()
                 };
-                simulate_instances(netlist, streams, lists, config, obs, guide, cache)
+                simulate_instances(netlist, streams, lists, config, obs, guide, targets, cache)
             }
         }
     }
@@ -387,6 +416,7 @@ impl ModuleContext {
         SimGuide {
             dominance: Some(&self.dominance),
             untestable: self.prune.then_some(self.untestable.as_slice()),
+            targets: None,
             order_keys: Some(&self.order_keys),
             levels: Some(&self.levels),
         }
@@ -421,6 +451,7 @@ impl ModuleContext {
         let guide = SimGuide {
             dominance: Some(&self.dominance),
             untestable: self.prune.then_some(self.untestable.as_slice()),
+            targets: None,
             order_keys: Some(&self.order_keys),
             levels: Some(&self.levels),
         };
@@ -429,7 +460,12 @@ impl ModuleContext {
             netlist_key: self.netlist_key,
         };
         self.ledger
-            .simulate(&self.netlist, streams, config, obs, guide, cache)
+            .simulate(&self.netlist, streams, config, obs, guide, &[], cache)
+    }
+
+    /// Per-instance detection flags of the shared ledgers.
+    pub(crate) fn detection_flags(&self) -> Vec<Vec<bool>> {
+        self.ledger.detection_flags()
     }
 
     /// Fresh fault lists (for standalone evaluations), untestability marks
@@ -455,6 +491,22 @@ impl ModuleContext {
             ModuleKind::Sfu => patterns.sfu.iter().collect(),
             ModuleKind::Fp32 => patterns.fp32.iter().collect(),
         }
+    }
+
+    /// [`ModuleContext::streams`] with each stream reduced to its
+    /// [distinct](PatternSeq::distinct) rows: what a set-level evaluation
+    /// simulates. Exact only on a combinational module, where a drop-mode
+    /// run's detected set depends on which rows are applied, not on their
+    /// order or repeats — every bundled module is (asserted here).
+    pub(crate) fn distinct_streams(&self, patterns: &ModulePatterns) -> Vec<PatternSeq> {
+        assert!(
+            self.netlist.is_combinational(),
+            "set-level evaluation needs a combinational module"
+        );
+        self.streams(patterns)
+            .into_iter()
+            .map(PatternSeq::distinct)
+            .collect()
     }
 
     /// Aggregate fault coverage across all instances (weighted over the

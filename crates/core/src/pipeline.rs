@@ -21,15 +21,21 @@ use crate::{
 };
 
 /// Fault-simulates the per-instance pattern streams against their fault
-/// lists through [`cached_fault_sim`], one scoped worker per non-empty
-/// stream (instance-level parallelism), and returns the per-instance
-/// reports in instance order (`None` where the stream was empty and the
-/// list untouched). Generic over the fault model of the lists.
+/// lists through [`cached_fault_sim`], one scoped worker per instance with
+/// something to simulate (instance-level parallelism), and returns the
+/// per-instance reports in instance order (`None` where the stream was
+/// empty or the mask selects no fault, and the list untouched). Generic
+/// over the fault model of the lists.
+///
+/// `targets[i]`, when present, is instance `i`'s target mask
+/// ([`SimGuide::targets`]); missing entries run unmasked, so `&[]` masks
+/// nothing.
 ///
 /// The engine's thread budget is divided across the concurrent instances so
 /// instance- and batch-level parallelism compose instead of oversubscribing.
 /// Reports and list updates are bit-identical to a serial instance loop:
 /// each instance owns its list, and results are collected in instance order.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_instances<F: KeyedFault>(
     netlist: &Netlist,
     streams: &[Cow<'_, PatternSeq>],
@@ -37,10 +43,17 @@ pub(crate) fn simulate_instances<F: KeyedFault>(
     config: &FaultSimConfig,
     obs: Obs<'_>,
     guide: SimGuide<'_>,
+    targets: &[Option<&[bool]>],
     cache: CacheCtx<'_>,
 ) -> Vec<Option<FaultSimReport>> {
     debug_assert_eq!(streams.len(), lists.len());
-    let active = streams.iter().filter(|s| !s.is_empty()).count();
+    let mask = |i: usize| targets.get(i).copied().flatten();
+    let runs: Vec<bool> = streams
+        .iter()
+        .enumerate()
+        .map(|(i, s)| !s.is_empty() && mask(i).is_none_or(|m| m.contains(&true)))
+        .collect();
+    let active = runs.iter().filter(|&&r| r).count();
     let budget = config.resolved_threads();
     let per_instance = FaultSimConfig {
         threads: (budget / active.max(1)).max(1),
@@ -49,14 +62,19 @@ pub(crate) fn simulate_instances<F: KeyedFault>(
     let mut span = obs.span("pipeline", "pipeline.instances");
     span.arg("active", active);
     span.arg("threads_each", per_instance.threads);
-    let sim = |s: &PatternSeq, list: &mut FaultList<F>| {
+    let sim = |i: usize, s: &PatternSeq, list: &mut FaultList<F>| {
+        let guide = SimGuide {
+            targets: mask(i),
+            ..guide
+        };
         cached_fault_sim(cache, netlist, s, list, &per_instance, obs, &guide)
     };
     if active <= 1 || budget <= 1 {
         return streams
             .iter()
             .zip(lists.iter_mut())
-            .map(|(s, list)| (!s.is_empty()).then(|| sim(s.as_ref(), list)))
+            .enumerate()
+            .map(|(i, (s, list))| runs[i].then(|| sim(i, s.as_ref(), list)))
             .collect();
     }
     let sim = &sim;
@@ -64,7 +82,8 @@ pub(crate) fn simulate_instances<F: KeyedFault>(
         let handles: Vec<_> = streams
             .iter()
             .zip(lists.iter_mut())
-            .map(|(s, list)| (!s.is_empty()).then(|| scope.spawn(move || sim(s.as_ref(), list))))
+            .enumerate()
+            .map(|(i, (s, list))| runs[i].then(|| scope.spawn(move || sim(i, s.as_ref(), list))))
             .collect();
         handles
             .into_iter()
@@ -226,6 +245,8 @@ impl Compactor {
     /// `fc_after` are *standalone* coverages (fresh fault lists), matching
     /// the paper's per-PTP FC columns — this is also where RAND's large FC
     /// drop comes from: its compaction dropped faults TPGEN already covers.
+    /// They are computed as detected sets with the least simulation that
+    /// yields them (see [`CompactionReport::fc_before`]).
     ///
     /// # Errors
     ///
@@ -275,6 +296,10 @@ impl Compactor {
         };
         obs.add("pipeline.logic_sim_runs", 1);
         let trace_time = stamp.elapsed();
+
+        // What the shared lists had dropped before this PTP: the part of
+        // the original's detected set stage 3a cannot see (evaluation).
+        let dropped_before = ctx.detection_flags();
 
         // Stage 3a: ONE fault simulation against the shared dropping list.
         let stamp = Instant::now();
@@ -340,14 +365,48 @@ impl Compactor {
 
         // Evaluation (outside the method's fault-simulation budget): the
         // standalone FC of the original and compacted programs, and the
-        // compacted duration.
+        // compacted duration. A standalone FC is the coverage of a detected
+        // *set*, so each is computed with the least simulation that yields
+        // that set (DESIGN.md §5, "Set-level evaluation"); one scratch
+        // ledger serves both runs.
         let stamp = Instant::now();
         let (fc_before, compacted_run, fc_after) = {
             let _s = obs.span("stage", "stage.eval");
-            let fc_before = self.standalone_coverage_of_run(&run, ctx);
+            let mut scratch = ctx.fresh_ledger();
+            // D(P): stage 3a found every detection outside the faults
+            // dropped before it; only those need a (masked) run.
+            let original = ctx.distinct_streams(&run.patterns);
+            let masks: Vec<Option<&[bool]>> =
+                dropped_before.iter().map(|d| Some(d.as_slice())).collect();
+            self.simulate_standalone(ctx, &mut scratch, &original, &masks);
+            let detected: Vec<Vec<bool>> = scratch
+                .detection_flags()
+                .into_iter()
+                .zip(ctx.detection_flags())
+                .zip(&dropped_before)
+                .map(|((redetected, now), before)| {
+                    redetected
+                        .iter()
+                        .zip(now)
+                        .zip(before)
+                        .map(|((&again, now), &before)| again || (now && !before))
+                        .collect()
+                })
+                .collect();
+            let fc_before = scratch.coverage_of(&detected);
+            // D(P′): a compacted stream applying no row the original did
+            // not can detect nothing outside D(P), so it targets only D(P).
             let compacted_run = self.trace_for(&compacted, ctx.module())?;
-            let fc_after = self.standalone_coverage_of_run(&compacted_run, ctx);
-            (fc_before, compacted_run, fc_after)
+            let cptp = ctx.distinct_streams(&compacted_run.patterns);
+            let masks: Vec<Option<&[bool]>> = cptp
+                .iter()
+                .zip(&original)
+                .zip(&detected)
+                .map(|((c, o), d)| c.rows_subset_of(o).then_some(d.as_slice()))
+                .collect();
+            scratch.reset();
+            self.simulate_standalone(ctx, &mut scratch, &cptp, &masks);
+            (fc_before, compacted_run, scratch.coverage())
         };
         let eval_time = stamp.elapsed();
 
@@ -399,35 +458,34 @@ impl Compactor {
         Ok(CompactionOutcome { compacted, report })
     }
 
-    /// The standalone fault coverage achieved by a traced run (fresh fault
-    /// lists under the active model, dropping within the run), instances
-    /// simulated concurrently.
-    fn standalone_coverage_of_run(&self, run: &RunResult, ctx: &ModuleContext) -> f64 {
-        let mut fresh = ctx.fresh_ledger();
-        self.simulate_fresh(run, ctx, &mut fresh);
-        fresh.coverage()
-    }
-
-    /// Fault-simulates a traced run into `fresh` (standalone evaluation
-    /// lists), with dropping on and the compactor's thread and backend
-    /// choices.
-    fn simulate_fresh(&self, run: &RunResult, ctx: &ModuleContext, fresh: &mut Ledger) {
+    /// Fault-simulates one stream per instance into `scratch` (standalone
+    /// evaluation ledgers) in drop mode, with the compactor's thread and
+    /// backend choices: the one simulation path of every standalone
+    /// coverage (`fc_before`/`fc_after`, [`Compactor::features`],
+    /// [`Compactor::combined_coverage`]). Callers pass
+    /// [distinct](ModuleContext::distinct_streams) streams. `targets[i]`,
+    /// when present, restricts instance `i` to a mask; an instance whose
+    /// mask selects no fault detects nothing and is not simulated.
+    fn simulate_standalone(
+        &self,
+        ctx: &ModuleContext,
+        scratch: &mut Ledger,
+        streams: &[PatternSeq],
+        targets: &[Option<&[bool]>],
+    ) {
         let cfg = FaultSimConfig {
             threads: self.fsim_config.threads,
             backend: self.fsim_config.backend,
             ..FaultSimConfig::default()
         };
-        let streams: Vec<Cow<'_, PatternSeq>> = ctx
-            .streams(&run.patterns)
-            .into_iter()
-            .map(Cow::Borrowed)
-            .collect();
-        fresh.simulate(
+        let streams: Vec<Cow<'_, PatternSeq>> = streams.iter().map(Cow::Borrowed).collect();
+        scratch.simulate(
             ctx.netlist(),
             &streams,
             &cfg,
             self.observer(),
             ctx.sim_guide(),
+            targets,
             ctx.cache_ctx(),
         );
     }
@@ -442,7 +500,9 @@ impl Compactor {
         let bbs = BasicBlocks::of(&ptp.program);
         let arc = ArcAnalysis::of(&ptp.program, &bbs);
         let run = self.trace_for(ptp, ctx.module())?;
-        let fc = self.standalone_coverage_of_run(&run, ctx);
+        let mut scratch = ctx.fresh_ledger();
+        self.simulate_standalone(ctx, &mut scratch, &ctx.distinct_streams(&run.patterns), &[]);
+        let fc = scratch.coverage();
         Ok(PtpFeatures {
             name: ptp.name.clone(),
             size: ptp.size(),
@@ -459,12 +519,12 @@ impl Compactor {
     ///
     /// Propagates [`SimError`] from the GPU model.
     pub fn combined_coverage(&self, ptps: &[&Ptp], ctx: &ModuleContext) -> Result<f64, SimError> {
-        let mut fresh = ctx.fresh_ledger();
+        let mut scratch = ctx.fresh_ledger();
         for ptp in ptps {
             let run = self.trace_for(ptp, ctx.module())?;
-            self.simulate_fresh(&run, ctx, &mut fresh);
+            self.simulate_standalone(ctx, &mut scratch, &ctx.distinct_streams(&run.patterns), &[]);
         }
-        Ok(fresh.coverage())
+        Ok(scratch.coverage())
     }
 }
 

@@ -106,9 +106,20 @@ pub struct CompactionReport {
     pub original_duration: u64,
     /// Compacted duration in clock cycles.
     pub compacted_duration: u64,
-    /// Standalone fault coverage before compaction, in [0, 1].
+    /// Standalone fault coverage before compaction, in [0, 1]: the
+    /// coverage of the set of faults the original program detects on
+    /// fresh lists of the module (the paper's per-PTP FC column). The
+    /// set is the faults the method's own simulation newly detected plus
+    /// those of the already-dropped faults that a masked run over the
+    /// original's distinct rows detects; the value is bit-identical to
+    /// simulating the whole captured stream on fresh lists.
     pub fc_before: f64,
-    /// Standalone fault coverage after compaction, in [0, 1].
+    /// Standalone fault coverage after compaction, in [0, 1]: the
+    /// coverage of the set the compacted program detects on fresh lists,
+    /// from one run over its distinct rows — restricted to the original's
+    /// detected set when the compacted program applies no row the
+    /// original did not. Bit-identical to simulating the whole captured
+    /// stream on fresh lists.
     pub fc_after: f64,
     /// Small Blocks found / removed.
     pub sbs_total: usize,

@@ -810,16 +810,23 @@ pub(crate) fn simulate_guided<F: SiteOverride>(
 
     // Statically-proven-untestable classes are dropped from the target
     // list before batching: they can never be detected, so the detected
-    // set is unchanged, but the engine stops paying for their cones.
+    // set is unchanged, but the engine stops paying for their cones. A
+    // target mask restricts the candidates first, so the untestable row
+    // counts masked-in faults only.
     let testable = |id: FaultId| {
         guide
             .untestable
             .is_none_or(|u| !u.get(id).copied().unwrap_or(false))
     };
+    let masked_in = |&id: &FaultId| {
+        guide
+            .targets
+            .is_none_or(|m| m.get(id).copied().unwrap_or(false))
+    };
     let all_targets: Vec<FaultId> = if config.drop_detected {
-        list.undetected().collect()
+        list.undetected().filter(masked_in).collect()
     } else {
-        (0..list.len()).collect()
+        (0..list.len()).filter(masked_in).collect()
     };
     let targets: Vec<FaultId> = all_targets
         .iter()

@@ -202,6 +202,20 @@ impl<F> FaultList<F> {
     /// at `0.0`.
     #[must_use]
     pub fn coverage(&self) -> f64 {
+        self.weighted_coverage(|id| matches!(self.status[id], FaultStatus::Detected { .. }))
+    }
+
+    /// The [`coverage`](FaultList::coverage) this list would report if
+    /// exactly the faults flagged in `detected` (indexed by [`FaultId`],
+    /// entries beyond the slice unflagged) were detected: same weights,
+    /// same denominator, same integer sum, so the result is bit-identical
+    /// to the coverage of a list holding that detected set.
+    #[must_use]
+    pub fn coverage_of(&self, detected: &[bool]) -> f64 {
+        self.weighted_coverage(|id| detected.get(id).copied().unwrap_or(false))
+    }
+
+    fn weighted_coverage(&self, detected: impl Fn(FaultId) -> bool) -> f64 {
         if self.total_weight == 0 {
             return 0.0;
         }
@@ -209,15 +223,23 @@ impl<F> FaultList<F> {
         if testable_weight == 0 {
             return 1.0;
         }
-        let detected: u64 = self
-            .status
-            .iter()
-            .zip(&self.weights)
-            .zip(&self.untestable)
-            .filter(|((s, _), &u)| !u && matches!(s, FaultStatus::Detected { .. }))
-            .map(|((_, &w), _)| w as u64)
+        let detected: u64 = (0..self.len())
+            .filter(|&id| !self.untestable[id] && detected(id))
+            .map(|id| u64::from(self.weights[id]))
             .sum();
         detected as f64 / testable_weight as f64
+    }
+
+    /// Per-fault detection flags, indexed by [`FaultId`]: which faults are
+    /// detected, without their stamps. Snapshot one before a run to diff
+    /// what the run detected, or feed one to
+    /// [`coverage_of`](FaultList::coverage_of).
+    #[must_use]
+    pub fn detection_flags(&self) -> Vec<bool> {
+        self.status
+            .iter()
+            .map(|s| matches!(s, FaultStatus::Detected { .. }))
+            .collect()
     }
 
     /// The total (uncollapsed) fault count the coverage denominator uses.
@@ -467,6 +489,28 @@ mod tests {
         l.mark_untestable(&bitmap);
         assert_eq!(l.untestable_count(), l.len());
         assert_eq!(l.untestable_weight(), l.total_weight());
+    }
+
+    #[test]
+    fn flag_coverage_equals_list_coverage() {
+        let u = universe();
+        let mut l = FaultList::new(&u);
+        let mut bitmap = vec![false; l.len()];
+        bitmap[1] = true;
+        l.mark_untestable(&bitmap);
+        assert_eq!(l.detection_flags(), vec![false; l.len()]);
+        assert_eq!(l.coverage_of(&l.detection_flags()), l.coverage());
+        l.begin_run();
+        l.mark_detected(0, 3, 0);
+        l.mark_detected(1, 3, 0); // untestable: never counts
+        l.mark_detected(2, 4, 1);
+        let flags = l.detection_flags();
+        assert_eq!(&flags[..3], &[true, true, true]);
+        assert_eq!(flags.iter().filter(|&&f| f).count(), 3);
+        assert_eq!(l.coverage_of(&flags).to_bits(), l.coverage().to_bits());
+        // Short slices leave the tail unflagged.
+        assert_eq!(l.coverage_of(&flags[..1]), l.coverage_of(&[true]));
+        assert_eq!(l.coverage_of(&[]), 0.0);
     }
 
     #[test]

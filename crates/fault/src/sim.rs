@@ -145,6 +145,20 @@ pub struct SimGuide<'a> {
     /// with the target set, this field participates in cache keys
     /// (`key_fsim`), unlike `levels`.
     pub untestable: Option<&'a [bool]>,
+    /// Per-fault target mask, indexed by [`FaultId`]: the run simulates
+    /// only the faults flagged here (intersected with the undetected and
+    /// the testable ones), so its detected set is the unmasked run's
+    /// detected set restricted to the mask, and the report's untestable
+    /// row counts only masked-in untestable faults. Entries beyond the
+    /// slice are masked out. Both fault models and every backend honor
+    /// it. Like `untestable`, the mask changes the report, so its content
+    /// is key material (`key_fsim`).
+    ///
+    /// Dominance inheritance reads the detection of *any* supporter in
+    /// the list, so a masked run is only a restriction of the unmasked one
+    /// on a list whose detections all came from real runs — never steer
+    /// a run by pre-marking faults detected.
+    pub targets: Option<&'a [bool]>,
     /// Per-net observability cost (higher = harder to observe), indexed
     /// by gate: targets are stably reordered hardest-first before
     /// batching so each batch holds faults of similar difficulty.

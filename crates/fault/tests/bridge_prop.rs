@@ -11,11 +11,16 @@
 //!    and non-drop mode.
 //! 3. Non-drop per-pattern activation tallies equal the count of bridges
 //!    whose endpoint values differ under that assignment.
+//! 4. The set-level properties of `target_mask_prop` hold for bridging
+//!    lists on every backend and thread count: a masked run detects the
+//!    unmasked detected set within the mask, and a drop-mode run over
+//!    `p.distinct()` detects the same set as over `p`.
 
 use proptest::prelude::*;
 
 use warpstl_fault::{
-    fault_simulate, BridgeConfig, BridgeFault, BridgeUniverse, FaultSimConfig, SimBackend,
+    fault_simulate, fault_simulate_guided, BridgeConfig, BridgeFault, BridgeUniverse,
+    FaultSimConfig, SimBackend, SimGuide,
 };
 use warpstl_netlist::{Builder, GateKind, NetId, Netlist, PatternSeq};
 
@@ -247,6 +252,57 @@ proptest! {
                 .filter(|f| good[f.a.index()] != good[f.b.index()])
                 .count() as u32;
             prop_assert_eq!(stats.activated, expected, "pattern {}", t);
+        }
+    }
+
+    #[test]
+    fn bridging_masks_and_distinct_rows_keep_detected_sets(
+        n_inputs in 2usize..6,
+        specs in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            16..96,
+        ),
+        seed in any::<u64>(),
+        n_patterns in 1usize..200,
+        drop in any::<bool>(),
+    ) {
+        // Few inputs, many rows: the stream repeats rows heavily.
+        let netlist = build_netlist(n_inputs, &specs);
+        let universe = BridgeUniverse::sample(&netlist, &BridgeConfig { pairs: 96, seed });
+        let p = pseudorandom(netlist.inputs().width(), n_patterns, seed);
+        let d = p.distinct();
+        let targets: Vec<bool> = (0..universe.faults().len())
+            .map(|i| (seed.rotate_left(i as u32 % 64) ^ i as u64) & 1 == 1)
+            .collect();
+        let masked = SimGuide { targets: Some(&targets), ..SimGuide::default() };
+        for backend in [SimBackend::Kernel, SimBackend::Kernel64, SimBackend::Event] {
+            for threads in [1, 2] {
+                let cfg = FaultSimConfig { drop_detected: drop, early_exit: drop, threads, backend };
+                let detect = |seq: &PatternSeq, guide: &SimGuide<'_>| {
+                    let mut list = universe.new_list();
+                    let report = fault_simulate_guided(&netlist, seq, &mut list, &cfg, None, guide);
+                    (list.detection_flags(), report.untestable_count())
+                };
+                let (full, _) = detect(&p, &SimGuide::default());
+                let (within, untestable) = detect(&p, &masked);
+                let expected: Vec<bool> =
+                    full.iter().zip(&targets).map(|(&f, &m)| f && m).collect();
+                prop_assert_eq!(
+                    &within, &expected,
+                    "masked set at backend={} threads={}", backend, threads
+                );
+                prop_assert_eq!(untestable, 0);
+                if drop {
+                    prop_assert_eq!(
+                        &detect(&d, &SimGuide::default()).0, &full,
+                        "distinct rows at backend={} threads={}", backend, threads
+                    );
+                    prop_assert_eq!(
+                        &detect(&d, &masked).0, &expected,
+                        "masked distinct rows at backend={} threads={}", backend, threads
+                    );
+                }
+            }
         }
     }
 }

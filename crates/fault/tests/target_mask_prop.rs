@@ -1,0 +1,195 @@
+//! Set-level properties of the engine that standalone coverage evaluation
+//! relies on, on random combinational netlists, pattern streams and
+//! target masks, for every backend (`Kernel`, `Kernel64`, `Event`), with
+//! the dominance guide on and off, and with 1 and 2 worker threads:
+//!
+//! 1. A run masked by [`SimGuide::targets`] on a fresh list detects
+//!    exactly the unmasked run's detected set intersected with the mask,
+//!    and its report's untestable row counts masked-in untestable faults
+//!    only.
+//! 2. A drop-mode run over `p.distinct()` detects the same set as a run
+//!    over `p` (rows repeat often here: the streams draw from few inputs).
+//!
+//! `bridge_prop` checks both for bridging lists.
+
+use proptest::prelude::*;
+
+use warpstl_analyze::Scoap;
+use warpstl_fault::{
+    fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse, SimBackend, SimGuide,
+};
+use warpstl_netlist::{Builder, NetId, Netlist, PatternSeq};
+
+/// One random gate: `kind` selects the operator, `a`/`b`/`c` pick
+/// operands among the already-built nets (mod current count) — the same
+/// construction as `kernel_prop`.
+type GateSpec = (u8, u8, u8, u8);
+
+fn build_netlist(n_inputs: usize, specs: &[GateSpec]) -> Netlist {
+    let mut b = Builder::new("prop");
+    let mut nets: Vec<NetId> = (0..n_inputs).map(|i| b.input(&format!("i{i}"))).collect();
+    for &(kind, a, bb, c) in specs {
+        let pick = |sel: u8| nets[sel as usize % nets.len()];
+        let (x, y, z) = (pick(a), pick(bb), pick(c));
+        let net = match kind % 9 {
+            0 => b.and(x, y),
+            1 => b.or(x, y),
+            2 => b.nand(x, y),
+            3 => b.nor(x, y),
+            4 => b.xor(x, y),
+            5 => b.xnor(x, y),
+            6 => b.not(x),
+            7 => b.buf(x),
+            _ => b.mux(x, y, z),
+        };
+        nets.push(net);
+    }
+    let n_out = nets.len().clamp(1, 4);
+    for (k, &net) in nets.iter().rev().take(n_out).enumerate() {
+        b.output(&format!("o{k}"), net);
+    }
+    b.finish()
+}
+
+/// xorshift64 draws; `state` must be nonzero.
+fn draws(mut state: u64) -> impl Iterator<Item = u64> {
+    std::iter::repeat_with(move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    })
+}
+
+/// `count` pseudorandom rows over `width` inputs, stamped with their index.
+fn patterns(width: usize, count: usize, seed: u64) -> PatternSeq {
+    let mut p = PatternSeq::new(width);
+    for (cc, v) in draws(seed | 1).take(count).enumerate() {
+        let bits: Vec<bool> = (0..width).map(|b| (v >> b) & 1 == 1).collect();
+        p.push_bits(cc as u64, &bits);
+    }
+    p
+}
+
+/// A pseudorandom per-fault mask selecting about half of `n` faults.
+fn mask(n: usize, seed: u64) -> Vec<bool> {
+    draws(seed | 1).take(n).map(|v| v >> 40 & 1 == 1).collect()
+}
+
+/// Every backend × dominance × thread-count cell of the matrix.
+fn matrix() -> impl Iterator<Item = (SimBackend, bool, usize)> {
+    [SimBackend::Kernel, SimBackend::Kernel64, SimBackend::Event]
+        .into_iter()
+        .flat_map(|backend| {
+            [false, true]
+                .into_iter()
+                .flat_map(move |dom| [1, 2].into_iter().map(move |t| (backend, dom, t)))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn masked_run_detects_the_unmasked_set_within_the_mask(
+        n_inputs in 2usize..6,
+        specs in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            8..96,
+        ),
+        seed in any::<u64>(),
+        n_pat in 1usize..160,
+        drop in any::<bool>(),
+    ) {
+        let netlist = build_netlist(n_inputs, &specs);
+        prop_assert!(netlist.is_combinational());
+        let universe = FaultUniverse::enumerate(&netlist);
+        let dominance = universe.dominance(&netlist);
+        let keys = Scoap::compute(&netlist).observability_keys();
+        let p = patterns(netlist.inputs().width(), n_pat, seed);
+        let targets = mask(universe.collapsed_len(), seed.rotate_left(17));
+        let unt = mask(universe.collapsed_len(), seed.rotate_left(31));
+
+        for (backend, dom, threads) in matrix() {
+            let cfg = FaultSimConfig {
+                drop_detected: drop,
+                early_exit: drop,
+                threads,
+                backend,
+            };
+            let guide = SimGuide {
+                dominance: dom.then_some(&dominance),
+                order_keys: dom.then_some(keys.as_slice()),
+                ..SimGuide::default()
+            };
+            let masked_guide = SimGuide { targets: Some(&targets), ..guide };
+            let mut full = FaultList::new(&universe);
+            fault_simulate_guided(&netlist, &p, &mut full, &cfg, None, &guide);
+            let mut masked = FaultList::new(&universe);
+            let report = fault_simulate_guided(&netlist, &p, &mut masked, &cfg, None, &masked_guide);
+            let expected: Vec<bool> = full
+                .detection_flags()
+                .iter()
+                .zip(&targets)
+                .map(|(&d, &m)| d && m)
+                .collect();
+            prop_assert_eq!(
+                masked.detection_flags(), expected,
+                "backend={} dominance={} threads={}", backend, dom, threads
+            );
+            prop_assert_eq!(report.untestable_count(), 0);
+
+            // With pruning, the untestable row counts masked-in faults
+            // only (the bitmap is arbitrary here: the row is a count of
+            // pruned targets, not a soundness claim).
+            let pruned_guide = SimGuide { untestable: Some(&unt), ..masked_guide };
+            let mut pruned = FaultList::new(&universe);
+            let report = fault_simulate_guided(&netlist, &p, &mut pruned, &cfg, None, &pruned_guide);
+            let in_mask = targets.iter().zip(&unt).filter(|&(&m, &u)| m && u).count();
+            prop_assert_eq!(report.untestable_count() as usize, in_mask);
+        }
+    }
+
+    #[test]
+    fn drop_mode_over_distinct_rows_detects_the_same_set(
+        n_inputs in 2usize..6,
+        specs in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            8..96,
+        ),
+        seed in any::<u64>(),
+        n_pat in 1usize..160,
+    ) {
+        let netlist = build_netlist(n_inputs, &specs);
+        let universe = FaultUniverse::enumerate(&netlist);
+        let dominance = universe.dominance(&netlist);
+        let keys = Scoap::compute(&netlist).observability_keys();
+        let p = patterns(netlist.inputs().width(), n_pat, seed);
+        let d = p.distinct();
+        prop_assert!(d.len() <= 1 << n_inputs);
+        let targets = mask(universe.collapsed_len(), seed.rotate_left(7));
+
+        for (backend, dom, threads) in matrix() {
+            let cfg = FaultSimConfig { threads, backend, ..FaultSimConfig::default() };
+            let guide = SimGuide {
+                dominance: dom.then_some(&dominance),
+                order_keys: dom.then_some(keys.as_slice()),
+                ..SimGuide::default()
+            };
+            // Unmasked and masked: the evaluation runs both kinds over
+            // distinct rows.
+            for guide in [guide, SimGuide { targets: Some(&targets), ..guide }] {
+                let mut over_p = FaultList::new(&universe);
+                fault_simulate_guided(&netlist, &p, &mut over_p, &cfg, None, &guide);
+                let mut over_d = FaultList::new(&universe);
+                fault_simulate_guided(&netlist, &d, &mut over_d, &cfg, None, &guide);
+                prop_assert_eq!(
+                    over_d.detection_flags(), over_p.detection_flags(),
+                    "backend={} dominance={} threads={} masked={}",
+                    backend, dom, threads, guide.targets.is_some()
+                );
+                prop_assert_eq!(over_d.coverage().to_bits(), over_p.coverage().to_bits());
+            }
+        }
+    }
+}

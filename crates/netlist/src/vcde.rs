@@ -12,6 +12,7 @@
 //! ...
 //! ```
 
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -177,6 +178,62 @@ impl PatternSeq {
         }
     }
 
+    /// A copy without repeated rows: the first occurrence of each distinct
+    /// row is kept, in order, with its clock-cycle stamp.
+    ///
+    /// On a combinational module a drop-mode fault simulation detects
+    /// the same fault set over `distinct()` as over the whole sequence:
+    /// whether a fault is detected depends only on which row values are
+    /// applied, not on their order or repeats. Per-pattern tallies and
+    /// detection stamps do change, so only set-level consumers (standalone
+    /// coverage) may substitute it.
+    ///
+    /// ```
+    /// use warpstl_netlist::PatternSeq;
+    ///
+    /// let mut p = PatternSeq::new(8);
+    /// for (cc, v) in [(1, 0xa), (2, 0xb), (3, 0xa), (4, 0xc), (5, 0xb)] {
+    ///     p.push_value(cc, v);
+    /// }
+    /// let d = p.distinct();
+    /// assert_eq!((0..d.len()).map(|i| (d.cc(i), d.value(i))).collect::<Vec<_>>(),
+    ///            [(1, 0xa), (2, 0xb), (4, 0xc)]);
+    /// assert!(p.rows_subset_of(&d) && d.rows_subset_of(&p));
+    /// ```
+    #[must_use]
+    pub fn distinct(&self) -> PatternSeq {
+        let mut seen: HashSet<&[u64]> = HashSet::with_capacity(self.len());
+        let mut out = PatternSeq::new(self.width);
+        for (&cc, row) in self
+            .ccs
+            .iter()
+            .zip(self.data.chunks_exact(self.words_per_row))
+        {
+            if seen.insert(row) {
+                out.ccs.push(cc);
+                out.data.extend_from_slice(row);
+            }
+        }
+        out
+    }
+
+    /// Whether every row of `self` also occurs somewhere in `other`
+    /// (clock-cycle stamps ignored). Sequences of different widths share
+    /// no rows, so the test is then `false` unless `self` is empty.
+    #[must_use]
+    pub fn rows_subset_of(&self, other: &PatternSeq) -> bool {
+        if self.is_empty() {
+            return true;
+        }
+        if self.width != other.width {
+            return false;
+        }
+        let rows: HashSet<&[u64]> = other.data.chunks_exact(other.words_per_row).collect();
+        self.data
+            .chunks_exact(self.words_per_row)
+            .all(|row| rows.contains(row))
+    }
+
     /// Serializes to VCDE text.
     #[must_use]
     pub fn to_vcde(&self) -> String {
@@ -333,6 +390,70 @@ mod tests {
         assert_eq!(r.cc(0), 3);
         assert_eq!(r.value(2), 0x11);
         assert_eq!(r.reversed(), p);
+    }
+
+    #[test]
+    fn distinct_keeps_first_occurrences_in_order() {
+        // 70 bits: two words per row, so rows equal in one word only are
+        // still distinct.
+        let mut p = PatternSeq::new(70);
+        let row = |lo: bool, hi: bool| -> Vec<bool> {
+            (0..70)
+                .map(|b| if b < 64 { lo && b % 3 == 0 } else { hi })
+                .collect()
+        };
+        for (cc, lo, hi) in [
+            (10, true, false),
+            (11, false, true),
+            (12, true, false),
+            (13, true, true),
+            (14, false, true),
+            (15, true, true),
+            (16, false, false),
+        ] {
+            p.push_bits(cc, &row(lo, hi));
+        }
+        let d = p.distinct();
+        assert_eq!(d.width(), 70);
+        let ccs: Vec<u64> = (0..d.len()).map(|i| d.cc(i)).collect();
+        assert_eq!(ccs, [10, 11, 13, 16]);
+        for (i, src) in [0usize, 1, 3, 6].into_iter().enumerate() {
+            assert_eq!(d.row(i), p.row(src), "row {i}");
+        }
+        // Idempotent, and a sequence without repeats is its own distinct().
+        assert_eq!(d.distinct(), d);
+        // Both directions of the subset test hold between p and d.
+        assert!(p.rows_subset_of(&d) && d.rows_subset_of(&p));
+    }
+
+    #[test]
+    fn distinct_of_the_empty_stream_is_empty() {
+        let p = PatternSeq::new(5);
+        let d = p.distinct();
+        assert!(d.is_empty());
+        assert_eq!(d.width(), 5);
+        assert_eq!(d, p);
+        assert!(d.rows_subset_of(&p));
+    }
+
+    #[test]
+    fn rows_subset_ignores_stamps_and_detects_new_rows() {
+        let mut p = PatternSeq::new(8);
+        p.push_value(1, 0x11);
+        p.push_value(2, 0x22);
+        let mut q = PatternSeq::new(8);
+        q.push_value(100, 0x22);
+        q.push_value(200, 0x22);
+        assert!(q.rows_subset_of(&p), "stamps must not matter");
+        assert!(!p.rows_subset_of(&q), "0x11 is a new row for q");
+        q.push_value(300, 0x33);
+        assert!(!q.rows_subset_of(&p));
+        // Widths never mix, except that the empty stream is a subset of
+        // anything.
+        let mut wide = PatternSeq::new(9);
+        wide.push_value(1, 0x11);
+        assert!(!wide.rows_subset_of(&p));
+        assert!(PatternSeq::new(9).rows_subset_of(&p));
     }
 
     #[test]

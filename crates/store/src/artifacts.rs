@@ -18,9 +18,7 @@
 use warpstl_analyze::{
     analyze_observed, AnalyzeReport, Diagnostic, ImplicationStats, Rule, Severity,
 };
-use warpstl_fault::{
-    fault_simulate_guided, FaultList, FaultSimConfig, FaultSimReport, FaultStatus, SimGuide,
-};
+use warpstl_fault::{fault_simulate_guided, FaultList, FaultSimConfig, FaultSimReport, SimGuide};
 use warpstl_netlist::{NetId, Netlist, PatternSeq};
 use warpstl_obs::{Obs, ObsExt};
 
@@ -121,7 +119,7 @@ impl FsimStamps {
 
     /// Captures the stamps of a just-finished engine run from its report
     /// and the list's detection flags `before` the run (see
-    /// [`detection_flags`]). Generic over the ledger's fault type: stamps
+    /// [`FaultList::detection_flags`]). Generic over the ledger's fault type: stamps
     /// carry only ids, so stuck-at and bridging runs share the codec (their
     /// keys are domain-separated by the model tag).
     #[must_use]
@@ -164,15 +162,6 @@ impl FsimStamps {
         report.set_untestable(self.untestable);
         report
     }
-}
-
-/// Snapshot of a list's detection flags, indexed by fault id — taken
-/// before an engine run so [`FsimStamps::capture`] can diff.
-#[must_use]
-pub fn detection_flags<F>(list: &FaultList<F>) -> Vec<bool> {
-    (0..list.len())
-        .map(|id| matches!(list.status(id), FaultStatus::Detected { .. }))
-        .collect()
 }
 
 fn encode_analysis(report: &AnalyzeReport) -> Vec<u8> {
@@ -361,7 +350,7 @@ pub fn cached_fault_sim<F: KeyedFault>(
         let _span = obs.span("store", "store.replay");
         return stamps.replay(list);
     }
-    let before = detection_flags(list);
+    let before = list.detection_flags();
     let report = fault_simulate_guided(netlist, patterns, list, config, obs, guide);
     store.put_stamps(key, &FsimStamps::capture(&report, list, &before), obs);
     report
@@ -514,6 +503,46 @@ mod tests {
             &guide,
         );
         assert_eq!(rec2.metrics().counter(names::CACHE_MISS), 1);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn masked_fault_sim_replays_bit_identically_from_a_warm_store() {
+        let netlist = build_netlist();
+        let universe = FaultUniverse::enumerate(&netlist);
+        let patterns = patterns_for(&netlist, 6);
+        let config = FaultSimConfig::default();
+        let store = temp_store("masked");
+        let cache = CacheCtx {
+            store: Some(&store),
+            netlist_key: crate::hash::key_netlist(&netlist),
+        };
+        let n = universe.collapsed_len();
+        let mask: Vec<bool> = (0..n).map(|id| id % 2 == 0).collect();
+        let masked = SimGuide {
+            targets: Some(&mask),
+            ..SimGuide::default()
+        };
+        let run = |guide: &SimGuide<'_>, rec: Option<&Recorder>| {
+            let mut list = FaultList::new(&universe);
+            let report =
+                cached_fault_sim(cache, &netlist, &patterns, &mut list, &config, rec, guide);
+            (report, list.to_report_text(), list.detection_flags())
+        };
+
+        let cold = run(&masked, None);
+        let rec = Recorder::new();
+        let warm = run(&masked, Some(&rec));
+        assert_eq!(rec.metrics().counter(names::CACHE_HIT), 1);
+        assert_eq!(warm, cold);
+        // The masked entry is its own: the unmasked run misses, and its
+        // detected set restricted to the mask is the masked run's.
+        let rec = Recorder::new();
+        let full = run(&SimGuide::default(), Some(&rec));
+        assert_eq!(rec.metrics().counter(names::CACHE_MISS), 1);
+        let restricted: Vec<bool> = full.2.iter().zip(&mask).map(|(&d, &m)| d && m).collect();
+        assert_eq!(cold.2, restricted);
+        assert!(restricted.contains(&true) && full.2 != restricted);
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -340,6 +340,10 @@ impl KeyedFault for BridgeFault {
 /// state* (which faults are still undetected — drop mode's behavior
 /// depends on it) with whatever identity the model keys per fault, the
 /// semantic `FaultSimConfig` flags, and the guide shape the model keys.
+/// A target mask ([`SimGuide::targets`]) changes the target set, so its
+/// presence and content key too — but only when present: an unmasked run
+/// absorbs nothing for it, so its key keeps the bytes it had before masks
+/// existed and warm stores keep hitting.
 /// Deliberately excluded: `threads` and `backend` (the engine is
 /// bit-identical across both), prior detection stamps
 /// (first-detection-wins makes them unobservable), and the list's run
@@ -367,6 +371,13 @@ pub fn key_fsim<F: KeyedFault>(
     h.bool(config.drop_detected);
     h.bool(config.early_exit);
     F::absorb_guide(&mut h, guide);
+    if let Some(mask) = guide.targets {
+        h.str("targets");
+        h.len(mask.len());
+        for &m in mask {
+            h.bool(m);
+        }
+    }
     h.finish()
 }
 
@@ -522,6 +533,67 @@ mod tests {
             &guide,
         );
         assert_ne!(after, non_drop, "semantic config flags must enter the key");
+    }
+
+    #[test]
+    fn fsim_key_absorbs_the_target_mask_only_when_present() {
+        let netlist = ModuleKind::Sfu.build();
+        let nk = key_netlist(&netlist);
+        let universe = warpstl_fault::FaultUniverse::enumerate(&netlist);
+        let list = warpstl_fault::FaultList::new(&universe);
+        let mut pats = PatternSeq::new(netlist.inputs().width());
+        pats.push_value(0, 0xdead_beef);
+        let cfg = FaultSimConfig::default();
+        let key = |targets: Option<&[bool]>| {
+            let guide = SimGuide {
+                targets,
+                ..SimGuide::default()
+            };
+            key_fsim(nk, &pats, &list, &cfg, &guide)
+        };
+
+        // That an absent mask leaves the key bytes untouched is pinned by
+        // `fsim_keys_match_the_pinned_hex_goldens`.
+        let unmasked = key(None);
+        // Presence keys: even a mask selecting every fault (same detected
+        // set) is a different run shape.
+        let all = vec![true; list.len()];
+        assert_ne!(
+            unmasked,
+            key(Some(&all)),
+            "mask presence must enter the key"
+        );
+        // Content keys, position by position.
+        let mut one_out = all.clone();
+        one_out[list.len() - 1] = false;
+        assert_ne!(
+            key(Some(&all)),
+            key(Some(&one_out)),
+            "mask content must enter the key"
+        );
+        let none = vec![false; list.len()];
+        assert_ne!(key(Some(&none)), key(Some(&all)));
+        // Length is content: a short mask (tail masked out) keys apart from
+        // an explicit all-false one.
+        assert_ne!(key(Some(&none)), key(Some(&none[..1])));
+        // Same content, same key.
+        assert_eq!(key(Some(&one_out)), key(Some(&one_out.clone())));
+
+        // Bridging keys absorb the mask the same way.
+        let bridges = warpstl_fault::BridgeUniverse::sample(
+            &netlist,
+            &warpstl_fault::BridgeConfig { pairs: 16, seed: 0 },
+        );
+        let br = bridges.new_list();
+        let br_mask = vec![true; br.len()];
+        let br_guide = SimGuide {
+            targets: Some(&br_mask),
+            ..SimGuide::default()
+        };
+        assert_ne!(
+            key_fsim(nk, &pats, &br, &cfg, &SimGuide::default()),
+            key_fsim(nk, &pats, &br, &cfg, &br_guide)
+        );
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod codec;
 pub mod hash;
 pub mod store;
 
-pub use artifacts::{cached_analyze, cached_fault_sim, detection_flags, CacheCtx, FsimStamps};
+pub use artifacts::{cached_analyze, cached_fault_sim, CacheCtx, FsimStamps};
 pub use hash::{
     key_analysis, key_fsim, key_netlist, key_ptp, CanonicalHasher, Key, KeyedFault, ANALYZE_SCHEMA,
     FSIM_SCHEMA,

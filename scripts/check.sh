@@ -238,6 +238,50 @@ grep -Eq '^cache +[1-9][0-9]* hit' "$SMOKE_DIR/br-warm.out" || {
 }
 echo "bridging OK: thread-count and cold/warm reports byte-identical, warm hits"
 
+echo "== evaluation smoke test =="
+# Every smoke above compacts a module's first PTP only. An STL with later
+# PTPs per module (MEM after IMM, RAND after TPGEN) reaches the masked
+# fc_before run over the faults already dropped, and compacted programs
+# that apply no new row reach the fc_after run restricted to the
+# original's detected set. The report JSON must not depend on the worker
+# count, and a warm --cache-dir rerun must hit and reproduce the bytes.
+for spec in "IMM --sb-count 4" "MEM --sb-count 4" "TPGEN --patterns 48" \
+    "RAND --sb-count 4" "SFU_IMM --patterns 12"; do
+    # $spec is unquoted on purpose: it is the generator's argument list.
+    cargo run -q --release -p warpstl-cli -- generate $spec \
+        --out "$SMOKE_DIR/eval-${spec%% *}.ptp" >/dev/null || exit 1
+done
+{
+    echo "; STL eval-smoke"
+    for p in IMM MEM TPGEN RAND SFU_IMM; do cat "$SMOKE_DIR/eval-$p.ptp"; done
+} > "$SMOKE_DIR/eval.stl"
+cargo run -q --release -p warpstl-cli -- compact-stl "$SMOKE_DIR/eval.stl" \
+    --no-cache --json "$SMOKE_DIR/eval-auto.json" >/dev/null || exit 1
+WARPSTL_THREADS=1 cargo run -q --release -p warpstl-cli -- compact-stl \
+    "$SMOKE_DIR/eval.stl" --no-cache --json "$SMOKE_DIR/eval-t1.json" \
+    >/dev/null || exit 1
+cmp "$SMOKE_DIR/eval-auto.json" "$SMOKE_DIR/eval-t1.json" || {
+    echo "STL report JSON differs between WARPSTL_THREADS=1 and auto" >&2
+    exit 1
+}
+EVAL_CACHE="$SMOKE_DIR/eval-cache"
+cargo run -q --release -p warpstl-cli -- compact-stl "$SMOKE_DIR/eval.stl" \
+    --cache-dir "$EVAL_CACHE" --json "$SMOKE_DIR/eval-cold.json" \
+    >/dev/null || exit 1
+cargo run -q --release -p warpstl-cli -- compact-stl "$SMOKE_DIR/eval.stl" \
+    --cache-dir "$EVAL_CACHE" --json "$SMOKE_DIR/eval-warm.json" \
+    > "$SMOKE_DIR/eval-warm.out" || exit 1
+cmp "$SMOKE_DIR/eval-cold.json" "$SMOKE_DIR/eval-warm.json" || {
+    echo "cold and warm STL report JSON differ" >&2
+    exit 1
+}
+grep -Eq '^cache +[1-9][0-9]* hit' "$SMOKE_DIR/eval-warm.out" || {
+    echo "warm STL run reported no cache hits:" >&2
+    cat "$SMOKE_DIR/eval-warm.out" >&2
+    exit 1
+}
+echo "evaluation OK: thread-count and cold/warm STL reports byte-identical, warm hits"
+
 echo "== serve smoke test =="
 # Start the daemon on an ephemeral port with a shared cache directory,
 # probe /healthz and /metrics, then run two concurrent clients submitting
