@@ -1,20 +1,18 @@
 //! Criterion benches for the parallel fault-simulation engine.
 //!
-//! Compares the serial reference (`fault_simulate_reference`, no cone
-//! pruning) against the cone-pruned engine (`fault_simulate`) at several
-//! thread counts, on a combinational module and on the SFU datapath.
-//! Non-drop mode is used so every run processes the same work regardless
-//! of detection order, making the comparison load-stable.
-//!
-//! `scripts/bench_fsim.sh` runs these benches and then the `bench_fsim`
-//! binary, which emits machine-readable timings to `BENCH_fsim.json`.
+//! Times the engine (`fault_simulate`) at several thread counts, with and
+//! without a live recorder, and drop-mode runs with and without static
+//! guidance, on the Decoder Unit and on the SFU datapath; plus one
+//! single-thread kernel row per module at 512 patterns. Non-drop mode is
+//! used where runs should process the same work regardless of detection
+//! order. Run with `cargo bench -p warpstl-bench --bench fsim`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use warpstl_analyze::Scoap;
 use warpstl_fault::{
-    fault_simulate, fault_simulate_guided, fault_simulate_observed, fault_simulate_reference,
-    FaultList, FaultSimConfig, FaultUniverse, SimBackend, SimGuide,
+    fault_simulate, fault_simulate_guided, fault_simulate_observed, FaultList, FaultSimConfig,
+    FaultUniverse, SimGuide,
 };
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
@@ -36,14 +34,9 @@ fn pseudorandom_patterns(width: usize, count: usize, mut seed: u64) -> PatternSe
     p
 }
 
-// The `engine/*` benches pin the event backend so their names keep meaning
-// what they measured before the kernel landed; `kernel/*` benches compare
-// the backends explicitly.
 fn non_drop() -> FaultSimConfig {
     FaultSimConfig {
         drop_detected: false,
-        early_exit: false,
-        backend: SimBackend::Event,
         ..FaultSimConfig::default()
     }
 }
@@ -55,24 +48,6 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
         0xb5eed ^ patterns as u64,
     );
     let universe = FaultUniverse::enumerate(netlist);
-
-    c.bench_function(&format!("fsim/{name}/reference"), |b| {
-        b.iter_batched(
-            || FaultList::new(&universe),
-            |mut list| {
-                fault_simulate_reference(
-                    netlist,
-                    &pats,
-                    &mut list,
-                    &FaultSimConfig {
-                        threads: 1,
-                        ..non_drop()
-                    },
-                )
-            },
-            BatchSize::SmallInput,
-        );
-    });
 
     // Oversubscribed thread counts resolve to the host core count; only
     // bench distinct effective configurations.
@@ -123,12 +98,11 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
 
     // Dominance collapsing + hardest-first ordering vs the equivalence-only
     // baseline, both in drop mode (dominance only activates there): the
-    // static-analysis payoff the `bench_fsim` binary quantifies.
+    // static-analysis payoff.
     let dominance = universe.dominance(netlist);
     let keys = Scoap::compute(netlist).observability_keys();
     let drop1 = FaultSimConfig {
         threads: 1,
-        backend: SimBackend::Event,
         ..FaultSimConfig::default()
     };
     c.bench_function(&format!("fsim/{name}/drop/baseline"), |b| {
@@ -152,32 +126,22 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
     });
 }
 
-/// The levelized SoA batch kernel against the event path, single thread in
-/// non-drop mode at 512 patterns (so the 256-bit wide path sees full
-/// blocks): `kernel/<module>/{event,kernel64,kernel256}`.
+/// The levelized kernel, single thread in non-drop mode at 512 patterns
+/// (so the 256-bit wide path sees full blocks): `kernel/<module>/kernel256`.
 fn bench_kernel_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usize) {
     let pats = pseudorandom_patterns(netlist.inputs().width(), patterns, 0x5e7e ^ patterns as u64);
     let universe = FaultUniverse::enumerate(netlist);
-    let backends = [
-        ("event", SimBackend::Event),
-        ("kernel64", SimBackend::Kernel64),
-        ("kernel256", SimBackend::Kernel),
-    ];
-    for (bname, backend) in backends {
-        let cfg = FaultSimConfig {
-            drop_detected: false,
-            early_exit: false,
-            threads: 1,
-            backend,
-        };
-        c.bench_function(&format!("kernel/{name}/{bname}"), |b| {
-            b.iter_batched(
-                || FaultList::new(&universe),
-                |mut list| fault_simulate(netlist, &pats, &mut list, &cfg),
-                BatchSize::SmallInput,
-            );
-        });
-    }
+    let cfg = FaultSimConfig {
+        drop_detected: false,
+        threads: 1,
+    };
+    c.bench_function(&format!("kernel/{name}/kernel256"), |b| {
+        b.iter_batched(
+            || FaultList::new(&universe),
+            |mut list| fault_simulate(netlist, &pats, &mut list, &cfg),
+            BatchSize::SmallInput,
+        );
+    });
 }
 
 /// The analyzer itself (SCOAP + all four lint passes) per bundled module —

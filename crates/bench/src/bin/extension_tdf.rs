@@ -7,8 +7,8 @@
 
 use warpstl_bench::{timed, Scale};
 use warpstl_core::{label_instructions, reduce_ptp, Compactor};
-use warpstl_fault::tdf::{tdf_simulate, TdfList};
-use warpstl_fault::FaultSimConfig;
+use warpstl_fault::tdf::TdfList;
+use warpstl_fault::{fault_simulate, FaultSimConfig};
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_programs::generators::generate_imm;
 
@@ -25,7 +25,7 @@ fn main() {
     // Stage 3 under the transition-delay model: one TDF simulation.
     let mut list = TdfList::enumerate(&netlist);
     let report = timed("TDF simulation", || {
-        tdf_simulate(
+        fault_simulate(
             &netlist,
             &run.patterns.du,
             &mut list,
@@ -44,7 +44,7 @@ fn main() {
     // Evaluate the compacted PTP's standalone TDF coverage.
     let comp_run = compactor.trace(&compacted).expect("compacted runs");
     let mut comp_list = TdfList::enumerate(&netlist);
-    tdf_simulate(
+    fault_simulate(
         &netlist,
         &comp_run.patterns.du,
         &mut comp_list,

@@ -2,8 +2,8 @@
 //! # warpstl-campaign
 //!
 //! Declarative compaction campaigns: one JSON spec names a **matrix of
-//! scenarios** — {target module × GPU shape × fault model × simulation
-//! backend × drop mode} — and the runner expands the matrix, plans each
+//! scenarios** — {target module × GPU shape × fault model × backend label
+//! × drop mode} — and the runner expands the matrix, plans each
 //! cell as a store-keyed [`compact_job`](warpstl_core::compact_job), fans
 //! the cells out over a bounded worker pool, and folds the results into a
 //! deterministic [`CampaignReport`].

@@ -166,7 +166,6 @@ fn run_cell(
         // Mirror the STL flow's per-module convention so a campaign cell
         // and `compact-stl` agree on the SFU's pattern order.
         reverse: cell.module == ModuleKind::Sfu,
-        backend: cell.backend,
         threads,
         lanes: cell.lanes,
         fault_model: cell.model,

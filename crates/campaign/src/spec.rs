@@ -15,7 +15,7 @@
 //! | `modules` | \[string\] (required) | target modules, by [`ModuleKind`] name |
 //! | `lanes` | \[number\] (`[8]`) | SP lanes per SM; validated *per cell* by the job layer, so `[8, 12]` runs the 8-lane cells and reports the 12-lane cells as failed |
 //! | `fault_models` | \[string\] (`["stuck-at"]`) | `stuck-at` / `bridging` |
-//! | `backends` | \[string\] (`["auto"]`) | `auto` / `event` / `kernel` / `kernel64` |
+//! | `backends` | \[string\] (`["auto"]`) | `auto` / `event` / `kernel` / `kernel64`: a cell label only — every cell runs the one levelized kernel, so cells that differ only here report identical results |
 //! | `drop` | \[bool\] (`[true]`) | fault dropping between patterns |
 //! | `sb_count` | number (`6`) | Small Blocks per generated test program |
 //! | `seed` | number (`1`) | generator seed |
@@ -40,7 +40,8 @@ pub struct Cell {
     pub lanes: usize,
     /// Fault model the cell compacts against.
     pub model: FaultModel,
-    /// Fault-simulation backend.
+    /// The `backends` axis value: a label in the cell name and report.
+    /// Fault simulation has one path, so it steers nothing.
     pub backend: SimBackend,
     /// Drop detected faults between patterns.
     pub drop_detected: bool,
@@ -72,7 +73,7 @@ pub struct CampaignSpec {
     pub lanes: Vec<usize>,
     /// Fault models to sweep.
     pub fault_models: Vec<FaultModel>,
-    /// Simulation backends to sweep.
+    /// Backend labels to sweep (see [`Cell::backend`]).
     pub backends: Vec<SimBackend>,
     /// Fault-dropping modes to sweep.
     pub drop: Vec<bool>,

@@ -6,11 +6,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use warpstl_core::Compactor;
-use warpstl_fault::{
-    BridgeConfig, BridgeUniverse, FaultModel, FaultSimConfig, FaultUniverse, SimBackend,
-};
+use warpstl_fault::{BridgeConfig, BridgeUniverse, FaultModel, FaultUniverse, SimBackend};
 use warpstl_netlist::modules::ModuleKind;
-use warpstl_netlist::GateKind;
 use warpstl_obs::Recorder;
 use warpstl_programs::generators::{
     generate_cntrl, generate_fpu, generate_imm, generate_mem, generate_rand_sp, generate_sfu_imm,
@@ -31,16 +28,16 @@ usage:
   warpstl compact     <PTP-FILE> [--out FILE] [--reverse] [--no-arc]
                       [--no-prune] [--trace-out FILE] [--json FILE]
                       [--cache-dir DIR] [--no-cache]
-                      [--sim-backend auto|event|kernel]
+                      [--sim-backend auto|event|kernel|kernel64]
                       [--fault-model stuck-at|bridging] [--lanes 8|16|32]
   warpstl compact-stl <STL-FILE> [--out FILE] [--no-prune]
                       [--trace-out FILE]
                       [--json FILE] [--cache-dir DIR] [--no-cache]
-                      [--sim-backend auto|event|kernel]
+                      [--sim-backend auto|event|kernel|kernel64]
   warpstl cache       <stats|gc|verify|clear> [--cache-dir DIR]
   warpstl lint        <PTP-FILE> [--json]
   warpstl analyze     <MODULE> [--json] [--implications]
-                      [--sim-backend auto|event|kernel]
+                      [--sim-backend auto|event|kernel|kernel64]
                       [--fault-model stuck-at|bridging] [--lanes 8|16|32]
                       (a module name from `warpstl modules`, or the
                        `comb-loop` / `undriven` / `redundant-logic`
@@ -57,7 +54,7 @@ usage:
   warpstl modules
   warpstl serve       [--addr HOST:PORT] [--workers N] [--queue N]
                       [--cache-dir DIR] [--no-cache]
-                      [--sim-backend auto|event|kernel]
+                      [--sim-backend auto|event|kernel|kernel64]
   warpstl xlint       [--json] [ROOT]
                       (source-level policy lint over the workspace:
                        raw-sync, safety-comment, no-unwrap,
@@ -67,10 +64,9 @@ caching: compact and compact-stl reuse stored artifacts when --cache-dir
 (or the WARPSTL_CACHE_DIR environment variable) names a directory;
 --no-cache disables the cache for one run.
 
-fault simulation: --sim-backend picks the engine backend (`auto` uses the
-levelized kernel on combinational modules and the event path otherwise;
-results are bit-identical either way). The WARPSTL_SIM_BACKEND environment
-variable applies when the flag is absent.
+fault simulation: every run uses the levelized kernel. --sim-backend is
+still accepted for compatibility (an unknown name warns) and changes
+nothing.
 
 pruning: compact and compact-stl drop faults the static implication
 engine proves untestable before simulating; --no-prune keeps them in the
@@ -149,10 +145,10 @@ fn resolve_cache_dir(flags: &Flags, env: Option<&str>) -> Option<PathBuf> {
     flags.value("--cache-dir").or(env).map(PathBuf::from)
 }
 
-/// Resolves `--sim-backend` for one invocation. A valid value pins the
-/// engine backend; an invalid one warns (once — mirroring the
-/// `WARPSTL_SIM_BACKEND` handling) and falls back to `auto`; an absent
-/// flag leaves `Auto`, so the engine still consults the environment.
+/// Parses `--sim-backend` for one invocation. Fault simulation has one
+/// path, so callers discard the value: the flag is accepted for
+/// compatibility, and an invalid name still warns and falls back to
+/// `auto` instead of failing the run.
 fn resolve_sim_backend(flags: &Flags) -> SimBackend {
     match flags.value("--sim-backend") {
         None => SimBackend::Auto,
@@ -431,12 +427,9 @@ fn compact(args: &[String]) -> CliResult {
         fault_model: resolve_fault_model(&flags)?,
         obs: recorder.clone(),
         store: store.clone(),
-        fsim_config: FaultSimConfig {
-            backend: resolve_sim_backend(&flags),
-            ..FaultSimConfig::default()
-        },
         ..Compactor::default()
     };
+    resolve_sim_backend(&flags);
     let mut ctx = compactor.context_for(ptp.target);
     let out = compactor.compact(&ptp, &mut ctx)?;
     let r = &out.report;
@@ -543,16 +536,11 @@ fn analyze(args: &[String]) -> CliResult {
             );
         }
         let levels = netlist.levelize();
-        let combinational = !netlist.gates().iter().any(|g| g.kind == GateKind::Dff);
-        let cfg = FaultSimConfig {
-            backend: resolve_sim_backend(&flags),
-            ..FaultSimConfig::default()
-        };
+        resolve_sim_backend(&flags);
         println!(
-            "levels     {} ranks, {} segments; sim backend {}",
+            "levels     {} ranks, {} segments; sim backend kernel",
             levels.ranks(),
             levels.segments().len(),
-            cfg.resolved_backend(model, combinational)
         );
         // The fault model (and with it the dominance view) is only
         // defined on netlists that pass the lint gate — that is what the
@@ -646,16 +634,12 @@ fn compact_stl(args: &[String]) -> CliResult {
         .value("--trace-out")
         .map(|_| Arc::new(Recorder::new()));
     let store = open_store(&flags)?;
-    let backend = resolve_sim_backend(&flags);
+    resolve_sim_backend(&flags);
     let outcome = warpstl_core::compact_stl_with(&stl, |module| Compactor {
         reverse_patterns: module == ModuleKind::Sfu,
         prune_untestable: !flags.has("--no-prune"),
         obs: recorder.clone(),
         store: store.clone(),
-        fsim_config: FaultSimConfig {
-            backend,
-            ..FaultSimConfig::default()
-        },
         ..Compactor::default()
     })?;
     for r in &outcome.reports {
@@ -747,8 +731,8 @@ fn serve(args: &[String]) -> CliResult {
                 n as usize
             }),
         cache_dir: resolve_cache_dir(&flags, env.as_deref()),
-        backend: resolve_sim_backend(&flags),
     };
+    resolve_sim_backend(&flags);
     warpstl_serve::run(&config, |addr| {
         // Stdout is line-buffered: the URL reaches a piped reader
         // immediately, which is what the smoke scripts parse.
@@ -1113,12 +1097,11 @@ mod tests {
         ]))
         .unwrap();
 
-        // The report JSON carries no timings, so the event path and the
-        // kernel must produce byte-identical reports — the CLI-level face
-        // of the engine equivalence suite. An invalid value falls back to
-        // auto and still completes.
+        // Every backend name still parses and runs the one kernel, so the
+        // report JSON (which carries no timings) is byte-identical across
+        // them. An invalid value falls back to auto and still completes.
         let mut reports = Vec::new();
-        for backend in ["event", "kernel", "bogus"] {
+        for backend in ["event", "kernel", "kernel64", "bogus"] {
             let out = dir.join(format!("{backend}.json"));
             dispatch(&s(&[
                 "compact",
@@ -1132,9 +1115,10 @@ mod tests {
             reports.push(fs::read_to_string(&out).unwrap());
         }
         assert_eq!(reports[0], reports[1], "event vs kernel report JSON");
-        assert_eq!(reports[1], reports[2], "auto fallback report JSON");
+        assert_eq!(reports[1], reports[2], "kernel64 vs kernel report JSON");
+        assert_eq!(reports[2], reports[3], "auto fallback report JSON");
 
-        // `analyze` accepts the flag too and reports the resolved backend.
+        // `analyze` accepts the flag too.
         dispatch(&s(&["analyze", "decoder_unit", "--sim-backend", "event"])).unwrap();
         fs::remove_dir_all(&dir).ok();
     }

@@ -1,5 +1,5 @@
-//! The `analyze` summary names the backend the fault engine will really
-//! run for the chosen fault model, not the one the flag asked for.
+//! The `analyze` summary names the backend the fault engine really runs:
+//! the levelized kernel, for every fault model and whatever the flag says.
 
 use std::process::Command;
 
@@ -8,7 +8,6 @@ fn analyze_stdout(args: &[&str]) -> String {
         .arg("analyze")
         .arg("decoder_unit")
         .args(args)
-        .env_remove("WARPSTL_SIM_BACKEND")
         .output()
         .expect("run warpstl analyze");
     assert!(
@@ -21,11 +20,10 @@ fn analyze_stdout(args: &[&str]) -> String {
 
 #[test]
 fn sim_backend_line_reports_the_resolved_backend_per_fault_model() {
-    // Bridging has no event path: an event request runs on the kernel.
+    // An event request runs on the kernel, whatever the fault model.
     let bridging = analyze_stdout(&["--fault-model", "bridging", "--sim-backend", "event"]);
     assert!(bridging.contains("sim backend kernel"), "{bridging}");
 
-    // Stuck-at keeps the event path it asked for.
     let stuck_at = analyze_stdout(&["--fault-model", "stuck-at", "--sim-backend", "event"]);
-    assert!(stuck_at.contains("sim backend event"), "{stuck_at}");
+    assert!(stuck_at.contains("sim backend kernel"), "{stuck_at}");
 }

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use warpstl_fault::{BridgeConfig, FaultModel, FaultSimConfig, SimBackend};
+use warpstl_fault::{BridgeConfig, FaultModel, FaultSimConfig};
 use warpstl_gpu::{Gpu, GpuConfig};
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::Netlist;
@@ -38,8 +38,6 @@ pub struct JobOptions {
     /// Prune proven-untestable faults before simulating (`--no-prune`
     /// clears it).
     pub prune: bool,
-    /// Fault-simulation backend (the `--sim-backend` flag).
-    pub backend: SimBackend,
     /// Engine worker threads; `0` defers to the engine's own resolution
     /// (environment, then host parallelism). A serving front-end sets this
     /// to its per-worker share so the pool does not oversubscribe.
@@ -55,7 +53,7 @@ pub struct JobOptions {
     /// model's default); ignored under stuck-at.
     pub bridge_pairs: usize,
     /// Drop detected faults between patterns (on by default; clearing it
-    /// also disables early exit, so tallies cover the full sequence).
+    /// makes tallies cover the full sequence).
     pub drop_detected: bool,
 }
 
@@ -65,7 +63,6 @@ impl Default for JobOptions {
             reverse: false,
             respect_arc: true,
             prune: true,
-            backend: SimBackend::Auto,
             threads: 0,
             lanes: 0,
             fault_model: FaultModel::StuckAt,
@@ -113,10 +110,8 @@ impl JobOptions {
             obs,
             store,
             fsim_config: FaultSimConfig {
-                backend: self.backend,
                 threads: self.threads,
                 drop_detected: self.drop_detected,
-                early_exit: self.drop_detected,
             },
         })
     }

@@ -459,8 +459,8 @@ impl Compactor {
     }
 
     /// Fault-simulates one stream per instance into `scratch` (standalone
-    /// evaluation ledgers) in drop mode, with the compactor's thread and
-    /// backend choices: the one simulation path of every standalone
+    /// evaluation ledgers) in drop mode, with the compactor's thread
+    /// choice: the one simulation path of every standalone
     /// coverage (`fc_before`/`fc_after`, [`Compactor::features`],
     /// [`Compactor::combined_coverage`]). Callers pass
     /// [distinct](ModuleContext::distinct_streams) streams. `targets[i]`,
@@ -475,7 +475,6 @@ impl Compactor {
     ) {
         let cfg = FaultSimConfig {
             threads: self.fsim_config.threads,
-            backend: self.fsim_config.backend,
             ..FaultSimConfig::default()
         };
         let streams: Vec<Cow<'_, PatternSeq>> = streams.iter().map(Cow::Borrowed).collect();

@@ -144,7 +144,6 @@ fn fc_before_and_after_equal_the_fresh_list_reference() {
                         },
                         fsim_config: FaultSimConfig {
                             drop_detected: drop,
-                            early_exit: drop,
                             ..FaultSimConfig::default()
                         },
                         reverse_patterns: reverse,

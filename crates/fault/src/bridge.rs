@@ -26,12 +26,11 @@
 //! carry `wired(good_a, good_b)`. Bridging therefore runs on the shared
 //! engine — [`fault_simulate`](crate::fault_simulate) and friends, with
 //! the same batching, worker threads, 256-bit kernel blocks, and drop-mode
-//! narrow probe as stuck-at — over the generic ledger [`BridgeList`],
+//! narrow probe as every other model — over the generic ledger [`BridgeList`],
 //! producing the same [`FaultSimReport`](crate::FaultSimReport). A bridge
 //! is *activated* by a pattern when `good_a != good_b` (equal values make
 //! the wired value a no-op) and *detected* when the forced evaluation
-//! differs from the good machine at a module output. Bridging universes
-//! are combinational, so bridging always runs on the levelized kernel.
+//! differs from the good machine at a module output.
 
 use std::fmt;
 
@@ -141,17 +140,6 @@ impl FaultModel {
             "stuck-at" | "stuckat" | "stuck_at" | "sa" => Some(FaultModel::StuckAt),
             "bridging" | "bridge" => Some(FaultModel::Bridging),
             _ => None,
-        }
-    }
-
-    /// Whether the model's faults run on the event path
-    /// ([`SiteOverride::EVENT_PATH`]); models without one always run on
-    /// the kernel.
-    #[must_use]
-    pub fn has_event_path(self) -> bool {
-        match self {
-            FaultModel::StuckAt => crate::Fault::EVENT_PATH,
-            FaultModel::Bridging => BridgeFault::EVENT_PATH,
         }
     }
 }
@@ -323,14 +311,17 @@ impl BridgeUniverse {
 /// admits only non-feedback pairs, so neither endpoint's good value
 /// depends on the injection and `wired(good_a, good_b)` is exact.
 impl SiteOverride for BridgeFault {
-    const EVENT_PATH: bool = false;
-
     fn seeds(&self) -> (usize, Option<usize>) {
         (self.a.index(), Some(self.b.index()))
     }
 
     #[inline]
-    fn faulty_word(&self, _gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+    fn faulty_word(
+        &self,
+        _gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        _prev: impl Fn(usize) -> u64,
+    ) -> u64 {
         self.kind
             .wired_word(good(self.a.index()), good(self.b.index()))
     }
@@ -338,7 +329,12 @@ impl SiteOverride for BridgeFault {
     /// `good_a ^ good_b`: equal endpoint values make the wired value a
     /// no-op.
     #[inline]
-    fn activation(&self, _gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+    fn activation(
+        &self,
+        _gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        _prev: impl Fn(usize) -> u64,
+    ) -> u64 {
         good(self.a.index()) ^ good(self.b.index())
     }
 }
@@ -346,7 +342,7 @@ impl SiteOverride for BridgeFault {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fault_simulate, FaultSimConfig, SimBackend};
+    use crate::{fault_simulate, FaultSimConfig};
     use warpstl_netlist::{Builder, PatternSeq};
 
     fn small_netlist() -> Netlist {
@@ -430,28 +426,6 @@ mod tests {
         assert!(r.total_detected() > 0, "{r}");
         assert!(list.coverage() > 0.0);
         assert_eq!(list.detected().count() as u32, r.total_detected());
-    }
-
-    #[test]
-    fn event_requests_run_on_the_kernel() {
-        // Bridges have no event path: an explicit event request resolves
-        // to the kernel and reproduces its report exactly.
-        let n = small_netlist();
-        let u = BridgeUniverse::sample(&n, &BridgeConfig::default());
-        for drop in [true, false] {
-            let cfg = |backend| FaultSimConfig {
-                drop_detected: drop,
-                early_exit: drop,
-                threads: 1,
-                backend,
-            };
-            let mut el = u.new_list();
-            let event = fault_simulate(&n, &exhaustive(3), &mut el, &cfg(SimBackend::Event));
-            let mut kl = u.new_list();
-            let kernel = fault_simulate(&n, &exhaustive(3), &mut kl, &cfg(SimBackend::Kernel));
-            assert_eq!(event, kernel, "drop={drop}");
-            assert_eq!(el.to_report_text(), kl.to_report_text(), "drop={drop}");
-        }
     }
 
     #[test]

@@ -5,8 +5,6 @@ use std::fmt;
 
 use warpstl_netlist::{Gate, NetId};
 
-use crate::FaultId;
-
 /// The stuck value of a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Polarity {
@@ -116,32 +114,33 @@ impl fmt::Display for Fault {
 /// guided ordering, tallies, detection merge).
 ///
 /// Words are pattern-parallel: bit `p` of every word is pattern `p` of the
-/// block, and `good(net)` reads the good-machine word of `net`. The engine
-/// is generic over the model (never `dyn`), so each implementation
-/// compiles into its own specialized inner loop.
+/// block, `good(net)` reads the good-machine word of `net`, and
+/// `prev(net)` reads the same word one pattern earlier (bit `p` holds
+/// pattern `p − 1`; a stream's first pattern is its own predecessor). The
+/// engine is generic over the model (never `dyn`), so each implementation
+/// compiles into its own specialized inner loop, and a model that ignores
+/// `prev` pays nothing for it.
 pub trait SiteOverride: Copy + Send + Sync {
-    /// Whether the model runs on the event path, the only path that
-    /// carries flip-flop state. Models without it are combinational by
-    /// construction and resolve every backend request to the kernel.
-    const EVENT_PATH: bool;
-
     /// The seed gates: the overridden gate, plus a second one for two-site
     /// faults. Two seeds never lie in each other's fanout cone.
     fn seeds(&self) -> (usize, Option<usize>);
 
     /// The word every seed carries in the faulty machine.
-    fn faulty_word(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64;
+    fn faulty_word(
+        &self,
+        gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        prev: impl Fn(usize) -> u64,
+    ) -> u64;
 
     /// The activation word: the patterns where the override differs from
     /// the good machine at the fault site.
-    fn activation(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64;
-
-    /// The stuck-at view of a batch list, for the event path; `None` for
-    /// models without one (see [`EVENT_PATH`](SiteOverride::EVENT_PATH)).
-    fn as_stuck_at(batches: &[Vec<(FaultId, Self)>]) -> Option<&[Vec<(FaultId, Fault)>]> {
-        let _ = batches;
-        None
-    }
+    fn activation(
+        &self,
+        gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        prev: impl Fn(usize) -> u64,
+    ) -> u64;
 }
 
 impl Fault {
@@ -156,8 +155,6 @@ impl Fault {
 }
 
 impl SiteOverride for Fault {
-    const EVENT_PATH: bool = true;
-
     fn seeds(&self) -> (usize, Option<usize>) {
         (self.site.gate().index(), None)
     }
@@ -166,7 +163,12 @@ impl SiteOverride for Fault {
     /// its gate with the stuck pin forced (the other inputs are upstream
     /// of the cone, so they carry good values).
     #[inline]
-    fn faulty_word(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+    fn faulty_word(
+        &self,
+        gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        _prev: impl Fn(usize) -> u64,
+    ) -> u64 {
         let stuck = self.stuck_word();
         match self.site {
             FaultSite::Output(_) => stuck,
@@ -192,16 +194,17 @@ impl SiteOverride for Fault {
     /// `good ^ stuck` at the site's source net (the driver of a faulted
     /// pin).
     #[inline]
-    fn activation(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+    fn activation(
+        &self,
+        gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        _prev: impl Fn(usize) -> u64,
+    ) -> u64 {
         let src = match self.site {
             FaultSite::Output(n) => n.index(),
             FaultSite::InputPin(n, p) => gates[n.index()].pins[p as usize].index(),
         };
         good(src) ^ self.stuck_word()
-    }
-
-    fn as_stuck_at(batches: &[Vec<(FaultId, Fault)>]) -> Option<&[Vec<(FaultId, Fault)>]> {
-        Some(batches)
     }
 }
 

@@ -1,12 +1,11 @@
 //! The levelized SoA batch kernel: pattern-parallel fault simulation over
-//! rank-major gate arrays.
+//! rank-major gate arrays, the engine's one simulation path.
 //!
-//! Where the event path ([`crate::engine::run_batches`]) packs 63 faulty
-//! machines into each 64-bit word and walks one pattern at a time, the
-//! kernel turns the word the other way: **bit lanes are patterns**. A block
-//! is `W` consecutive 64-bit lane words — `W = 4` (256 patterns) on the main
-//! path, autovectorizable as plain `[u64; 4]` arithmetic, with `W = 1` kept
-//! as the remainder path for spans that don't fill a wide block.
+//! **Bit lanes are patterns.** A block is `W` consecutive 64-bit lane
+//! words — `W = BLOCK_WORDS = 4` (256 patterns), autovectorizable as plain
+//! `[u64; 4]` arithmetic, with `W = 1` as the remainder path for spans
+//! that don't fill a wide block. The block width is a const generic that
+//! only in-crate tests set to anything else.
 //!
 //! The 2D batching then looks like this:
 //!
@@ -15,40 +14,78 @@
 //!   [`Levelization`] segments — each segment is one branch-free loop over
 //!   gates of one kind, reading and writing a flat `net × word` span
 //!   buffer.
-//! - **Fault-parallel across the existing 63-fault groups.** Batches keep
-//!   the engine's exact composition (that is what fixes the report order);
-//!   within a batch each fault is propagated alone: its faulty machine
-//!   differs from the good one only where the fault's effect survives, so
-//!   the kernel forces the fault's seed words (a [`SiteOverride`]: one site
-//!   for stuck-at, both endpoints for a bridge) and chases the **difference
-//!   frontier** through the levelization's rank buckets — a gate is
-//!   (re)evaluated for a block only if one of its inputs actually changed,
-//!   and the frontier dies wherever the faulty word equals the good word.
-//!   Fanout-cone pruning is implicit: the frontier is confined to the
-//!   seeds' cones and is usually far smaller.
+//! - **Fault-parallel across 63-fault batches.** Batches fix the report
+//!   order; within a batch each fault is propagated alone: its faulty
+//!   machine differs from the good one only where the fault's effect
+//!   survives, so the kernel forces the fault's seed words (a
+//!   [`SiteOverride`]: one site for stuck-at and transition faults, both
+//!   endpoints for a bridge) and chases the **difference frontier** through
+//!   the levelization's rank buckets — a gate is (re)evaluated for a block
+//!   only if one of its inputs actually changed, and the frontier dies
+//!   wherever the faulty word equals the good word. Fanout-cone pruning is
+//!   implicit: the frontier is confined to the seeds' cones and is usually
+//!   far smaller.
 //!
 //! Two screens keep per-fault work near zero for inert blocks: an
 //! activation screen (a fault whose override equals the good value in
 //! every lane of a block cannot change anything) and the frontier itself
 //! (a pin fault whose effect is absorbed by the seed gate propagates
 //! nowhere). Detection, activation, and per-pattern tallies are extracted
-//! per pattern, and the per-batch detection log is sorted back into the
-//! serial `(pattern, lane)` order — making the report **bit-identical** to
-//! the event path (the equivalence suite asserts this).
+//! per pattern, and the per-batch detection log is sorted back into serial
+//! `(pattern, lane)` order — the order a serial simulator that nests the
+//! pattern loop inside the batch loop produces, so reports are
+//! bit-identical to the serial oracle the tests keep.
 //!
 //! Fault dropping maps naturally: a dropped fault simply stops after the
-//! block containing its first detection — the pattern-block analogue of the
-//! event path's early exit, but per fault rather than per batch. In drop
-//! mode the first `W` words of each fault are probed as narrow blocks
-//! (most faults detect within the first few dozen patterns; evaluating a
-//! full 256-lane block to find a detection in lane 3 wastes the width) and
-//! only faults that survive the probe graduate to wide blocks.
+//! block containing its first detection. In drop mode the first `W` words
+//! of each fault are probed as narrow blocks (most faults detect within
+//! the first few dozen patterns; evaluating a full 256-lane block to find
+//! a detection in lane 3 wastes the width) and only faults that survive
+//! the probe graduate to wide blocks.
+
+use std::cell::OnceCell;
 
 use warpstl_netlist::{GateKind, Levelization};
 use warpstl_obs::{Metrics, Obs, ObsExt};
 
 use crate::engine::{Ctx, WorkerOut};
 use crate::{FaultId, SiteOverride};
+
+/// The block width, in 64-bit words, of every public simulation entry
+/// point: 256 patterns per wide block.
+pub(crate) const BLOCK_WORDS: usize = 4;
+
+/// The good machine over one pattern window: gate-major rows of `stride`
+/// words, bit `t` of word `w` = pattern `p0 + 64·w + t`.
+struct Window<'a, C> {
+    good: &'a [u64],
+    /// Valid-pattern masks: all-ones except the window's tail word.
+    mask: &'a [u64],
+    stride: usize,
+    p0: usize,
+    /// A net's good bit one pattern before the window (bit 0).
+    carry_in: C,
+}
+
+impl<C: Fn(usize) -> u64> Window<'_, C> {
+    /// The good word of `net` at `word`.
+    #[inline]
+    fn at(&self, net: usize, word: usize) -> u64 {
+        self.good[net * self.stride + word]
+    }
+
+    /// The good word of `net` one pattern earlier: bit `t` holds pattern
+    /// `t − 1`, carried across words and, through `carry_in`, windows.
+    #[inline]
+    fn prev(&self, net: usize, word: usize) -> u64 {
+        let carry = if word == 0 {
+            (self.carry_in)(net)
+        } else {
+            self.at(net, word - 1) >> 63
+        };
+        (self.at(net, word) << 1) | carry
+    }
+}
 
 /// Evaluates one run of same-kind gates over the gate-major span buffer
 /// (`row` words per net, block at word offset `base`). Operands are staged
@@ -140,7 +177,7 @@ fn good_block<const BW: usize>(
                     let slot = in_slot[g as usize];
                     if slot == u32::MAX {
                         // An input gate absent from the port map is never
-                        // driven; the event path leaves it at 0.
+                        // driven: it stays at 0.
                         good[o0..o0 + BW].fill(0);
                     } else {
                         let s0 = slot as usize * stride + base;
@@ -167,6 +204,17 @@ fn good_block<const BW: usize>(
     }
 }
 
+/// The good machine on pattern `t` alone: one word per net, bit 0 holding
+/// the net's value.
+fn good_at(ctx: &Ctx<'_>, in_slot: &[u32], t: usize) -> Vec<u64> {
+    let in_words: Vec<u64> = (0..ctx.in_nets.len())
+        .map(|bit_pos| u64::from(ctx.patterns.bit(t, bit_pos)))
+        .collect();
+    let mut good = vec![0u64; ctx.gates.len()];
+    good_block::<1>(ctx.levels, in_slot, &in_words, &mut good, 1, 0);
+    good
+}
+
 /// Adds 1 to `tally[t_base + bit]` for every set bit of `word`.
 #[inline]
 fn tally_bits(mut word: u64, t_base: usize, tally: &mut [u32]) {
@@ -190,8 +238,8 @@ struct FaultRun<F> {
 /// Reusable difference-frontier state, epoch-stamped so nothing is cleared
 /// between faults or blocks.
 struct Frontier {
-    /// Faulty words of perturbed nets, `W` words per net (narrow blocks use
-    /// the first word of a row).
+    /// Faulty words of perturbed nets, `BLOCK_WORDS` words per net
+    /// (narrower blocks use the first words of a row).
     faulty: Vec<u64>,
     /// `stamp_val[net] == epoch` means `faulty` holds net's block words;
     /// otherwise the net carries the good value.
@@ -207,42 +255,41 @@ struct Frontier {
 }
 
 impl Frontier {
-    fn new(ctx: &Ctx<'_>, levels: &Levelization) -> Frontier {
+    fn new(ctx: &Ctx<'_>) -> Frontier {
         let n = ctx.gates.len();
         let mut is_out = vec![false; n];
         for &o in ctx.out_nets {
             is_out[o] = true;
         }
         Frontier {
-            faulty: vec![0u64; n * 4],
+            faulty: vec![0u64; n * BLOCK_WORDS],
             stamp_val: vec![0u32; n],
             stamp_queued: vec![0u32; n],
             epoch: 0,
-            buckets: vec![Vec::new(); levels.ranks()],
+            buckets: vec![Vec::new(); ctx.levels.ranks()],
             is_out,
         }
     }
 }
 
-/// Propagates one fault's difference frontier through one block, returning
-/// the diff word(s) observed at the module outputs (already confined to the
-/// span's valid lanes) and counting evaluated gates into `gate_evals`.
+/// Propagates one fault's difference frontier through the block at word
+/// `base`, returning the diff word(s) observed at the module outputs
+/// (already confined to the window's valid lanes) and counting evaluated
+/// gates into `gate_evals`.
 ///
 /// Every seed gate is forced to the fault's faulty word. Two seeds never
 /// lie in each other's cone, so the rank walk starts after the lower one
 /// and never revisits a seed.
-#[allow(clippy::too_many_arguments)]
-fn propagate<F: SiteOverride, const BW: usize>(
+fn propagate<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     ctx: &Ctx<'_>,
-    levels: &Levelization,
     fr: &mut Frontier,
     run: &FaultRun<F>,
-    good: &[u64],
-    word_mask: &[u64],
-    stride: usize,
+    win: &Window<'_, C>,
     base: usize,
     gate_evals: &mut u64,
 ) -> [u64; BW] {
+    let levels = ctx.levels;
+    let (good, stride) = (win.good, win.stride);
     fr.epoch += 1;
     let epoch = fr.epoch;
     let (s0, s1) = run.fault.seeds();
@@ -253,16 +300,18 @@ fn propagate<F: SiteOverride, const BW: usize>(
     let mut diffs = [[0u64; BW]; 2];
     for w in 0..BW {
         let at = |net: usize| good[net * stride + base + w];
-        let faulty = run.fault.faulty_word(ctx.gates, at);
-        diffs[0][w] = (faulty ^ at(s0)) & word_mask[base + w];
+        let prev = |net: usize| win.prev(net, base + w);
+        let faulty = run.fault.faulty_word(ctx.gates, at, prev);
+        diffs[0][w] = (faulty ^ at(s0)) & win.mask[base + w];
         if let Some(s1) = s1 {
-            diffs[1][w] = (faulty ^ at(s1)) & word_mask[base + w];
+            diffs[1][w] = (faulty ^ at(s1)) & win.mask[base + w];
         }
     }
 
     let mut d_acc = [0u64; BW];
     let store = |fr: &mut Frontier, net: usize, words: &[u64; BW]| {
-        fr.faulty[net * 4..net * 4 + BW].copy_from_slice(words);
+        let at = net * BLOCK_WORDS;
+        fr.faulty[at..at + BW].copy_from_slice(words);
         fr.stamp_val[net] = epoch;
     };
     let push = |fr: &mut Frontier, levels: &Levelization, max_rank: &mut usize, from: usize| {
@@ -315,7 +364,8 @@ fn propagate<F: SiteOverride, const BW: usize>(
             for (q, &p) in gate.inputs().iter().enumerate() {
                 let pi = p.index();
                 if fr.stamp_val[pi] == epoch {
-                    ops[q].copy_from_slice(&fr.faulty[pi * 4..pi * 4 + BW]);
+                    let at = pi * BLOCK_WORDS;
+                    ops[q].copy_from_slice(&fr.faulty[at..at + BW]);
                 } else {
                     let g = pi * stride + base;
                     ops[q].copy_from_slice(&good[g..g + BW]);
@@ -346,11 +396,11 @@ fn propagate<F: SiteOverride, const BW: usize>(
     d_acc
 }
 
-/// Folds one evaluated block into the tallies and detection log, preserving
-/// the event path's exact semantics: activation is counted per pattern up
-/// to and including a dropped fault's detecting pattern; detections record
-/// only the first observation in drop mode, every observation otherwise.
-/// Both `d` and `a` arrive masked to the span's valid lanes.
+/// Folds one evaluated block into the tallies and detection log: activation
+/// is counted per pattern up to and including a dropped fault's detecting
+/// pattern; the `detected` tally counts only the first observation in drop
+/// mode, every observation otherwise, and the log records first
+/// detections. Both `d` and `a` arrive masked to the span's valid lanes.
 #[allow(clippy::too_many_arguments)]
 fn absorb_block<F, const BW: usize>(
     d: [u64; BW],
@@ -407,16 +457,12 @@ fn absorb_block<F, const BW: usize>(
 /// Runs one block for one fault: activation screen, frontier propagation,
 /// tally/detection fold. Returns 1 if the cone was actually propagated.
 #[allow(clippy::too_many_arguments)]
-fn fault_block<F: SiteOverride, const BW: usize>(
+fn fault_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     ctx: &Ctx<'_>,
-    levels: &Levelization,
     fr: &mut Frontier,
     run: &mut FaultRun<F>,
-    good: &[u64],
-    word_mask: &[u64],
-    stride: usize,
+    win: &Window<'_, C>,
     base: usize,
-    p0: usize,
     drop: bool,
     det: &mut Vec<(usize, usize, FaultId)>,
     out: &mut WorkerOut,
@@ -427,40 +473,36 @@ fn fault_block<F: SiteOverride, const BW: usize>(
     // in this block — no detection, no activation, nothing to do.
     let mut a = [0u64; BW];
     let mut any = 0u64;
-    for w in 0..BW {
-        let at = |net: usize| good[net * stride + base + w];
-        a[w] = run.fault.activation(ctx.gates, at) & word_mask[base + w];
-        any |= a[w];
+    for (w, aw) in a.iter_mut().enumerate() {
+        let word = base + w;
+        let at = |net: usize| win.at(net, word);
+        let prev = |net: usize| win.prev(net, word);
+        *aw = run.fault.activation(ctx.gates, at, prev) & win.mask[word];
+        any |= *aw;
     }
     if any == 0 {
         return 0;
     }
-    let d = propagate::<F, BW>(
-        ctx, levels, fr, run, good, word_mask, stride, base, gate_evals,
-    );
-    absorb_block::<F, BW>(d, a, run, base, p0, drop, out, det);
+    let d = propagate::<F, C, BW>(ctx, fr, run, win, base, gate_evals);
+    absorb_block::<F, BW>(d, a, run, base, win.p0, drop, out, det);
     1
 }
 
-/// The kernel's counterpart of [`crate::engine::run_batches`]: simulates a
-/// contiguous range of batches over the pattern window and returns the same
-/// per-batch detection logs (serial `(pattern, lane)` order within each
-/// batch) and exact per-pattern tallies. `W` is the block width in words;
-/// spans that don't fill a wide block fall through to the 64-bit remainder
-/// path, and drop mode probes each fault's first `W` words as narrow
-/// blocks before graduating to wide ones.
+/// One worker's job: simulates a contiguous range of batches over the
+/// pattern window `pat_range` and returns per-batch detection logs (serial
+/// `(pattern, lane)` order within each batch) and exact per-pattern
+/// tallies. `W` is the block width in words; spans that don't fill a wide
+/// block fall through to the 64-bit remainder path, and drop mode probes
+/// each fault's first `W` words as narrow blocks before graduating to wide
+/// ones.
 pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
     ctx: &Ctx<'_>,
-    levels: &Levelization,
     batches: &[Vec<(FaultId, F)>],
     obs: Obs<'_>,
     first_batch: usize,
     pat_range: (usize, usize),
 ) -> WorkerOut {
-    debug_assert!(
-        ctx.dff_nets.is_empty(),
-        "the levelized kernel is combinational-only"
-    );
+    let levels = ctx.levels;
     let mut worker_span = obs.span("fsim", "fsim.worker");
     worker_span.arg("first_batch", first_batch);
     worker_span.arg("batches", batches.len());
@@ -524,8 +566,28 @@ pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
         local.add("fsim.kernel.blocks", blocks as u64);
     }
 
+    // `prev`'s carry into the window's first word. A stream's first pattern
+    // is its own predecessor, so it never launches a transition; a later
+    // window (a repacking segment) reads pattern p0 − 1, evaluated on first
+    // use because only transition faults read `prev`.
+    let before = OnceCell::new();
+    let win = Window {
+        good: &good,
+        mask: &word_mask,
+        stride,
+        p0,
+        carry_in: |net: usize| {
+            if p0 == 0 {
+                good[net * stride] & 1
+            } else {
+                before.get_or_init(|| good_at(ctx, &in_slot, p0 - 1))[net] & 1
+            }
+        },
+    };
+
     let drop = ctx.config.drop_detected;
-    let mut fr = Frontier::new(ctx, levels);
+    const { assert!(W <= BLOCK_WORDS, "frontier rows hold BLOCK_WORDS words") };
+    let mut fr = Frontier::new(ctx);
     let mut fault_blocks = 0u64;
     let mut gate_evals = 0u64;
 
@@ -548,16 +610,12 @@ pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
                 // blocks; survivors use full-width blocks where aligned.
                 let wide_ok = base.is_multiple_of(W) && base + W <= stride && !(drop && base < W);
                 if wide_ok {
-                    fault_blocks += fault_block::<F, W>(
+                    fault_blocks += fault_block::<F, _, W>(
                         ctx,
-                        levels,
                         &mut fr,
                         &mut run,
-                        &good,
-                        &word_mask,
-                        stride,
+                        &win,
                         base,
-                        p0,
                         drop,
                         &mut det,
                         &mut out,
@@ -565,16 +623,12 @@ pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
                     );
                     base += W;
                 } else {
-                    fault_blocks += fault_block::<F, 1>(
+                    fault_blocks += fault_block::<F, _, 1>(
                         ctx,
-                        levels,
                         &mut fr,
                         &mut run,
-                        &good,
-                        &word_mask,
-                        stride,
+                        &win,
                         base,
-                        p0,
                         drop,
                         &mut det,
                         &mut out,
@@ -585,7 +639,8 @@ pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
             }
         }
         // Serial order within a batch is pattern-major, then lane: restore
-        // it so the engine's batch-major merge is byte-identical.
+        // it so the engine's batch-major merge is byte-identical to a
+        // serial simulator's.
         det.sort_unstable();
         out.detections.push(
             det.into_iter()
@@ -602,4 +657,113 @@ pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
         rec.merge_metrics(&local);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    //! The block-width axis: whole streams at `W = 1` (every block on the
+    //! 64-bit remainder path) and `W = BLOCK_WORDS` give identical reports
+    //! and list states for every fault model, in drop and non-drop mode,
+    //! unguided and in repacking windows, over pattern counts that hit
+    //! every block shape. The netlist stays tiny so the suite runs under
+    //! Miri.
+
+    use std::fmt::Display;
+
+    use warpstl_netlist::{Builder, Netlist, PatternSeq};
+
+    use super::BLOCK_WORDS;
+    use crate::engine::simulate_guided;
+    use crate::tdf::TdfList;
+    use crate::{
+        BridgeConfig, BridgeUniverse, FaultList, FaultSimConfig, FaultSimReport, FaultUniverse,
+        SimGuide, SiteOverride,
+    };
+
+    /// Narrow-only spans, a one-word tail, exact wide blocks, and wide
+    /// blocks with a remainder and a masked tail word.
+    const SHAPES: [usize; 7] = [1, 63, 64, 65, 100, 256, 320];
+
+    fn netlist() -> Netlist {
+        let mut b = Builder::new("kernel-widths");
+        let x = b.input("x");
+        let y = b.input("y");
+        let z = b.input("z");
+        let w = b.input("w");
+        let a = b.and(x, y);
+        let o = b.or(a, z);
+        let m = b.mux(w, o, x);
+        let n = b.not(y);
+        let q = b.xor(m, n);
+        let r = b.nand(z, w);
+        b.output("q", q);
+        b.output("r", r);
+        b.output("o", o);
+        b.finish()
+    }
+
+    fn patterns(width: usize, count: usize) -> PatternSeq {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ count as u64;
+        let mut p = PatternSeq::new(width);
+        for cc in 0..count as u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            p.push_value(cc, state);
+        }
+        p
+    }
+
+    fn run<F: SiteOverride + Display, const W: usize>(
+        netlist: &Netlist,
+        p: &PatternSeq,
+        mut list: FaultList<F>,
+        cfg: &FaultSimConfig,
+        guide: &SimGuide<'_>,
+    ) -> (FaultSimReport, String) {
+        let report = simulate_guided::<F, W>(netlist, p, &mut list, cfg, None, guide);
+        (report, list.to_report_text())
+    }
+
+    fn assert_widths_agree<F: SiteOverride + Display>(fresh: impl Fn(&Netlist) -> FaultList<F>) {
+        let n = netlist();
+        assert!(!fresh(&n).is_empty());
+        let keys: Vec<f64> = (0..n.gates().len()).map(|g| (g * 7 % 5) as f64).collect();
+        let repacked = SimGuide {
+            order_keys: Some(&keys),
+            ..SimGuide::default()
+        };
+        for n_pat in SHAPES {
+            let p = patterns(n.inputs().width(), n_pat);
+            for drop_detected in [true, false] {
+                let cfg = FaultSimConfig {
+                    drop_detected,
+                    threads: 1,
+                };
+                for guide in [SimGuide::default(), repacked] {
+                    assert_eq!(
+                        run::<F, 1>(&n, &p, fresh(&n), &cfg, &guide),
+                        run::<F, BLOCK_WORDS>(&n, &p, fresh(&n), &cfg, &guide),
+                        "{n_pat} patterns, drop={drop_detected}, keys={}",
+                        guide.order_keys.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stuck_at_is_identical_at_every_block_width() {
+        assert_widths_agree(|n| FaultList::new(&FaultUniverse::enumerate(n)));
+    }
+
+    #[test]
+    fn bridging_is_identical_at_every_block_width() {
+        assert_widths_agree(|n| BridgeUniverse::sample(n, &BridgeConfig::default()).new_list());
+    }
+
+    #[test]
+    fn transition_faults_are_identical_at_every_block_width() {
+        assert_widths_agree(TdfList::enumerate);
+    }
 }

@@ -12,16 +12,20 @@
 //!   bridging faults;
 //! - [`SiteOverride`] — the one trait a fault model implements to run on
 //!   the shared engine: its seed gates, their faulty word, and its
-//!   activation word, all computed from good-machine words;
+//!   activation word, all computed from good-machine words (and, for
+//!   transition faults, the previous pattern's);
 //! - [`FaultUniverse`] — exhaustive stuck-at enumeration with structural
 //!   equivalence collapsing;
 //! - [`FaultList`] — the mutable detection ledger, generic over the fault
 //!   type, that the compaction flow shares across test programs (the
 //!   paper's *fault dropping* mechanism);
+//! - [`tdf`] — transition-delay faults, the third model on the same
+//!   engine;
 //! - [`fault_simulate`] — the parallel fault-simulation engine over
-//!   timestamped pattern sequences, generic over the model, producing the
-//!   per-cycle *Fault Sim Report* the instruction-labeling stage consumes;
-//! - [`tdf`] — transition-delay faults on a serial simulator of their own.
+//!   timestamped pattern sequences: one levelized, pattern-parallel kernel,
+//!   generic over the model, producing the per-cycle *Fault Sim Report*
+//!   the instruction-labeling stage consumes. It simulates combinational
+//!   netlists, which every bundled module is.
 //!
 //! # Examples
 //!
@@ -67,7 +71,7 @@ pub use fault::{Fault, FaultSite, Polarity, SiteOverride};
 pub use list::{FaultId, FaultList, FaultStatus};
 pub use report::{FaultSimReport, PatternStats};
 pub use sim::{
-    fault_simulate, fault_simulate_guided, fault_simulate_observed, fault_simulate_reference,
-    FaultSimConfig, SimBackend, SimGuide,
+    fault_simulate, fault_simulate_guided, fault_simulate_observed, FaultSimConfig, SimBackend,
+    SimGuide,
 };
 pub use universe::FaultUniverse;

@@ -3,14 +3,15 @@
 //! A transition fault makes a line *slow to rise* or *slow to fall*: it is
 //! detected by a pattern **pair** — the first pattern sets the line to the
 //! initial value, the second launches the transition and must propagate the
-//! stale value to an observable output. Because the compaction method's
-//! Fault Sim Report interface is just "detections per clock cycle",
-//! [`tdf_simulate`]'s output plugs into the unchanged instruction-labeling
-//! and reduction stages.
+//! stale value to an observable output. A [`TransitionFault`] is a
+//! [`SiteOverride`], so [`fault_simulate`](crate::fault_simulate) runs a
+//! [`TdfList`] on the same kernel, threads and blocks as stuck-at, and its
+//! Fault Sim Report — "detections per clock cycle" — plugs into the
+//! unchanged instruction-labeling and reduction stages.
 
-use warpstl_netlist::{GateKind, NetId, Netlist, PatternSeq};
+use warpstl_netlist::{Gate, GateKind, NetId, Netlist};
 
-use crate::{FaultList, FaultSimConfig, FaultSimReport, Polarity};
+use crate::{FaultList, Polarity, SiteOverride};
 
 /// The slow transition direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -65,8 +66,8 @@ impl std::fmt::Display for TransitionFault {
 /// # Examples
 ///
 /// ```
-/// use warpstl_fault::tdf::{tdf_simulate, TdfList};
-/// use warpstl_fault::FaultSimConfig;
+/// use warpstl_fault::tdf::TdfList;
+/// use warpstl_fault::{fault_simulate, FaultSimConfig};
 /// use warpstl_netlist::{Builder, PatternSeq};
 ///
 /// let mut b = Builder::new("buf");
@@ -80,7 +81,7 @@ impl std::fmt::Display for TransitionFault {
 /// p.push_value(0, 0);
 /// p.push_value(1, 1); // launches the rising transition
 /// p.push_value(2, 0); // launches the falling transition
-/// tdf_simulate(&n, &p, &mut list, &FaultSimConfig::default());
+/// fault_simulate(&n, &p, &mut list, &FaultSimConfig::default());
 /// assert_eq!(list.coverage(), 1.0);
 /// ```
 pub type TdfList = FaultList<TransitionFault>;
@@ -106,171 +107,52 @@ impl TdfList {
     }
 }
 
-/// Runs a transition-delay fault simulation over a timestamped pattern
-/// sequence, treating consecutive patterns as launch/capture pairs.
-///
-/// Uses the same parallel-fault packing as [`fault_simulate`]: the stale
-/// value is injected as a stuck-at every cycle, but a detection is credited
-/// only when the pattern actually *launches* the slow transition (the good
-/// machine moved the line in the fault's direction since the previous
-/// pattern).
-///
-/// # Panics
-///
-/// Panics if `patterns.width()` differs from the netlist's input width.
-///
-/// [`fault_simulate`]: crate::fault_simulate
-pub fn tdf_simulate(
-    netlist: &Netlist,
-    patterns: &PatternSeq,
-    list: &mut TdfList,
-    config: &FaultSimConfig,
-) -> FaultSimReport {
-    assert_eq!(
-        patterns.width(),
-        netlist.inputs().width(),
-        "pattern width must match netlist inputs"
-    );
-    list.begin_run();
-    let mut report = FaultSimReport::new();
-    let targets: Vec<usize> = if config.drop_detected {
-        list.undetected().collect()
-    } else {
-        (0..list.len()).collect()
-    };
-    let n_pat = patterns.len();
-    let gates = netlist.gates();
-    let out_nets: Vec<usize> = netlist.outputs().nets().iter().map(|n| n.index()).collect();
-    let in_nets: Vec<usize> = netlist.inputs().nets().iter().map(|n| n.index()).collect();
-    let dff_nets: Vec<usize> = netlist.dffs().iter().map(|n| n.index()).collect();
+/// On a combinational module a transition fault is a stuck-at at its
+/// stale value, gated by the launch mask: the line keeps its previous
+/// value exactly where the good machine moves it in the slow direction.
+/// Slow-to-rise therefore carries `good & prev` (the line rises only where
+/// it was already high) and slow-to-fall `good | prev`; the activation
+/// word is the launch mask. A stream's first pattern is its own
+/// predecessor, so it never launches.
+impl SiteOverride for TransitionFault {
+    fn seeds(&self) -> (usize, Option<usize>) {
+        (self.net.index(), None)
+    }
 
-    let mut values = vec![0u64; gates.len()];
-    let mut out_sa0 = vec![0u64; gates.len()];
-    let mut out_sa1 = vec![0u64; gates.len()];
-    let mut dirty: Vec<usize> = Vec::new();
-    let mut detected_per_pattern = vec![0u32; n_pat];
-    let mut launched_per_pattern = vec![0u32; n_pat];
-
-    for batch in targets.chunks(63) {
-        for d in dirty.drain(..) {
-            out_sa0[d] = 0;
-            out_sa1[d] = 0;
-        }
-        for (lane0, &fi) in batch.iter().enumerate() {
-            let f = list.fault(fi);
-            let bit = 1u64 << (lane0 + 1);
-            match f.transition.stale_polarity() {
-                Polarity::Sa0 => out_sa0[f.net.index()] |= bit,
-                Polarity::Sa1 => out_sa1[f.net.index()] |= bit,
-            }
-            dirty.push(f.net.index());
-        }
-        let lanes_mask: u64 = if batch.len() == 63 {
-            !1u64
-        } else {
-            ((1u64 << (batch.len() + 1)) - 1) & !1
-        };
-
-        values.fill(0);
-        let mut state = vec![0u64; dff_nets.len()];
-        let mut detected_mask: u64 = 0;
-        let mut prev_site_good: Vec<Option<bool>> = vec![None; batch.len()];
-
-        for t in 0..n_pat {
-            for (bit_pos, &net) in in_nets.iter().enumerate() {
-                values[net] = if patterns.bit(t, bit_pos) { !0 } else { 0 };
-            }
-            let mut dff_i = 0;
-            for (i, g) in gates.iter().enumerate() {
-                let kind = g.kind;
-                let mut v = match kind {
-                    GateKind::Input => values[i],
-                    GateKind::Const0 => 0,
-                    GateKind::Const1 => !0,
-                    GateKind::Dff => {
-                        let s = state[dff_i];
-                        dff_i += 1;
-                        s
-                    }
-                    _ => {
-                        let p = g.pins;
-                        let a = values[p[0].index()];
-                        let (b, c) = match kind.arity() {
-                            2 => (values[p[1].index()], 0),
-                            3 => (values[p[1].index()], values[p[2].index()]),
-                            _ => (0, 0),
-                        };
-                        kind.eval(a, b, c)
-                    }
-                };
-                v = (v & !out_sa0[i]) | out_sa1[i];
-                values[i] = v;
-            }
-            for (k, &q) in dff_nets.iter().enumerate() {
-                let d = gates[q].pins[0].index();
-                state[k] = values[d];
-            }
-
-            let mut diff: u64 = 0;
-            for &o in &out_nets {
-                let v = values[o];
-                let good = (v & 1).wrapping_neg();
-                diff |= v ^ good;
-            }
-            diff &= lanes_mask;
-
-            // Launch gating: credit a lane only if the good machine moved
-            // the line in the slow direction since the previous pattern.
-            let cc = patterns.cc(t);
-            let mut launched = 0u32;
-            for (lane0, &fi) in batch.iter().enumerate() {
-                let lane_bit = 1u64 << (lane0 + 1);
-                if config.drop_detected && detected_mask & lane_bit != 0 {
-                    continue;
-                }
-                let f = list.fault(fi);
-                // Good-machine value of the site *with the fault's own lane
-                // masked out* equals lane 0 (the stimuli are identical).
-                let cur = values[f.net.index()] & 1 == 1;
-                let launch = match (prev_site_good[lane0], f.transition) {
-                    (Some(false), Transition::SlowToRise) => cur,
-                    (Some(true), Transition::SlowToFall) => !cur,
-                    _ => false,
-                };
-                prev_site_good[lane0] = Some(cur);
-                if !launch {
-                    continue;
-                }
-                launched += 1;
-                if diff & lane_bit != 0 && detected_mask & lane_bit == 0 {
-                    list.mark_detected(fi, cc, t);
-                    report.record_detection(fi, cc, t);
-                    detected_per_pattern[t] += 1;
-                    detected_mask |= lane_bit;
-                }
-            }
-            launched_per_pattern[t] += launched;
-            if config.drop_detected && config.early_exit && detected_mask == lanes_mask {
-                break;
-            }
+    #[inline]
+    fn faulty_word(
+        &self,
+        _gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        prev: impl Fn(usize) -> u64,
+    ) -> u64 {
+        let (now, before) = (good(self.net.index()), prev(self.net.index()));
+        match self.transition {
+            Transition::SlowToRise => now & before,
+            Transition::SlowToFall => now | before,
         }
     }
 
-    for t in 0..n_pat {
-        report.record_pattern(
-            patterns.cc(t),
-            launched_per_pattern[t],
-            detected_per_pattern[t],
-        );
+    #[inline]
+    fn activation(
+        &self,
+        _gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        prev: impl Fn(usize) -> u64,
+    ) -> u64 {
+        let (now, before) = (good(self.net.index()), prev(self.net.index()));
+        match self.transition {
+            Transition::SlowToRise => now & !before,
+            Transition::SlowToFall => before & !now,
+        }
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultStatus;
-    use warpstl_netlist::Builder;
+    use crate::{fault_simulate, FaultSimConfig, FaultStatus};
+    use warpstl_netlist::{Builder, PatternSeq};
 
     fn and2() -> Netlist {
         let mut b = Builder::new("and2");
@@ -288,7 +170,7 @@ mod tests {
         let mut list = TdfList::enumerate(&n);
         let mut p = PatternSeq::new(2);
         p.push_value(0, 0b11);
-        let r = tdf_simulate(&n, &p, &mut list, &FaultSimConfig::default());
+        let r = fault_simulate(&n, &p, &mut list, &FaultSimConfig::default());
         assert_eq!(r.total_detected(), 0);
         assert_eq!(list.coverage(), 0.0);
     }
@@ -300,7 +182,7 @@ mod tests {
         let mut p = PatternSeq::new(2);
         p.push_value(0, 0b01); // z = 0, x = 1, y = 0
         p.push_value(1, 0b11); // z rises, x holds, y rises
-        tdf_simulate(&n, &p, &mut list, &FaultSimConfig::default());
+        fault_simulate(&n, &p, &mut list, &FaultSimConfig::default());
         // Detected: z/STR (z rose and the stale 0 is visible) and y/STR
         // (y's rise is what made z rise). x held, so x/STR launched nothing.
         let detected: Vec<String> = (0..list.len())
@@ -329,7 +211,7 @@ mod tests {
         ] {
             p.push_value(cc, v);
         }
-        tdf_simulate(&n, &p, &mut list, &FaultSimConfig::default());
+        fault_simulate(&n, &p, &mut list, &FaultSimConfig::default());
         assert_eq!(
             list.coverage(),
             1.0,
@@ -347,7 +229,7 @@ mod tests {
         let mut p = PatternSeq::new(2);
         p.push_value(100, 0b01);
         p.push_value(200, 0b11);
-        tdf_simulate(&n, &p, &mut list, &FaultSimConfig::default());
+        fault_simulate(&n, &p, &mut list, &FaultSimConfig::default());
         for (i, cc, _, _) in list.detected() {
             assert_eq!(cc, 200, "{}", list.fault(i));
         }
@@ -369,8 +251,8 @@ mod tests {
             p.push_value(cc, v);
         }
         let cfg = FaultSimConfig::default();
-        tdf_simulate(&n, &p, &mut list, &cfg);
-        let r2 = tdf_simulate(&n, &p, &mut list, &cfg);
+        fault_simulate(&n, &p, &mut list, &cfg);
+        let r2 = fault_simulate(&n, &p, &mut list, &cfg);
         assert_eq!(r2.total_detected(), 0);
         list.reset();
         assert_eq!(list.coverage(), 0.0);
@@ -392,7 +274,7 @@ mod tests {
             p.push_bits(cc, &bits);
         }
         let mut tdf = TdfList::enumerate(&n);
-        tdf_simulate(&n, &p, &mut tdf, &FaultSimConfig::default());
+        fault_simulate(&n, &p, &mut tdf, &FaultSimConfig::default());
 
         let u = crate::FaultUniverse::enumerate(&n);
         let mut sa = crate::FaultList::new(&u);

@@ -5,55 +5,27 @@
 //!    first-detection stamps match a trivial scalar oracle that re-evaluates
 //!    the whole netlist per fault per assignment with the wired value
 //!    forced at both endpoints.
-//! 2. Bridging runs are **bit-identical** — same report (detections,
-//!    stamps, tallies) and same list state — across worker counts (1 vs 2)
-//!    and block widths (`Kernel`'s 256-bit blocks vs `Kernel64`), in drop
-//!    and non-drop mode.
+//! 2. On pseudorandom streams, bridging runs at 1 and 2 worker threads are
+//!    **bit-identical** — same report (detections, stamps, tallies) and
+//!    same list state — to a serial scalar oracle that evaluates every
+//!    bridge on every pattern, in drop and non-drop mode.
 //! 3. Non-drop per-pattern activation tallies equal the count of bridges
 //!    whose endpoint values differ under that assignment.
 //! 4. The set-level properties of `target_mask_prop` hold for bridging
-//!    lists on every backend and thread count: a masked run detects the
-//!    unmasked detected set within the mask, and a drop-mode run over
+//!    lists at every thread count: a masked run detects the unmasked
+//!    detected set within the mask, and a drop-mode run over
 //!    `p.distinct()` detects the same set as over `p`.
+
+mod support;
 
 use proptest::prelude::*;
 
+use support::build_netlist;
 use warpstl_fault::{
-    fault_simulate, fault_simulate_guided, BridgeConfig, BridgeFault, BridgeUniverse,
-    FaultSimConfig, SimBackend, SimGuide,
+    fault_simulate, fault_simulate_guided, BridgeConfig, BridgeFault, BridgeList, BridgeUniverse,
+    FaultSimConfig, FaultSimReport, SimGuide,
 };
-use warpstl_netlist::{Builder, GateKind, NetId, Netlist, PatternSeq};
-
-/// One random gate: `kind` selects the operator, `a`/`b`/`c` pick operands
-/// among the already-built nets (mod current count) — the same construction
-/// as `kernel_prop`.
-type GateSpec = (u8, u8, u8, u8);
-
-fn build_netlist(n_inputs: usize, specs: &[GateSpec]) -> Netlist {
-    let mut b = Builder::new("prop");
-    let mut nets: Vec<NetId> = (0..n_inputs).map(|i| b.input(&format!("i{i}"))).collect();
-    for &(kind, a, bb, c) in specs {
-        let pick = |sel: u8| nets[sel as usize % nets.len()];
-        let (x, y, z) = (pick(a), pick(bb), pick(c));
-        let net = match kind % 9 {
-            0 => b.and(x, y),
-            1 => b.or(x, y),
-            2 => b.nand(x, y),
-            3 => b.nor(x, y),
-            4 => b.xor(x, y),
-            5 => b.xnor(x, y),
-            6 => b.not(x),
-            7 => b.buf(x),
-            _ => b.mux(x, y, z),
-        };
-        nets.push(net);
-    }
-    let n_out = nets.len().clamp(1, 4);
-    for (k, &net) in nets.iter().rev().take(n_out).enumerate() {
-        b.output(&format!("o{k}"), net);
-    }
-    b.finish()
-}
+use warpstl_netlist::{GateKind, Netlist, PatternSeq};
 
 fn exhaustive(width: usize) -> PatternSeq {
     let mut p = PatternSeq::new(width);
@@ -116,23 +88,82 @@ fn scalar_eval(
     vals
 }
 
+/// Whether forcing bridge `f`'s wired value under `assignment` changes any
+/// output, and whether the bridge is activated there (its endpoints differ).
+fn scalar_bridge(netlist: &Netlist, f: BridgeFault, assignment: u64) -> (bool, bool) {
+    let good = scalar_eval(netlist, assignment, None);
+    let (ga, gb) = (good[f.a.index()], good[f.b.index()]);
+    let faulty = scalar_eval(
+        netlist,
+        assignment,
+        Some((f.a.index(), f.b.index(), f.kind.wired(ga, gb))),
+    );
+    let differs = netlist
+        .outputs()
+        .nets()
+        .iter()
+        .any(|o| good[o.index()] != faulty[o.index()]);
+    (differs, ga != gb)
+}
+
+/// The serial oracle over a whole stream on a fresh list: every bridge on
+/// every pattern, one at a time. Drop mode counts activations up to and
+/// including a bridge's first detection and tallies first detections;
+/// non-drop mode counts every activation and every observation. The log
+/// is batch-major (63 bridges per batch), then pattern, then bridge.
+fn serial_bridge_run(
+    netlist: &Netlist,
+    patterns: &PatternSeq,
+    faults: &[BridgeFault],
+    drop: bool,
+) -> (FaultSimReport, BridgeList) {
+    let assignment =
+        |t: usize| (0..patterns.width()).fold(0u64, |v, b| v | u64::from(patterns.bit(t, b)) << b);
+    let mut list = BridgeList::from_faults(faults.to_vec());
+    list.begin_run();
+    let mut report = FaultSimReport::new();
+    let mut activated = vec![0u32; patterns.len()];
+    let mut detected = vec![0u32; patterns.len()];
+    let mut first: Vec<Option<usize>> = vec![None; faults.len()];
+    for (id, &f) in faults.iter().enumerate() {
+        for t in 0..patterns.len() {
+            let (differs, active) = scalar_bridge(netlist, f, assignment(t));
+            activated[t] += u32::from(active);
+            if differs {
+                if first[id].is_none() {
+                    first[id] = Some(t);
+                    detected[t] += 1;
+                } else {
+                    detected[t] += u32::from(!drop);
+                }
+                if drop {
+                    break;
+                }
+            }
+        }
+    }
+    for (b, chunk) in first.chunks(63).enumerate() {
+        let mut log: Vec<(usize, usize)> = chunk
+            .iter()
+            .enumerate()
+            .filter_map(|(k, t)| t.map(|t| (t, b * 63 + k)))
+            .collect();
+        log.sort_unstable();
+        for (t, id) in log {
+            list.mark_detected(id, patterns.cc(t), t);
+            report.record_detection(id, patterns.cc(t), t);
+        }
+    }
+    for t in 0..patterns.len() {
+        report.record_pattern(patterns.cc(t), activated[t], detected[t]);
+    }
+    (report, list)
+}
+
 /// The oracle: the first assignment (in 0..2^n order) at which forcing the
 /// bridge's wired value changes any output, or `None` if undetectable.
 fn oracle_first_detection(netlist: &Netlist, f: BridgeFault, width: usize) -> Option<u64> {
-    for v in 0..(1u64 << width) {
-        let good = scalar_eval(netlist, v, None);
-        let w = f.kind.wired(good[f.a.index()], good[f.b.index()]);
-        let faulty = scalar_eval(netlist, v, Some((f.a.index(), f.b.index(), w)));
-        let differs = netlist
-            .outputs()
-            .nets()
-            .iter()
-            .any(|o| good[o.index()] != faulty[o.index()]);
-        if differs {
-            return Some(v);
-        }
-    }
-    None
+    (0..(1u64 << width)).find(|&v| scalar_bridge(netlist, f, v).0)
 }
 
 proptest! {
@@ -176,14 +207,14 @@ proptest! {
     }
 
     #[test]
-    fn bridging_is_bit_identical_across_threads_and_block_widths(
+    fn bridging_matches_the_serial_oracle_at_every_thread_count(
         n_inputs in 2usize..9,
         specs in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
             16..96,
         ),
         seed in any::<u64>(),
-        n_patterns in 1usize..1200,
+        n_patterns in 1usize..700,
         drop in any::<bool>(),
     ) {
         // Enough pairs for several 63-fault batches (so two workers really
@@ -192,32 +223,15 @@ proptest! {
         let netlist = build_netlist(n_inputs, &specs);
         let universe = BridgeUniverse::sample(&netlist, &BridgeConfig { pairs: 96, seed });
         let patterns = pseudorandom(netlist.inputs().width(), n_patterns, seed);
-        let run = |threads, backend| {
-            let cfg = FaultSimConfig {
-                drop_detected: drop,
-                early_exit: drop,
-                threads,
-                backend,
-            };
+        let (oracle, oracle_list) = serial_bridge_run(&netlist, &patterns, universe.faults(), drop);
+        for threads in [1, 2] {
+            let cfg = FaultSimConfig { drop_detected: drop, threads };
             let mut list = universe.new_list();
             let report = fault_simulate(&netlist, &patterns, &mut list, &cfg);
-            (report, list.to_report_text())
-        };
-
-        let reference = run(1, SimBackend::Kernel);
-        for (threads, backend) in [
-            (2, SimBackend::Kernel),
-            (1, SimBackend::Kernel64),
-            (2, SimBackend::Kernel64),
-        ] {
-            let other = run(threads, backend);
+            prop_assert_eq!(&report, &oracle, "report diverged at threads={}", threads);
             prop_assert_eq!(
-                &other.0, &reference.0,
-                "report diverged at threads={} backend={}", threads, backend
-            );
-            prop_assert_eq!(
-                &other.1, &reference.1,
-                "list state diverged at threads={} backend={}", threads, backend
+                list.to_report_text(), oracle_list.to_report_text(),
+                "list state diverged at threads={}", threads
             );
         }
     }
@@ -237,9 +251,7 @@ proptest! {
         let patterns = exhaustive(width);
         let cfg = FaultSimConfig {
             drop_detected: false,
-            early_exit: false,
             threads: 1,
-            backend: SimBackend::Auto,
         };
         let mut list = universe.new_list();
         let report = fault_simulate(&netlist, &patterns, &mut list, &cfg);
@@ -275,33 +287,31 @@ proptest! {
             .map(|i| (seed.rotate_left(i as u32 % 64) ^ i as u64) & 1 == 1)
             .collect();
         let masked = SimGuide { targets: Some(&targets), ..SimGuide::default() };
-        for backend in [SimBackend::Kernel, SimBackend::Kernel64, SimBackend::Event] {
-            for threads in [1, 2] {
-                let cfg = FaultSimConfig { drop_detected: drop, early_exit: drop, threads, backend };
-                let detect = |seq: &PatternSeq, guide: &SimGuide<'_>| {
-                    let mut list = universe.new_list();
-                    let report = fault_simulate_guided(&netlist, seq, &mut list, &cfg, None, guide);
-                    (list.detection_flags(), report.untestable_count())
-                };
-                let (full, _) = detect(&p, &SimGuide::default());
-                let (within, untestable) = detect(&p, &masked);
-                let expected: Vec<bool> =
-                    full.iter().zip(&targets).map(|(&f, &m)| f && m).collect();
+        for threads in [1, 2] {
+            let cfg = FaultSimConfig { drop_detected: drop, threads };
+            let detect = |seq: &PatternSeq, guide: &SimGuide<'_>| {
+                let mut list = universe.new_list();
+                let report = fault_simulate_guided(&netlist, seq, &mut list, &cfg, None, guide);
+                (list.detection_flags(), report.untestable_count())
+            };
+            let (full, _) = detect(&p, &SimGuide::default());
+            let (within, untestable) = detect(&p, &masked);
+            let expected: Vec<bool> =
+                full.iter().zip(&targets).map(|(&f, &m)| f && m).collect();
+            prop_assert_eq!(
+                &within, &expected,
+                "masked set at threads={}", threads
+            );
+            prop_assert_eq!(untestable, 0);
+            if drop {
                 prop_assert_eq!(
-                    &within, &expected,
-                    "masked set at backend={} threads={}", backend, threads
+                    &detect(&d, &SimGuide::default()).0, &full,
+                    "distinct rows at threads={}", threads
                 );
-                prop_assert_eq!(untestable, 0);
-                if drop {
-                    prop_assert_eq!(
-                        &detect(&d, &SimGuide::default()).0, &full,
-                        "distinct rows at backend={} threads={}", backend, threads
-                    );
-                    prop_assert_eq!(
-                        &detect(&d, &masked).0, &expected,
-                        "masked distinct rows at backend={} threads={}", backend, threads
-                    );
-                }
+                prop_assert_eq!(
+                    &detect(&d, &masked).0, &expected,
+                    "masked distinct rows at threads={}", threads
+                );
             }
         }
     }

@@ -2,12 +2,14 @@
 //! and the 63-fault lane-mask boundary, where a batch fills every faulty
 //! lane of the 64-bit word and `lanes_mask` must be `!1` (the shifted-mask
 //! formula `1 << 64` would overflow). Each case is checked against the
-//! serial reference for bit-identity and, where relevant, against the
+//! serial oracle for bit-identity and, where relevant, against the
 //! observability counters.
 
+mod support;
+
+use support::fault_simulate_reference;
 use warpstl_fault::{
-    fault_simulate, fault_simulate_observed, fault_simulate_reference, FaultList, FaultSimConfig,
-    FaultUniverse,
+    fault_simulate, fault_simulate_observed, FaultList, FaultSimConfig, FaultUniverse,
 };
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
@@ -65,9 +67,10 @@ fn zero_patterns_record_an_empty_run() {
 
     let m = rec.metrics();
     assert_eq!(m.counter("fsim.runs"), 1);
+    assert_eq!(m.counter("fsim.kernel.runs"), 1);
     assert_eq!(m.counter("fsim.patterns"), 0);
     assert_eq!(m.counter("fsim.detections"), 0);
-    assert_eq!(m.counter("fsim.batch_steps"), 0);
+    assert_eq!(m.counter("fsim.kernel.fault_blocks"), 0);
     // The run and worker spans still bracket the (empty) work.
     let spans = rec.spans();
     assert!(spans.iter().any(|s| s.name == "fsim.run"));
@@ -151,9 +154,7 @@ fn full_batch_records_63_lane_detections() {
     let mut list = list_with_undetected(&universe, 63);
     let cfg = FaultSimConfig {
         drop_detected: true,
-        early_exit: false,
         threads: 1,
-        ..FaultSimConfig::default()
     };
     fault_simulate_observed(&n, &pats, &mut list, &cfg, Some(&rec));
 

@@ -1,36 +1,19 @@
-//! Parallel/serial equivalence: the threaded, cone-pruned engine must
-//! produce **bit-identical** results to the serial reference — same
-//! `FaultSimReport` (per-pattern stats and detection log, cc-stamps
-//! included), same fault-list state, same coverage — for every thread
-//! count, in drop and non-drop modes, on combinational and sequential
-//! netlists.
+//! Parallel/serial equivalence: the threaded engine must produce
+//! **bit-identical** results to the serial oracle — same `FaultSimReport`
+//! (per-pattern stats and detection log, cc-stamps included), same
+//! fault-list state, same coverage — for every thread count, in drop and
+//! non-drop modes.
 
-use warpstl_fault::{
-    fault_simulate, fault_simulate_reference, FaultList, FaultSimConfig, FaultUniverse,
-};
+mod support;
+
+use support::fault_simulate_reference;
+use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
 use warpstl_netlist::modules::ModuleKind;
-use warpstl_netlist::{Builder, Netlist, PatternSeq};
+use warpstl_netlist::{Netlist, PatternSeq};
 
 /// A combinational netlist with > 63 collapsed faults (multiple batches).
 fn combinational() -> Netlist {
     ModuleKind::DecoderUnit.build()
-}
-
-/// A sequential netlist: an accumulator-style datapath with DFF feedback.
-fn sequential() -> Netlist {
-    let mut b = Builder::new("seq4");
-    let d = b.input_bus("d", 4);
-    let en = b.input("en");
-    let q: Vec<_> = (0..4).map(|_| b.dff_placeholder()).collect();
-    let x = b.xor_bus(&d, &q);
-    for (i, &qi) in q.iter().enumerate() {
-        let nxt = b.mux(en, x[i], qi);
-        b.connect_dff(qi, nxt);
-    }
-    let inv = b.not_bus(&q);
-    b.output_bus("q", &q);
-    b.output_bus("nq", &inv);
-    b.finish()
 }
 
 fn pseudorandom_patterns(width: usize, count: usize, mut seed: u64) -> PatternSeq {
@@ -64,8 +47,8 @@ fn assert_equivalent(netlist: &Netlist, patterns: &PatternSeq, base: FaultSimCon
         let report = fault_simulate(netlist, patterns, &mut list, &cfg);
         assert_eq!(
             report, ref_report,
-            "FaultSimReport diverged at {threads} threads (drop={}, early_exit={})",
-            base.drop_detected, base.early_exit
+            "FaultSimReport diverged at {threads} threads (drop={})",
+            base.drop_detected
         );
         assert_eq!(
             list.coverage(),
@@ -86,16 +69,11 @@ fn assert_equivalent(netlist: &Netlist, patterns: &PatternSeq, base: FaultSimCon
     }
 }
 
-fn all_modes() -> [FaultSimConfig; 3] {
+fn all_modes() -> [FaultSimConfig; 2] {
     [
-        FaultSimConfig::default(), // drop + early exit
-        FaultSimConfig {
-            early_exit: false,
-            ..FaultSimConfig::default()
-        },
+        FaultSimConfig::default(), // drop
         FaultSimConfig {
             drop_detected: false,
-            early_exit: false,
             ..FaultSimConfig::default()
         },
     ]
@@ -107,16 +85,6 @@ fn combinational_module_is_equivalent_in_every_mode() {
     let u = FaultUniverse::enumerate(&n);
     assert!(u.collapsed_len() > 63, "need multiple batches");
     let p = pseudorandom_patterns(n.inputs().width(), 48, 0x5eed_cafe_f00d_0001);
-    for cfg in all_modes() {
-        assert_equivalent(&n, &p, cfg);
-    }
-}
-
-#[test]
-fn sequential_netlist_is_equivalent_in_every_mode() {
-    let n = sequential();
-    assert!(!n.dffs().is_empty());
-    let p = pseudorandom_patterns(n.inputs().width(), 96, 0x5eed_cafe_f00d_0002);
     for cfg in all_modes() {
         assert_equivalent(&n, &p, cfg);
     }

@@ -1,55 +1,25 @@
 //! Set-level properties of the engine that standalone coverage evaluation
 //! relies on, on random combinational netlists, pattern streams and
-//! target masks, for every backend (`Kernel`, `Kernel64`, `Event`), with
-//! the dominance guide on and off, and with 1 and 2 worker threads:
+//! target masks, with the dominance guide on and off, and with 1 and 2
+//! worker threads:
 //!
 //! 1. A run masked by [`SimGuide::targets`] on a fresh list detects
 //!    exactly the unmasked run's detected set intersected with the mask,
 //!    and its report's untestable row counts masked-in untestable faults
-//!    only.
+//!    only. The unguided, unmasked run itself matches the serial oracle.
 //! 2. A drop-mode run over `p.distinct()` detects the same set as a run
 //!    over `p` (rows repeat often here: the streams draw from few inputs).
 //!
 //! `bridge_prop` checks both for bridging lists.
 
+mod support;
+
 use proptest::prelude::*;
 
+use support::{build_netlist, fault_simulate_reference};
 use warpstl_analyze::Scoap;
-use warpstl_fault::{
-    fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse, SimBackend, SimGuide,
-};
-use warpstl_netlist::{Builder, NetId, Netlist, PatternSeq};
-
-/// One random gate: `kind` selects the operator, `a`/`b`/`c` pick
-/// operands among the already-built nets (mod current count) — the same
-/// construction as `kernel_prop`.
-type GateSpec = (u8, u8, u8, u8);
-
-fn build_netlist(n_inputs: usize, specs: &[GateSpec]) -> Netlist {
-    let mut b = Builder::new("prop");
-    let mut nets: Vec<NetId> = (0..n_inputs).map(|i| b.input(&format!("i{i}"))).collect();
-    for &(kind, a, bb, c) in specs {
-        let pick = |sel: u8| nets[sel as usize % nets.len()];
-        let (x, y, z) = (pick(a), pick(bb), pick(c));
-        let net = match kind % 9 {
-            0 => b.and(x, y),
-            1 => b.or(x, y),
-            2 => b.nand(x, y),
-            3 => b.nor(x, y),
-            4 => b.xor(x, y),
-            5 => b.xnor(x, y),
-            6 => b.not(x),
-            7 => b.buf(x),
-            _ => b.mux(x, y, z),
-        };
-        nets.push(net);
-    }
-    let n_out = nets.len().clamp(1, 4);
-    for (k, &net) in nets.iter().rev().take(n_out).enumerate() {
-        b.output(&format!("o{k}"), net);
-    }
-    b.finish()
-}
+use warpstl_fault::{fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
+use warpstl_netlist::PatternSeq;
 
 /// xorshift64 draws; `state` must be nonzero.
 fn draws(mut state: u64) -> impl Iterator<Item = u64> {
@@ -76,15 +46,11 @@ fn mask(n: usize, seed: u64) -> Vec<bool> {
     draws(seed | 1).take(n).map(|v| v >> 40 & 1 == 1).collect()
 }
 
-/// Every backend × dominance × thread-count cell of the matrix.
-fn matrix() -> impl Iterator<Item = (SimBackend, bool, usize)> {
-    [SimBackend::Kernel, SimBackend::Kernel64, SimBackend::Event]
+/// Every dominance × thread-count cell of the matrix.
+fn matrix() -> impl Iterator<Item = (bool, usize)> {
+    [false, true]
         .into_iter()
-        .flat_map(|backend| {
-            [false, true]
-                .into_iter()
-                .flat_map(move |dom| [1, 2].into_iter().map(move |t| (backend, dom, t)))
-        })
+        .flat_map(|dom| [1, 2].into_iter().map(move |t| (dom, t)))
 }
 
 proptest! {
@@ -110,13 +76,16 @@ proptest! {
         let targets = mask(universe.collapsed_len(), seed.rotate_left(17));
         let unt = mask(universe.collapsed_len(), seed.rotate_left(31));
 
-        for (backend, dom, threads) in matrix() {
-            let cfg = FaultSimConfig {
-                drop_detected: drop,
-                early_exit: drop,
-                threads,
-                backend,
-            };
+        let mut oracle = FaultList::new(&universe);
+        fault_simulate_reference(
+            &netlist,
+            &p,
+            &mut oracle,
+            &FaultSimConfig { drop_detected: drop, threads: 1 },
+        );
+
+        for (dom, threads) in matrix() {
+            let cfg = FaultSimConfig { drop_detected: drop, threads };
             let guide = SimGuide {
                 dominance: dom.then_some(&dominance),
                 order_keys: dom.then_some(keys.as_slice()),
@@ -125,6 +94,9 @@ proptest! {
             let masked_guide = SimGuide { targets: Some(&targets), ..guide };
             let mut full = FaultList::new(&universe);
             fault_simulate_guided(&netlist, &p, &mut full, &cfg, None, &guide);
+            if !dom {
+                prop_assert_eq!(full.to_report_text(), oracle.to_report_text());
+            }
             let mut masked = FaultList::new(&universe);
             let report = fault_simulate_guided(&netlist, &p, &mut masked, &cfg, None, &masked_guide);
             let expected: Vec<bool> = full
@@ -135,7 +107,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(
                 masked.detection_flags(), expected,
-                "backend={} dominance={} threads={}", backend, dom, threads
+                "dominance={} threads={}", dom, threads
             );
             prop_assert_eq!(report.untestable_count(), 0);
 
@@ -169,8 +141,8 @@ proptest! {
         prop_assert!(d.len() <= 1 << n_inputs);
         let targets = mask(universe.collapsed_len(), seed.rotate_left(7));
 
-        for (backend, dom, threads) in matrix() {
-            let cfg = FaultSimConfig { threads, backend, ..FaultSimConfig::default() };
+        for (dom, threads) in matrix() {
+            let cfg = FaultSimConfig { threads, ..FaultSimConfig::default() };
             let guide = SimGuide {
                 dominance: dom.then_some(&dominance),
                 order_keys: dom.then_some(keys.as_slice()),
@@ -185,8 +157,8 @@ proptest! {
                 fault_simulate_guided(&netlist, &d, &mut over_d, &cfg, None, &guide);
                 prop_assert_eq!(
                     over_d.detection_flags(), over_p.detection_flags(),
-                    "backend={} dominance={} threads={} masked={}",
-                    backend, dom, threads, guide.targets.is_some()
+                    "dominance={} threads={} masked={}",
+                    dom, threads, guide.targets.is_some()
                 );
                 prop_assert_eq!(over_d.coverage().to_bits(), over_p.coverage().to_bits());
             }

@@ -40,7 +40,6 @@ mod builder;
 mod cones;
 pub mod fixtures;
 mod gate;
-pub mod io;
 mod level;
 pub mod modules;
 mod netlist;

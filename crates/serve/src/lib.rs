@@ -20,8 +20,9 @@
 //! | `POST /shutdown` | — | flags a graceful drain |
 //!
 //! `options` accepts `reverse`, `respect_arc`, `prune` (booleans),
-//! `backend` (`auto|event|kernel|kernel64`) and `threads`; every field
-//! defaults to the server's configuration. Appending `?format=report` to
+//! `backend` (`auto|event|kernel|kernel64`, validated for compatibility
+//! and otherwise ignored: fault simulation has one path) and `threads`;
+//! every field defaults to the server's configuration. Appending `?format=report` to
 //! a job endpoint returns the raw report JSON **byte-identical** to the
 //! CLI's `--json` file for the same input — the CLI equivalence suite
 //! doubles as the protocol oracle. Malformed bodies answer `400`, a full

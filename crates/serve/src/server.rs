@@ -56,8 +56,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Artifact cache directory shared by every job, if any.
     pub cache_dir: Option<PathBuf>,
-    /// Default fault-simulation backend for jobs that don't pick one.
-    pub backend: SimBackend,
 }
 
 impl Default for ServeConfig {
@@ -67,7 +65,6 @@ impl Default for ServeConfig {
             workers: None,
             queue_cap: 16,
             cache_dir: None,
-            backend: SimBackend::Auto,
         }
     }
 }
@@ -94,7 +91,6 @@ struct Shared {
     recorder: Recorder,
     queue: JobQueue<Job>,
     workers: usize,
-    backend: SimBackend,
     /// Engine threads each job gets: the worker pool's even share of the
     /// host, so the pool as a whole never oversubscribes.
     job_threads: usize,
@@ -218,7 +214,6 @@ pub fn serve(config: &ServeConfig) -> io::Result<ServerHandle> {
         recorder: Recorder::new(),
         queue: JobQueue::new(config.queue_cap),
         workers,
-        backend: config.backend,
         job_threads: (host_parallelism() / workers.max(1)).max(1),
         shutdown: AtomicBool::new(false),
     });
@@ -409,7 +404,6 @@ fn parse_job(request: &Request, shared: &Shared) -> Result<JobSpec, String> {
 /// defaults".
 fn parse_options(body: &Json, shared: &Shared) -> Result<JobOptions, String> {
     let mut opts = JobOptions {
-        backend: shared.backend,
         threads: shared.job_threads,
         ..JobOptions::default()
     };
@@ -443,11 +437,13 @@ fn parse_options(body: &Json, shared: &Shared) -> Result<JobOptions, String> {
         opts.fault_model = FaultModel::parse(name)
             .ok_or_else(|| format!("unknown fault model `{name}` (stuck-at|bridging)"))?;
     }
+    // Fault simulation has one path: a backend name is validated for
+    // compatibility (unknown names stay a 400) and then steers nothing.
     if let Some(v) = options.get("backend") {
         let name = v
             .as_str()
             .ok_or_else(|| "`options.backend` must be a string".to_string())?;
-        opts.backend = SimBackend::parse(name)
+        SimBackend::parse(name)
             .ok_or_else(|| format!("unknown backend `{name}` (auto|event|kernel|kernel64)"))?;
     }
     if let Some(v) = options.get("threads") {

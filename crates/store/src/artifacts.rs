@@ -547,56 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn fsim_cache_replays_across_backends() {
-        use warpstl_fault::SimBackend;
-        let netlist = build_netlist();
-        let universe = FaultUniverse::enumerate(&netlist);
-        let patterns = patterns_for(&netlist, 6);
-        let guide = SimGuide::default();
-        let store = temp_store("backend");
-        let cache = CacheCtx {
-            store: Some(&store),
-            netlist_key: crate::hash::key_netlist(&netlist),
-        };
-
-        // Cold write through the event path...
-        let mut cold_list = FaultList::new(&universe);
-        let cold = cached_fault_sim(
-            cache,
-            &netlist,
-            &patterns,
-            &mut cold_list,
-            &FaultSimConfig {
-                backend: SimBackend::Event,
-                ..FaultSimConfig::default()
-            },
-            None,
-            &guide,
-        );
-
-        // ...replays byte-identically under the kernel: the backend is not
-        // part of the key, and the engines agree bit-for-bit.
-        let rec = Recorder::new();
-        let mut warm_list = FaultList::new(&universe);
-        let warm = cached_fault_sim(
-            cache,
-            &netlist,
-            &patterns,
-            &mut warm_list,
-            &FaultSimConfig {
-                backend: SimBackend::Kernel,
-                ..FaultSimConfig::default()
-            },
-            Some(&rec),
-            &guide,
-        );
-        assert_eq!(rec.metrics().counter(names::CACHE_HIT), 1);
-        assert_eq!(warm, cold);
-        assert_eq!(warm_list.to_report_text(), cold_list.to_report_text());
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
     fn cached_fault_sim_bridging_warm_replay_is_bit_identical() {
         use warpstl_fault::{BridgeConfig, BridgeUniverse};
         let netlist = build_netlist();

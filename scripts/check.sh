@@ -193,18 +193,34 @@ print(f"version-miss OK: {n} version miss(es) counted")
 EOF
 
 echo "== sim-backend smoke test =="
-# One module through both engine backends (no cache, so both actually
-# simulate): the report JSON must be byte-identical — the CLI-level face of
-# the kernel/event bit-identity contract.
-cargo run -q --release -p warpstl-cli -- compact "$SMOKE_DIR/imm.ptp" \
-    --sim-backend event --json "$SMOKE_DIR/be-event.json" >/dev/null || exit 1
-cargo run -q --release -p warpstl-cli -- compact "$SMOKE_DIR/imm.ptp" \
-    --sim-backend kernel --json "$SMOKE_DIR/be-kernel.json" >/dev/null || exit 1
-cmp "$SMOKE_DIR/be-event.json" "$SMOKE_DIR/be-kernel.json" || {
-    echo "event and kernel backend report JSON differ" >&2
+# Fault simulation has one path, but every --sim-backend name stays
+# accepted for compatibility: each must complete and produce the same
+# report JSON (no cache, so every run actually simulates).
+for backend in event kernel kernel64; do
+    cargo run -q --release -p warpstl-cli -- compact "$SMOKE_DIR/imm.ptp" \
+        --no-cache --sim-backend "$backend" \
+        --json "$SMOKE_DIR/be-$backend.json" >/dev/null || exit 1
+done
+for backend in event kernel64; do
+    cmp "$SMOKE_DIR/be-$backend.json" "$SMOKE_DIR/be-kernel.json" || {
+        echo "--sim-backend $backend changed the report JSON" >&2
+        exit 1
+    }
+done
+echo "backend OK: every --sim-backend name accepted, reports byte-identical"
+
+echo "== transition-fault smoke test =="
+# Transition-delay faults run on the threaded kernel: the extension
+# experiment's output must not depend on the worker count.
+WARPSTL_SCALE=64 WARPSTL_THREADS=1 cargo run -q --release -p warpstl-bench \
+    --bin extension_tdf > "$SMOKE_DIR/tdf-t1.out" 2>/dev/null || exit 1
+WARPSTL_SCALE=64 cargo run -q --release -p warpstl-bench \
+    --bin extension_tdf > "$SMOKE_DIR/tdf-auto.out" 2>/dev/null || exit 1
+cmp "$SMOKE_DIR/tdf-t1.out" "$SMOKE_DIR/tdf-auto.out" || {
+    echo "extension_tdf output differs between WARPSTL_THREADS=1 and auto" >&2
     exit 1
 }
-echo "backend OK: event and kernel reports byte-identical"
+echo "tdf OK: extension_tdf output identical at WARPSTL_THREADS=1 and auto"
 
 echo "== bridging smoke test =="
 # Bridging runs on the shared threaded engine: its report JSON must not

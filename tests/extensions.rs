@@ -2,8 +2,8 @@
 //! the transition-delay fault model.
 
 use warpstl::compactor::{label_instructions, reduce_ptp, Compactor};
-use warpstl::fault::tdf::{tdf_simulate, TdfList};
-use warpstl::fault::FaultSimConfig;
+use warpstl::fault::tdf::TdfList;
+use warpstl::fault::{fault_simulate, FaultSimConfig};
 use warpstl::netlist::modules::ModuleKind;
 use warpstl::programs::generators::{generate_fpu, generate_imm, FpuConfig, ImmConfig};
 
@@ -56,7 +56,7 @@ fn tdf_compaction_reuses_the_labeling_stage() {
     let netlist = ModuleKind::DecoderUnit.build();
     let run = compactor.trace(&ptp).expect("runs");
     let mut list = TdfList::enumerate(&netlist);
-    let report = tdf_simulate(
+    let report = fault_simulate(
         &netlist,
         &run.patterns.du,
         &mut list,
@@ -74,7 +74,7 @@ fn tdf_compaction_reuses_the_labeling_stage() {
     compacted.program = reduction.program;
     let comp_run = compactor.trace(&compacted).expect("compacted runs");
     let mut comp_list = TdfList::enumerate(&netlist);
-    tdf_simulate(
+    fault_simulate(
         &netlist,
         &comp_run.patterns.du,
         &mut comp_list,
@@ -102,7 +102,7 @@ fn tdf_and_stuck_at_label_differently() {
     let run = compactor.trace(&ptp).expect("runs");
 
     let mut tdf_list = TdfList::enumerate(&netlist);
-    let tdf_report = tdf_simulate(
+    let tdf_report = fault_simulate(
         &netlist,
         &run.patterns.du,
         &mut tdf_list,

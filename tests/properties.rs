@@ -2,9 +2,11 @@
 
 use proptest::prelude::*;
 
-use warpstl::fault::{
-    fault_simulate, fault_simulate_reference, FaultList, FaultSimConfig, FaultUniverse,
-};
+#[path = "../crates/fault/tests/support/mod.rs"]
+mod support;
+
+use support::fault_simulate_reference;
+use warpstl::fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
 use warpstl::isa::{asm, encoding, CmpOp, Instruction, Opcode, Pred, Reg};
 use warpstl::netlist::{Builder, LogicSim, Netlist, PatternSeq};
 
@@ -242,14 +244,13 @@ proptest! {
         }
     }
 
-    /// The parallel, cone-pruned engine is bit-identical to the serial
-    /// reference on arbitrary netlists, thread counts, and modes.
+    /// The parallel engine is bit-identical to the serial oracle on
+    /// arbitrary netlists, thread counts, and modes.
     #[test]
     fn parallel_engine_matches_reference(
         seed in any::<u64>(),
         threads in 1usize..9,
-        drop_detected in any::<bool>(),
-        early_exit in any::<bool>()
+        drop_detected in any::<bool>()
     ) {
         let n = random_netlist(seed, 6, 30);
         let u = FaultUniverse::enumerate(&n);
@@ -259,7 +260,7 @@ proptest! {
             x ^= x << 13; x ^= x >> 7; x ^= x << 17;
             pats.push_value(cc * 2, x & 0x3f);
         }
-        let base = FaultSimConfig { drop_detected, early_exit, threads, ..FaultSimConfig::default() };
+        let base = FaultSimConfig { drop_detected, threads };
         let mut ref_list = FaultList::new(&u);
         let ref_report = fault_simulate_reference(&n, &pats, &mut ref_list, &base);
         let mut par_list = FaultList::new(&u);
