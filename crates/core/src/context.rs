@@ -6,7 +6,7 @@ use std::sync::Arc;
 use warpstl_analyze::{analyze, Analysis};
 use warpstl_fault::{
     BridgeConfig, BridgeList, BridgeUniverse, DominanceView, Fault, FaultId, FaultList, FaultModel,
-    FaultSimConfig, FaultSimReport, FaultSite, FaultUniverse, Polarity, SimGuide,
+    FaultSimConfig, FaultSimReport, FaultSite, FaultStatus, FaultUniverse, Polarity, SimGuide,
 };
 use warpstl_gpu::ModulePatterns;
 use warpstl_netlist::modules::ModuleKind;
@@ -119,6 +119,16 @@ impl Ledger {
     /// Per-instance detection flags (see [`FaultList::detection_flags`]).
     pub(crate) fn detection_flags(&self) -> Vec<Vec<bool>> {
         with_lists!(self, lists => lists.iter().map(FaultList::detection_flags).collect())
+    }
+
+    /// Instance `i`'s detection stamp of fault `id`: the index of the
+    /// detecting pattern in the stream of the run that detected it, `None`
+    /// while undetected.
+    pub(crate) fn stamp(&self, i: usize, id: FaultId) -> Option<usize> {
+        with_lists!(self, lists => match lists[i].status(id) {
+            FaultStatus::Detected { pattern, .. } => Some(pattern),
+            FaultStatus::Undetected => None,
+        })
     }
 
     /// The [`coverage`](Ledger::coverage) these lists would report if
@@ -466,6 +476,12 @@ impl ModuleContext {
     /// Per-instance detection flags of the shared ledgers.
     pub(crate) fn detection_flags(&self) -> Vec<Vec<bool>> {
         self.ledger.detection_flags()
+    }
+
+    /// The shared ledgers' detection stamp of fault `id` on instance `i`
+    /// (see [`Ledger::stamp`]).
+    pub(crate) fn stamp(&self, i: usize, id: FaultId) -> Option<usize> {
+        self.ledger.stamp(i, id)
     }
 
     /// Fresh fault lists (for standalone evaluations), untestability marks

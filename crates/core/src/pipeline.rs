@@ -1,16 +1,17 @@
 //! The five-stage compaction pipeline.
 
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use warpstl_fault::{
-    BridgeConfig, FaultList, FaultModel, FaultSimConfig, FaultSimReport, SimGuide,
+    BridgeConfig, FaultId, FaultList, FaultModel, FaultSimConfig, FaultSimReport, SimGuide,
 };
-use warpstl_gpu::{Gpu, RunOptions, RunResult, SimError};
+use warpstl_gpu::{Gpu, ModulePatterns, RunOptions, RunResult, SimError};
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
-use warpstl_obs::{Metrics, Obs, ObsExt, Recorder};
+use warpstl_obs::{names, Metrics, Obs, ObsExt, Recorder};
 use warpstl_programs::{ArcAnalysis, BasicBlocks, Ptp};
 use warpstl_store::{cached_analyze, cached_fault_sim, CacheCtx, KeyedFault, Store};
 use warpstl_verify::{verify_reduction_observed, Severity, VerifyOptions};
@@ -90,6 +91,42 @@ pub(crate) fn simulate_instances<F: KeyedFault>(
             .map(|h| h.map(|h| h.join().expect("fault-sim worker panicked")))
             .collect()
     })
+}
+
+/// One instance's witnessed set W: the faults of D(P) whose *witness
+/// row* — the row at their detection stamp — the compacted program still
+/// applies (`applied`, the rows of P′). On a combinational module that row
+/// detects the fault wherever it is applied, so W ⊆ D(P′) without a run.
+///
+/// Each stamp indexes the stream of the run that wrote it. A fault outside
+/// `dropped_before` was newly detected by stage 3a: its stamp
+/// (`stage3a_stamp`, from the shared ledger) indexes `simulated`, the
+/// stream stage 3a ran — reversed for SFU_IMM. An inherited dominator
+/// carries its supporter's stamp, whose row detects it too. A fault in
+/// `dropped_before` was re-detected by the masked D(P) run: its stamp
+/// (`rerun_stamp`, from the scratch ledger) indexes `original`, which is
+/// `P.distinct()`. Stamps are only read here, never written to a ledger,
+/// so no dominance inheritance ever sees a copied one.
+fn witnessed(
+    dropped_before: &[bool],
+    stage3a_stamp: impl Fn(FaultId) -> Option<usize>,
+    rerun_stamp: impl Fn(FaultId) -> Option<usize>,
+    simulated: &PatternSeq,
+    original: &PatternSeq,
+    applied: &HashSet<&[u64]>,
+) -> Vec<bool> {
+    dropped_before
+        .iter()
+        .enumerate()
+        .map(|(id, &before)| {
+            let row = if before {
+                rerun_stamp(id).map(|p| original.row(p))
+            } else {
+                stage3a_stamp(id).map(|p| simulated.row(p))
+            };
+            row.is_some_and(|row| applied.contains(row))
+        })
+        .collect()
 }
 
 /// The compaction method's driver.
@@ -207,14 +244,20 @@ impl Compactor {
     }
 
     /// Fault-simulates a traced run's module patterns against the context's
-    /// shared fault lists, merging the per-instance Fault Sim Reports.
+    /// shared fault lists, merging the per-instance Fault Sim Reports, and
+    /// hands back the streams it simulated: the ones the new detection
+    /// stamps index (reversed when `reverse_patterns` is set).
     ///
     /// The netlist is borrowed (not cloned) and the pattern streams are only
     /// materialized when `reverse_patterns` demands it; the instances run
     /// concurrently (see [`simulate_instances`]).
-    fn fault_sim(&self, run: &RunResult, ctx: &mut ModuleContext) -> FaultSimReport {
-        let streams: Vec<Cow<'_, PatternSeq>> = ctx
-            .streams(&run.patterns)
+    fn fault_sim<'p>(
+        &self,
+        patterns: &'p ModulePatterns,
+        ctx: &mut ModuleContext,
+    ) -> (FaultSimReport, Vec<Cow<'p, PatternSeq>>) {
+        let streams: Vec<Cow<'p, PatternSeq>> = ctx
+            .streams(patterns)
             .into_iter()
             .map(|s| {
                 if self.reverse_patterns {
@@ -234,7 +277,7 @@ impl Compactor {
         for report in reports.iter().flatten() {
             merged.merge(report);
         }
-        merged
+        (merged, streams)
     }
 
     /// Compacts one PTP: stages 1–5 of the paper, using exactly one logic
@@ -303,9 +346,9 @@ impl Compactor {
 
         // Stage 3a: ONE fault simulation against the shared dropping list.
         let stamp = Instant::now();
-        let fsr = {
+        let (fsr, simulated) = {
             let _s = obs.span("stage", "stage.fsim");
-            self.fault_sim(&run, ctx)
+            self.fault_sim(&run.patterns, ctx)
         };
         obs.add("pipeline.fsim_runs", 1);
         let fsim_time = stamp.elapsed();
@@ -365,48 +408,19 @@ impl Compactor {
 
         // Evaluation (outside the method's fault-simulation budget): the
         // standalone FC of the original and compacted programs, and the
-        // compacted duration. A standalone FC is the coverage of a detected
-        // *set*, so each is computed with the least simulation that yields
-        // that set (DESIGN.md §5, "Set-level evaluation"); one scratch
-        // ledger serves both runs.
+        // compacted duration.
         let stamp = Instant::now();
         let (fc_before, compacted_run, fc_after) = {
             let _s = obs.span("stage", "stage.eval");
-            let mut scratch = ctx.fresh_ledger();
-            // D(P): stage 3a found every detection outside the faults
-            // dropped before it; only those need a (masked) run.
-            let original = ctx.distinct_streams(&run.patterns);
-            let masks: Vec<Option<&[bool]>> =
-                dropped_before.iter().map(|d| Some(d.as_slice())).collect();
-            self.simulate_standalone(ctx, &mut scratch, &original, &masks);
-            let detected: Vec<Vec<bool>> = scratch
-                .detection_flags()
-                .into_iter()
-                .zip(ctx.detection_flags())
-                .zip(&dropped_before)
-                .map(|((redetected, now), before)| {
-                    redetected
-                        .iter()
-                        .zip(now)
-                        .zip(before)
-                        .map(|((&again, now), &before)| again || (now && !before))
-                        .collect()
-                })
-                .collect();
-            let fc_before = scratch.coverage_of(&detected);
-            // D(P′): a compacted stream applying no row the original did
-            // not can detect nothing outside D(P), so it targets only D(P).
             let compacted_run = self.trace_for(&compacted, ctx.module())?;
-            let cptp = ctx.distinct_streams(&compacted_run.patterns);
-            let masks: Vec<Option<&[bool]>> = cptp
-                .iter()
-                .zip(&original)
-                .zip(&detected)
-                .map(|((c, o), d)| c.rows_subset_of(o).then_some(d.as_slice()))
-                .collect();
-            scratch.reset();
-            self.simulate_standalone(ctx, &mut scratch, &cptp, &masks);
-            (fc_before, compacted_run, scratch.coverage())
+            let (fc_before, fc_after) = self.evaluate(
+                ctx,
+                &simulated,
+                &dropped_before,
+                &run.patterns,
+                &compacted_run.patterns,
+            );
+            (fc_before, compacted_run, fc_after)
         };
         let eval_time = stamp.elapsed();
 
@@ -456,6 +470,113 @@ impl Compactor {
             metrics,
         };
         Ok(CompactionOutcome { compacted, report })
+    }
+
+    /// The standalone coverages `(fc_before, fc_after)` of the original
+    /// program P and the compacted P′. A standalone FC is the coverage of
+    /// a detected *set*, so each is computed with the least simulation
+    /// that yields that set (DESIGN.md §5, "Set-level evaluation"). Per
+    /// instance:
+    ///
+    /// - D(P) is what stage 3a newly detected plus a run over
+    ///   `P.distinct()` masked to the faults `dropped_before` it (none for
+    ///   a module's first PTP).
+    /// - D(P′) is the [witnessed] set W plus a run over `P′.distinct()`
+    ///   masked to the rest: D(P) ∖ W when P′ applies no row P does not
+    ///   (it then detects nothing outside D(P)), every fault ∖ W otherwise,
+    ///   and unmasked when W is empty too.
+    ///
+    /// `simulated` are the streams stage 3a ran, whose stamps the shared
+    /// ledgers of `ctx` hold; `original` and `compacted` are the captures
+    /// of P and P′. One scratch ledger serves both runs.
+    fn evaluate(
+        &self,
+        ctx: &ModuleContext,
+        simulated: &[Cow<'_, PatternSeq>],
+        dropped_before: &[Vec<bool>],
+        original: &ModulePatterns,
+        compacted: &ModulePatterns,
+    ) -> (f64, f64) {
+        let mut scratch = ctx.fresh_ledger();
+        // D(P): stage 3a found every detection outside the faults dropped
+        // before it; only those need a (masked) run.
+        let original = ctx.distinct_streams(original);
+        let masks: Vec<Option<&[bool]>> =
+            dropped_before.iter().map(|d| Some(d.as_slice())).collect();
+        self.simulate_standalone(ctx, &mut scratch, &original, &masks);
+        let detected: Vec<Vec<bool>> = scratch
+            .detection_flags()
+            .into_iter()
+            .zip(ctx.detection_flags())
+            .zip(dropped_before)
+            .map(|((redetected, now), before)| {
+                redetected
+                    .iter()
+                    .zip(now)
+                    .zip(before)
+                    .map(|((&again, now), &before)| again || (now && !before))
+                    .collect()
+            })
+            .collect();
+        let fc_before = scratch.coverage_of(&detected);
+
+        // D(P′): a fault whose witness row P′ still applies needs no run.
+        let cptp = ctx.distinct_streams(compacted);
+        let witnessed: Vec<Vec<bool>> = (0..ctx.instances())
+            .map(|i| {
+                witnessed(
+                    &dropped_before[i],
+                    |id| ctx.stamp(i, id),
+                    |id| scratch.stamp(i, id),
+                    &simulated[i],
+                    &original[i],
+                    &cptp[i].row_set(),
+                )
+            })
+            .collect();
+        // The run leaves W out instead of pre-marking it, so no copied
+        // stamp feeds dominance inheritance; W joins its flags afterwards.
+        // With new rows and an empty W it stays unmasked, keeping its
+        // store key.
+        let masks: Vec<Option<Vec<bool>>> = cptp
+            .iter()
+            .zip(&original)
+            .zip(&detected)
+            .zip(&witnessed)
+            .map(|(((c, o), d), w)| {
+                let new_rows = !c.rows_subset_of(o);
+                (!new_rows || w.contains(&true)).then(|| {
+                    w.iter()
+                        .zip(d)
+                        .map(|(&w, &d)| !w && (d || new_rows))
+                        .collect()
+                })
+            })
+            .collect();
+        let resimulated: usize = masks
+            .iter()
+            .zip(&cptp)
+            .zip(dropped_before)
+            .filter(|((_, c), _)| !c.is_empty())
+            .map(|((m, _), all)| {
+                m.as_ref()
+                    .map_or(all.len(), |m| m.iter().filter(|&&t| t).count())
+            })
+            .sum();
+        let masks: Vec<Option<&[bool]>> = masks.iter().map(Option::as_deref).collect();
+        scratch.reset();
+        self.simulate_standalone(ctx, &mut scratch, &cptp, &masks);
+        let after: Vec<Vec<bool>> = scratch
+            .detection_flags()
+            .into_iter()
+            .zip(&witnessed)
+            .map(|(run, w)| run.iter().zip(w).map(|(&r, &w)| r || w).collect())
+            .collect();
+        let obs = self.observer();
+        let settled = witnessed.iter().flatten().filter(|&&w| w).count();
+        obs.add(names::EVAL_WITNESSED, settled as u64);
+        obs.add(names::EVAL_RESIMULATED, resimulated as u64);
+        (fc_before, scratch.coverage_of(&after))
     }
 
     /// Fault-simulates one stream per instance into `scratch` (standalone
@@ -698,9 +819,107 @@ mod tests {
         assert_eq!(m.counter("verify.errors"), 0);
         assert_eq!(m.counter("analyze.errors"), 0);
         assert_eq!(out.report.analyze.total_errors(), 0);
-        // Eval-stage simulations observe too, so the raw engine counter
-        // exceeds the method's single budgeted run.
-        assert!(m.counter("fsim.runs") > 1);
+        // The evaluation reports how much of D(P′) witness rows settled
+        // and how many faults it simulated again. A module's first PTP
+        // needs no D(P) run, so the raw engine counter is the method's
+        // one run plus a D(P′) run exactly when something was left.
+        assert!(m.counter(names::EVAL_WITNESSED) > 0);
+        assert_eq!(
+            m.counter("fsim.runs"),
+            1 + u64::from(m.counter(names::EVAL_RESIMULATED) > 0)
+        );
+    }
+
+    #[test]
+    fn witnessed_reads_each_stamp_in_the_stream_that_wrote_it() {
+        let seq = |rows: &[u64]| {
+            let mut p = PatternSeq::new(8);
+            for (cc, &row) in rows.iter().enumerate() {
+                p.push_value(cc as u64, row);
+            }
+            p
+        };
+        let (a, b, c) = (0xa, 0xb, 0xc);
+        // P is [a, b, a, c]; stage 3a ran it reversed, and the D(P) run
+        // ran its distinct rows. P′ applies a and b, not c.
+        let captured = seq(&[a, b, a, c]);
+        let simulated = captured.reversed();
+        let original = captured.distinct();
+        let rows = |p: &PatternSeq| (0..p.len()).map(|i| p.value(i)).collect::<Vec<_>>();
+        assert_eq!(rows(&simulated), [c, a, b, a]);
+        assert_eq!(rows(&original), [a, b, c]);
+        let cptp = seq(&[b, a]);
+        // Fault 0: stage 3a stamp 0 names c (captured row 0 and distinct
+        // row 0 are a). Fault 1: stage 3a stamp 3 names a (captured row 3
+        // is c). Fault 2: D(P)-run stamp 2 names c (stage 3a's row 2 is
+        // b, captured row 2 is a). Fault 3: D(P)-run stamp 0 names a
+        // (stage 3a's row 0 is c). Faults 4 and 5 went undetected.
+        let dropped_before = [false, false, true, true, false, true];
+        let stage3a = [Some(0), Some(3), None, None, None, None];
+        let rerun = [None, None, Some(2), Some(0), None, None];
+        let w = witnessed(
+            &dropped_before,
+            |id| stage3a[id],
+            |id| rerun[id],
+            &simulated,
+            &original,
+            &cptp.row_set(),
+        );
+        assert_eq!(w, [false, true, false, true, false, false]);
+    }
+
+    #[test]
+    fn evaluation_reads_stage_3a_witnesses_in_the_reversed_stream() {
+        use warpstl_fault::fault_simulate;
+        use warpstl_netlist::modules::sfu;
+        // SFU_IMM's stage 3a runs each stream reversed, so its stamp t
+        // names row len − 1 − t of the captured stream. P = [x, y] runs as
+        // [y, x]: what y detects carries stamp 0. P′ keeps x alone, which
+        // is captured row 0, so reading stage 3a's stamps in the captured
+        // stream would credit P′ with everything y detects.
+        let compactor = Compactor {
+            reverse_patterns: true,
+            obs: Some(Arc::new(Recorder::new())),
+            ..Compactor::default()
+        };
+        let mut ctx = compactor.context_for(ModuleKind::Sfu);
+        let x = sfu::pack_row(sfu::F_SIN, 0x3f80_0000);
+        let y = sfu::pack_row(sfu::F_LG2, 0x1234_5678);
+        let capture = |rows: &[[u64; 1]]| {
+            let mut p = ModulePatterns::new(0, 2);
+            for (cc, row) in rows.iter().enumerate() {
+                p.sfu[0].push_row(cc as u64, row);
+            }
+            p
+        };
+        let (original, compacted) = (capture(&[x, y]), capture(&[x]));
+        let dropped_before = ctx.detection_flags();
+        let (_, simulated) = compactor.fault_sim(&original, &mut ctx);
+        let (fc_before, fc_after) =
+            compactor.evaluate(&ctx, &simulated, &dropped_before, &original, &compacted);
+
+        // The reference: fresh lists, whole streams, unguided runs.
+        let reference = |patterns: &ModulePatterns| {
+            let mut lists = ctx.fresh_lists();
+            for (stream, list) in ctx.streams(patterns).into_iter().zip(&mut lists) {
+                if !stream.is_empty() {
+                    fault_simulate(ctx.netlist(), stream, list, &FaultSimConfig::default());
+                }
+            }
+            let coverage = lists.iter().map(FaultList::coverage).sum::<f64>() / 2.0;
+            (coverage, lists[0].detection_flags())
+        };
+        let (before, p_set) = reference(&original);
+        let (after, cptp_set) = reference(&compacted);
+        assert_eq!(fc_before.to_bits(), before.to_bits());
+        assert_eq!(fc_after.to_bits(), after.to_bits());
+        // The case bites: y detects faults x does not, and x detects
+        // faults y does not, so P′ has both witnessed and re-simulated
+        // faults.
+        assert!(p_set.iter().zip(&cptp_set).any(|(&p, &c)| p && !c));
+        let m = compactor.obs.as_deref().unwrap().metrics();
+        assert!(m.counter(names::EVAL_WITNESSED) > 0);
+        assert!(m.counter(names::EVAL_RESIMULATED) > 0);
     }
 
     #[test]

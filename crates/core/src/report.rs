@@ -115,11 +115,13 @@ pub struct CompactionReport {
     /// simulating the whole captured stream on fresh lists.
     pub fc_before: f64,
     /// Standalone fault coverage after compaction, in [0, 1]: the
-    /// coverage of the set the compacted program detects on fresh lists,
-    /// from one run over its distinct rows — restricted to the original's
+    /// coverage of the set the compacted program detects on fresh lists.
+    /// The set is the original's detected faults whose detecting row the
+    /// compacted program still applies, plus what one run over its
+    /// distinct rows detects among the rest (restricted to the original's
     /// detected set when the compacted program applies no row the
-    /// original did not. Bit-identical to simulating the whole captured
-    /// stream on fresh lists.
+    /// original did not, and skipped when nothing is left). Bit-identical
+    /// to simulating the whole captured stream on fresh lists.
     pub fc_after: f64,
     /// Small Blocks found / removed.
     pub sbs_total: usize,

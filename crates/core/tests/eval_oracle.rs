@@ -5,12 +5,17 @@
 //!
 //! Three seeded PTPs are compacted in order against one context per
 //! module, so the second and third find faults already dropped from the
-//! shared lists (the masked `fc_before` path). Compacted streams that apply
-//! only rows of their original take the masked `fc_after` path, the
-//! others the unmasked one; the test checks that both occur, and that some
-//! compacted program detects a fault its original does not. It runs
-//! under stuck-at and bridging faults, with fault dropping on and off in
-//! the method's own simulation, and with untestable pruning on and off.
+//! shared lists (the masked `fc_before` path). `fc_after` takes one of
+//! three paths: no run, when the compacted program applies no new row and
+//! witness rows settle all of the original's detected set; a run masked to
+//! the unsettled rest of that set; or, when it applies new rows, a run over
+//! every fault not settled. The test checks that each path occurs, that
+//! the witnessed faults are detected by both programs, and that some
+//! compacted program detects a fault its original does not. It runs under
+//! stuck-at and bridging faults, with fault dropping on and off in the
+//! method's own simulation, and with untestable pruning on and off.
+
+use std::sync::Arc;
 
 use warpstl_core::{Compactor, ModuleContext};
 use warpstl_fault::{
@@ -20,6 +25,7 @@ use warpstl_fault::{
 use warpstl_gpu::RunResult;
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::PatternSeq;
+use warpstl_obs::{names, Recorder};
 use warpstl_programs::generators::{
     generate_cntrl, generate_fpu, generate_rand_sp, generate_sfu_imm, CntrlConfig, FpuConfig,
     RandConfig, SfuImmConfig,
@@ -127,9 +133,22 @@ fn standalone(
     }
 }
 
+/// The number of faults flagged in every set of `sets` at once.
+fn count_all(sets: &[&[Vec<bool>]]) -> u64 {
+    let instances = sets[0].len();
+    (0..instances)
+        .map(|i| {
+            (0..sets[0][i].len())
+                .filter(|&id| sets.iter().all(|s| s[i][id]))
+                .count() as u64
+        })
+        .sum()
+}
+
 #[test]
 fn fc_before_and_after_equal_the_fresh_list_reference() {
-    let mut subset_ptps = 0;
+    let mut no_run_ptps = 0;
+    let mut masked_ptps = 0;
     let mut new_row_ptps = 0;
     let mut escaping_ptps = 0;
     for model in [FaultModel::StuckAt, FaultModel::Bridging] {
@@ -148,6 +167,7 @@ fn fc_before_and_after_equal_the_fresh_list_reference() {
                         },
                         reverse_patterns: reverse,
                         prune_untestable: prune,
+                        obs: Some(Arc::new(Recorder::new())),
                         ..Compactor::default()
                     };
                     let mut ctx = compactor.context_for(module);
@@ -169,17 +189,31 @@ fn fc_before_and_after_equal_the_fresh_list_reference() {
                             after.to_bits(),
                             "fc_after, {tag}"
                         );
+                        // Witnessed faults are detected by both programs.
+                        let metrics = &out.report.metrics;
+                        let witnessed = metrics.counter(names::EVAL_WITNESSED);
+                        let resimulated = metrics.counter(names::EVAL_RESIMULATED);
+                        let in_p = count_all(&[&original_set]);
+                        let in_both = count_all(&[&original_set, &compacted_set]);
+                        assert!(witnessed <= in_both, "witnessed faults, {tag}");
                         // Whether every instance applies only rows its
-                        // original applied: the masked fc_after path.
+                        // original applied: the fc_after run, if any, is
+                        // then masked to the original's unwitnessed set.
                         let no_new_rows = ctx
                             .streams(&compacted.patterns)
                             .iter()
                             .zip(ctx.streams(&original.patterns))
                             .all(|(c, o)| c.rows_subset_of(o));
-                        if no_new_rows {
-                            subset_ptps += 1;
-                        } else {
+                        if !no_new_rows {
                             new_row_ptps += 1;
+                        } else if resimulated == 0 {
+                            // No run: witness rows settled all of D(P′).
+                            let in_cptp = count_all(&[&compacted_set]);
+                            assert_eq!(witnessed, in_cptp, "no-run path, {tag}");
+                            no_run_ptps += 1;
+                        } else {
+                            assert!(witnessed + resimulated <= in_p, "masked path, {tag}");
+                            masked_ptps += 1;
                         }
                         let escapes = compacted_set
                             .iter()
@@ -195,8 +229,9 @@ fn fc_before_and_after_equal_the_fresh_list_reference() {
         }
     }
     assert!(
-        subset_ptps > 0 && new_row_ptps > 0,
-        "both fc_after paths must be exercised: {subset_ptps} without and {new_row_ptps} with new rows"
+        no_run_ptps > 0 && masked_ptps > 0 && new_row_ptps > 0,
+        "every fc_after path must be exercised: {no_run_ptps} without a run, \
+         {masked_ptps} masked to the original's set, {new_row_ptps} with new rows"
     );
     assert!(
         escaping_ptps > 0,

@@ -228,10 +228,19 @@ impl PatternSeq {
         if self.width != other.width {
             return false;
         }
-        let rows: HashSet<&[u64]> = other.data.chunks_exact(other.words_per_row).collect();
+        let rows = other.row_set();
         self.data
             .chunks_exact(self.words_per_row)
             .all(|row| rows.contains(row))
+    }
+
+    /// The row values the sequence applies, each once, borrowed from it
+    /// (clock-cycle stamps ignored): the membership test behind
+    /// [`PatternSeq::rows_subset_of`]. Rows are compared as packed words,
+    /// so only rows of sequences of one width may be looked up.
+    #[must_use]
+    pub fn row_set(&self) -> HashSet<&[u64]> {
+        self.data.chunks_exact(self.words_per_row).collect()
     }
 
     /// Serializes to VCDE text.
@@ -446,6 +455,10 @@ mod tests {
         q.push_value(200, 0x22);
         assert!(q.rows_subset_of(&p), "stamps must not matter");
         assert!(!p.rows_subset_of(&q), "0x11 is a new row for q");
+        // The row set behind the test holds each applied row once.
+        let rows = q.row_set();
+        assert_eq!(rows.len(), 1);
+        assert!(rows.contains(p.row(1)) && !rows.contains(p.row(0)));
         q.push_value(300, 0x33);
         assert!(!q.rows_subset_of(&p));
         // Widths never mix, except that the empty stream is a subset of

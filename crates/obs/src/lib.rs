@@ -74,6 +74,13 @@ pub mod names {
     pub const CAMPAIGN_MISS: &str = "campaign.miss";
     /// A campaign cell failed (bad request or compaction failure).
     pub const CAMPAIGN_FAILED: &str = "campaign.failed";
+    /// Faults of a compacted program's standalone detected set settled by
+    /// a witness row — a row that detected them in the original and that
+    /// the compacted program still applies — without a fault simulation.
+    pub const EVAL_WITNESSED: &str = "eval.witnessed";
+    /// Faults the compacted program's standalone fault simulation
+    /// targeted: those no witness row settled.
+    pub const EVAL_RESIMULATED: &str = "eval.resimulated";
 }
 
 use std::collections::BTreeMap;

@@ -259,8 +259,10 @@ echo "== evaluation smoke test =="
 # PTPs per module (MEM after IMM, RAND after TPGEN) reaches the masked
 # fc_before run over the faults already dropped, and compacted programs
 # that apply no new row reach the fc_after run restricted to the
-# original's detected set. The report JSON must not depend on the worker
-# count, and a warm --cache-dir rerun must hit and reproduce the bytes.
+# original's detected set. Witness rows settle part of fc_after without
+# simulation: the traced run's eval.witnessed counter must be nonzero.
+# The report JSON must not depend on the worker count or on tracing, and
+# a warm --cache-dir rerun must hit and reproduce the bytes.
 for spec in "IMM --sb-count 4" "MEM --sb-count 4" "TPGEN --patterns 48" \
     "RAND --sb-count 4" "SFU_IMM --patterns 12"; do
     # $spec is unquoted on purpose: it is the generator's argument list.
@@ -272,7 +274,18 @@ done
     for p in IMM MEM TPGEN RAND SFU_IMM; do cat "$SMOKE_DIR/eval-$p.ptp"; done
 } > "$SMOKE_DIR/eval.stl"
 cargo run -q --release -p warpstl-cli -- compact-stl "$SMOKE_DIR/eval.stl" \
-    --no-cache --json "$SMOKE_DIR/eval-auto.json" >/dev/null || exit 1
+    --no-cache --json "$SMOKE_DIR/eval-auto.json" \
+    --trace-out "$SMOKE_DIR/eval-trace.json" >/dev/null || exit 1
+python3 - "$SMOKE_DIR/eval-trace.json" <<'EOF' || exit 1
+import json, sys
+
+with open(sys.argv[1]) as f:
+    counters = json.load(f)["warpstlMetrics"]["counters"]
+n = counters.get("eval.witnessed", 0)
+assert n > 0, f"no fault settled by a witness row, counters: {counters}"
+print(f"witness rows OK: {n} fault(s) settled, "
+      f"{counters.get('eval.resimulated', 0)} re-simulated")
+EOF
 WARPSTL_THREADS=1 cargo run -q --release -p warpstl-cli -- compact-stl \
     "$SMOKE_DIR/eval.stl" --no-cache --json "$SMOKE_DIR/eval-t1.json" \
     >/dev/null || exit 1
