@@ -26,12 +26,11 @@ usage:
                       [--sb-count N] [--patterns N] [--seed N] [--out FILE]
   warpstl features    <PTP-FILE>
   warpstl compact     <PTP-FILE> [--out FILE] [--reverse] [--no-arc]
-                      [--no-prune] [--trace-out FILE] [--json FILE]
+                      [--trace-out FILE] [--json FILE]
                       [--cache-dir DIR] [--no-cache]
                       [--sim-backend auto|event|kernel|kernel64]
                       [--fault-model stuck-at|bridging] [--lanes 8|16|32]
-  warpstl compact-stl <STL-FILE> [--out FILE] [--no-prune]
-                      [--trace-out FILE]
+  warpstl compact-stl <STL-FILE> [--out FILE] [--trace-out FILE]
                       [--json FILE] [--cache-dir DIR] [--no-cache]
                       [--sim-backend auto|event|kernel|kernel64]
   warpstl cache       <stats|gc|verify|clear> [--cache-dir DIR]
@@ -69,9 +68,9 @@ still accepted for compatibility (an unknown name warns) and changes
 nothing.
 
 pruning: compact and compact-stl drop faults the static implication
-engine proves untestable before simulating; --no-prune keeps them in the
-universe (detected-fault sets and report JSON are identical either way —
-the proofs are sound, so pruned faults were never detectable).
+engine proves untestable before simulating (the proofs are sound, so
+pruned faults were never detectable) and leave them out of the coverage
+denominator.
 
 fault models: --fault-model picks the simulated fault universe:
 `stuck-at` (default; untestability proofs and pruning apply) or
@@ -423,7 +422,6 @@ fn compact(args: &[String]) -> CliResult {
         gpu: warpstl_core::gpu_for_lanes(lanes)?,
         reverse_patterns: flags.has("--reverse"),
         respect_arc: !flags.has("--no-arc"),
-        prune_untestable: !flags.has("--no-prune"),
         fault_model: resolve_fault_model(&flags)?,
         obs: recorder.clone(),
         store: store.clone(),
@@ -637,7 +635,6 @@ fn compact_stl(args: &[String]) -> CliResult {
     resolve_sim_backend(&flags);
     let outcome = warpstl_core::compact_stl_with(&stl, |module| Compactor {
         reverse_patterns: module == ModuleKind::Sfu,
-        prune_untestable: !flags.has("--no-prune"),
         obs: recorder.clone(),
         store: store.clone(),
         ..Compactor::default()
@@ -666,8 +663,7 @@ fn compact_stl(args: &[String]) -> CliResult {
         eprintln!("wrote {out}");
     }
     if let Some(path) = flags.value("--json") {
-        let body: Vec<String> = outcome.reports.iter().map(|r| r.to_json()).collect();
-        let json = format!("[\n{}\n]\n", body.join(",\n"));
+        let json = warpstl_core::stl_report_array(&outcome.reports);
         atomic_write(path, json.as_bytes())?;
         eprintln!("wrote {path}");
     }
@@ -898,6 +894,44 @@ mod tests {
     }
 
     #[test]
+    fn compact_stl_json_matches_the_job_report_array() {
+        use warpstl_programs::generators::{generate_imm, generate_sfu_imm};
+        use warpstl_programs::serialize::stl_to_text;
+        use warpstl_programs::Stl;
+        let dir =
+            std::env::temp_dir().join(format!("warpstl-cli-stl-json-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        // Two modules, one of them the SFU the STL flow simulates reversed.
+        let mut stl = Stl::new("lib");
+        stl.push(generate_imm(&ImmConfig {
+            sb_count: 4,
+            ..ImmConfig::default()
+        }));
+        stl.push(generate_sfu_imm(&SfuImmConfig {
+            max_patterns: 8,
+            ..SfuImmConfig::default()
+        }));
+        let text = stl_to_text(&stl);
+        let stl_path = dir.join("lib.stl");
+        let json_path = dir.join("lib.json");
+        fs::write(&stl_path, &text).unwrap();
+        dispatch(&s(&[
+            "compact-stl",
+            stl_path.to_str().unwrap(),
+            "--no-cache",
+            "--json",
+            json_path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let job =
+            warpstl_core::compact_stl_job(&text, &warpstl_core::JobOptions::default(), None, None)
+                .unwrap();
+        assert_eq!(fs::read_to_string(&json_path).unwrap(), job.report_json);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn trace_out_writes_chrome_trace_with_stage_spans() {
         let dir = std::env::temp_dir().join("warpstl-cli-trace-test");
         fs::create_dir_all(&dir).unwrap();
@@ -1024,41 +1058,6 @@ mod tests {
         assert!(dispatch(&s(&["analyze", "redundant-logic", "--implications"])).is_ok());
         assert!(dispatch(&s(&["analyze", "redundant-logic", "--json"])).is_ok());
         assert!(dispatch(&s(&["analyze", "decoder_unit", "--implications"])).is_ok());
-    }
-
-    #[test]
-    fn no_prune_compact_reports_are_byte_identical() {
-        let dir =
-            std::env::temp_dir().join(format!("warpstl-cli-prune-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let ptp_path = dir.join("imm.ptp");
-        dispatch(&s(&[
-            "generate",
-            "IMM",
-            "--sb-count",
-            "4",
-            "--out",
-            ptp_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        // The untestability proofs are sound: dropping proven faults from
-        // the simulated universe must not change what gets detected, so
-        // the deterministic report JSON is byte-identical either way.
-        let mut reports = Vec::new();
-        for no_prune in [false, true] {
-            let out = dir.join(format!("prune-{no_prune}.json"));
-            let mut args = s(&["compact", ptp_path.to_str().unwrap()]);
-            if no_prune {
-                args.push("--no-prune".into());
-            }
-            args.extend(s(&["--json", out.to_str().unwrap()]));
-            dispatch(&args).unwrap();
-            reports.push(fs::read_to_string(&out).unwrap());
-        }
-        assert_eq!(reports[0], reports[1], "pruned vs unpruned report JSON");
-        assert!(reports[0].contains("\"untestable\""));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -14,7 +14,7 @@ use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig};
 use warpstl_gpu::{Gpu, RunOptions, SimError};
 use warpstl_programs::{segment_small_blocks, ArcAnalysis, BasicBlocks, Ptp};
 
-use crate::{CompactionReport, ModuleContext, StageTimings};
+use crate::{CompactionReport, ModuleContext};
 
 /// The iterative remove-and-refault-simulate compactor.
 #[derive(Debug, Clone, Default)]
@@ -121,10 +121,7 @@ impl IterativeCompactor {
             logic_sim_runs: logic_sims,
             untestable: ctx.untestable_count(),
             compaction_time: start.elapsed(),
-            // The iterative baseline interleaves tracing and fault
-            // simulation per candidate; it has no per-stage split, and it
-            // predates the verification gate.
-            stage_timings: StageTimings::default(),
+            // The iterative baseline predates the verification gate.
             analyze: warpstl_analyze::AnalyzeStats::default(),
             verify: warpstl_verify::VerifyStats::default(),
             metrics: warpstl_obs::Metrics::default(),

@@ -49,9 +49,6 @@ pub struct ModuleContext {
     levels: Levelization,
     /// Per collapsed-class flag: statically proven untestable.
     untestable: Vec<bool>,
-    /// Whether the simulation guide prunes proven-untestable classes from
-    /// the target set (list marking happens regardless).
-    prune: bool,
     store: Option<Arc<Store>>,
     netlist_key: Key,
 }
@@ -253,11 +250,25 @@ impl ModuleContext {
     /// this context reuses them. Each fault list is born with the proven
     /// classes [marked untestable](FaultList::mark_untestable), so
     /// coverage denominators count testable faults only.
+    ///
+    /// # Panics
+    ///
+    /// The analysis is the pipeline's lint gate: lint errors (a
+    /// combinational loop, an undriven net) leave the fault model
+    /// undefined, so this asserts a clean report before enumerating any
+    /// fault. Every bundled module passes it, so a failure is a generator
+    /// bug, not bad input.
     #[must_use]
     pub fn new(module: ModuleKind, instances: usize) -> ModuleContext {
         let netlist = module.build();
-        let universe = FaultUniverse::enumerate(&netlist);
         let analysis = analyze(&netlist);
+        assert!(
+            analysis.is_clean(),
+            "netlist {} failed static analysis:\n{}",
+            netlist.name(),
+            analysis.report
+        );
+        let universe = FaultUniverse::enumerate(&netlist);
         let (untestable, equiv_pairs) = map_untestability(&netlist, &universe, &analysis);
         let mut dominance = universe.dominance(&netlist);
         dominance.extend_with_equivalences(&equiv_pairs);
@@ -282,7 +293,6 @@ impl ModuleContext {
             order_keys,
             levels,
             untestable,
-            prune: true,
             store: None,
             netlist_key,
         }
@@ -291,7 +301,7 @@ impl ModuleContext {
     /// Selects the fault model of the per-instance ledgers.
     /// [`FaultModel::Bridging`] samples the two-net bridge universe
     /// (deterministic in `config`); the stuck-at universe and analysis
-    /// products stay available (the analyze gate is model-independent).
+    /// products stay available (the lint gate is model-independent).
     /// [`FaultModel::StuckAt`] restores the default.
     #[must_use]
     pub fn with_model(mut self, model: FaultModel, config: &BridgeConfig) -> ModuleContext {
@@ -311,39 +321,13 @@ impl ModuleContext {
         self
     }
 
-    /// Enables or disables static pruning: when disabled, the simulation
-    /// guide omits the untestable bitmap, so the engine simulates every
-    /// target class. The fault lists keep their untestability marks either
-    /// way — detected sets and coverage are identical in both modes (the
-    /// pruned classes are provably undetectable), making this a
-    /// cross-check knob, not a semantics knob.
-    #[must_use]
-    pub fn with_pruning(mut self, prune: bool) -> ModuleContext {
-        self.prune = prune;
-        self
-    }
-
-    /// Attaches (or detaches) the artifact store: every cacheable stage
-    /// run against this context — the analyze gate and each fault-engine
-    /// invocation — then consults it before computing. PTPs sharing the
-    /// context (the STL flow) share its hits.
+    /// Attaches (or detaches) the artifact store: every fault-engine
+    /// invocation run against this context then consults it before
+    /// simulating. PTPs sharing the context (the STL flow) share its hits.
     #[must_use]
     pub fn with_store(mut self, store: Option<Arc<Store>>) -> ModuleContext {
         self.store = store;
         self
-    }
-
-    /// The attached artifact store, when caching is enabled.
-    #[must_use]
-    pub fn store(&self) -> Option<&Store> {
-        self.store.as_deref()
-    }
-
-    /// The canonical content key of this module's netlist (all per-module
-    /// artifact keys derive from it).
-    #[must_use]
-    pub fn netlist_key(&self) -> Key {
-        self.netlist_key
     }
 
     /// The cache handle fault-simulation call sites thread through to
@@ -412,12 +396,6 @@ impl ModuleContext {
         self.ledger.untestable_count()
     }
 
-    /// Whether the simulation guide prunes proven-untestable classes.
-    #[must_use]
-    pub fn pruning(&self) -> bool {
-        self.prune
-    }
-
     /// The simulation guide (dominance + untestable pruning + ordering)
     /// borrowed from this context — hand it to
     /// [`fault_simulate_guided`](warpstl_fault::fault_simulate_guided).
@@ -425,7 +403,7 @@ impl ModuleContext {
     pub fn sim_guide(&self) -> SimGuide<'_> {
         SimGuide {
             dominance: Some(&self.dominance),
-            untestable: self.prune.then_some(self.untestable.as_slice()),
+            untestable: Some(&self.untestable),
             targets: None,
             order_keys: Some(&self.order_keys),
             levels: Some(&self.levels),
@@ -460,7 +438,7 @@ impl ModuleContext {
         // mutable ledger.
         let guide = SimGuide {
             dominance: Some(&self.dominance),
-            untestable: self.prune.then_some(self.untestable.as_slice()),
+            untestable: Some(&self.untestable),
             targets: None,
             order_keys: Some(&self.order_keys),
             levels: Some(&self.levels),
@@ -544,6 +522,7 @@ impl ModuleContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use warpstl_fault::fault_simulate_guided;
 
     #[test]
     fn instances_match_module_kind() {
@@ -578,52 +557,56 @@ mod tests {
 
     #[test]
     fn pruning_toggle_leaves_detection_bit_identical() {
-        // The acceptance property behind `--no-prune`: simulating with the
-        // untestable classes pruned from the target set detects exactly
+        // Pruning is always on, and sound: simulating with the proven
+        // untestable classes dropped from the target set detects exactly
         // the same faults, with the same stamps, as simulating them all.
-        let netlist = ModuleKind::DecoderUnit.build();
-        let width = netlist.inputs().width();
-        let mut patterns = PatternSeq::new(width);
-        let mut seed = 0x5eed_0001_u64;
-        for cc in 0..48u64 {
-            let bits: Vec<bool> = (0..width)
-                .map(|_| {
-                    seed ^= seed << 13;
-                    seed ^= seed >> 7;
-                    seed ^= seed << 17;
-                    seed & 1 == 1
-                })
-                .collect();
-            patterns.push_bits(cc, &bits);
-        }
-        let run = |prune: bool| {
-            let mut ctx = ModuleContext::new(ModuleKind::DecoderUnit, 1).with_pruning(prune);
-            assert_eq!(ctx.sim_guide().untestable.is_some(), prune);
-            let report = ctx
-                .simulate(
-                    &[Cow::Borrowed(&patterns)],
+        for module in ModuleKind::ALL {
+            let ctx = ModuleContext::new(module, 1);
+            let netlist = ctx.netlist();
+            let width = netlist.inputs().width();
+            let mut patterns = PatternSeq::new(width);
+            let mut seed = 0x5eed_0001_u64;
+            for cc in 0..48u64 {
+                let bits: Vec<bool> = (0..width)
+                    .map(|_| {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        seed & 1 == 1
+                    })
+                    .collect();
+                patterns.push_bits(cc, &bits);
+            }
+            let run = |guide: &SimGuide<'_>| {
+                let mut list = ctx.fresh_lists().remove(0);
+                let report = fault_simulate_guided(
+                    netlist,
+                    &patterns,
+                    &mut list,
                     &FaultSimConfig::default(),
                     None,
-                )
-                .remove(0)
-                .expect("the stream is non-empty");
-            let Ledger::StuckAt(lists) = &ctx.ledger else {
-                unreachable!("contexts start under stuck-at")
+                    guide,
+                );
+                (list.to_report_text(), list.coverage(), report)
             };
-            (lists[0].to_report_text(), ctx.coverage(), report)
-        };
-        let (text_on, cov_on, rep_on) = run(true);
-        let (text_off, cov_off, rep_off) = run(false);
-        assert_eq!(text_on, text_off);
-        assert_eq!(cov_on, cov_off);
-        assert_eq!(rep_on.total_detected(), rep_off.total_detected());
-        // The pruned run accounts for exactly the proven classes; the
-        // unpruned run prunes nothing.
-        let ctx = ModuleContext::new(ModuleKind::DecoderUnit, 1);
-        assert_eq!(rep_on.untestable_count() as usize, ctx.untestable_count());
-        assert_eq!(rep_off.untestable_count(), 0);
-        let proven = ctx.untestable_bitmap().iter().filter(|&&u| u).count();
-        assert_eq!(ctx.untestable_count(), proven);
+            let pruned = ctx.sim_guide();
+            assert!(pruned.untestable.is_some());
+            let (text_on, cov_on, rep_on) = run(&pruned);
+            let (text_off, cov_off, rep_off) = run(&SimGuide {
+                untestable: None,
+                ..ctx.sim_guide()
+            });
+            assert_eq!(text_on, text_off, "{module}: fault-list report text");
+            assert_eq!(cov_on.to_bits(), cov_off.to_bits(), "{module}: coverage");
+            assert_eq!(rep_on.total_detected(), rep_off.total_detected());
+            // The pruned run accounts for exactly the proven classes; the
+            // unpruned run prunes nothing.
+            assert!(ctx.untestable_count() > 0, "{module}: no proofs");
+            assert_eq!(rep_on.untestable_count() as usize, ctx.untestable_count());
+            assert_eq!(rep_off.untestable_count(), 0);
+            let proven = ctx.untestable_bitmap().iter().filter(|&&u| u).count();
+            assert_eq!(ctx.untestable_count(), proven);
+        }
     }
 
     #[test]

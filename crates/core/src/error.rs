@@ -3,25 +3,13 @@
 use std::error::Error;
 use std::fmt;
 
-use warpstl_analyze::AnalyzeReport;
 use warpstl_gpu::SimError;
 use warpstl_verify::VerifyReport;
 
-/// Why a compaction run aborted: the target netlist failed the static
-/// analysis gate, the GPU model failed, or the post-reduction verification
-/// gate found the compacted PTP malformed.
+/// Why a compaction run aborted: the GPU model failed, or the
+/// post-reduction verification gate found the compacted PTP malformed.
 #[derive(Debug, Clone)]
 pub enum CompactionError {
-    /// The static netlist analyzer found lint errors (combinational loops,
-    /// undriven nets) in the target module; the pipeline stopped before
-    /// spending its single fault simulation. The full structured report is
-    /// attached.
-    Analyze {
-        /// The netlist that failed the gate.
-        name: String,
-        /// The analyzer's findings.
-        report: AnalyzeReport,
-    },
     /// The logic simulation raised an error.
     Sim(SimError),
     /// The static verifier found errors in the compacted PTP; the pipeline
@@ -38,11 +26,6 @@ pub enum CompactionError {
 impl fmt::Display for CompactionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompactionError::Analyze { name, report } => write!(
-                f,
-                "netlist {name} failed static analysis with {} error(s):\n{report}",
-                report.error_count()
-            ),
             CompactionError::Sim(e) => write!(f, "simulation error: {e}"),
             CompactionError::Verify { name, report } => write!(
                 f,
@@ -57,7 +40,7 @@ impl Error for CompactionError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CompactionError::Sim(e) => Some(e),
-            CompactionError::Analyze { .. } | CompactionError::Verify { .. } => None,
+            CompactionError::Verify { .. } => None,
         }
     }
 }
@@ -72,27 +55,6 @@ impl From<SimError> for CompactionError {
 mod tests {
     use super::*;
     use warpstl_verify::{Diagnostic, Rule};
-
-    #[test]
-    fn analyze_variant_displays_report() {
-        let err = CompactionError::Analyze {
-            name: "fixture_comb_loop".into(),
-            report: AnalyzeReport {
-                name: "fixture_comb_loop".into(),
-                gates: 5,
-                diagnostics: vec![warpstl_analyze::Diagnostic::error(
-                    warpstl_analyze::Rule::CombLoop,
-                    warpstl_netlist::NetId(2),
-                    "combinational loop: n2 -> n3 -> n2",
-                )],
-                implications: warpstl_analyze::ImplicationStats::default(),
-            },
-        };
-        let s = err.to_string();
-        assert!(s.contains("failed static analysis with 1 error(s)"));
-        assert!(s.contains("comb-loop"));
-        assert!(err.source().is_none());
-    }
 
     #[test]
     fn verify_variant_displays_report() {

@@ -35,9 +35,6 @@ pub struct JobOptions {
     pub reverse: bool,
     /// Honor ARC labels during reduction (`--no-arc` clears it).
     pub respect_arc: bool,
-    /// Prune proven-untestable faults before simulating (`--no-prune`
-    /// clears it).
-    pub prune: bool,
     /// Engine worker threads; `0` defers to the engine's own resolution
     /// (environment, then host parallelism). A serving front-end sets this
     /// to its per-worker share so the pool does not oversubscribe.
@@ -62,7 +59,6 @@ impl Default for JobOptions {
         JobOptions {
             reverse: false,
             respect_arc: true,
-            prune: true,
             threads: 0,
             lanes: 0,
             fault_model: FaultModel::StuckAt,
@@ -104,7 +100,6 @@ impl JobOptions {
             gpu,
             reverse_patterns: self.reverse,
             respect_arc: self.respect_arc,
-            prune_untestable: self.prune,
             fault_model: self.fault_model,
             bridge_config,
             obs,

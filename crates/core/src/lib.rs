@@ -31,7 +31,12 @@
 //! run with [`CompactionError::Verify`] instead of an evaluated but
 //! meaningless CPTP. Per-rule counts land in
 //! [`CompactionReport::verify`](CompactionReport); the gate's wall time in
-//! [`StageTimings::verify`](StageTimings).
+//! its `stage.verify` span.
+//!
+//! The target netlist's own lint gate runs once per module, when its
+//! [`ModuleContext`] is built together with the rest of the module's
+//! static analysis; every PTP compacted against the context reads its
+//! counts from there.
 //!
 //! The [`baseline`] module implements the prior-art iterative compactor
 //! (one fault simulation per candidate removal) the paper compares against.
@@ -81,5 +86,5 @@ pub use label::{label_instructions, Labels};
 pub use pipeline::{CompactionOutcome, Compactor};
 pub use reduce::{reduce_ptp, reduce_ptp_with, Reduction};
 pub use reorder::{reorder_ptp, time_to_fraction, Reorder, ReorderError};
-pub use report::{CompactionReport, PtpFeatures, StageTimings};
+pub use report::{CompactionReport, PtpFeatures};
 pub use stl_flow::{compact_stl, compact_stl_with, StlOutcome};

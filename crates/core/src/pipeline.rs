@@ -13,13 +13,11 @@ use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
 use warpstl_obs::{names, Metrics, Obs, ObsExt, Recorder};
 use warpstl_programs::{ArcAnalysis, BasicBlocks, Ptp};
-use warpstl_store::{cached_analyze, cached_fault_sim, CacheCtx, KeyedFault, Store};
+use warpstl_store::{cached_fault_sim, CacheCtx, KeyedFault, Store};
 use warpstl_verify::{verify_reduction_observed, Severity, VerifyOptions};
 
 use crate::context::Ledger;
-use crate::{
-    label_instructions, CompactionError, CompactionReport, ModuleContext, PtpFeatures, StageTimings,
-};
+use crate::{label_instructions, CompactionError, CompactionReport, ModuleContext, PtpFeatures};
 
 /// Fault-simulates the per-instance pattern streams against their fault
 /// lists through [`cached_fault_sim`], one scoped worker per instance with
@@ -156,12 +154,6 @@ pub struct Compactor {
     /// Disabling this reproduces the failure mode the paper warns about
     /// (see the ARC ablation).
     pub respect_arc: bool,
-    /// Prune statically-proven-untestable fault classes from every
-    /// fault-simulation target set (on by default). Detected sets,
-    /// coverages and reports are bit-identical either way — the pruned
-    /// classes are provably undetectable — so disabling this is purely a
-    /// cross-check/ablation knob.
-    pub prune_untestable: bool,
     /// Observability sink. `None` (the default) keeps every instrumentation
     /// point a guaranteed no-op; `Some` collects spans and metrics for all
     /// pipeline stages and the fault-engine internals, exportable with
@@ -169,10 +161,10 @@ pub struct Compactor {
     /// an STL to get a single contiguous trace.
     pub obs: Option<Arc<Recorder>>,
     /// Content-addressed artifact store. `None` (the default) computes
-    /// everything; `Some` makes the analyze gate and every fault-engine
-    /// invocation consult the cache first and persist misses, so a rerun
-    /// over unchanged inputs replays detection stamps instead of
-    /// simulating. Results are bit-identical either way.
+    /// everything; `Some` makes every fault-engine invocation consult the
+    /// cache first and persist misses, so a rerun over unchanged inputs
+    /// replays detection stamps instead of simulating. Results are
+    /// bit-identical either way.
     pub store: Option<Arc<Store>>,
 }
 
@@ -185,7 +177,6 @@ impl Default for Compactor {
             bridge_config: BridgeConfig::default(),
             reverse_patterns: false,
             respect_arc: true,
-            prune_untestable: true,
             obs: None,
             store: None,
         }
@@ -209,8 +200,10 @@ impl Compactor {
         self.obs.as_deref()
     }
 
-    /// Builds the shared per-module context (netlist, collapsed fault
-    /// universe, one dropping fault list per instance).
+    /// Builds the shared per-module context (netlist, static analysis,
+    /// collapsed fault universe, one dropping fault list per instance).
+    /// The analysis is the lint gate, passed once here for every PTP
+    /// compacted against the context (see [`ModuleContext::new`]).
     #[must_use]
     pub fn context_for(&self, module: ModuleKind) -> ModuleContext {
         let instances = match module {
@@ -219,7 +212,6 @@ impl Compactor {
             ModuleKind::Sfu => self.gpu.config.sfus,
         };
         ModuleContext::new(module, instances)
-            .with_pruning(self.prune_untestable)
             .with_store(self.store.clone())
             .with_model(self.fault_model, &self.bridge_config)
     }
@@ -311,59 +303,35 @@ impl Compactor {
         let mut compact_span = obs.span("pipeline", "compact");
         compact_span.arg("ptp", &ptp.name);
 
-        // Mandatory gate: statically analyze the target netlist before
-        // spending the single logic and fault simulation on it. Lint
-        // errors (combinational loops, undriven nets) make the fault
-        // model — and therefore the whole compaction — meaningless.
-        let analyze_report = {
-            let _s = obs.span("stage", "stage.analyze");
-            cached_analyze(ctx.store(), ctx.netlist_key(), ctx.netlist(), obs)
-        };
-        let analyze_time = start.elapsed();
-        if !analyze_report.is_clean() {
-            obs.add("pipeline.analyze_rejects", 1);
-            return Err(CompactionError::Analyze {
-                name: ctx.netlist().name().to_string(),
-                report: analyze_report,
-            });
-        }
-        let analyze_stats = analyze_report.stats();
-
+        // The netlist lint gate passed when `ctx` was built.
         // Stage 1: partitioning (BBs, ARC) happens inside reduce_ptp; the
         // stage is cheap and pure, so it is recomputed there.
         // Stage 2: ONE logic simulation with tracing + pattern capture.
-        let stamp = Instant::now();
         let run = {
             let _s = obs.span("stage", "stage.trace");
             self.trace_for(ptp, ctx.module())?
         };
         obs.add("pipeline.logic_sim_runs", 1);
-        let trace_time = stamp.elapsed();
 
         // What the shared lists had dropped before this PTP: the part of
         // the original's detected set stage 3a cannot see (evaluation).
         let dropped_before = ctx.detection_flags();
 
         // Stage 3a: ONE fault simulation against the shared dropping list.
-        let stamp = Instant::now();
         let (fsr, simulated) = {
             let _s = obs.span("stage", "stage.fsim");
             self.fault_sim(&run.patterns, ctx)
         };
         obs.add("pipeline.fsim_runs", 1);
-        let fsim_time = stamp.elapsed();
 
         // Stage 3b: instruction labeling (Fig. 2).
-        let stamp = Instant::now();
         let labels = {
             let _s = obs.span("stage", "stage.label");
             label_instructions(ptp.program.len(), &run.trace, &fsr)
         };
         obs.add("label.essential", labels.essential_count() as u64);
-        let label_time = stamp.elapsed();
 
         // Stage 4: reduction (Fig. 3) + stage 5: reassembling.
-        let stamp = Instant::now();
         let reduce_span = obs.span("stage", "stage.reduce");
         let reduction = crate::reduce_ptp_with(ptp, &labels, self.respect_arc);
 
@@ -378,13 +346,11 @@ impl Compactor {
             "reduce.instructions_removed",
             reduction.removed_pcs.len() as u64,
         );
-        let reduce_time = stamp.elapsed();
 
         // Mandatory gate: statically verify the reassembled CPTP before
         // spending fault simulations on it. ARC violations are only
         // possible when the ARC filter is off (the ablation), where they
         // are expected — downgrade them to warnings there.
-        let stamp = Instant::now();
         let verify_opts = VerifyOptions {
             arc_severity: if self.respect_arc {
                 Severity::Error
@@ -396,7 +362,6 @@ impl Compactor {
             let _s = obs.span("stage", "stage.verify");
             verify_reduction_observed(ptp, &compacted, &reduction.removed_pcs, &verify_opts, obs)
         };
-        let verify_time = stamp.elapsed();
         let compaction_time = start.elapsed();
         if !verify_report.is_clean() {
             obs.add("pipeline.verify_rejects", 1);
@@ -409,7 +374,6 @@ impl Compactor {
         // Evaluation (outside the method's fault-simulation budget): the
         // standalone FC of the original and compacted programs, and the
         // compacted duration.
-        let stamp = Instant::now();
         let (fc_before, compacted_run, fc_after) = {
             let _s = obs.span("stage", "stage.eval");
             let compacted_run = self.trace_for(&compacted, ctx.module())?;
@@ -422,7 +386,6 @@ impl Compactor {
             );
             (fc_before, compacted_run, fc_after)
         };
-        let eval_time = stamp.elapsed();
 
         obs.add("pipeline.ptps", 1);
         obs.record(
@@ -452,20 +415,9 @@ impl Compactor {
             essential_instructions: labels.essential_count(),
             fault_sim_runs: 1,
             logic_sim_runs: 1,
-            // Statically proven, so identical with pruning on or off —
-            // keeps the deterministic JSON byte-identical across modes.
             untestable: ctx.untestable_count(),
             compaction_time,
-            stage_timings: StageTimings {
-                analyze: analyze_time,
-                trace: trace_time,
-                fsim: fsim_time,
-                label: label_time,
-                reduce: reduce_time,
-                verify: verify_time,
-                eval: eval_time,
-            },
-            analyze: analyze_stats,
+            analyze: ctx.analysis().report.stats(),
             verify: verify_report.stats(),
             metrics,
         };
@@ -778,7 +730,6 @@ mod tests {
         let rec = compactor.obs.as_deref().unwrap();
         let spans = rec.spans();
         for stage in [
-            "stage.analyze",
             "stage.trace",
             "stage.fsim",
             "stage.label",
@@ -796,9 +747,11 @@ mod tests {
             spans.iter().any(|s| s.name == "fsim.worker"),
             "fault-engine worker spans missing"
         );
+        // The netlist analysis ran once, in `context_for`, outside the
+        // compactor's recorder: no PTP pays for it again.
         assert!(
-            spans.iter().any(|s| s.name == "analyze.run"),
-            "netlist-analyzer spans missing"
+            !spans.iter().any(|s| s.name.starts_with("analyze.")),
+            "compact re-ran the netlist analysis"
         );
         // The report carries the delta, which on a fresh recorder is the
         // whole run; its pipeline counters match the report's fields.

@@ -36,63 +36,6 @@ impl fmt::Display for PtpFeatures {
     }
 }
 
-/// Wall-clock time spent in each pipeline stage of one compaction.
-///
-/// `trace`, `fsim`, `label` and `reduce` partition
-/// [`CompactionReport::compaction_time`] (the method's own cost — the
-/// paper's last column); `eval` is the evaluation overhead outside it
-/// (standalone coverage of the original and compacted programs, and the
-/// compacted program's re-run).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// The pre-simulation static netlist analysis gate (SCOAP + lints).
-    pub analyze: Duration,
-    /// Stage 2: the single traced logic simulation.
-    pub trace: Duration,
-    /// Stage 3a: the single fault simulation.
-    pub fsim: Duration,
-    /// Stage 3b: instruction labeling.
-    pub label: Duration,
-    /// Stages 4–5: Small-Block reduction and reassembly.
-    pub reduce: Duration,
-    /// The post-reduction static verification gate.
-    pub verify: Duration,
-    /// Post-compaction evaluation (standalone coverages, compacted re-run).
-    pub eval: Duration,
-}
-
-impl StageTimings {
-    /// The total across all stages, evaluation included.
-    #[must_use]
-    pub fn total(&self) -> Duration {
-        self.analyze + self.trace + self.fsim + self.label + self.reduce + self.verify + self.eval
-    }
-
-    /// Element-wise sum (used by [`CompactionReport::combined`]).
-    #[must_use]
-    pub fn merged(&self, other: &StageTimings) -> StageTimings {
-        StageTimings {
-            analyze: self.analyze + other.analyze,
-            trace: self.trace + other.trace,
-            fsim: self.fsim + other.fsim,
-            label: self.label + other.label,
-            reduce: self.reduce + other.reduce,
-            verify: self.verify + other.verify,
-            eval: self.eval + other.eval,
-        }
-    }
-}
-
-impl fmt::Display for StageTimings {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "analyze {:?} | trace {:?} | fsim {:?} | label {:?} | reduce {:?} | verify {:?} | eval {:?}",
-            self.analyze, self.trace, self.fsim, self.label, self.reduce, self.verify, self.eval
-        )
-    }
-}
-
 /// The result of compacting one PTP — one row of Table II/III.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompactionReport {
@@ -136,15 +79,14 @@ pub struct CompactionReport {
     pub logic_sim_runs: usize,
     /// Fault classes of the target module statically proven untestable by
     /// the implication engine — excluded from the coverage denominator
-    /// (and, with pruning on, from simulation).
+    /// and from simulation.
     pub untestable: usize,
-    /// Wall-clock time of the compaction (the paper's last column).
+    /// Wall-clock time of the compaction (the paper's last column). The
+    /// `stage.*` spans of an attached recorder split it by stage.
     pub compaction_time: Duration,
-    /// Per-stage breakdown of where that time (plus evaluation) went.
-    pub stage_timings: StageTimings,
-    /// Per-rule diagnostic counts from the pre-simulation netlist analysis
-    /// gate (a report only exists when the gate found no errors, so these
-    /// are the surviving warnings plus zeroed error rows).
+    /// Per-rule diagnostic counts from the netlist lint gate, which the
+    /// module's context passed when it was built (so these are the
+    /// surviving warnings plus zeroed error rows).
     pub analyze: AnalyzeStats,
     /// Per-rule diagnostic counts from the post-reduction verification
     /// gate (a report only exists when the gate found no errors, so these
@@ -180,12 +122,11 @@ impl CompactionReport {
 
     /// Serializes the report's *deterministic* fields as a JSON object.
     ///
-    /// Wall-clock durations (`compaction_time`, `stage_timings`) and the
-    /// observability `metrics` are excluded: they vary run to run. What
-    /// remains is reproducible from the inputs alone, so two runs over
-    /// identical inputs — cached or not — emit byte-identical JSON. The
-    /// CLI's `--json`, the bench's cold-vs-warm block, and the check.sh
-    /// cache smoke all diff this form.
+    /// The wall-clock `compaction_time` and the observability `metrics`
+    /// are excluded: they vary run to run. What remains is reproducible
+    /// from the inputs alone, so two runs over identical inputs — cached
+    /// or not — emit byte-identical JSON. The CLI's `--json`, the bench's
+    /// cold-vs-warm block, and the check.sh cache smoke all diff this form.
     #[must_use]
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
@@ -269,9 +210,6 @@ impl CompactionReport {
             // not additive (mirrors `FaultSimReport::merge`).
             untestable: parts.iter().map(|r| r.untestable).max().unwrap_or(0),
             compaction_time: parts.iter().map(|r| r.compaction_time).sum(),
-            stage_timings: parts.iter().fold(StageTimings::default(), |acc, r| {
-                acc.merged(&r.stage_timings)
-            }),
             analyze: parts
                 .iter()
                 .fold(AnalyzeStats::default(), |acc, r| acc.merged(&r.analyze)),
@@ -322,15 +260,6 @@ mod tests {
             logic_sim_runs: 1,
             untestable: 4,
             compaction_time: Duration::from_millis(1234),
-            stage_timings: StageTimings {
-                analyze: Duration::from_millis(50),
-                trace: Duration::from_millis(600),
-                fsim: Duration::from_millis(500),
-                label: Duration::from_millis(34),
-                reduce: Duration::from_millis(100),
-                verify: Duration::from_millis(16),
-                eval: Duration::from_millis(900),
-            },
             analyze: {
                 let mut a = AnalyzeStats::default();
                 a.warnings[2] = 1; // one dead-logic warning survived the gate
@@ -367,24 +296,12 @@ mod tests {
         // Shared universe: untestable is a max, not a sum.
         assert_eq!(c.untestable, 4);
         assert!((c.fc_diff_pct() + 1.0).abs() < 1e-9);
-        assert_eq!(c.stage_timings.fsim, Duration::from_millis(1000));
-        assert_eq!(c.stage_timings.analyze, Duration::from_millis(100));
-        assert_eq!(c.stage_timings.total(), Duration::from_millis(4400));
+        assert_eq!(c.compaction_time, Duration::from_millis(2468));
         assert_eq!(c.analyze.total_warnings(), 2);
         assert_eq!(c.analyze.total_errors(), 0);
         assert_eq!(c.verify.total_warnings(), 2);
         assert_eq!(c.verify.total_errors(), 0);
         assert_eq!(c.metrics.counter("pipeline.fsim_runs"), 2);
-    }
-
-    #[test]
-    fn stage_timings_display_names_every_stage() {
-        let s = sample().stage_timings.to_string();
-        for stage in [
-            "analyze", "trace", "fsim", "label", "reduce", "verify", "eval",
-        ] {
-            assert!(s.contains(stage), "missing {stage} in {s}");
-        }
     }
 
     #[test]

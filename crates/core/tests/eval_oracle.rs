@@ -12,8 +12,10 @@
 //! every fault not settled. The test checks that each path occurs, that
 //! the witnessed faults are detected by both programs, and that some
 //! compacted program detects a fault its original does not. It runs under
-//! stuck-at and bridging faults, with fault dropping on and off in the
-//! method's own simulation, and with untestable pruning on and off.
+//! stuck-at and bridging faults, and with fault dropping on and off in the
+//! method's own simulation. The reference runs unguided, so it never
+//! prunes: the method's always-on untestable pruning is checked against
+//! it too.
 
 use std::sync::Arc;
 
@@ -153,76 +155,72 @@ fn fc_before_and_after_equal_the_fresh_list_reference() {
     let mut escaping_ptps = 0;
     for model in [FaultModel::StuckAt, FaultModel::Bridging] {
         for drop in [true, false] {
-            for prune in [true, false] {
-                for (module, ptps, reverse) in cases() {
-                    let compactor = Compactor {
-                        fault_model: model,
-                        bridge_config: BridgeConfig {
-                            pairs: 24,
-                            ..BridgeConfig::default()
-                        },
-                        fsim_config: FaultSimConfig {
-                            drop_detected: drop,
-                            ..FaultSimConfig::default()
-                        },
-                        reverse_patterns: reverse,
-                        prune_untestable: prune,
-                        obs: Some(Arc::new(Recorder::new())),
-                        ..Compactor::default()
-                    };
-                    let mut ctx = compactor.context_for(module);
-                    for (k, ptp) in ptps.iter().enumerate() {
-                        let out = compactor.compact(ptp, &mut ctx).expect("PTP compacts");
-                        let tag =
-                            format!("{module} PTP {k} model={model} drop={drop} prune={prune}");
-                        let original = compactor.trace(ptp).expect("PTP runs");
-                        let compacted = compactor.trace(&out.compacted).expect("CPTP runs");
-                        let (before, original_set) = standalone(&compactor, &ctx, &original);
-                        let (after, compacted_set) = standalone(&compactor, &ctx, &compacted);
-                        assert_eq!(
-                            out.report.fc_before.to_bits(),
-                            before.to_bits(),
-                            "fc_before, {tag}"
-                        );
-                        assert_eq!(
-                            out.report.fc_after.to_bits(),
-                            after.to_bits(),
-                            "fc_after, {tag}"
-                        );
-                        // Witnessed faults are detected by both programs.
-                        let metrics = &out.report.metrics;
-                        let witnessed = metrics.counter(names::EVAL_WITNESSED);
-                        let resimulated = metrics.counter(names::EVAL_RESIMULATED);
-                        let in_p = count_all(&[&original_set]);
-                        let in_both = count_all(&[&original_set, &compacted_set]);
-                        assert!(witnessed <= in_both, "witnessed faults, {tag}");
-                        // Whether every instance applies only rows its
-                        // original applied: the fc_after run, if any, is
-                        // then masked to the original's unwitnessed set.
-                        let no_new_rows = ctx
-                            .streams(&compacted.patterns)
-                            .iter()
-                            .zip(ctx.streams(&original.patterns))
-                            .all(|(c, o)| c.rows_subset_of(o));
-                        if !no_new_rows {
-                            new_row_ptps += 1;
-                        } else if resimulated == 0 {
-                            // No run: witness rows settled all of D(P′).
-                            let in_cptp = count_all(&[&compacted_set]);
-                            assert_eq!(witnessed, in_cptp, "no-run path, {tag}");
-                            no_run_ptps += 1;
-                        } else {
-                            assert!(witnessed + resimulated <= in_p, "masked path, {tag}");
-                            masked_ptps += 1;
-                        }
-                        let escapes = compacted_set
-                            .iter()
-                            .zip(&original_set)
-                            .any(|(c, o)| c.iter().zip(o).any(|(&c, &o)| c && !o));
-                        if escapes {
-                            assert!(!no_new_rows, "only new rows detect new faults, {tag}");
-                            escaping_ptps += 1;
-                        }
+            for (module, ptps, reverse) in cases() {
+                let compactor = Compactor {
+                    fault_model: model,
+                    bridge_config: BridgeConfig {
+                        pairs: 24,
+                        ..BridgeConfig::default()
+                    },
+                    fsim_config: FaultSimConfig {
+                        drop_detected: drop,
+                        ..FaultSimConfig::default()
+                    },
+                    reverse_patterns: reverse,
+                    obs: Some(Arc::new(Recorder::new())),
+                    ..Compactor::default()
+                };
+                let mut ctx = compactor.context_for(module);
+                for (k, ptp) in ptps.iter().enumerate() {
+                    let out = compactor.compact(ptp, &mut ctx).expect("PTP compacts");
+                    let tag = format!("{module} PTP {k} model={model} drop={drop}");
+                    let original = compactor.trace(ptp).expect("PTP runs");
+                    let compacted = compactor.trace(&out.compacted).expect("CPTP runs");
+                    let (before, original_set) = standalone(&compactor, &ctx, &original);
+                    let (after, compacted_set) = standalone(&compactor, &ctx, &compacted);
+                    assert_eq!(
+                        out.report.fc_before.to_bits(),
+                        before.to_bits(),
+                        "fc_before, {tag}"
+                    );
+                    assert_eq!(
+                        out.report.fc_after.to_bits(),
+                        after.to_bits(),
+                        "fc_after, {tag}"
+                    );
+                    // Witnessed faults are detected by both programs.
+                    let metrics = &out.report.metrics;
+                    let witnessed = metrics.counter(names::EVAL_WITNESSED);
+                    let resimulated = metrics.counter(names::EVAL_RESIMULATED);
+                    let in_p = count_all(&[&original_set]);
+                    let in_both = count_all(&[&original_set, &compacted_set]);
+                    assert!(witnessed <= in_both, "witnessed faults, {tag}");
+                    // Whether every instance applies only rows its
+                    // original applied: the fc_after run, if any, is
+                    // then masked to the original's unwitnessed set.
+                    let no_new_rows = ctx
+                        .streams(&compacted.patterns)
+                        .iter()
+                        .zip(ctx.streams(&original.patterns))
+                        .all(|(c, o)| c.rows_subset_of(o));
+                    if !no_new_rows {
+                        new_row_ptps += 1;
+                    } else if resimulated == 0 {
+                        // No run: witness rows settled all of D(P′).
+                        let in_cptp = count_all(&[&compacted_set]);
+                        assert_eq!(witnessed, in_cptp, "no-run path, {tag}");
+                        no_run_ptps += 1;
+                    } else {
+                        assert!(witnessed + resimulated <= in_p, "masked path, {tag}");
+                        masked_ptps += 1;
+                    }
+                    let escapes = compacted_set
+                        .iter()
+                        .zip(&original_set)
+                        .any(|(c, o)| c.iter().zip(o).any(|(&c, &o)| c && !o));
+                    if escapes {
+                        assert!(!no_new_rows, "only new rows detect new faults, {tag}");
+                        escaping_ptps += 1;
                     }
                 }
             }

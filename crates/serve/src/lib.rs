@@ -19,15 +19,16 @@
 //! | `GET /metrics` | — | deterministic counters/cache/queue JSON |
 //! | `POST /shutdown` | — | flags a graceful drain |
 //!
-//! `options` accepts `reverse`, `respect_arc`, `prune` (booleans),
-//! `backend` (`auto|event|kernel|kernel64`, validated for compatibility
-//! and otherwise ignored: fault simulation has one path) and `threads`;
-//! every field defaults to the server's configuration. Appending `?format=report` to
-//! a job endpoint returns the raw report JSON **byte-identical** to the
-//! CLI's `--json` file for the same input — the CLI equivalence suite
-//! doubles as the protocol oracle. Malformed bodies answer `400`, a full
-//! job queue answers `429` with `Retry-After`, compaction failures on
-//! well-formed input answer `422`.
+//! `options` accepts `reverse`, `respect_arc` (booleans), `backend`
+//! (`auto|event|kernel|kernel64`, validated for compatibility and
+//! otherwise ignored: fault simulation has one path) and `threads`; every
+//! field defaults to the server's configuration, and keys it does not
+//! read are ignored. Appending `?format=report` to a job endpoint returns
+//! the raw report JSON **byte-identical** to the CLI's `--json` file for
+//! the same input — the CLI equivalence suite doubles as the protocol
+//! oracle. Malformed bodies answer `400`, a full job queue answers `429`
+//! with `Retry-After`, compaction failures on well-formed input answer
+//! `422`.
 //!
 //! ## Concurrency
 //!

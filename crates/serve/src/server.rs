@@ -423,7 +423,6 @@ fn parse_options(body: &Json, shared: &Shared) -> Result<JobOptions, String> {
     };
     opts.reverse = flag("reverse", opts.reverse)?;
     opts.respect_arc = flag("respect_arc", opts.respect_arc)?;
-    opts.prune = flag("prune", opts.prune)?;
     opts.drop_detected = flag("drop_detected", opts.drop_detected)?;
     if let Some(v) = options.get("lanes") {
         opts.lanes = v

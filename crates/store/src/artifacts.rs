@@ -1,29 +1,22 @@
-//! Typed cache artifacts and the cached compute wrappers.
+//! The cached artifact and its compute wrapper.
 //!
-//! Two artifact kinds are persisted:
+//! One artifact kind is persisted: **fsim stamps** — everything one
+//! fault-engine invocation produced: the per-pattern report rows, the
+//! individual detection events, and the *fault-list delta* (which faults
+//! flipped to detected, and where). Keyed by [`key_fsim`], which absorbs
+//! the entry fault-list state, so replaying the delta onto a list in that
+//! same state is bit-exact with re-running the engine.
 //!
-//! - **Analysis** — a netlist's [`AnalyzeReport`], keyed by the netlist
-//!   alone ([`key_analysis`]).
-//! - **Fsim stamps** — everything one fault-engine invocation produced:
-//!   the per-pattern report rows, the individual detection events, and the
-//!   *fault-list delta* (which faults flipped to detected, and where).
-//!   Keyed by [`key_fsim`], which absorbs the entry
-//!   fault-list state, so replaying the delta onto a list in that same
-//!   state is bit-exact with re-running the engine.
-//!
-//! The wrappers [`cached_analyze`] and [`cached_fault_sim`] are the whole
-//! integration surface for the pipeline: call them where `analyze_observed`
-//! / `fault_simulate_guided` used to be called, with an optional store.
+//! The wrapper [`cached_fault_sim`] is the whole integration surface for
+//! the pipeline: call it where `fault_simulate_guided` would be called,
+//! with an optional store.
 
-use warpstl_analyze::{
-    analyze_observed, AnalyzeReport, Diagnostic, ImplicationStats, Rule, Severity,
-};
 use warpstl_fault::{fault_simulate_guided, FaultList, FaultSimConfig, FaultSimReport, SimGuide};
-use warpstl_netlist::{NetId, Netlist, PatternSeq};
+use warpstl_netlist::{Netlist, PatternSeq};
 use warpstl_obs::{Obs, ObsExt};
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::hash::{key_analysis, key_fsim, Key, KeyedFault};
+use crate::hash::{key_fsim, Key, KeyedFault};
 use crate::store::{EntryKind, Store};
 
 /// The persisted result of one fault-engine invocation.
@@ -164,100 +157,7 @@ impl FsimStamps {
     }
 }
 
-fn encode_analysis(report: &AnalyzeReport) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.str(&report.name);
-    w.write_len(report.gates);
-    w.write_len(report.implications.edges);
-    w.write_len(report.implications.impossible);
-    w.write_len(report.implications.untestable);
-    w.write_len(report.implications.merges);
-    w.write_len(report.diagnostics.len());
-    for d in &report.diagnostics {
-        w.u8(d.rule.index() as u8);
-        w.u8(match d.severity {
-            Severity::Warning => 0,
-            Severity::Error => 1,
-        });
-        match d.net {
-            Some(net) => {
-                w.u8(1);
-                w.u32(net.0);
-            }
-            None => w.u8(0),
-        }
-        w.str(&d.message);
-    }
-    w.into_bytes()
-}
-
-fn decode_analysis(bytes: &[u8]) -> Option<AnalyzeReport> {
-    let mut r = ByteReader::new(bytes);
-    let name = r.str()?;
-    let gates = r.read_len()?;
-    let implications = ImplicationStats {
-        edges: r.read_len()?,
-        impossible: r.read_len()?,
-        untestable: r.read_len()?,
-        merges: r.read_len()?,
-    };
-    let n = r.read_len()?;
-    if n > r.remaining() {
-        return None;
-    }
-    let mut diagnostics = Vec::with_capacity(n);
-    for _ in 0..n {
-        let rule = *Rule::ALL.get(usize::from(r.u8()?))?;
-        let severity = match r.u8()? {
-            0 => Severity::Warning,
-            1 => Severity::Error,
-            _ => return None,
-        };
-        let net = match r.u8()? {
-            0 => None,
-            1 => Some(NetId(r.u32()?)),
-            _ => return None,
-        };
-        let message = r.str()?;
-        diagnostics.push(Diagnostic {
-            rule,
-            severity,
-            net,
-            message,
-        });
-    }
-    r.at_end().then_some(AnalyzeReport {
-        name,
-        gates,
-        diagnostics,
-        implications,
-    })
-}
-
 impl Store {
-    /// Looks up a cached [`AnalyzeReport`]; counts a hit only when the
-    /// payload also decodes (a checksum-valid payload that fails typed
-    /// decoding — payload-schema skew — is demoted to a corrupt miss).
-    #[must_use]
-    pub fn get_analysis(&self, key: Key, obs: Obs<'_>) -> Option<AnalyzeReport> {
-        let payload = self.get_verified(EntryKind::Analysis, key, obs)?;
-        match decode_analysis(&payload) {
-            Some(report) => {
-                self.note_hit(obs);
-                Some(report)
-            }
-            None => {
-                self.note_payload_corrupt(obs);
-                None
-            }
-        }
-    }
-
-    /// Persists an [`AnalyzeReport`] under `key`.
-    pub fn put_analysis(&self, key: Key, report: &AnalyzeReport, obs: Obs<'_>) {
-        self.put(EntryKind::Analysis, key, &encode_analysis(report), obs);
-    }
-
     /// Looks up cached fsim stamps; `fault_count` bounds the fault ids a
     /// valid entry may reference (out-of-range entries are demoted to
     /// corrupt misses rather than trusted into a replay).
@@ -300,29 +200,6 @@ impl<'a> CacheCtx<'a> {
     pub fn disabled() -> CacheCtx<'a> {
         CacheCtx::default()
     }
-}
-
-/// [`analyze_observed`] behind the cache: returns the lint report from the
-/// store when present, else analyzes and persists. SCOAP scores are not
-/// cached — the pipeline consumes only the report.
-#[must_use]
-pub fn cached_analyze(
-    store: Option<&Store>,
-    netlist_key: Key,
-    netlist: &Netlist,
-    obs: Obs<'_>,
-) -> AnalyzeReport {
-    let key = key_analysis(netlist_key);
-    if let Some(store) = store {
-        if let Some(report) = store.get_analysis(key, obs) {
-            return report;
-        }
-    }
-    let report = analyze_observed(netlist, obs).report;
-    if let Some(store) = store {
-        store.put_analysis(key, &report, obs);
-    }
-    report
 }
 
 /// [`fault_simulate_guided`] behind the cache, for any fault model the key
@@ -415,36 +292,6 @@ mod tests {
         for cut in 0..bytes.len() {
             assert_eq!(FsimStamps::decode(&bytes[..cut]), None);
         }
-    }
-
-    #[test]
-    fn analysis_codec_round_trips() {
-        let report = AnalyzeReport {
-            name: "m".into(),
-            gates: 12,
-            diagnostics: vec![
-                Diagnostic {
-                    rule: Rule::UndrivenNet,
-                    severity: Severity::Error,
-                    net: Some(NetId(4)),
-                    message: "net n4 has no driver".into(),
-                },
-                Diagnostic {
-                    rule: Rule::DeadLogic,
-                    severity: Severity::Warning,
-                    net: None,
-                    message: "constant cone".into(),
-                },
-            ],
-            implications: ImplicationStats {
-                edges: 40,
-                impossible: 2,
-                untestable: 6,
-                merges: 1,
-            },
-        };
-        let decoded = decode_analysis(&encode_analysis(&report)).unwrap();
-        assert_eq!(decoded, report);
     }
 
     #[test]
@@ -602,36 +449,6 @@ mod tests {
             &guide,
         );
         assert_eq!(rec2.metrics().counter(names::CACHE_MISS), 1);
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn cached_analyze_hits_and_survives_corruption() {
-        let netlist = build_netlist();
-        let key = crate::hash::key_netlist(&netlist);
-        let store = temp_store("analyze");
-
-        let cold = cached_analyze(Some(&store), key, &netlist, None);
-        let rec = Recorder::new();
-        let warm = cached_analyze(Some(&store), key, &netlist, Some(&rec));
-        assert_eq!(warm, cold);
-        assert_eq!(rec.metrics().counter(names::CACHE_HIT), 1);
-
-        // Corrupt the entry: the next lookup recomputes identically.
-        let path = store.entry_path(EntryKind::Analysis, key_analysis(key));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let rec = Recorder::new();
-        let recovered = cached_analyze(Some(&store), key, &netlist, Some(&rec));
-        assert_eq!(recovered, cold);
-        assert_eq!(rec.metrics().counter(names::CACHE_MISS_CORRUPT), 1);
-        // ... and the recompute rewrote a valid entry.
-        let rec = Recorder::new();
-        let rewarm = cached_analyze(Some(&store), key, &netlist, Some(&rec));
-        assert_eq!(rewarm, cold);
-        assert_eq!(rec.metrics().counter(names::CACHE_HIT), 1);
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -19,11 +19,6 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
     /// Appends a `u32`, little-endian.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -42,12 +37,6 @@ impl ByteWriter {
     /// Appends a `usize` widened to `u64`.
     pub fn write_len(&mut self, v: usize) {
         self.u64(v as u64);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.write_len(v.len());
-        self.buf.extend_from_slice(v.as_bytes());
     }
 
     /// The finished payload.
@@ -79,11 +68,6 @@ impl<'a> ByteReader<'a> {
         Some(slice)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
@@ -102,16 +86,6 @@ impl<'a> ByteReader<'a> {
     /// Reads a `u64` and narrows it to `usize`.
     pub fn read_len(&mut self) -> Option<usize> {
         usize::try_from(self.u64()?).ok()
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Option<String> {
-        let n = self.read_len()?;
-        // Guard absurd lengths before allocating.
-        if n > self.remaining() {
-            return None;
-        }
-        String::from_utf8(self.take(n)?.to_vec()).ok()
     }
 
     /// Bytes left unread.
@@ -135,21 +109,17 @@ mod tests {
     #[test]
     fn round_trip_all_widths() {
         let mut w = ByteWriter::new();
-        w.u8(7);
         w.u32(0xdead_beef);
         w.u64(u64::MAX - 1);
         w.u128(0x0123_4567_89ab_cdef_0011_2233_4455_6677);
         w.write_len(42);
-        w.str("héllo");
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.u8(), Some(7));
         assert_eq!(r.u32(), Some(0xdead_beef));
         assert_eq!(r.u64(), Some(u64::MAX - 1));
         assert_eq!(r.u128(), Some(0x0123_4567_89ab_cdef_0011_2233_4455_6677));
         assert_eq!(r.read_len(), Some(42));
-        assert_eq!(r.str().as_deref(), Some("héllo"));
         assert!(r.at_end());
     }
 
@@ -158,26 +128,7 @@ mod tests {
         let mut r = ByteReader::new(&[1, 2, 3]);
         assert_eq!(r.u32(), None);
         let mut r = ByteReader::new(&[]);
-        assert_eq!(r.u8(), None);
-        assert_eq!(r.str(), None);
-    }
-
-    #[test]
-    fn oversized_string_length_is_rejected() {
-        let mut w = ByteWriter::new();
-        w.u64(u64::MAX); // ludicrous length prefix
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.str(), None);
-    }
-
-    #[test]
-    fn invalid_utf8_is_rejected() {
-        let mut w = ByteWriter::new();
-        w.write_len(2);
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&[0xff, 0xfe]);
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.str(), None);
+        assert_eq!(r.u64(), None);
+        assert_eq!(r.read_len(), None);
     }
 }

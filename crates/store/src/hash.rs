@@ -30,8 +30,6 @@ use warpstl_fault::{
     BridgeFault, BridgeKind, Fault, FaultList, FaultSimConfig, FaultStatus, SimGuide, SiteOverride,
 };
 use warpstl_netlist::{GateKind, Netlist, PatternSeq};
-use warpstl_programs::serialize::ptp_to_text;
-use warpstl_programs::Ptp;
 
 /// Bump when the fault engine's *observable semantics* change (detection
 /// stamps, report rows): old fsim-stamp entries then miss by key.
@@ -41,10 +39,6 @@ use warpstl_programs::Ptp;
 /// (see [`KeyedFault::MODEL_TAG`]) so cache entries never alias across
 /// models.
 pub const FSIM_SCHEMA: u32 = 3;
-
-/// Bump when the netlist analyzer's rules or report shape change.
-/// v2: implication-engine counts and the `redundant-logic` rule.
-pub const ANALYZE_SCHEMA: u32 = 2;
 
 /// A 128-bit canonical content key. Displays as 32 lowercase hex digits —
 /// the on-disk entry file stem.
@@ -247,19 +241,6 @@ pub fn key_netlist(netlist: &Netlist) -> Key {
     h.finish()
 }
 
-/// The canonical key of a PTP, derived from its canonical text encoding
-/// ([`ptp_to_text`]): name, target module, launch configuration, SB-slot
-/// layout, initial-data writes, and the disassembled program. The text
-/// round-trips losslessly (`ptp_from_text`), so a serialize→deserialize
-/// cycle keys identically.
-#[must_use]
-pub fn key_ptp(ptp: &Ptp) -> Key {
-    let mut h = CanonicalHasher::new();
-    h.str("warpstl.ptp/v1");
-    h.str(&ptp_to_text(ptp));
-    h.finish()
-}
-
 /// Absorbs one pattern stream: width, then every row's clock-cycle stamp
 /// and packed words.
 fn absorb_stream(h: &mut CanonicalHasher, seq: &PatternSeq) {
@@ -381,16 +362,6 @@ pub fn key_fsim<F: KeyedFault>(
             h.bool(m);
         }
     }
-    h.finish()
-}
-
-/// The canonical key of the static netlist analysis artifact.
-#[must_use]
-pub fn key_analysis(netlist_key: Key) -> Key {
-    let mut h = CanonicalHasher::new();
-    h.str("warpstl.analyze/v1");
-    h.u32(ANALYZE_SCHEMA);
-    h.u128(netlist_key.0);
     h.finish()
 }
 
@@ -605,12 +576,6 @@ mod tests {
             key_fsim(nk, &p1, &list, &cfg, &guide),
             key_fsim(nk, &p3, &list, &cfg, &guide)
         );
-    }
-
-    #[test]
-    fn artifact_kinds_are_domain_separated() {
-        let nk = key_netlist(&ModuleKind::DecoderUnit.build());
-        assert_ne!(key_analysis(nk), nk);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A persistent, **content-addressed artifact cache** for incremental STL
 //! compaction. The paper's economy is "one logic simulation and one fault
 //! simulation per PTP"; this crate extends it across invocations — when
-//! the netlist, PTP encoding, fault-sim config, and entry fault-list state
+//! the netlist, pattern streams, fault-sim config, and entry fault-list state
 //! are byte-identical to a prior run, the pipeline replays persisted
 //! detection stamps instead of re-simulating, so re-compacting an STL
 //! where only one PTP changed pays only for that PTP.
@@ -12,8 +12,8 @@
 //! The crate has four parts:
 //!
 //! - [`hash`] — a deterministic canonical hasher producing stable 128-bit
-//!   [`Key`]s over netlist structure, PTP text encoding, pattern streams,
-//!   fault-list state, and [`FaultSimConfig`](warpstl_fault::FaultSimConfig)
+//!   [`Key`]s over netlist structure, pattern streams, fault-list state,
+//!   and [`FaultSimConfig`](warpstl_fault::FaultSimConfig)
 //!   — independent of `HashMap` iteration order, pointer values, and
 //!   thread count.
 //! - [`codec`] — a minimal little-endian payload codec (the build has no
@@ -22,9 +22,12 @@
 //!   atomically (temp file + rename), with per-session traffic counters
 //!   and scan/gc/clear maintenance. Corrupt or version-mismatched entries
 //!   degrade to misses, never errors.
-//! - [`artifacts`] — the typed artifacts (analysis reports, fault-sim
-//!   stamps) and the [`cached_analyze`] / [`cached_fault_sim`] wrappers
-//!   the pipeline calls in place of the raw compute functions.
+//! - [`artifacts`] — the typed artifact (fault-sim stamps) and the
+//!   [`cached_fault_sim`] wrapper the pipeline calls in place of the raw
+//!   engine.
+//!
+//! A module's static analysis is not cached: a compaction context runs it
+//! once, in memory, when it is built.
 //!
 //! # Examples
 //!
@@ -68,11 +71,8 @@ pub mod codec;
 pub mod hash;
 pub mod store;
 
-pub use artifacts::{cached_analyze, cached_fault_sim, CacheCtx, FsimStamps};
-pub use hash::{
-    key_analysis, key_fsim, key_netlist, key_ptp, CanonicalHasher, Key, KeyedFault, ANALYZE_SCHEMA,
-    FSIM_SCHEMA,
-};
+pub use artifacts::{cached_fault_sim, CacheCtx, FsimStamps};
+pub use hash::{key_fsim, key_netlist, CanonicalHasher, Key, KeyedFault, FSIM_SCHEMA};
 pub use store::{
     atomic_write, EntryInfo, EntryKind, EntryStatus, ScanReport, SessionStats, Store,
     FORMAT_VERSION, MAGIC, TEMP_MAX_AGE,

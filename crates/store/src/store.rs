@@ -64,22 +64,22 @@ const LOCK_WAIT_MAX: Duration = Duration::from_secs(10);
 /// failure. Anything older is an orphan from a crashed writer.
 pub const TEMP_MAX_AGE: Duration = Duration::from_secs(3600);
 
-/// What an entry stores.
+/// What an entry stores. The kind's code byte and extension are part of
+/// the on-disk format. Code 1 (`.ana`) is retired and must not be reused:
+/// older builds wrote analysis reports under it, and the store treats
+/// those files as foreign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryKind {
-    /// A netlist [`AnalyzeReport`](warpstl_analyze::AnalyzeReport).
-    Analysis,
     /// One fault-engine invocation's detection stamps and report rows.
     FsimStamps,
 }
 
 impl EntryKind {
     /// Every kind, in code order.
-    pub const ALL: [EntryKind; 2] = [EntryKind::Analysis, EntryKind::FsimStamps];
+    pub const ALL: [EntryKind; 1] = [EntryKind::FsimStamps];
 
     fn code(self) -> u8 {
         match self {
-            EntryKind::Analysis => 1,
             EntryKind::FsimStamps => 2,
         }
     }
@@ -92,7 +92,6 @@ impl EntryKind {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            EntryKind::Analysis => "analysis",
             EntryKind::FsimStamps => "fsim-stamps",
         }
     }
@@ -101,7 +100,6 @@ impl EntryKind {
     #[must_use]
     pub fn extension(self) -> &'static str {
         match self {
-            EntryKind::Analysis => "ana",
             EntryKind::FsimStamps => "fsr",
         }
     }
@@ -382,9 +380,9 @@ impl Store {
 
     /// Reads, verifies, and returns the payload of `(kind, key)`, counting
     /// a hit on success and a miss (with its reason) on every failure
-    /// path. This is the raw public read surface — the typed wrappers
-    /// ([`Store::get_analysis`], [`Store::get_stamps`]) additionally
-    /// decode the payload before counting the hit.
+    /// path. This is the raw public read surface — the typed wrapper
+    /// [`Store::get_stamps`] additionally decodes the payload before
+    /// counting the hit.
     #[must_use]
     pub fn get(&self, kind: EntryKind, key: Key, obs: Obs<'_>) -> Option<Vec<u8>> {
         let payload = self.get_verified(kind, key, obs)?;
@@ -672,14 +670,14 @@ mod tests {
     fn round_trip_and_session_counters() {
         let store = temp_store("roundtrip");
         let key = Key(42);
-        assert_eq!(get_raw(&store, EntryKind::Analysis, key, None), None);
-        store.put(EntryKind::Analysis, key, b"hello", None);
+        assert_eq!(get_raw(&store, EntryKind::FsimStamps, key, None), None);
+        store.put(EntryKind::FsimStamps, key, b"hello", None);
         assert_eq!(
-            get_raw(&store, EntryKind::Analysis, key, None).as_deref(),
+            get_raw(&store, EntryKind::FsimStamps, key, None).as_deref(),
             Some(b"hello".as_slice())
         );
-        // Kinds are separate namespaces even for equal keys.
-        assert_eq!(get_raw(&store, EntryKind::FsimStamps, key, None), None);
+        // Another key is another entry.
+        assert_eq!(get_raw(&store, EntryKind::FsimStamps, Key(43), None), None);
         let s = store.session();
         assert_eq!((s.hits, s.misses, s.writes), (1, 2, 1));
         assert_eq!(s.corrupt, 0);
@@ -711,12 +709,12 @@ mod tests {
     fn corrupt_kind_byte_degrades_to_miss() {
         let store = temp_store("kindbyte");
         let key = Key(8);
-        store.put(EntryKind::Analysis, key, b"payload", None);
-        let path = store.entry_path(EntryKind::Analysis, key);
+        store.put(EntryKind::FsimStamps, key, b"payload", None);
+        let path = store.entry_path(EntryKind::FsimStamps, key);
         let mut bytes = fs::read(&path).unwrap();
         bytes[12] = 0xee; // no EntryKind has this code
         fs::write(&path, &bytes).unwrap();
-        assert_eq!(get_raw(&store, EntryKind::Analysis, key, None), None);
+        assert_eq!(get_raw(&store, EntryKind::FsimStamps, key, None), None);
         assert_eq!(store.session().corrupt, 1);
         let _ = fs::remove_dir_all(store.root());
     }
@@ -725,11 +723,11 @@ mod tests {
     fn file_shorter_than_the_header_degrades_to_miss() {
         let store = temp_store("shorthdr");
         let key = Key(10);
-        store.put(EntryKind::Analysis, key, b"payload", None);
-        let path = store.entry_path(EntryKind::Analysis, key);
+        store.put(EntryKind::FsimStamps, key, b"payload", None);
+        let path = store.entry_path(EntryKind::FsimStamps, key);
         // Keep only the magic: every header field read is out of range.
         fs::write(&path, &MAGIC[..]).unwrap();
-        assert_eq!(get_raw(&store, EntryKind::Analysis, key, None), None);
+        assert_eq!(get_raw(&store, EntryKind::FsimStamps, key, None), None);
         assert_eq!(store.session().corrupt, 1);
         let _ = fs::remove_dir_all(store.root());
     }
@@ -738,12 +736,12 @@ mod tests {
     fn flipped_checksum_byte_degrades_to_miss() {
         let store = temp_store("checksum");
         let key = Key(9);
-        store.put(EntryKind::Analysis, key, b"payload", None);
-        let path = store.entry_path(EntryKind::Analysis, key);
+        store.put(EntryKind::FsimStamps, key, b"payload", None);
+        let path = store.entry_path(EntryKind::FsimStamps, key);
         let mut bytes = fs::read(&path).unwrap();
         bytes[22] ^= 0xff; // inside the stored checksum field
         fs::write(&path, &bytes).unwrap();
-        assert_eq!(get_raw(&store, EntryKind::Analysis, key, None), None);
+        assert_eq!(get_raw(&store, EntryKind::FsimStamps, key, None), None);
         assert_eq!(store.session().corrupt, 1);
         let _ = fs::remove_dir_all(store.root());
     }
@@ -752,14 +750,17 @@ mod tests {
     fn version_bump_degrades_to_miss_and_gc_reclaims() {
         let store = temp_store("version");
         let key = Key(11);
-        store.put(EntryKind::Analysis, key, b"payload", None);
-        let path = store.entry_path(EntryKind::Analysis, key);
+        store.put(EntryKind::FsimStamps, key, b"payload", None);
+        let path = store.entry_path(EntryKind::FsimStamps, key);
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         fs::write(&path, &bytes).unwrap();
 
         let rec = Recorder::new();
-        assert_eq!(get_raw(&store, EntryKind::Analysis, key, Some(&rec)), None);
+        assert_eq!(
+            get_raw(&store, EntryKind::FsimStamps, key, Some(&rec)),
+            None
+        );
         let s = store.session();
         assert_eq!(s.version_mismatch, 1);
         assert_eq!(s.corrupt, 0);
@@ -778,28 +779,34 @@ mod tests {
     #[test]
     fn scan_ignores_foreign_files_and_clear_spares_them() {
         let store = temp_store("foreign");
-        store.put(EntryKind::Analysis, Key(1), b"a", None);
+        store.put(EntryKind::FsimStamps, Key(1), b"a", None);
         store.put(EntryKind::FsimStamps, Key(2), b"b", None);
         let foreign = store.root().join("README.txt");
         fs::write(&foreign, "not an entry").unwrap();
+        // An analysis entry left by an older build: a whole entry of the
+        // retired kind code 1, under its old extension.
+        let mut retired = Store::encode_entry(EntryKind::FsimStamps, b"report");
+        retired[12] = 1;
+        let ana = store.root().join(format!("{}.ana", Key(3).to_hex()));
+        fs::write(&ana, &retired).unwrap();
 
         let scan = store.scan().unwrap();
         assert_eq!(scan.entries.len(), 2);
         assert_eq!(scan.valid_count(), 2);
-        assert_eq!(scan.kind_summary(EntryKind::Analysis).0, 1);
-        assert_eq!(scan.kind_summary(EntryKind::FsimStamps).0, 1);
+        assert_eq!(scan.kind_summary(EntryKind::FsimStamps).0, 2);
         assert!(scan.total_bytes() > 0);
 
         assert_eq!(store.clear().unwrap(), 2);
         assert!(foreign.exists(), "clear must not delete foreign files");
+        assert!(ana.exists(), "clear must not delete retired .ana entries");
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn gc_sweeps_old_temps_but_spares_fresh_ones_by_default() {
         let store = temp_store("gc-temps");
-        store.put(EntryKind::Analysis, Key(1), b"keep", None);
-        let temp = store.root().join(".orphan.ana.tmp.12345.0");
+        store.put(EntryKind::FsimStamps, Key(1), b"keep", None);
+        let temp = store.root().join(".orphan.fsr.tmp.12345.0");
         fs::write(&temp, b"half-written").unwrap();
 
         // Default threshold: the just-created temp is presumed in-flight.

@@ -1,15 +1,12 @@
 //! Properties of the canonical hasher that the cache's correctness rests
 //! on: keys must be stable across *representations* of the same content —
-//! a PTP surviving a text serialize→parse roundtrip keys identically, and
 //! a netlist rebuilt from the same structure (fresh `HashMap`s, fresh
 //! allocations, different iteration orders) keys identically.
 
 use proptest::prelude::*;
 
 use warpstl_netlist::{Builder, NetId, Netlist};
-use warpstl_programs::generators::{generate_imm, ImmConfig};
-use warpstl_programs::serialize::{ptp_from_text, ptp_to_text};
-use warpstl_store::{key_netlist, key_ptp, CanonicalHasher};
+use warpstl_store::{key_netlist, CanonicalHasher};
 
 /// One random gate: `kind` selects the operator, `a`/`b`/`c` pick
 /// operands among the already-built nets (mod current count).
@@ -43,18 +40,6 @@ fn build_netlist(n_inputs: usize, specs: &[GateSpec]) -> Netlist {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn ptp_key_survives_text_roundtrip(
-        seed in any::<u64>(),
-        sb_count in 1usize..8,
-        threads in 1usize..64,
-    ) {
-        let ptp = generate_imm(&ImmConfig { sb_count, seed, threads });
-        let text = ptp_to_text(&ptp);
-        let parsed = ptp_from_text(&text).expect("serializer output must parse");
-        prop_assert_eq!(key_ptp(&parsed), key_ptp(&ptp));
-    }
 
     #[test]
     fn netlist_key_is_stable_across_rebuilds(

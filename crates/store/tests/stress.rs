@@ -47,7 +47,7 @@ fn concurrent_same_key_writers_yield_only_whole_checksummed_reads() {
                 // Distinct valid payloads per (writer, round): a torn
                 // read could not produce any of these under a checksum.
                 let payload = format!("payload-{w}-{round}");
-                store.put(EntryKind::Analysis, key, payload.as_bytes(), None);
+                store.put(EntryKind::FsimStamps, key, payload.as_bytes(), None);
             }
         }));
     }
@@ -59,7 +59,7 @@ fn concurrent_same_key_writers_yield_only_whole_checksummed_reads() {
         reader_handles.push(std::thread::spawn(move || {
             let mut observed = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                if let Some(bytes) = store.get(EntryKind::Analysis, key, None) {
+                if let Some(bytes) = store.get(EntryKind::FsimStamps, key, None) {
                     let text = String::from_utf8(bytes).expect("payloads are UTF-8");
                     assert!(
                         text.starts_with("payload-"),
@@ -97,7 +97,7 @@ fn concurrent_same_key_writers_yield_only_whole_checksummed_reads() {
 
     // Last writer wins: the settled entry is one whole write, and the
     // final read (after all writers joined) sees some writer's last round.
-    let settled = store.get(EntryKind::Analysis, key, None).unwrap();
+    let settled = store.get(EntryKind::FsimStamps, key, None).unwrap();
     let text = String::from_utf8(settled).unwrap();
     let last_round = format!("-{}", ROUNDS - 1);
     assert!(
