@@ -11,10 +11,8 @@ use warpstl_fault::{
 use warpstl_gpu::ModulePatterns;
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Levelization, NetId, Netlist, PatternSeq};
-use warpstl_obs::Obs;
-use warpstl_store::{key_netlist, CacheCtx, Key, Store};
-
-use crate::pipeline::simulate_instances;
+use warpstl_obs::{Obs, ObsExt};
+use warpstl_store::{cached_fault_sim, key_netlist, CacheCtx, Key, Store};
 
 /// The per-target-module state shared across the PTPs of an STL: the module
 /// netlist, its collapsed fault universe, and one fault list per physical
@@ -144,11 +142,15 @@ impl Ledger {
         })
     }
 
-    /// Fault-simulates one pattern stream per instance into the lists (see
-    /// [`simulate_instances`]), instance `i` restricted to `targets[i]`
-    /// when present. `guide` is the stuck-at guide of the module; bridging
-    /// takes only its levelization, since dominance, untestability and
-    /// ordering index the stuck-at universe.
+    /// Fault-simulates one pattern stream per instance into the lists
+    /// through the artifact cache (see
+    /// [`cached_fault_sim`](warpstl_store::cached_fault_sim)), instance `i`
+    /// restricted to `targets[i]` when present, and returns the
+    /// per-instance reports in instance order (`None` where the stream was
+    /// empty or the mask selects no fault, and that list untouched).
+    /// `guide` is the stuck-at guide of the module; bridging takes only
+    /// its levelization, since dominance, untestability and ordering index
+    /// the stuck-at universe.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn simulate(
         &mut self,
@@ -160,18 +162,29 @@ impl Ledger {
         targets: &[Option<&[bool]>],
         cache: CacheCtx<'_>,
     ) -> Vec<Option<FaultSimReport>> {
+        let streams: Vec<&PatternSeq> = streams.iter().map(AsRef::as_ref).collect();
+        let mut span = obs.span("pipeline", "pipeline.instances");
+        span.arg("instances", streams.len());
         match self {
-            Ledger::StuckAt(lists) => {
-                simulate_instances(netlist, streams, lists, config, obs, guide, targets, cache)
-            }
+            Ledger::StuckAt(lists) => cached_fault_sim(
+                cache, netlist, &streams, lists, config, obs, &guide, targets,
+            ),
             Ledger::Bridging(lists) => {
                 let guide = SimGuide {
                     levels: guide.levels,
                     ..SimGuide::default()
                 };
-                simulate_instances(netlist, streams, lists, config, obs, guide, targets, cache)
+                cached_fault_sim(
+                    cache, netlist, &streams, lists, config, obs, &guide, targets,
+                )
             }
         }
+    }
+
+    /// Whether instance `i`'s list marks fault `id` statically untestable
+    /// (never, for bridging lists).
+    pub(crate) fn is_untestable(&self, i: usize, id: FaultId) -> bool {
+        with_lists!(self, lists => lists[i].is_untestable(id))
     }
 }
 
@@ -426,8 +439,7 @@ impl ModuleContext {
     /// Fault-simulates one pattern stream per instance against the shared
     /// ledgers, with the module's guide and cache handle, and returns the
     /// per-instance reports in instance order (`None` where a stream was
-    /// empty). Instances run concurrently, each through the artifact
-    /// cache.
+    /// empty). The instances run together through the artifact cache.
     pub(crate) fn simulate(
         &mut self,
         streams: &[Cow<'_, PatternSeq>],

@@ -5,91 +5,17 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use warpstl_fault::{
-    BridgeConfig, FaultId, FaultList, FaultModel, FaultSimConfig, FaultSimReport, SimGuide,
-};
+use warpstl_fault::{BridgeConfig, FaultId, FaultModel, FaultSimConfig, FaultSimReport};
 use warpstl_gpu::{Gpu, ModulePatterns, RunOptions, RunResult, SimError};
 use warpstl_netlist::modules::ModuleKind;
-use warpstl_netlist::{Netlist, PatternSeq};
+use warpstl_netlist::PatternSeq;
 use warpstl_obs::{names, Metrics, Obs, ObsExt, Recorder};
 use warpstl_programs::{ArcAnalysis, BasicBlocks, Ptp};
-use warpstl_store::{cached_fault_sim, CacheCtx, KeyedFault, Store};
+use warpstl_store::Store;
 use warpstl_verify::{verify_reduction_observed, Severity, VerifyOptions};
 
 use crate::context::Ledger;
 use crate::{label_instructions, CompactionError, CompactionReport, ModuleContext, PtpFeatures};
-
-/// Fault-simulates the per-instance pattern streams against their fault
-/// lists through [`cached_fault_sim`], one scoped worker per instance with
-/// something to simulate (instance-level parallelism), and returns the
-/// per-instance reports in instance order (`None` where the stream was
-/// empty or the mask selects no fault, and the list untouched). Generic
-/// over the fault model of the lists.
-///
-/// `targets[i]`, when present, is instance `i`'s target mask
-/// ([`SimGuide::targets`]); missing entries run unmasked, so `&[]` masks
-/// nothing.
-///
-/// The engine's thread budget is divided across the concurrent instances so
-/// instance- and batch-level parallelism compose instead of oversubscribing.
-/// Reports and list updates are bit-identical to a serial instance loop:
-/// each instance owns its list, and results are collected in instance order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_instances<F: KeyedFault>(
-    netlist: &Netlist,
-    streams: &[Cow<'_, PatternSeq>],
-    lists: &mut [FaultList<F>],
-    config: &FaultSimConfig,
-    obs: Obs<'_>,
-    guide: SimGuide<'_>,
-    targets: &[Option<&[bool]>],
-    cache: CacheCtx<'_>,
-) -> Vec<Option<FaultSimReport>> {
-    debug_assert_eq!(streams.len(), lists.len());
-    let mask = |i: usize| targets.get(i).copied().flatten();
-    let runs: Vec<bool> = streams
-        .iter()
-        .enumerate()
-        .map(|(i, s)| !s.is_empty() && mask(i).is_none_or(|m| m.contains(&true)))
-        .collect();
-    let active = runs.iter().filter(|&&r| r).count();
-    let budget = config.resolved_threads();
-    let per_instance = FaultSimConfig {
-        threads: (budget / active.max(1)).max(1),
-        ..*config
-    };
-    let mut span = obs.span("pipeline", "pipeline.instances");
-    span.arg("active", active);
-    span.arg("threads_each", per_instance.threads);
-    let sim = |i: usize, s: &PatternSeq, list: &mut FaultList<F>| {
-        let guide = SimGuide {
-            targets: mask(i),
-            ..guide
-        };
-        cached_fault_sim(cache, netlist, s, list, &per_instance, obs, &guide)
-    };
-    if active <= 1 || budget <= 1 {
-        return streams
-            .iter()
-            .zip(lists.iter_mut())
-            .enumerate()
-            .map(|(i, (s, list))| runs[i].then(|| sim(i, s.as_ref(), list)))
-            .collect();
-    }
-    let sim = &sim;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = streams
-            .iter()
-            .zip(lists.iter_mut())
-            .enumerate()
-            .map(|(i, (s, list))| runs[i].then(|| scope.spawn(move || sim(i, s.as_ref(), list))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.map(|h| h.join().expect("fault-sim worker panicked")))
-            .collect()
-    })
-}
 
 /// One instance's witnessed set W: the faults of D(P) whose *witness
 /// row* — the row at their detection stamp — the compacted program still
@@ -242,7 +168,7 @@ impl Compactor {
     ///
     /// The netlist is borrowed (not cloned) and the pattern streams are only
     /// materialized when `reverse_patterns` demands it; the instances run
-    /// concurrently (see [`simulate_instances`]).
+    /// together (see [`cached_fault_sim`](warpstl_store::cached_fault_sim)).
     fn fault_sim<'p>(
         &self,
         patterns: &'p ModulePatterns,
@@ -505,14 +431,17 @@ impl Compactor {
                 })
             })
             .collect();
+        // The run targets masked-in classes the engine does not prune as
+        // proven untestable.
         let resimulated: usize = masks
             .iter()
             .zip(&cptp)
-            .zip(dropped_before)
-            .filter(|((_, c), _)| !c.is_empty())
-            .map(|((m, _), all)| {
-                m.as_ref()
-                    .map_or(all.len(), |m| m.iter().filter(|&&t| t).count())
+            .enumerate()
+            .filter(|(_, (_, c))| !c.is_empty())
+            .map(|(i, (m, _))| {
+                (0..dropped_before[i].len())
+                    .filter(|&id| m.as_ref().is_none_or(|m| m[id]) && !scratch.is_untestable(i, id))
+                    .count()
             })
             .sum();
         let masks: Vec<Option<&[bool]>> = masks.iter().map(Option::as_deref).collect();
@@ -784,6 +713,49 @@ mod tests {
     }
 
     #[test]
+    fn resimulated_counts_the_faults_the_compacted_run_targets() {
+        // A DU first PTP: no D(P) run, so the one fault-simulation run
+        // inside stage.eval is the masked D(P′) run. Its count excludes
+        // the proven-untestable classes the engine prunes before
+        // targeting anything.
+        let compactor = Compactor {
+            obs: Some(Arc::new(Recorder::new())),
+            ..Compactor::default()
+        };
+        let ptp = generate_imm(&ImmConfig {
+            sb_count: 32,
+            ..ImmConfig::default()
+        });
+        let mut ctx = compactor.context_for(ModuleKind::DecoderUnit);
+        compactor.compact(&ptp, &mut ctx).unwrap();
+        let rec = compactor.obs.as_deref().unwrap();
+        let spans = rec.spans();
+        let eval = spans.iter().find(|s| s.name == "stage.eval").unwrap();
+        let inside = |s: &&warpstl_obs::SpanEvent| {
+            s.start_us >= eval.start_us && s.start_us + s.dur_us <= eval.start_us + eval.dur_us
+        };
+        let runs: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == names::FSIM_RUN)
+            .filter(inside)
+            .collect();
+        assert_eq!(runs.len(), 1, "one D(P′) run");
+        let faults: u64 = runs
+            .iter()
+            .flat_map(|s| &s.args)
+            .filter(|(k, _)| k == "faults")
+            .map(|(_, v)| v.parse::<u64>().unwrap())
+            .sum();
+        let m = rec.metrics();
+        assert!(m.counter(names::EVAL_WITNESSED) > 0, "the run is masked");
+        assert_eq!(m.counter(names::EVAL_RESIMULATED), faults);
+        // The case bites: stage 3a pruned every proven class of the fresh
+        // list, and the D(P′) run pruned some more.
+        let pruned = m.counter(names::FSIM_UNTESTABLE_PRUNED);
+        assert!(pruned > ctx.untestable_count() as u64, "{pruned}");
+    }
+
+    #[test]
     fn witnessed_reads_each_stamp_in_the_stream_that_wrote_it() {
         let seq = |rows: &[u64]| {
             let mut p = PatternSeq::new(8);
@@ -823,7 +795,7 @@ mod tests {
 
     #[test]
     fn evaluation_reads_stage_3a_witnesses_in_the_reversed_stream() {
-        use warpstl_fault::fault_simulate;
+        use warpstl_fault::{fault_simulate, FaultList};
         use warpstl_netlist::modules::sfu;
         // SFU_IMM's stage 3a runs each stream reversed, so its stamp t
         // names row len − 1 − t of the captured stream. P = [x, y] runs as

@@ -18,11 +18,17 @@
 //!
 //! The kernel carries no flip-flop state across patterns, so the engine
 //! runs combinational netlists only; every bundled module is one.
+//!
+//! A module's instances run through `lockstep.rs`, which fans them out
+//! over this engine and may first settle every first detection in one
+//! lock-step union pass; the runs then read their stamps (`Ctx::stamps`).
+
+use std::borrow::Cow;
 
 use warpstl_netlist::{FanoutCones, Gate, Levelization, Netlist, PatternSeq};
-use warpstl_obs::{Obs, ObsExt};
+use warpstl_obs::{names, Obs, ObsExt};
 
-use crate::kernel::run_batches_kernel;
+use crate::kernel::{run_batches_kernel, Stamp};
 use crate::{
     FaultId, FaultList, FaultSimConfig, FaultSimReport, FaultStatus, SimGuide, SiteOverride,
 };
@@ -74,6 +80,11 @@ pub(crate) struct Ctx<'a> {
     /// Rank-major netlist layout (borrowed from the guide or levelized per
     /// run).
     pub(crate) levels: &'a Levelization,
+    /// Settled first detections on this stream, indexed by [`FaultId`]
+    /// (a stamped run of a lock-step union, see `lockstep.rs`): a settled
+    /// fault's blocks read their detect word from its stamp instead of
+    /// propagating. `None` propagates every fault.
+    pub(crate) stamps: Option<&'a [Stamp]>,
 }
 
 /// What one worker hands back: per-batch detection logs (in the worker's
@@ -82,6 +93,25 @@ pub(crate) struct WorkerOut {
     pub(crate) detections: Vec<Vec<(FaultId, u64, usize)>>,
     pub(crate) activated: Vec<u32>,
     pub(crate) detected: Vec<u32>,
+}
+
+/// Runs `job(w)` for every worker `w` in `0..workers` and returns the
+/// outputs in worker order. One worker runs inline on the caller's thread
+/// (spawning an OS thread for a single worker only costs: the
+/// threads=8-on-1-core regression of BENCH_fsim); more run on a scoped
+/// pool.
+pub(crate) fn fan_out<R: Send>(workers: usize, job: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    if workers <= 1 {
+        return vec![job(0)];
+    }
+    let job = &job;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || job(w))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a fault-simulation worker panicked"))
+            .collect()
+    })
 }
 
 /// Runs one explicit target list through the worker pool: plans batches,
@@ -113,35 +143,18 @@ fn run_target_list<F: SiteOverride, const W: usize>(
         .collect();
     let workers = resolve_threads(&ctx.config).min(batches.len()).max(1);
     if obs.enabled() {
-        obs.add("fsim.target_faults", targets.len() as u64);
-        obs.add("fsim.workers", workers as u64);
+        obs.add(names::FSIM_TARGET_FAULTS, targets.len() as u64);
+        obs.add(names::FSIM_WORKERS, workers as u64);
     }
-    // `workers == 1` runs inline on the caller's thread: spawning an OS
-    // thread for a single worker only costs (the threads=8-on-1-core
-    // regression of BENCH_fsim).
-    let outs: Vec<WorkerOut> = if workers <= 1 {
-        obs.record("fsim.batches_per_worker", batches.len() as f64);
-        vec![run_batches_kernel::<F, W>(ctx, &batches, obs, 0, pat_range)]
-    } else {
-        // Contiguous ranges keep the merge order trivial: worker w owns
-        // batches [w·k, (w+1)·k), so concatenating worker outputs in spawn
-        // order is global batch order.
-        let per = batches.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = batches
-                .chunks(per)
-                .enumerate()
-                .map(|(w, range)| {
-                    obs.record("fsim.batches_per_worker", range.len() as f64);
-                    s.spawn(move || run_batches_kernel::<F, W>(ctx, range, obs, w * per, pat_range))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("a fault-simulation worker panicked"))
-                .collect()
-        })
-    };
+    // Contiguous ranges keep the merge order trivial: worker w owns
+    // batches [w·k, (w+1)·k), so concatenating worker outputs in worker
+    // order is global batch order.
+    let per = batches.len().div_ceil(workers);
+    let outs = fan_out(batches.len().div_ceil(per), |w| {
+        let range = &batches[w * per..batches.len().min((w + 1) * per)];
+        obs.record(names::FSIM_BATCHES_PER_WORKER, range.len() as f64);
+        run_batches_kernel::<F, W>(ctx, range, obs, w * per, pat_range)
+    });
 
     // Merge. A serial simulator's detections are batch-major (the pattern
     // loop nests inside the batch loop), so replaying per-batch logs in
@@ -181,7 +194,85 @@ pub(crate) fn simulate<F: SiteOverride>(
         config,
         obs,
         &SimGuide::default(),
+        None,
     )
+}
+
+/// The targets of one run over `list`: its undetected faults in drop mode
+/// (every fault otherwise) within the guide's target mask, minus the
+/// statically proven untestable ones, whose count comes second.
+pub(crate) fn run_targets<F>(
+    list: &FaultList<F>,
+    config: &FaultSimConfig,
+    guide: &SimGuide<'_>,
+) -> (Vec<FaultId>, usize) {
+    let testable = |id: FaultId| {
+        guide
+            .untestable
+            .is_none_or(|u| !u.get(id).copied().unwrap_or(false))
+    };
+    let masked_in = |&id: &FaultId| {
+        guide
+            .targets
+            .is_none_or(|m| m.get(id).copied().unwrap_or(false))
+    };
+    let all_targets: Vec<FaultId> = if config.drop_detected {
+        list.undetected().filter(masked_in).collect()
+    } else {
+        (0..list.len()).filter(masked_in).collect()
+    };
+    let targets: Vec<FaultId> = all_targets
+        .iter()
+        .copied()
+        .filter(|&id| testable(id))
+        .collect();
+    let untestable = all_targets.len() - targets.len();
+    (targets, untestable)
+}
+
+/// The netlist-side state a run's workers read: fanout cones, port nets,
+/// and the levelization.
+pub(crate) struct Layout<'g> {
+    cones: FanoutCones,
+    in_nets: Vec<usize>,
+    out_nets: Vec<usize>,
+    levels: Cow<'g, Levelization>,
+}
+
+impl<'g> Layout<'g> {
+    /// The layout of `netlist`. The kernel needs the rank-major layout;
+    /// levelize here only when the guide did not bring the module's cached
+    /// copy (O(gates log gates), negligible next to one pattern sweep).
+    pub(crate) fn of(netlist: &Netlist, guide: &SimGuide<'g>) -> Layout<'g> {
+        Layout {
+            cones: netlist.fanout_cones(),
+            in_nets: netlist.inputs().nets().iter().map(|n| n.index()).collect(),
+            out_nets: netlist.outputs().nets().iter().map(|n| n.index()).collect(),
+            levels: guide
+                .levels
+                .map_or_else(|| Cow::Owned(netlist.levelize()), Cow::Borrowed),
+        }
+    }
+
+    /// The workers' shared state for one run over `patterns`.
+    pub(crate) fn ctx<'a>(
+        &'a self,
+        netlist: &'a Netlist,
+        patterns: &'a PatternSeq,
+        config: &FaultSimConfig,
+        stamps: Option<&'a [Stamp]>,
+    ) -> Ctx<'a> {
+        Ctx {
+            gates: netlist.gates(),
+            patterns,
+            cones: &self.cones,
+            in_nets: &self.in_nets,
+            out_nets: &self.out_nets,
+            config: *config,
+            levels: &self.levels,
+            stamps,
+        }
+    }
 }
 
 /// Reorders the target list at worker-group granularity: targets are
@@ -191,7 +282,7 @@ pub(crate) fn simulate<F: SiteOverride>(
 /// observable) batches first, so multi-worker runs schedule their longest
 /// jobs first. Per-fault first detections are independent of batch
 /// composition and order, so stamps are unchanged.
-fn order_groups_hardest_first<F: SiteOverride>(
+pub(crate) fn order_groups_hardest_first<F: SiteOverride>(
     targets: &mut Vec<FaultId>,
     keys: &[f64],
     list: &FaultList<F>,
@@ -215,7 +306,7 @@ fn order_groups_hardest_first<F: SiteOverride>(
 /// the earliest patterns of a pseudorandom sequence, so short early
 /// segments capture most drops while long late segments keep the
 /// re-planning overhead negligible.
-const REPACK_SEGMENT: usize = 64;
+pub(crate) const REPACK_SEGMENT: usize = 64;
 
 /// Drop-mode runner: the target list is simulated in growing pattern
 /// segments, and between segments the still-undetected faults are
@@ -260,7 +351,7 @@ fn run_dropping_repacked<F: SiteOverride, const W: usize>(
         );
         targets.retain(|&id| matches!(list.status(id), FaultStatus::Undetected));
         if obs.enabled() {
-            obs.add("fsim.repack_segments", 1);
+            obs.add(names::FSIM_REPACK_SEGMENTS, 1);
         }
         start = end;
         segment = segment.saturating_mul(2);
@@ -338,6 +429,8 @@ fn run_guided_list<F: SiteOverride, const W: usize>(
 ///
 /// `W` is the kernel's block width in words: [`crate::kernel::BLOCK_WORDS`]
 /// for every public entry point; only in-crate tests pick another.
+/// `stamps`, when present, are the run's settled first detections (see
+/// [`Ctx::stamps`]): a stamped run of a lock-step union.
 ///
 /// # Panics
 ///
@@ -350,6 +443,7 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
     config: &FaultSimConfig,
     obs: Obs<'_>,
     guide: &SimGuide<'_>,
+    stamps: Option<&[Stamp]>,
 ) -> FaultSimReport {
     assert_eq!(
         patterns.width(),
@@ -360,7 +454,7 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
         netlist.is_combinational() || list.is_empty(),
         "fault simulation is combinational-only: the kernel carries no flip-flop state"
     );
-    let mut run_span = obs.span("fsim", "fsim.run");
+    let mut run_span = obs.span("fsim", names::FSIM_RUN);
     list.begin_run();
     let mut report = FaultSimReport::new();
 
@@ -369,51 +463,11 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
     // set is unchanged, but the engine stops paying for their cones. A
     // target mask restricts the candidates first, so the untestable row
     // counts masked-in faults only.
-    let testable = |id: FaultId| {
-        guide
-            .untestable
-            .is_none_or(|u| !u.get(id).copied().unwrap_or(false))
-    };
-    let masked_in = |&id: &FaultId| {
-        guide
-            .targets
-            .is_none_or(|m| m.get(id).copied().unwrap_or(false))
-    };
-    let all_targets: Vec<FaultId> = if config.drop_detected {
-        list.undetected().filter(masked_in).collect()
-    } else {
-        (0..list.len()).filter(masked_in).collect()
-    };
-    let targets: Vec<FaultId> = all_targets
-        .iter()
-        .copied()
-        .filter(|&id| testable(id))
-        .collect();
-    report.set_untestable((all_targets.len() - targets.len()) as u32);
+    let (targets, untestable) = run_targets(list, config, guide);
+    report.set_untestable(untestable as u32);
 
-    let cones = netlist.fanout_cones();
-    let in_nets: Vec<usize> = netlist.inputs().nets().iter().map(|n| n.index()).collect();
-    let out_nets: Vec<usize> = netlist.outputs().nets().iter().map(|n| n.index()).collect();
-    // The kernel needs the rank-major layout; levelize here only when the
-    // guide did not bring the module's cached copy (O(gates log gates),
-    // negligible next to one pattern sweep).
-    let owned_levels: Levelization;
-    let levels = match guide.levels {
-        Some(levels) => levels,
-        None => {
-            owned_levels = netlist.levelize();
-            &owned_levels
-        }
-    };
-    let ctx = Ctx {
-        gates: netlist.gates(),
-        patterns,
-        cones: &cones,
-        in_nets: &in_nets,
-        out_nets: &out_nets,
-        config: *config,
-        levels,
-    };
+    let layout = Layout::of(netlist, guide);
+    let ctx = layout.ctx(netlist, patterns, config, stamps);
 
     let n_pat = patterns.len();
     let mut activated_per_pattern = vec![0u32; n_pat];
@@ -421,11 +475,11 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
     if obs.enabled() {
         run_span.arg("faults", targets.len());
         run_span.arg("patterns", patterns.len());
-        obs.add("fsim.runs", 1);
-        obs.add("fsim.kernel.runs", 1);
-        obs.add("fsim.patterns", patterns.len() as u64);
+        obs.add(names::FSIM_RUNS, 1);
+        obs.add(names::FSIM_KERNEL_RUNS, 1);
+        obs.add(names::FSIM_PATTERNS, patterns.len() as u64);
         obs.add(
-            "fsim.untestable_pruned",
+            names::FSIM_UNTESTABLE_PRUNED,
             u64::from(report.untestable_count()),
         );
     }
@@ -509,9 +563,9 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
                 .filter(|&id| matches!(list.status(id), FaultStatus::Undetected))
                 .collect();
             if obs.enabled() {
-                obs.add("fsim.dominance_removed", deferred.len() as u64);
-                obs.add("fsim.dominance_inherited", inherited);
-                obs.add("fsim.dominance_residual", residual.len() as u64);
+                obs.add(names::FSIM_DOMINANCE_REMOVED, deferred.len() as u64);
+                obs.add(names::FSIM_DOMINANCE_INHERITED, inherited);
+                obs.add(names::FSIM_DOMINANCE_RESIDUAL, residual.len() as u64);
             }
             run_guided_list::<F, W>(
                 &ctx,
@@ -535,11 +589,11 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
     }
     if obs.enabled() {
         obs.add(
-            "fsim.detections",
+            names::FSIM_DETECTIONS,
             u64::from(detected_per_pattern.iter().sum::<u32>()),
         );
         obs.add(
-            "fsim.activations",
+            names::FSIM_ACTIVATIONS,
             activated_per_pattern.iter().map(|&a| u64::from(a)).sum(),
         );
     }

@@ -121,6 +121,13 @@ impl fmt::Display for Fault {
 /// compiles into its own specialized inner loop, and a model that ignores
 /// `prev` pays nothing for it.
 pub trait SiteOverride: Copy + Send + Sync {
+    /// Whether detection reads the previous pattern (`prev`). A model that
+    /// does not detects on a row regardless of what precedes it, so the
+    /// engine may simulate a row that several module instances apply at
+    /// one pattern position once for all of them (the lock-step union of
+    /// [`fault_simulate_instances`](crate::fault_simulate_instances)).
+    const READS_PREV: bool = false;
+
     /// The seed gates: the overridden gate, plus a second one for two-site
     /// faults. Two seeds never lie in each other's fanout cone.
     fn seeds(&self) -> (usize, Option<usize>);

@@ -42,11 +42,24 @@
 //! the first few dozen patterns; evaluating a full 256-lane block to find
 //! a detection in lane 3 wastes the width) and only faults that survive
 //! the probe graduate to wide blocks.
+//!
+//! Workers run one of two jobs over the same good machine, screens and
+//! frontier. [`run_batches_kernel`] is a per-instance run: tallies and a
+//! detection log. [`settle_batches`] is the settlement pass of a
+//! lock-step union (`lockstep.rs`): each fault carries the mask of
+//! instances still open, and a detecting union row settles the open
+//! instances that apply it. A per-instance run given settled stamps
+//! (`Ctx::stamps`) answers every settled fault's blocks from its stamp
+//! instead of propagating; the frontier is allocated on the first
+//! propagation, so such a run never builds one.
 
 use std::cell::OnceCell;
+use std::sync::atomic::Ordering;
 
 use warpstl_netlist::{GateKind, Levelization};
-use warpstl_obs::{Metrics, Obs, ObsExt};
+use warpstl_obs::{names, Metrics, Obs, ObsExt, Span};
+
+use warpstl_sync::AtomicUsize;
 
 use crate::engine::{Ctx, WorkerOut};
 use crate::{FaultId, SiteOverride};
@@ -54,6 +67,16 @@ use crate::{FaultId, SiteOverride};
 /// The block width, in 64-bit words, of every public simulation entry
 /// point: 256 patterns per wide block.
 pub(crate) const BLOCK_WORDS: usize = 4;
+
+/// A fault's settled first detection on one stream (see `Ctx::stamps`):
+/// the detecting pattern's index, [`NEVER`] when the stream never detects
+/// the fault, or [`OPEN`] when nothing was settled and the kernel must
+/// propagate.
+pub(crate) type Stamp = u32;
+/// Not settled: the fault propagates as usual.
+pub(crate) const OPEN: Stamp = Stamp::MAX;
+/// Settled as never detected by the stream.
+pub(crate) const NEVER: Stamp = Stamp::MAX - 1;
 
 /// The good machine over one pattern window: gate-major rows of `stride`
 /// words, bit `t` of word `w` = pattern `p0 + 64·w + t`.
@@ -283,7 +306,7 @@ impl Frontier {
 fn propagate<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     ctx: &Ctx<'_>,
     fr: &mut Frontier,
-    run: &FaultRun<F>,
+    fault: &F,
     win: &Window<'_, C>,
     base: usize,
     gate_evals: &mut u64,
@@ -292,7 +315,7 @@ fn propagate<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     let (good, stride) = (win.good, win.stride);
     fr.epoch += 1;
     let epoch = fr.epoch;
-    let (s0, s1) = run.fault.seeds();
+    let (s0, s1) = fault.seeds();
 
     // Seed diffs: the injected faulty word against the good word, masked
     // to the valid lanes so the frontier never chases garbage in a span's
@@ -301,7 +324,7 @@ fn propagate<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     for w in 0..BW {
         let at = |net: usize| good[net * stride + base + w];
         let prev = |net: usize| win.prev(net, base + w);
-        let faulty = run.fault.faulty_word(ctx.gates, at, prev);
+        let faulty = fault.faulty_word(ctx.gates, at, prev);
         diffs[0][w] = (faulty ^ at(s0)) & win.mask[base + w];
         if let Some(s1) = s1 {
             diffs[1][w] = (faulty ^ at(s1)) & win.mask[base + w];
@@ -454,47 +477,236 @@ fn absorb_block<F, const BW: usize>(
     }
 }
 
-/// Runs one block for one fault: activation screen, frontier propagation,
-/// tally/detection fold. Returns 1 if the cone was actually propagated.
-#[allow(clippy::too_many_arguments)]
-fn fault_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
+/// Gate-evaluation work of a worker, flushed into its metrics once.
+#[derive(Default)]
+struct Work {
+    /// (fault, block) pairs whose frontier was propagated.
+    fault_blocks: u64,
+    /// Gate evaluations of those frontiers.
+    cone_gates: u64,
+}
+
+/// The detect word of a settled stamp: the stamp's lane when it falls in
+/// the `BW`-word block at word `base` of the window, else 0, confined to
+/// the window's valid lanes like a propagated detect word.
+fn stamp_word<C, const BW: usize>(stamp: Stamp, win: &Window<'_, C>, base: usize) -> [u64; BW] {
+    let mut d = [0u64; BW];
+    // A stamp before the block wraps far past it.
+    let lane = (stamp as usize).wrapping_sub(win.p0 + base * 64);
+    if stamp != NEVER && lane < BW * 64 {
+        d[lane / 64] = (1u64 << (lane % 64)) & win.mask[base + lane / 64];
+    }
+    d
+}
+
+/// Screens and evaluates one block for one fault: `None` when the override
+/// equals the good machine in every lane of the block (the faulty machine
+/// is identical there: no detection, no activation), else the detect and
+/// activation words, both confined to the window's valid lanes.
+///
+/// A fault with a settled stamp in `ctx.stamps` does not propagate: its
+/// detect word comes from [`stamp_word`]. Drop mode reads only a detect
+/// word's first set bit, which is then the stamp itself. The frontier is
+/// built on the first propagation, so a worker whose faults are all
+/// settled never allocates it.
+fn eval_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     ctx: &Ctx<'_>,
-    fr: &mut Frontier,
-    run: &mut FaultRun<F>,
+    fr: &mut Option<Frontier>,
+    fid: FaultId,
+    fault: &F,
     win: &Window<'_, C>,
     base: usize,
-    drop: bool,
-    det: &mut Vec<(usize, usize, FaultId)>,
-    out: &mut WorkerOut,
-    gate_evals: &mut u64,
-) -> u64 {
-    // Activation screen: lanes where the override differs from the good
-    // machine at the site. All-zero means the faulty machine is identical
-    // in this block — no detection, no activation, nothing to do.
+    work: &mut Work,
+) -> Option<([u64; BW], [u64; BW])> {
     let mut a = [0u64; BW];
     let mut any = 0u64;
     for (w, aw) in a.iter_mut().enumerate() {
         let word = base + w;
         let at = |net: usize| win.at(net, word);
         let prev = |net: usize| win.prev(net, word);
-        *aw = run.fault.activation(ctx.gates, at, prev) & win.mask[word];
+        *aw = fault.activation(ctx.gates, at, prev) & win.mask[word];
         any |= *aw;
     }
     if any == 0 {
-        return 0;
+        return None;
     }
-    let d = propagate::<F, C, BW>(ctx, fr, run, win, base, gate_evals);
-    absorb_block::<F, BW>(d, a, run, base, win.p0, drop, out, det);
-    1
+    let d = match ctx.stamps.map(|s| s[fid]) {
+        Some(stamp) if stamp != OPEN => stamp_word::<C, BW>(stamp, win, base),
+        _ => {
+            work.fault_blocks += 1;
+            let fr = fr.get_or_insert_with(|| Frontier::new(ctx));
+            propagate::<F, C, BW>(ctx, fr, fault, win, base, &mut work.cone_gates)
+        }
+    };
+    Some((d, a))
+}
+
+/// Runs one block for one fault of a per-instance run: [`eval_block`],
+/// then the tally/detection fold.
+#[allow(clippy::too_many_arguments)]
+fn fault_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
+    ctx: &Ctx<'_>,
+    fr: &mut Option<Frontier>,
+    run: &mut FaultRun<F>,
+    win: &Window<'_, C>,
+    base: usize,
+    drop: bool,
+    det: &mut Vec<(usize, usize, FaultId)>,
+    out: &mut WorkerOut,
+    work: &mut Work,
+) {
+    if let Some((d, a)) = eval_block::<F, C, BW>(ctx, fr, run.fid, &run.fault, win, base, work) {
+        absorb_block::<F, BW>(d, a, run, base, win.p0, drop, out, det);
+    }
+}
+
+/// Walks one fault's blocks across a `stride`-word window in order,
+/// calling `block(base, wide)` until it reports the fault finished. With
+/// `probe` (drop mode) the first `W` words run as narrow blocks — most
+/// faults detect within the first few dozen patterns, so evaluating a full
+/// 256-lane block to find a detection in lane 3 wastes the width — and
+/// survivors use full-width blocks where aligned. Spans that don't fill a
+/// wide block fall through to the 64-bit remainder path.
+fn walk_blocks<const W: usize>(
+    stride: usize,
+    probe: bool,
+    mut block: impl FnMut(usize, bool) -> bool,
+) {
+    let mut base = 0usize;
+    while base < stride {
+        let wide = base.is_multiple_of(W) && base + W <= stride && !(probe && base < W);
+        if block(base, wide) {
+            return;
+        }
+        base += if wide { W } else { 1 };
+    }
+}
+
+/// A worker's good machine over its pattern window, evaluated once for
+/// every fault of its batches.
+struct GoodSpan {
+    /// Gate-major rows of `stride` words.
+    good: Vec<u64>,
+    /// Valid-pattern masks: all-ones except the window's tail word.
+    mask: Vec<u64>,
+    stride: usize,
+    /// Input slot of each input gate (`u32::MAX` for undriven ones).
+    in_slot: Vec<u32>,
+    /// Good-machine blocks evaluated (wide plus remainder).
+    blocks: usize,
+}
+
+impl GoodSpan {
+    /// Transposes the window's patterns into one `stride`-word row per
+    /// input bit, then evaluates the good machine in `W`-word blocks and
+    /// 64-bit remainders.
+    fn evaluate<const W: usize>(ctx: &Ctx<'_>, (p0, p1): (usize, usize)) -> GoodSpan {
+        let n_gates = ctx.gates.len();
+        let span = p1 - p0;
+        let stride = span.div_ceil(64);
+        let mut mask = vec![!0u64; stride];
+        if span % 64 != 0 {
+            mask[stride - 1] = (1u64 << (span % 64)) - 1;
+        }
+        let mut in_words = vec![0u64; ctx.in_nets.len() * stride];
+        for bit_pos in 0..ctx.in_nets.len() {
+            let row = &mut in_words[bit_pos * stride..][..stride];
+            for t in 0..span {
+                if ctx.patterns.bit(p0 + t, bit_pos) {
+                    row[t >> 6] |= 1u64 << (t & 63);
+                }
+            }
+        }
+        let mut in_slot = vec![u32::MAX; n_gates];
+        for (i, &net) in ctx.in_nets.iter().enumerate() {
+            in_slot[net] = i as u32;
+        }
+        let mut good = vec![0u64; n_gates * stride];
+        let wide_end = stride - stride % W;
+        let mut base = 0usize;
+        while base < wide_end {
+            good_block::<W>(ctx.levels, &in_slot, &in_words, &mut good, stride, base);
+            base += W;
+        }
+        while base < stride {
+            good_block::<1>(ctx.levels, &in_slot, &in_words, &mut good, stride, base);
+            base += 1;
+        }
+        GoodSpan {
+            good,
+            mask,
+            stride,
+            in_slot,
+            blocks: (wide_end / W) + (stride - wide_end),
+        }
+    }
+
+    /// The window over this span starting at pattern `p0`. `prev`'s carry
+    /// into its first word: a stream's first pattern is its own
+    /// predecessor, so it never launches a transition; a later window (a
+    /// repacking segment) reads pattern p0 − 1, evaluated into `before` on
+    /// first use because only transition faults read `prev`.
+    fn window<'s>(
+        &'s self,
+        ctx: &'s Ctx<'s>,
+        p0: usize,
+        before: &'s OnceCell<Vec<u64>>,
+    ) -> Window<'s, impl Fn(usize) -> u64 + 's> {
+        Window {
+            good: &self.good,
+            mask: &self.mask,
+            stride: self.stride,
+            p0,
+            carry_in: move |net: usize| {
+                if p0 == 0 {
+                    self.good[net * self.stride] & 1
+                } else {
+                    before.get_or_init(|| good_at(ctx, &self.in_slot, p0 - 1))[net] & 1
+                }
+            },
+        }
+    }
+}
+
+/// One worker's set-up shared by both jobs: its `fsim.worker` span, and
+/// the good machine over `pat_range` under an `fsim.kernel` span. `None`
+/// when there is nothing to evaluate.
+fn start_worker<'o, const W: usize>(
+    ctx: &Ctx<'_>,
+    obs: Obs<'o>,
+    pat_range: (usize, usize),
+    local: &mut Metrics,
+) -> (Span<'o>, Option<(Span<'o>, GoodSpan)>) {
+    let worker_span = obs.span("fsim", names::FSIM_WORKER);
+    if pat_range.1 == pat_range.0 || ctx.gates.is_empty() {
+        return (worker_span, None);
+    }
+    let mut kernel_span = obs.span("fsim", names::FSIM_KERNEL);
+    let gs = GoodSpan::evaluate::<W>(ctx, pat_range);
+    if obs.enabled() {
+        kernel_span.arg("width", W * 64);
+        kernel_span.arg("blocks", gs.blocks);
+        kernel_span.arg("rank_count", ctx.levels.ranks());
+        local.add(names::FSIM_KERNEL_BLOCKS, gs.blocks as u64);
+    }
+    (worker_span, Some((kernel_span, gs)))
+}
+
+/// Flushes a worker's gate-evaluation work and local metrics into `obs`.
+fn finish_worker(obs: Obs<'_>, mut local: Metrics, work: &Work) {
+    if let Some(rec) = obs {
+        local.add(names::FSIM_KERNEL_FAULT_BLOCKS, work.fault_blocks);
+        local.add(names::FSIM_KERNEL_CONE_GATES, work.cone_gates);
+        rec.merge_metrics(&local);
+    }
 }
 
 /// One worker's job: simulates a contiguous range of batches over the
 /// pattern window `pat_range` and returns per-batch detection logs (serial
 /// `(pattern, lane)` order within each batch) and exact per-pattern
-/// tallies. `W` is the block width in words; spans that don't fill a wide
-/// block fall through to the 64-bit remainder path, and drop mode probes
-/// each fault's first `W` words as narrow blocks before graduating to wide
-/// ones.
+/// tallies. `W` is the block width in words (see [`walk_blocks`]). Faults
+/// with a settled stamp in `ctx.stamps` are answered from it (see
+/// [`eval_block`]).
 pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
     ctx: &Ctx<'_>,
     batches: &[Vec<(FaultId, F)>],
@@ -502,141 +714,49 @@ pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
     first_batch: usize,
     pat_range: (usize, usize),
 ) -> WorkerOut {
-    let levels = ctx.levels;
-    let mut worker_span = obs.span("fsim", "fsim.worker");
-    worker_span.arg("first_batch", first_batch);
-    worker_span.arg("batches", batches.len());
-    let mut local = Metrics::default();
-
+    const { assert!(W <= BLOCK_WORDS, "frontier rows hold BLOCK_WORDS words") };
     let n_pat = ctx.patterns.len();
-    let n_gates = ctx.gates.len();
-    let (p0, p1) = pat_range;
-    let span = p1 - p0;
     let mut out = WorkerOut {
         detections: Vec::with_capacity(batches.len()),
         activated: vec![0u32; n_pat],
         detected: vec![0u32; n_pat],
     };
-    if span == 0 || n_gates == 0 {
+    let mut local = Metrics::default();
+    let (mut worker_span, started) = start_worker::<W>(ctx, obs, pat_range, &mut local);
+    worker_span.arg("first_batch", first_batch);
+    worker_span.arg("batches", batches.len());
+    let Some((_kernel_span, gs)) = started else {
         out.detections.extend(batches.iter().map(|_| Vec::new()));
         return out;
-    }
-
-    let stride = span.div_ceil(64);
-    // Valid-pattern masks: all-ones except the span's tail word.
-    let mut word_mask = vec![!0u64; stride];
-    if span % 64 != 0 {
-        word_mask[stride - 1] = (1u64 << (span % 64)) - 1;
-    }
-
-    // Transpose the pattern window: one `stride`-word row per input bit.
-    let mut in_words = vec![0u64; ctx.in_nets.len() * stride];
-    for bit_pos in 0..ctx.in_nets.len() {
-        let row = &mut in_words[bit_pos * stride..][..stride];
-        for t in 0..span {
-            if ctx.patterns.bit(p0 + t, bit_pos) {
-                row[t >> 6] |= 1u64 << (t & 63);
-            }
-        }
-    }
-    let mut in_slot = vec![u32::MAX; n_gates];
-    for (i, &net) in ctx.in_nets.iter().enumerate() {
-        in_slot[net] = i as u32;
-    }
-
-    // Good machine once for the whole span: wide blocks, then remainders.
-    let mut kernel_span = obs.span("fsim", "fsim.kernel");
-    let mut good = vec![0u64; n_gates * stride];
-    let wide_end = stride - stride % W;
-    let mut base = 0usize;
-    while base < wide_end {
-        good_block::<W>(levels, &in_slot, &in_words, &mut good, stride, base);
-        base += W;
-    }
-    while base < stride {
-        good_block::<1>(levels, &in_slot, &in_words, &mut good, stride, base);
-        base += 1;
-    }
-    let blocks = (wide_end / W) + (stride - wide_end);
-    if obs.enabled() {
-        kernel_span.arg("width", W * 64);
-        kernel_span.arg("blocks", blocks);
-        kernel_span.arg("rank_count", levels.ranks());
-        local.add("fsim.batches", batches.len() as u64);
-        local.add("fsim.kernel.blocks", blocks as u64);
-    }
-
-    // `prev`'s carry into the window's first word. A stream's first pattern
-    // is its own predecessor, so it never launches a transition; a later
-    // window (a repacking segment) reads pattern p0 − 1, evaluated on first
-    // use because only transition faults read `prev`.
-    let before = OnceCell::new();
-    let win = Window {
-        good: &good,
-        mask: &word_mask,
-        stride,
-        p0,
-        carry_in: |net: usize| {
-            if p0 == 0 {
-                good[net * stride] & 1
-            } else {
-                before.get_or_init(|| good_at(ctx, &in_slot, p0 - 1))[net] & 1
-            }
-        },
     };
-
+    local.add(names::FSIM_BATCHES, batches.len() as u64);
+    let before = OnceCell::new();
+    let win = gs.window(ctx, pat_range.0, &before);
     let drop = ctx.config.drop_detected;
-    const { assert!(W <= BLOCK_WORDS, "frontier rows hold BLOCK_WORDS words") };
-    let mut fr = Frontier::new(ctx);
-    let mut fault_blocks = 0u64;
-    let mut gate_evals = 0u64;
+    let mut fr = None;
+    let mut work = Work::default();
 
     for batch in batches {
         let mut det: Vec<(usize, usize, FaultId)> = Vec::new();
-        for (lane0, &(fid, f)) in batch.iter().enumerate() {
+        for (lane0, &(fid, fault)) in batch.iter().enumerate() {
             let mut run = FaultRun {
                 fid,
-                fault: f,
+                fault,
                 lane: lane0 + 1,
                 detected_at: None,
             };
-            let mut base = 0usize;
-            while base < stride {
-                if drop && run.detected_at.is_some() {
-                    break;
-                }
-                // Drop-mode probe: most faults detect within the first few
-                // dozen patterns, so their first `W` words run as narrow
-                // blocks; survivors use full-width blocks where aligned.
-                let wide_ok = base.is_multiple_of(W) && base + W <= stride && !(drop && base < W);
-                if wide_ok {
-                    fault_blocks += fault_block::<F, _, W>(
-                        ctx,
-                        &mut fr,
-                        &mut run,
-                        &win,
-                        base,
-                        drop,
-                        &mut det,
-                        &mut out,
-                        &mut gate_evals,
+            walk_blocks::<W>(gs.stride, drop, |base, wide| {
+                if wide {
+                    fault_block::<F, _, W>(
+                        ctx, &mut fr, &mut run, &win, base, drop, &mut det, &mut out, &mut work,
                     );
-                    base += W;
                 } else {
-                    fault_blocks += fault_block::<F, _, 1>(
-                        ctx,
-                        &mut fr,
-                        &mut run,
-                        &win,
-                        base,
-                        drop,
-                        &mut det,
-                        &mut out,
-                        &mut gate_evals,
+                    fault_block::<F, _, 1>(
+                        ctx, &mut fr, &mut run, &win, base, drop, &mut det, &mut out, &mut work,
                     );
-                    base += 1;
                 }
-            }
+                drop && run.detected_at.is_some()
+            });
         }
         // Serial order within a batch is pattern-major, then lane: restore
         // it so the engine's batch-major merge is byte-identical to a
@@ -648,15 +768,83 @@ pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
                 .collect(),
         );
     }
-
-    if obs.enabled() {
-        local.add("fsim.kernel.fault_blocks", fault_blocks);
-        local.add("fsim.kernel.cone_gates", gate_evals);
-    }
-    if let Some(rec) = obs {
-        rec.merge_metrics(&local);
-    }
+    finish_worker(obs, local, &work);
     out
+}
+
+/// One settlement: the instances (a bit mask) whose first detection of
+/// the fault is at pattern position `t`.
+pub(crate) type Settlement = (FaultId, u64, Stamp);
+
+/// One worker's job in a lock-step union pass (`ctx.patterns` holds the
+/// union rows U): takes batches off `batches` by the shared counter `next`
+/// until none is left, and walks each fault over the window `pat_range`
+/// of U in drop-mode block order with its `open` instance mask. At each
+/// detecting U-row `u`, in ascending order, the open instances among
+/// `users[u]` settle at position `at[u]` and leave the mask; the fault
+/// stops when none is left open. Settlements are facts about (fault,
+/// instance) pairs, so which worker takes which batch changes nothing and
+/// the batches balance dynamically, hardest first.
+pub(crate) fn settle_batches<F: SiteOverride, const W: usize>(
+    ctx: &Ctx<'_>,
+    users: &[u64],
+    at: &[Stamp],
+    batches: &[Vec<(FaultId, F, u64)>],
+    next: &AtomicUsize,
+    obs: Obs<'_>,
+    pat_range: (usize, usize),
+) -> Vec<Settlement> {
+    const { assert!(W <= BLOCK_WORDS, "frontier rows hold BLOCK_WORDS words") };
+    let mut settled = Vec::new();
+    let mut local = Metrics::default();
+    let (mut worker_span, started) = start_worker::<W>(ctx, obs, pat_range, &mut local);
+    let Some((_kernel_span, gs)) = started else {
+        return settled;
+    };
+    let before = OnceCell::new();
+    let win = gs.window(ctx, pat_range.0, &before);
+    let mut fr = None;
+    let mut work = Work::default();
+
+    let mut settle = |d: &[u64], base: usize, fid: FaultId, open: &mut u64| {
+        for (w, &dw) in d.iter().enumerate() {
+            let u0 = win.p0 + (base + w) * 64;
+            let mut word = dw;
+            while word != 0 && *open != 0 {
+                let u = u0 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let hits = *open & users[u];
+                if hits != 0 {
+                    settled.push((fid, hits, at[u]));
+                    *open &= !hits;
+                }
+            }
+        }
+    };
+    let mut taken = 0usize;
+    while let Some(batch) = batches.get(next.fetch_add(1, Ordering::Relaxed)) {
+        taken += 1;
+        for &(fid, fault, mut open) in batch {
+            walk_blocks::<W>(gs.stride, true, |base, wide| {
+                if wide {
+                    if let Some((d, _)) =
+                        eval_block::<F, _, W>(ctx, &mut fr, fid, &fault, &win, base, &mut work)
+                    {
+                        settle(&d, base, fid, &mut open);
+                    }
+                } else if let Some((d, _)) =
+                    eval_block::<F, _, 1>(ctx, &mut fr, fid, &fault, &win, base, &mut work)
+                {
+                    settle(&d, base, fid, &mut open);
+                }
+                open == 0
+            });
+        }
+    }
+    worker_span.arg("batches", taken);
+    local.add(names::FSIM_BATCHES, taken as u64);
+    finish_worker(obs, local, &work);
+    settled
 }
 
 #[cfg(test)]
@@ -721,7 +909,7 @@ mod tests {
         cfg: &FaultSimConfig,
         guide: &SimGuide<'_>,
     ) -> (FaultSimReport, String) {
-        let report = simulate_guided::<F, W>(netlist, p, &mut list, cfg, None, guide);
+        let report = simulate_guided::<F, W>(netlist, p, &mut list, cfg, None, guide, None);
         (report, list.to_report_text())
     }
 

@@ -25,7 +25,11 @@
 //!   timestamped pattern sequences: one levelized, pattern-parallel kernel,
 //!   generic over the model, producing the per-cycle *Fault Sim Report*
 //!   the instruction-labeling stage consumes. It simulates combinational
-//!   netlists, which every bundled module is.
+//!   netlists, which every bundled module is;
+//! - [`fault_simulate_instances`] — a module's instances (8 SP cores,
+//!   2 SFUs) at once: in drop mode the rows they apply in lock-step are
+//!   simulated once for all of them, and each instance's report is still
+//!   byte-identical to its own run.
 //!
 //! # Examples
 //!
@@ -59,6 +63,7 @@ pub mod engine;
 mod fault;
 mod kernel;
 mod list;
+mod lockstep;
 mod report;
 mod sim;
 pub mod tdf;
@@ -71,7 +76,7 @@ pub use fault::{Fault, FaultSite, Polarity, SiteOverride};
 pub use list::{FaultId, FaultList, FaultStatus};
 pub use report::{FaultSimReport, PatternStats};
 pub use sim::{
-    fault_simulate, fault_simulate_guided, fault_simulate_observed, FaultSimConfig, SimBackend,
-    SimGuide,
+    fault_simulate, fault_simulate_guided, fault_simulate_instances, fault_simulate_observed,
+    FaultSimConfig, SimBackend, SimGuide,
 };
 pub use universe::FaultUniverse;

@@ -135,6 +135,28 @@ pub struct SimGuide<'a> {
     pub levels: Option<&'a Levelization>,
 }
 
+impl<'a> SimGuide<'a> {
+    /// Instance `i`'s guide in a call over a module's instances
+    /// ([`fault_simulate_instances`]): this guide with `targets[i]` as its
+    /// target mask when present, else with its own.
+    #[must_use]
+    pub fn for_instance(&self, targets: &[Option<&'a [bool]>], i: usize) -> SimGuide<'a> {
+        SimGuide {
+            targets: targets.get(i).copied().flatten().or(self.targets),
+            ..*self
+        }
+    }
+
+    /// Whether a run over `stream` under this guide has anything to
+    /// simulate: the stream is not empty and the target mask, if any,
+    /// selects a fault. [`fault_simulate_instances`] runs exactly the
+    /// instances for which this holds.
+    #[must_use]
+    pub fn runs_over(&self, stream: &PatternSeq) -> bool {
+        !stream.is_empty() && self.targets.is_none_or(|m| m.contains(&true))
+    }
+}
+
 /// Runs one fault simulation of `patterns` against `netlist`, updating
 /// `list` and returning the per-pattern Fault Sim Report.
 ///
@@ -261,8 +283,86 @@ pub fn fault_simulate_guided<F: SiteOverride>(
     guide: &SimGuide<'_>,
 ) -> FaultSimReport {
     crate::engine::simulate_guided::<F, { crate::kernel::BLOCK_WORDS }>(
-        netlist, patterns, list, config, obs, guide,
+        netlist, patterns, list, config, obs, guide, None,
     )
+}
+
+/// Fault-simulates a module's instances: one pattern stream per instance
+/// against that instance's list, instance `i` restricted to `targets[i]`
+/// when present (missing entries take `guide.targets`, so `&[]` with the
+/// default guide masks nothing), everything else from `guide`. Returns
+/// one report per instance, in instance order: `None` where the stream is
+/// empty or the mask selects no fault, and that list untouched.
+///
+/// Every report and list is `==` to what
+/// [`fault_simulate_guided`] produces for that instance alone, for every
+/// thread count. The instances run concurrently, the thread budget split
+/// across them. In drop mode, for a model that does not read the previous
+/// pattern ([`SiteOverride::READS_PREV`]), a module whose instances apply
+/// the same rows at the same positions (the SM's lock-step lanes) is
+/// simulated once over the union of those rows first; each instance's run
+/// then reads its faults' first detections from that pass instead of
+/// propagating them. The union runs when at least two instances have
+/// something to simulate and it removes at least half of their rows.
+///
+/// # Panics
+///
+/// Panics if `streams` and `lists` differ in length, if the lists differ
+/// in length (a module's instances share one fault universe), or as
+/// [`fault_simulate`] for any instance's run.
+///
+/// # Examples
+///
+/// ```
+/// use warpstl_fault::{
+///     fault_simulate_guided, fault_simulate_instances, FaultList, FaultSimConfig,
+///     FaultUniverse, SimGuide,
+/// };
+/// use warpstl_netlist::{Builder, PatternSeq};
+///
+/// let mut b = Builder::new("and2");
+/// let x = b.input("x");
+/// let y = b.input("y");
+/// let z = b.and(x, y);
+/// b.output("z", z);
+/// let n = b.finish();
+/// let universe = FaultUniverse::enumerate(&n);
+///
+/// // Three lanes that agree on every row but the first: 6 distinct
+/// // (position, row) pairs among 12 rows, so the union pass runs.
+/// let lanes: Vec<PatternSeq> = (0..3u64)
+///     .map(|lane| {
+///         let mut p = PatternSeq::new(2);
+///         for (cc, v) in [lane, 0b11, 0b10, 0b01].into_iter().enumerate() {
+///             p.push_value(cc as u64, v);
+///         }
+///         p
+///     })
+///     .collect();
+/// let streams: Vec<&PatternSeq> = lanes.iter().collect();
+/// let config = FaultSimConfig::default();
+/// let guide = SimGuide::default();
+/// let mut lists = vec![FaultList::new(&universe); 3];
+/// let reports = fault_simulate_instances(&n, &streams, &mut lists, &config, None, &guide, &[]);
+///
+/// // Byte-identical to simulating each lane alone.
+/// for ((stream, list), report) in streams.iter().zip(&lists).zip(&reports) {
+///     let mut alone = FaultList::new(&universe);
+///     let expected = fault_simulate_guided(&n, stream, &mut alone, &config, None, &guide);
+///     assert_eq!(report.as_ref(), Some(&expected));
+///     assert_eq!(list.to_report_text(), alone.to_report_text());
+/// }
+/// ```
+pub fn fault_simulate_instances<F: SiteOverride>(
+    netlist: &Netlist,
+    streams: &[&PatternSeq],
+    lists: &mut [FaultList<F>],
+    config: &FaultSimConfig,
+    obs: warpstl_obs::Obs<'_>,
+    guide: &SimGuide<'_>,
+    targets: &[Option<&[bool]>],
+) -> Vec<Option<FaultSimReport>> {
+    crate::lockstep::simulate_instances(netlist, streams, lists, config, obs, guide, targets)
 }
 
 #[cfg(test)]

@@ -115,6 +115,8 @@ impl TdfList {
 /// word is the launch mask. A stream's first pattern is its own
 /// predecessor, so it never launches.
 impl SiteOverride for TransitionFault {
+    const READS_PREV: bool = true;
+
     fn seeds(&self) -> (usize, Option<usize>) {
         (self.net.index(), None)
     }

@@ -81,6 +81,61 @@ pub mod names {
     /// Faults the compacted program's standalone fault simulation
     /// targeted: those no witness row settled.
     pub const EVAL_RESIMULATED: &str = "eval.resimulated";
+
+    /// Span: one fault-engine run. A per-instance run counts under
+    /// [`FSIM_RUNS`]; a lock-step union pass records the span too (so
+    /// worker-utilization splits cover its workers) but counts under
+    /// [`FSIM_UNION_RUNS`] instead.
+    pub const FSIM_RUN: &str = "fsim.run";
+    /// Span: one engine worker's share of a run's fault batches.
+    pub const FSIM_WORKER: &str = "fsim.worker";
+    /// Span: a worker's good-machine evaluation and fault loop.
+    pub const FSIM_KERNEL: &str = "fsim.kernel";
+    /// Per-instance fault-simulation runs.
+    pub const FSIM_RUNS: &str = "fsim.runs";
+    /// Runs on the levelized kernel (every run: it is the only path).
+    pub const FSIM_KERNEL_RUNS: &str = "fsim.kernel.runs";
+    /// Patterns the per-instance runs applied.
+    pub const FSIM_PATTERNS: &str = "fsim.patterns";
+    /// Target faults handed to the workers, summed over the target lists
+    /// of every run (direct, residual, and each repacking segment).
+    pub const FSIM_TARGET_FAULTS: &str = "fsim.target_faults";
+    /// Workers the target lists were spread over, summed.
+    pub const FSIM_WORKERS: &str = "fsim.workers";
+    /// Histogram: 63-fault batches per worker.
+    pub const FSIM_BATCHES_PER_WORKER: &str = "fsim.batches_per_worker";
+    /// 63-fault batches the workers simulated.
+    pub const FSIM_BATCHES: &str = "fsim.batches";
+    /// Good-machine blocks the workers evaluated.
+    pub const FSIM_KERNEL_BLOCKS: &str = "fsim.kernel.blocks";
+    /// (fault, block) pairs whose difference frontier was propagated:
+    /// blocks screened out as inactive, or answered from a settled
+    /// lock-step stamp, are not counted.
+    pub const FSIM_KERNEL_FAULT_BLOCKS: &str = "fsim.kernel.fault_blocks";
+    /// Gate evaluations of propagated difference frontiers.
+    pub const FSIM_KERNEL_CONE_GATES: &str = "fsim.kernel.cone_gates";
+    /// Pattern segments drop-mode runs re-packed their survivors between.
+    pub const FSIM_REPACK_SEGMENTS: &str = "fsim.repack_segments";
+    /// Target classes a run pruned as statically proven untestable.
+    pub const FSIM_UNTESTABLE_PRUNED: &str = "fsim.untestable_pruned";
+    /// Dominator classes removed from direct simulation.
+    pub const FSIM_DOMINANCE_REMOVED: &str = "fsim.dominance_removed";
+    /// Removed dominators that inherited a supporter's detection.
+    pub const FSIM_DOMINANCE_INHERITED: &str = "fsim.dominance_inherited";
+    /// Removed dominators simulated after all (nothing vouched for them).
+    pub const FSIM_DOMINANCE_RESIDUAL: &str = "fsim.dominance_residual";
+    /// Detections the per-instance runs reported.
+    pub const FSIM_DETECTIONS: &str = "fsim.detections";
+    /// (fault, pattern) activations the per-instance runs tallied.
+    pub const FSIM_ACTIVATIONS: &str = "fsim.activations";
+    /// Lock-step union passes: one drop-mode simulation over the distinct
+    /// rows a module's instances apply at each pattern position.
+    pub const FSIM_UNION_RUNS: &str = "fsim.union.runs";
+    /// Rows the union passes simulated (|U|, summed).
+    pub const FSIM_UNION_ROWS: &str = "fsim.union.rows";
+    /// Rows of the instance streams the union passes covered (Σ len,
+    /// summed): `fsim.union.rows` over this is the share left to simulate.
+    pub const FSIM_UNION_INSTANCE_ROWS: &str = "fsim.union.instance_rows";
 }
 
 use std::collections::BTreeMap;

@@ -8,10 +8,12 @@
 //! same state is bit-exact with re-running the engine.
 //!
 //! The wrapper [`cached_fault_sim`] is the whole integration surface for
-//! the pipeline: call it where `fault_simulate_guided` would be called,
+//! the pipeline: call it where `fault_simulate_instances` would be called,
 //! with an optional store.
 
-use warpstl_fault::{fault_simulate_guided, FaultList, FaultSimConfig, FaultSimReport, SimGuide};
+use warpstl_fault::{
+    fault_simulate_instances, FaultList, FaultSimConfig, FaultSimReport, SimGuide,
+};
 use warpstl_netlist::{Netlist, PatternSeq};
 use warpstl_obs::{Obs, ObsExt};
 
@@ -202,43 +204,95 @@ impl<'a> CacheCtx<'a> {
     }
 }
 
-/// [`fault_simulate_guided`] behind the cache, for any fault model the key
-/// covers ([`KeyedFault`]: stuck-at and bridging).
+/// [`fault_simulate_instances`] behind the cache, for any fault model the
+/// key covers ([`KeyedFault`]: stuck-at and bridging): a module's
+/// instances, one stream and list each, instance `i` restricted to
+/// `targets[i]` when present (else to `guide.targets`). Returns the
+/// engine's per-instance reports.
 ///
-/// On a hit the persisted stamps are replayed onto `list` (new run,
-/// detection stamps, rebuilt report) under a `store.replay` span — the
-/// result is bit-identical to re-running the engine from the same entry
-/// state, because the key absorbs that state. On a miss the engine runs
-/// and its stamps are captured and persisted.
+/// Every instance the engine would run ([`SimGuide::runs_over`]) is
+/// looked up under its own [`key_fsim`]. A hit is
+/// replayed onto its list (new run, detection stamps, rebuilt report)
+/// under a `store.replay` span; the misses are simulated together, so the
+/// engine's lock-step union spans all of them, and each miss's stamps are
+/// persisted under its key. The result is bit-identical to running the
+/// engine uncached, because each key absorbs its instance's entry state.
+#[allow(clippy::too_many_arguments)]
 pub fn cached_fault_sim<F: KeyedFault>(
     cache: CacheCtx<'_>,
     netlist: &Netlist,
-    patterns: &PatternSeq,
-    list: &mut FaultList<F>,
+    streams: &[&PatternSeq],
+    lists: &mut [FaultList<F>],
     config: &FaultSimConfig,
     obs: Obs<'_>,
     guide: &SimGuide<'_>,
-) -> FaultSimReport {
+    targets: &[Option<&[bool]>],
+) -> Vec<Option<FaultSimReport>> {
     let Some(store) = cache.store else {
-        return fault_simulate_guided(netlist, patterns, list, config, obs, guide);
+        return fault_simulate_instances(netlist, streams, lists, config, obs, guide, targets);
     };
-    let key = key_fsim(cache.netlist_key, patterns, list, config, guide);
-    if let Some(stamps) = store.get_stamps(key, list.len(), obs) {
-        let _span = obs.span("store", "store.replay");
-        return stamps.replay(list);
+    let mut reports: Vec<Option<FaultSimReport>> = vec![None; lists.len()];
+    let mut misses: Vec<(usize, Key, Vec<bool>)> = Vec::new();
+    for (i, (stream, list)) in streams.iter().zip(lists.iter_mut()).enumerate() {
+        let guide = guide.for_instance(targets, i);
+        if !guide.runs_over(stream) {
+            continue;
+        }
+        let key = key_fsim(cache.netlist_key, stream, list, config, &guide);
+        match store.get_stamps(key, list.len(), obs) {
+            Some(stamps) => {
+                let _span = obs.span("store", "store.replay");
+                reports[i] = Some(stamps.replay(list));
+            }
+            None => misses.push((i, key, list.detection_flags())),
+        }
     }
-    let before = list.detection_flags();
-    let report = fault_simulate_guided(netlist, patterns, list, config, obs, guide);
-    store.put_stamps(key, &FsimStamps::capture(&report, list, &before), obs);
-    report
+    let Some(&(first, _, _)) = misses.first() else {
+        return reports;
+    };
+    // Replayed instances sit this run out: an empty stream runs nothing.
+    let idle = PatternSeq::new(streams[first].width());
+    let run: Vec<&PatternSeq> = (0..streams.len())
+        .map(|i| {
+            if misses.iter().any(|&(m, _, _)| m == i) {
+                streams[i]
+            } else {
+                &idle
+            }
+        })
+        .collect();
+    let mut fresh = fault_simulate_instances(netlist, &run, lists, config, obs, guide, targets);
+    for (i, key, before) in misses {
+        if let Some(report) = fresh[i].take() {
+            store.put_stamps(key, &FsimStamps::capture(&report, &lists[i], &before), obs);
+            reports[i] = Some(report);
+        }
+    }
+    reports
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warpstl_fault::FaultUniverse;
+    use warpstl_fault::{fault_simulate_guided, FaultUniverse};
     use warpstl_netlist::Builder;
     use warpstl_obs::{names, Recorder};
+
+    /// [`cached_fault_sim`] on a single instance.
+    fn cached_one<F: KeyedFault>(
+        cache: CacheCtx<'_>,
+        netlist: &Netlist,
+        patterns: &PatternSeq,
+        list: &mut FaultList<F>,
+        config: &FaultSimConfig,
+        obs: Obs<'_>,
+        guide: &SimGuide<'_>,
+    ) -> FaultSimReport {
+        let lists = std::slice::from_mut(list);
+        cached_fault_sim(cache, netlist, &[patterns], lists, config, obs, guide, &[])
+            .remove(0)
+            .expect("a non-empty stream runs")
+    }
 
     fn build_netlist() -> Netlist {
         let mut b = Builder::new("cache_t");
@@ -308,7 +362,7 @@ mod tests {
         };
 
         let mut cold_list = FaultList::new(&universe);
-        let cold = cached_fault_sim(
+        let cold = cached_one(
             cache,
             &netlist,
             &patterns,
@@ -320,7 +374,7 @@ mod tests {
 
         let rec = Recorder::new();
         let mut warm_list = FaultList::new(&universe);
-        let warm = cached_fault_sim(
+        let warm = cached_one(
             cache,
             &netlist,
             &patterns,
@@ -340,7 +394,7 @@ mod tests {
         let mut other_list = FaultList::new(&universe);
         other_list.begin_run();
         other_list.mark_detected(0, 1, 0);
-        let _ = cached_fault_sim(
+        let _ = cached_one(
             cache,
             &netlist,
             &patterns,
@@ -372,8 +426,7 @@ mod tests {
         };
         let run = |guide: &SimGuide<'_>, rec: Option<&Recorder>| {
             let mut list = FaultList::new(&universe);
-            let report =
-                cached_fault_sim(cache, &netlist, &patterns, &mut list, &config, rec, guide);
+            let report = cached_one(cache, &netlist, &patterns, &mut list, &config, rec, guide);
             (report, list.to_report_text(), list.detection_flags())
         };
 
@@ -409,7 +462,7 @@ mod tests {
         };
 
         let mut cold_list = universe.new_list();
-        let cold = cached_fault_sim(
+        let cold = cached_one(
             cache,
             &netlist,
             &patterns,
@@ -421,7 +474,7 @@ mod tests {
 
         let rec = Recorder::new();
         let mut warm_list = universe.new_list();
-        let warm = cached_fault_sim(
+        let warm = cached_one(
             cache,
             &netlist,
             &patterns,
@@ -439,7 +492,7 @@ mod tests {
         let sa_universe = FaultUniverse::enumerate(&netlist);
         let rec2 = Recorder::new();
         let mut sa_list = FaultList::new(&sa_universe);
-        let _ = cached_fault_sim(
+        let _ = cached_one(
             cache,
             &netlist,
             &patterns,
@@ -449,6 +502,71 @@ mod tests {
             &guide,
         );
         assert_eq!(rec2.metrics().counter(names::CACHE_MISS), 1);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn instances_replay_hits_and_simulate_misses_together() {
+        let netlist = build_netlist();
+        let universe = FaultUniverse::enumerate(&netlist);
+        let config = FaultSimConfig::default();
+        let guide = SimGuide::default();
+        let store = temp_store("instances");
+        let cache = CacheCtx {
+            store: Some(&store),
+            netlist_key: crate::hash::key_netlist(&netlist),
+        };
+        // Four lock-step lanes: one shared body behind a one-row prologue
+        // per lane, so the misses take the engine's union pass.
+        let body = patterns_for(&netlist, 12);
+        let streams: Vec<PatternSeq> = (0..4u64)
+            .map(|lane| {
+                let mut p = PatternSeq::new(netlist.inputs().width());
+                p.push_value(0, lane);
+                for t in 0..body.len() {
+                    p.push_row(t as u64 + 1, body.row(t));
+                }
+                p
+            })
+            .collect();
+        let streams: Vec<&PatternSeq> = streams.iter().collect();
+        let mask: Vec<bool> = (0..universe.collapsed_len())
+            .map(|id| id % 3 != 0)
+            .collect();
+        let targets = [None, Some(mask.as_slice()), None, None];
+        let run = |cache: CacheCtx<'_>, rec: Option<&Recorder>| {
+            let mut lists = vec![FaultList::new(&universe); 4];
+            let reports = cached_fault_sim(
+                cache, &netlist, &streams, &mut lists, &config, rec, &guide, &targets,
+            );
+            let texts: Vec<String> = lists.iter().map(FaultList::to_report_text).collect();
+            (reports, texts)
+        };
+        let uncached = run(CacheCtx::disabled(), None);
+        assert!(uncached.0.iter().all(Option::is_some));
+
+        // Warm lane 1 alone: the module call then replays it and simulates
+        // the other three together, persisting each.
+        let mut warm1 = FaultList::new(&universe);
+        let lane1 = SimGuide {
+            targets: Some(&mask),
+            ..guide
+        };
+        cached_one(
+            cache, &netlist, streams[1], &mut warm1, &config, None, &lane1,
+        );
+        let rec = Recorder::new();
+        assert_eq!(run(cache, Some(&rec)), uncached);
+        let m = rec.metrics();
+        assert_eq!(m.counter(names::CACHE_HIT), 1);
+        assert_eq!(m.counter(names::CACHE_MISS), 3);
+        assert_eq!(m.counter(names::FSIM_UNION_RUNS), 1);
+        assert_eq!(m.counter(names::FSIM_RUNS), 3);
+        // Every lane hits now.
+        let rec = Recorder::new();
+        assert_eq!(run(cache, Some(&rec)), uncached);
+        assert_eq!(rec.metrics().counter(names::CACHE_HIT), 4);
+        assert_eq!(rec.metrics().counter(names::FSIM_RUNS), 0);
         let _ = std::fs::remove_dir_all(store.root());
     }
 
@@ -464,7 +582,7 @@ mod tests {
         let direct =
             fault_simulate_guided(&netlist, &patterns, &mut direct_list, &config, None, &guide);
         let mut cached_list = FaultList::new(&universe);
-        let cached = cached_fault_sim(
+        let cached = cached_one(
             CacheCtx::disabled(),
             &netlist,
             &patterns,

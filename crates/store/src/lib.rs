@@ -50,16 +50,17 @@
 //! let store = Store::open(&dir).unwrap();
 //! let cache = CacheCtx { store: Some(&store), netlist_key: key_netlist(&netlist) };
 //!
-//! // Cold: simulates and persists. Warm: replays, bit-identical.
-//! let mut cold = FaultList::new(&universe);
+//! // Cold: simulates and persists. Warm: replays, bit-identical. The
+//! // wrapper takes a module's instances; this module has one.
+//! let mut cold = vec![FaultList::new(&universe)];
 //! let r1 = cached_fault_sim(
-//!     cache, &netlist, &patterns, &mut cold,
-//!     &FaultSimConfig::default(), None, &SimGuide::default(),
+//!     cache, &netlist, &[&patterns], &mut cold,
+//!     &FaultSimConfig::default(), None, &SimGuide::default(), &[],
 //! );
-//! let mut warm = FaultList::new(&universe);
+//! let mut warm = vec![FaultList::new(&universe)];
 //! let r2 = cached_fault_sim(
-//!     cache, &netlist, &patterns, &mut warm,
-//!     &FaultSimConfig::default(), None, &SimGuide::default(),
+//!     cache, &netlist, &[&patterns], &mut warm,
+//!     &FaultSimConfig::default(), None, &SimGuide::default(), &[],
 //! );
 //! assert_eq!(r1, r2);
 //! assert_eq!(store.session().hits, 1);

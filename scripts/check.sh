@@ -62,6 +62,9 @@ for stage in stages:
     assert n == 1, f"expected exactly one {stage} span, found {n}"
 assert complete.count("fsim.worker") >= 1, "missing fsim.worker spans"
 assert "warpstlMetrics" in trace, "missing embedded metrics"
+# The Decoder Unit has one instance: no lock-step union pass.
+unions = trace["warpstlMetrics"]["counters"].get("fsim.union.runs", 0)
+assert unions == 0, f"a one-instance module ran {unions} union pass(es)"
 print(f"trace OK: {len(events)} events, all {len(stages)} stage spans present")
 EOF
 
@@ -244,6 +247,9 @@ echo "== evaluation smoke test =="
 # that apply no new row reach the fc_after run restricted to the
 # original's detected set. Witness rows settle part of fc_after without
 # simulation: the traced run's eval.witnessed counter must be nonzero.
+# TPGEN, RAND and SFU_IMM run on 8, 8 and 2 lock-step instances, so their
+# fault simulations take the lock-step union pass: fsim.union.runs must
+# be nonzero too.
 # The report JSON must not depend on the worker count or on tracing, and
 # a warm --cache-dir rerun must hit and reproduce the bytes.
 for spec in "IMM --sb-count 4" "MEM --sb-count 4" "TPGEN --patterns 48" \
@@ -268,6 +274,11 @@ n = counters.get("eval.witnessed", 0)
 assert n > 0, f"no fault settled by a witness row, counters: {counters}"
 print(f"witness rows OK: {n} fault(s) settled, "
       f"{counters.get('eval.resimulated', 0)} re-simulated")
+unions = counters.get("fsim.union.runs", 0)
+assert unions > 0, f"no lock-step union pass, counters: {counters}"
+print(f"lock-step rows OK: {unions} union pass(es), "
+      f"{counters.get('fsim.union.rows', 0)} of "
+      f"{counters.get('fsim.union.instance_rows', 0)} rows simulated")
 EOF
 WARPSTL_THREADS=1 cargo run -q --release -p warpstl-cli -- compact-stl \
     "$SMOKE_DIR/eval.stl" --no-cache --json "$SMOKE_DIR/eval-t1.json" \
