@@ -20,9 +20,8 @@
 //! cost. The paper's modules are purely combinational, where the passes
 //! are exact.
 //!
-//! High CO = hard to observe. The fault engine sorts its targets
-//! hardest-first by CO so fault-dropping batches stay homogeneous and
-//! early-exit sooner; PODEM picks the cheapest-to-justify pin by CC.
+//! High CO = hard to observe; the CLI's analyze summary reports it. PODEM
+//! picks the cheapest-to-justify pin by CC.
 
 use warpstl_netlist::{GateKind, NetId, Netlist};
 
@@ -227,13 +226,6 @@ impl Scoap {
         add(self.co(net), self.cc0(net).max(self.cc1(net)))
     }
 
-    /// Per-net observability as `f64` sort keys for the fault engine's
-    /// hardest-first target ordering (index = net id).
-    #[must_use]
-    pub fn observability_keys(&self) -> Vec<f64> {
-        self.co.iter().map(|&v| f64::from(v)).collect()
-    }
-
     /// `(max, mean)` of the finite observability scores — the summary the
     /// CLI prints. Returns `(0, 0.0)` when nothing is observable.
     #[must_use]
@@ -385,12 +377,10 @@ mod tests {
     }
 
     #[test]
-    fn module_keys_are_plausible() {
-        // The bundled decoder: every net scored, outputs observable.
+    fn module_scores_are_plausible() {
+        // The bundled decoder: outputs observable, a nonzero summary.
         let n = warpstl_netlist::modules::ModuleKind::DecoderUnit.build();
         let s = Scoap::compute(&n);
-        let keys = s.observability_keys();
-        assert_eq!(keys.len(), n.gates().len());
         for &out in n.outputs().nets() {
             assert_eq!(s.co(out), 0);
         }

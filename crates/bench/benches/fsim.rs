@@ -9,10 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use warpstl_analyze::Scoap;
 use warpstl_fault::{
-    fault_simulate, fault_simulate_guided, fault_simulate_observed, FaultList, FaultSimConfig,
-    FaultUniverse, SimGuide,
+    fault_simulate, fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse, SimGuide,
 };
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
@@ -81,7 +79,7 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
         b.iter_batched(
             || FaultList::new(&universe),
             |mut list| {
-                fault_simulate_observed(
+                fault_simulate_guided(
                     netlist,
                     &pats,
                     &mut list,
@@ -90,17 +88,16 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
                         ..non_drop()
                     },
                     Some(&recorder),
+                    &SimGuide::default(),
                 )
             },
             BatchSize::SmallInput,
         );
     });
 
-    // Dominance collapsing + hardest-first ordering vs the equivalence-only
-    // baseline, both in drop mode (dominance only activates there): the
-    // static-analysis payoff.
+    // Dominance collapsing vs the equivalence-only baseline, both in drop
+    // mode (dominance only activates there): the static-analysis payoff.
     let dominance = universe.dominance(netlist);
-    let keys = Scoap::compute(netlist).observability_keys();
     let drop1 = FaultSimConfig {
         threads: 1,
         ..FaultSimConfig::default()
@@ -114,7 +111,6 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
     });
     let guide = SimGuide {
         dominance: Some(&dominance),
-        order_keys: Some(&keys),
         ..SimGuide::default()
     };
     c.bench_function(&format!("fsim/{name}/drop/guided"), |b| {

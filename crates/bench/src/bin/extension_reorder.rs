@@ -58,7 +58,7 @@ fn main() {
     }
     println!(
         "total detections unchanged: {} == {}",
-        before.detections().len(),
-        after.detections().len()
+        before.total_detected(),
+        after.total_detected()
     );
 }

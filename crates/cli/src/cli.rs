@@ -153,7 +153,7 @@ fn resolve_sim_backend(flags: &Flags) -> SimBackend {
         None => SimBackend::Auto,
         Some(v) => SimBackend::parse(v).unwrap_or_else(|| {
             eprintln!(
-                "warning: invalid --sim-backend value `{v}` (expected auto, event, or kernel); falling back to auto"
+                "warning: invalid --sim-backend value `{v}` (expected auto, event, kernel, or kernel64); falling back to auto"
             );
             SimBackend::Auto
         }),

@@ -43,7 +43,6 @@ pub struct ModuleContext {
     ledger: Ledger,
     analysis: Analysis,
     dominance: DominanceView,
-    order_keys: Vec<f64>,
     levels: Levelization,
     /// Per collapsed-class flag: statically proven untestable.
     untestable: Vec<bool>,
@@ -149,7 +148,7 @@ impl Ledger {
     /// per-instance reports in instance order (`None` where the stream was
     /// empty or the mask selects no fault, and that list untouched).
     /// `guide` is the stuck-at guide of the module; bridging takes only
-    /// its levelization, since dominance, untestability and ordering index
+    /// its levelization, since dominance and untestability index
     /// the stuck-at universe.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn simulate(
@@ -293,7 +292,6 @@ impl ModuleContext {
             })
             .collect();
         let ledger = Ledger::StuckAt(lists);
-        let order_keys = analysis.scoap.observability_keys();
         let levels = netlist.levelize();
         let netlist_key = key_netlist(&netlist);
         ModuleContext {
@@ -303,7 +301,6 @@ impl ModuleContext {
             ledger,
             analysis,
             dominance,
-            order_keys,
             levels,
             untestable,
             store: None,
@@ -383,12 +380,6 @@ impl ModuleContext {
         &self.dominance
     }
 
-    /// Per-gate observability keys (hardest-first ordering uses them).
-    #[must_use]
-    pub fn order_keys(&self) -> &[f64] {
-        &self.order_keys
-    }
-
     /// The module's levelization (rank-major gate ordering); the levelized
     /// simulation kernel evaluates over it.
     #[must_use]
@@ -409,7 +400,7 @@ impl ModuleContext {
         self.ledger.untestable_count()
     }
 
-    /// The simulation guide (dominance + untestable pruning + ordering)
+    /// The simulation guide (dominance + untestable pruning + levelization)
     /// borrowed from this context — hand it to
     /// [`fault_simulate_guided`](warpstl_fault::fault_simulate_guided).
     #[must_use]
@@ -418,7 +409,6 @@ impl ModuleContext {
             dominance: Some(&self.dominance),
             untestable: Some(&self.untestable),
             targets: None,
-            order_keys: Some(&self.order_keys),
             levels: Some(&self.levels),
         }
     }
@@ -452,7 +442,6 @@ impl ModuleContext {
             dominance: Some(&self.dominance),
             untestable: Some(&self.untestable),
             targets: None,
-            order_keys: Some(&self.order_keys),
             levels: Some(&self.levels),
         };
         let cache = CacheCtx {
@@ -561,10 +550,9 @@ mod tests {
         // Dominance genuinely shrinks the collapsed universe...
         assert!(!c.dominance().is_identity());
         assert!(c.dominance().reduction_ratio() < 1.0);
-        // ...and the ordering keys cover every gate.
-        assert_eq!(c.order_keys().len(), c.netlist().gates().len());
+        // ...and the guide carries the dominance view and the levelization.
         let guide = c.sim_guide();
-        assert!(guide.dominance.is_some() && guide.order_keys.is_some());
+        assert!(guide.dominance.is_some() && guide.levels.is_some());
     }
 
     #[test]

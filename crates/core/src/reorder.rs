@@ -46,8 +46,9 @@ impl std::error::Error for ReorderError {}
 /// that first detect the most faults come first.
 ///
 /// `trace` and `report` are the stage-2/stage-3 artifacts of one traced run
-/// and one (dropping) fault simulation of `ptp` — the same inputs the
-/// compaction method uses.
+/// and one dropping fault simulation of `ptp` — the same inputs the
+/// compaction method uses. In drop mode a report row's detected count is
+/// the number of faults that pattern detected first.
 ///
 /// Slot-reading PTPs reorder safely: each SB's load offsets travel with
 /// its instructions, so the data image needs no relocation.
@@ -74,18 +75,18 @@ pub fn reorder_ptp(
         return Err(ReorderError("fewer than three Small Blocks".into()));
     }
 
-    // Count first detections per SB: a detection at clock cycle cc belongs
+    // Count first detections per SB: detections at clock cycle cc belong
     // to the SB whose instruction interval contains cc.
     let mut sb_detections = vec![0u32; sbs.len()];
     let sb_of_pc = |pc: usize| sbs.iter().position(|sb| sb.range().contains(&pc));
-    for &(_, cc, _) in report.detections() {
+    for cc in report.detecting_ccs() {
         let rec = trace
             .records()
             .iter()
             .find(|r| r.cc_start <= cc && cc < r.cc_end);
         if let Some(rec) = rec {
             if let Some(i) = sb_of_pc(rec.pc) {
-                sb_detections[i] += 1;
+                sb_detections[i] += report.detections_at_cc(cc);
             }
         }
     }
@@ -114,20 +115,23 @@ pub fn reorder_ptp(
     })
 }
 
-/// The clock cycle by which `frac` of all first detections in `report`
-/// have occurred (the "time to X % of achievable coverage" metric).
+/// The clock cycle by which `frac` of all first detections in a dropping
+/// `report` have occurred (the "time to X % of achievable coverage"
+/// metric), read off its [`detection_curve`](FaultSimReport::detection_curve).
 ///
 /// Returns `None` when the report holds no detections.
 #[must_use]
 pub fn time_to_fraction(report: &FaultSimReport, frac: f64) -> Option<u64> {
-    let total = report.detections().len();
+    let total = report.total_detected();
     if total == 0 {
         return None;
     }
-    let needed = ((total as f64) * frac).ceil() as usize;
-    let mut ccs: Vec<u64> = report.detections().iter().map(|&(_, cc, _)| cc).collect();
-    ccs.sort_unstable();
-    ccs.get(needed.saturating_sub(1).min(total - 1)).copied()
+    let needed = ((f64::from(total) * frac).ceil() as u32).clamp(1, total);
+    report
+        .detection_curve()
+        .into_iter()
+        .find(|&(_, so_far)| so_far >= needed)
+        .map(|(cc, _)| cc)
 }
 
 #[cfg(test)]
@@ -175,7 +179,7 @@ mod tests {
             "reorder slowed detection: {t_after} > {t_before}"
         );
         // Total coverage is unchanged (same pattern multiset).
-        assert_eq!(after.detections().len(), before.detections().len());
+        assert_eq!(after.total_detected(), before.total_detected());
     }
 
     #[test]
@@ -194,9 +198,9 @@ mod tests {
     fn time_to_fraction_edges() {
         let mut r = FaultSimReport::new();
         assert_eq!(time_to_fraction(&r, 0.9), None);
-        r.record_detection(0, 10, 0);
-        r.record_detection(1, 20, 1);
-        r.record_detection(2, 30, 2);
+        r.record_pattern(10, 1, 1);
+        r.record_pattern(20, 1, 1);
+        r.record_pattern(30, 1, 1);
         assert_eq!(time_to_fraction(&r, 0.0), Some(10));
         assert_eq!(time_to_fraction(&r, 0.5), Some(20));
         assert_eq!(time_to_fraction(&r, 1.0), Some(30));

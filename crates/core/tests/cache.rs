@@ -139,20 +139,25 @@ fn flipped_checksum_byte_degrades_to_recompute() {
 
 #[test]
 fn bumped_format_version_degrades_to_recompute() {
-    let dir = temp_dir("version");
-    let (cold_json, _, _) = run_with_cache(&dir);
+    // An entry from a newer build, and one from the build before the
+    // current layout (whose payload still carried a detection log).
+    for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+        let dir = temp_dir(&format!("version-{version}"));
+        let (cold_json, _, _) = run_with_cache(&dir);
 
-    let touched = mutate_entries(&dir, |bytes| {
-        assert_eq!(&bytes[..8], &MAGIC);
-        bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    });
-    assert!(touched > 0);
+        let touched = mutate_entries(&dir, |bytes| {
+            assert_eq!(&bytes[..8], &MAGIC);
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        });
+        assert!(touched > 0);
 
-    let (json, rec, stats) = run_with_cache(&dir);
-    assert_eq!(json, cold_json);
-    assert!(stats.version_mismatch > 0);
-    assert_eq!(stats.corrupt, 0, "version skew is not corruption");
-    assert!(rec.metrics.counter(names::CACHE_MISS_VERSION) >= 1);
+        let (json, rec, stats) = run_with_cache(&dir);
+        assert_eq!(json, cold_json, "version {version}");
+        assert!(stats.version_mismatch > 0, "version {version}");
+        assert_eq!(stats.corrupt, 0, "version skew is not corruption");
+        assert!(rec.metrics.counter(names::CACHE_MISS_VERSION) >= 1);
+        assert_eq!(rec.metrics.counter(names::CACHE_MISS_CORRUPT), 0);
 
-    let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

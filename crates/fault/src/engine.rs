@@ -3,30 +3,34 @@
 //!
 //! [`fault_simulate`](crate::fault_simulate) partitions its target faults
 //! into 63-fault batches. The batches are *fully independent*: the target
-//! snapshot is taken once per run, every fault belongs to exactly one
+//! snapshot is taken once per window, every fault belongs to exactly one
 //! batch, and the [`FaultList`] is only written after all batches finish.
-//! Batches are split into contiguous ranges and fanned out over a scoped
-//! worker pool (`std::thread::scope`; worker count from
+//! A scoped worker pool (`std::thread::scope`; worker count from
 //! [`FaultSimConfig::threads`](crate::FaultSimConfig::threads), the
 //! `WARPSTL_THREADS` environment variable, or the machine's available
-//! parallelism). Each worker runs the levelized kernel (`kernel.rs`) over
-//! its range into private buffers, which are merged in global batch order
-//! afterwards, so the resulting [`FaultSimReport`] is **bit-identical** for
-//! every worker count: detections replay batch-major in serial
-//! `(pattern, lane)` order, and per-pattern tallies are exact integer sums,
-//! which are order-independent.
+//! parallelism) takes the batches off one shared counter, each worker
+//! running the levelized kernel (`kernel.rs`) into private buffers. The
+//! merge sums per-pattern tallies and marks each fault's first detection
+//! on the list; both are order-independent, so the resulting
+//! [`FaultSimReport`] and list are **bit-identical** for every worker
+//! count.
+//!
+//! Every run walks one window schedule (`walk_windows`): doubling
+//! pattern windows, with drop mode re-packing the survivors between them.
 //!
 //! The kernel carries no flip-flop state across patterns, so the engine
 //! runs combinational netlists only; every bundled module is one.
 //!
 //! A module's instances run through `lockstep.rs`, which fans them out
 //! over this engine and may first settle every first detection in one
-//! lock-step union pass; the runs then read their stamps (`Ctx::stamps`).
+//! lock-step union pass on the same schedule; the runs then read their
+//! stamps (`Ctx::stamps`).
 
 use std::borrow::Cow;
 
 use warpstl_netlist::{FanoutCones, Gate, Levelization, Netlist, PatternSeq};
 use warpstl_obs::{names, Obs, ObsExt};
+use warpstl_sync::AtomicUsize;
 
 use crate::kernel::{run_batches_kernel, Stamp};
 use crate::{
@@ -87,115 +91,148 @@ pub(crate) struct Ctx<'a> {
     pub(crate) stamps: Option<&'a [Stamp]>,
 }
 
-/// What one worker hands back: per-batch detection logs (in the worker's
-/// batch order) plus per-pattern tallies summed over its batches.
+/// What one worker hands back for one window: the first detection
+/// `(fault, pattern)` of every fault it saw detected, in no particular
+/// order, and per-pattern tallies summed over its batches, indexed from the
+/// window's first pattern.
 pub(crate) struct WorkerOut {
-    pub(crate) detections: Vec<Vec<(FaultId, u64, usize)>>,
+    pub(crate) detections: Vec<(FaultId, usize)>,
     pub(crate) activated: Vec<u32>,
     pub(crate) detected: Vec<u32>,
 }
 
-/// Runs `job(w)` for every worker `w` in `0..workers` and returns the
-/// outputs in worker order. One worker runs inline on the caller's thread
-/// (spawning an OS thread for a single worker only costs: the
-/// threads=8-on-1-core regression of BENCH_fsim); more run on a scoped
-/// pool.
-pub(crate) fn fan_out<R: Send>(workers: usize, job: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    if workers <= 1 {
-        return vec![job(0)];
-    }
-    let job = &job;
+/// Packs `targets` into 63-fault batches of `item(id)` and fans them out
+/// over the worker pool: every worker runs `job(batches, next)`, taking
+/// batches off the one shared counter `next`. Outputs come back one per
+/// worker, in an order nothing downstream may read. The caller's thread
+/// runs one worker itself and the rest run on a scoped pool, so a
+/// one-worker window spawns no OS thread (spawning for a single worker
+/// only costs: the threads=8-on-1-core regression of BENCH_fsim) and every
+/// window spawns one thread fewer than it has workers.
+pub(crate) fn fan_out_batches<T: Sync, R: Send>(
+    config: &FaultSimConfig,
+    targets: &[FaultId],
+    item: impl Fn(FaultId) -> T,
+    job: impl Fn(&[Vec<T>], &AtomicUsize) -> R + Sync,
+) -> Vec<R> {
+    let batches: Vec<Vec<T>> = targets
+        .chunks(63)
+        .map(|c| c.iter().map(|&id| item(id)).collect())
+        .collect();
+    let workers = resolve_threads(config).min(batches.len());
+    let next = AtomicUsize::new(0);
+    let (batches, next, job) = (&batches, &next, &job);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || job(w))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("a fault-simulation worker panicked"))
-            .collect()
+        let spawned: Vec<_> = (1..workers)
+            .map(|_| s.spawn(move || job(batches, next)))
+            .collect();
+        let mut outs = vec![job(batches, next)];
+        outs.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("a fault-simulation worker panicked")),
+        );
+        outs
     })
 }
 
-/// Runs one explicit target list through the worker pool: plans batches,
-/// fans them out, and merges detections into `list`/`report` and
-/// per-pattern tallies into the caller's accumulators. Guided runs call
-/// this several times (direct targets, residual dominators, and once per
-/// repacking segment), so per-pattern stats are accumulated here and
-/// turned into `record_pattern` rows exactly once by the caller.
-/// `pat_range` is the half-open pattern window to simulate — `(0, n_pat)`
-/// for a monolithic run — and `W` the kernel's block width in words.
-#[allow(clippy::too_many_arguments)]
-fn run_target_list<F: SiteOverride, const W: usize>(
-    ctx: &Ctx<'_>,
-    targets: &[FaultId],
-    list: &mut FaultList<F>,
-    report: &mut FaultSimReport,
-    activated_per_pattern: &mut [u32],
-    detected_per_pattern: &mut [u32],
-    obs: Obs<'_>,
-    pat_range: (usize, usize),
-) {
-    if targets.is_empty() {
-        return;
-    }
-    // Snapshot fault data so workers need no access to the list.
-    let batches: Vec<Vec<(FaultId, F)>> = targets
-        .chunks(63)
-        .map(|c| c.iter().map(|&fid| (fid, list.fault(fid))).collect())
-        .collect();
-    let workers = resolve_threads(&ctx.config).min(batches.len()).max(1);
-    if obs.enabled() {
-        obs.add(names::FSIM_TARGET_FAULTS, targets.len() as u64);
-        obs.add(names::FSIM_WORKERS, workers as u64);
-    }
-    // Contiguous ranges keep the merge order trivial: worker w owns
-    // batches [w·k, (w+1)·k), so concatenating worker outputs in worker
-    // order is global batch order.
-    let per = batches.len().div_ceil(workers);
-    let outs = fan_out(batches.len().div_ceil(per), |w| {
-        let range = &batches[w * per..batches.len().min((w + 1) * per)];
-        obs.record(names::FSIM_BATCHES_PER_WORKER, range.len() as f64);
-        run_batches_kernel::<F, W>(ctx, range, obs, w * per, pat_range)
-    });
+/// How many patterns the first of [`windows`] spans; each later window
+/// doubles, so a run of `n` patterns walks `O(log n)` windows. Detections
+/// concentrate in the earliest patterns of a pseudorandom sequence, so
+/// short early windows drop most faults while long late windows keep the
+/// re-planning overhead negligible.
+const REPACK_SEGMENT: usize = 64;
 
-    // Merge. A serial simulator's detections are batch-major (the pattern
-    // loop nests inside the batch loop), so replaying per-batch logs in
-    // global batch order reproduces its report byte-for-byte; per-pattern
-    // tallies are exact integer sums and thus order-independent.
-    let n_pat = ctx.patterns.len();
-    for w in &outs {
-        for t in 0..n_pat {
-            activated_per_pattern[t] += w.activated[t];
-            detected_per_pattern[t] += w.detected[t];
+/// The window schedule over an `n_pat`-pattern stream: `(start, end)`
+/// pattern ranges of [`REPACK_SEGMENT`], 2·[`REPACK_SEGMENT`], … patterns,
+/// none longer than `cap`, in order, the last one clipped to the stream.
+/// A stream without patterns has one empty window.
+pub(crate) fn windows(n_pat: usize, cap: usize) -> impl Iterator<Item = (usize, usize)> {
+    debug_assert!(cap > 0, "a window spans at least one pattern");
+    let mut next = Some((0usize, REPACK_SEGMENT));
+    std::iter::from_fn(move || {
+        let (start, len) = next?;
+        let end = start + (n_pat - start).min(len.min(cap));
+        next = (end < n_pat).then(|| (end, len.saturating_mul(2)));
+        Some((start, end))
+    })
+}
+
+/// The one window schedule of every run, per-instance runs and the
+/// lock-step union pass alike: `window(targets, range)` simulates the
+/// targets over each of [`windows`]`(n_pat, cap)` in order, and in drop
+/// mode retains the survivors, which the next window re-packs into fresh
+/// batches in enumeration order. The walk ends after the last window or
+/// once no target is left; a stream without patterns still gets its one
+/// empty window, so its workers' spans bracket the run.
+///
+/// First detections are unchanged by the windows: every fault still sees
+/// every pattern in order until it drops, drop mode ignores later
+/// detections anyway, and the kernel carries the good machine's previous
+/// pattern into each window (transition faults read it).
+pub(crate) fn walk_windows(
+    n_pat: usize,
+    cap: usize,
+    targets: &mut Vec<FaultId>,
+    obs: Obs<'_>,
+    mut window: impl FnMut(&mut Vec<FaultId>, (usize, usize)),
+) {
+    for range in windows(n_pat, cap) {
+        if targets.is_empty() {
+            break;
         }
-    }
-    for w in outs {
-        for batch_log in w.detections {
-            for (fid, cc, t) in batch_log {
-                list.mark_detected(fid, cc, t);
-                report.record_detection(fid, cc, t);
-            }
+        window(targets, range);
+        if obs.enabled() {
+            obs.add(names::FSIM_REPACK_SEGMENTS, 1);
         }
     }
 }
 
-/// The parallel engine behind [`fault_simulate`](crate::fault_simulate):
-/// plans batches, fans them out over a scoped worker pool, and merges the
-/// results deterministically.
-pub(crate) fn simulate<F: SiteOverride>(
-    netlist: &Netlist,
-    patterns: &PatternSeq,
+/// Simulates one target list of a per-instance run over the whole stream
+/// on the window schedule ([`walk_windows`]): marks first detections on
+/// `list` and adds per-pattern tallies into the caller's accumulators.
+/// Guided runs call this once per phase (direct targets, residual
+/// dominators), so the caller turns the tallies into `record_pattern`
+/// rows once. `W` is the kernel's block width in words.
+fn simulate_targets<F: SiteOverride, const W: usize>(
+    ctx: &Ctx<'_>,
+    mut targets: Vec<FaultId>,
     list: &mut FaultList<F>,
-    config: &FaultSimConfig,
+    activated_per_pattern: &mut [u32],
+    detected_per_pattern: &mut [u32],
     obs: Obs<'_>,
-) -> FaultSimReport {
-    simulate_guided::<F, { crate::kernel::BLOCK_WORDS }>(
-        netlist,
-        patterns,
-        list,
-        config,
+) {
+    let drop = ctx.config.drop_detected;
+    walk_windows(
+        ctx.patterns.len(),
+        usize::MAX,
+        &mut targets,
         obs,
-        &SimGuide::default(),
-        None,
-    )
+        |targets, (p0, p1)| {
+            let outs = fan_out_batches(
+                &ctx.config,
+                targets,
+                |id| (id, list.fault(id)),
+                |batches, next| run_batches_kernel::<F, W>(ctx, batches, next, obs, (p0, p1)),
+            );
+            if obs.enabled() {
+                obs.add(names::FSIM_TARGET_FAULTS, targets.len() as u64);
+                obs.add(names::FSIM_WORKERS, outs.len() as u64);
+            }
+            for w in outs {
+                for (k, (&a, &d)) in w.activated.iter().zip(&w.detected).enumerate() {
+                    activated_per_pattern[p0 + k] += a;
+                    detected_per_pattern[p0 + k] += d;
+                }
+                for (fid, t) in w.detections {
+                    list.mark_detected(fid, ctx.patterns.cc(t), t);
+                }
+            }
+            if drop {
+                targets.retain(|&id| matches!(list.status(id), FaultStatus::Undetected));
+            }
+        },
+    );
 }
 
 /// The targets of one run over `list`: its undetected faults in drop mode
@@ -275,157 +312,19 @@ impl<'g> Layout<'g> {
     }
 }
 
-/// Reorders the target list at worker-group granularity: targets are
-/// chunked into the 63-fault batches they will become, and the *chunks*
-/// are stably sorted by descending mean observability cost. Batch contents
-/// keep enumeration order. Group order puts the hardest (least
-/// observable) batches first, so multi-worker runs schedule their longest
-/// jobs first. Per-fault first detections are independent of batch
-/// composition and order, so stamps are unchanged.
-pub(crate) fn order_groups_hardest_first<F: SiteOverride>(
-    targets: &mut Vec<FaultId>,
-    keys: &[f64],
-    list: &FaultList<F>,
-) {
-    if targets.is_empty() {
-        return;
-    }
-    let key = |id: FaultId| keys.get(list.fault(id).seeds().0).copied().unwrap_or(0.0);
-    let mut groups: Vec<&[FaultId]> = targets.chunks(63).collect();
-    let mean = |g: &[FaultId]| g.iter().map(|&id| key(id)).sum::<f64>() / g.len() as f64;
-    // Descending mean cost; ties keep ascending first-id order so the
-    // layout is deterministic.
-    groups.sort_by(|a, b| mean(b).total_cmp(&mean(a)).then(a[0].cmp(&b[0])));
-    let reordered: Vec<FaultId> = groups.into_iter().flatten().copied().collect();
-    *targets = reordered;
-}
-
-/// How many patterns the first repacking segment of
-/// [`run_dropping_repacked`] spans; each later segment doubles, so a run
-/// of `n` patterns repacks `O(log n)` times. Detections concentrate in
-/// the earliest patterns of a pseudorandom sequence, so short early
-/// segments capture most drops while long late segments keep the
-/// re-planning overhead negligible.
-pub(crate) const REPACK_SEGMENT: usize = 64;
-
-/// Drop-mode runner: the target list is simulated in growing pattern
-/// segments, and between segments the still-undetected faults are
-/// re-packed into fresh 63-fault batches (enumeration order, then
-/// hardest-first group order), so the batch count and the worker ranges
-/// shrink as coverage accumulates.
+/// The engine behind [`fault_simulate_guided`](crate::fault_simulate_guided)
+/// and every other entry point: plans the targets, walks each target list
+/// over the window schedule ([`walk_windows`]), and applies the guide.
 ///
-/// First-detection stamps are unchanged: every fault still sees every
-/// pattern in order until it drops, drop mode ignores later detections
-/// anyway, and the kernel carries the good machine's previous pattern
-/// into each segment (transition faults read it).
-#[allow(clippy::too_many_arguments)]
-fn run_dropping_repacked<F: SiteOverride, const W: usize>(
-    ctx: &Ctx<'_>,
-    mut targets: Vec<FaultId>,
-    keys: &[f64],
-    list: &mut FaultList<F>,
-    report: &mut FaultSimReport,
-    activated_per_pattern: &mut [u32],
-    detected_per_pattern: &mut [u32],
-    obs: Obs<'_>,
-) {
-    debug_assert!(ctx.config.drop_detected);
-    let n_pat = ctx.patterns.len();
-    let mut segment = REPACK_SEGMENT;
-    let mut start = 0usize;
-    while start < n_pat && !targets.is_empty() {
-        let end = n_pat.min(start + segment);
-        // Re-pack in enumeration order (adjacent ids share fanout cones,
-        // keeping union cones tight), then order groups hardest-first.
-        targets.sort_unstable();
-        order_groups_hardest_first(&mut targets, keys, list);
-        run_target_list::<F, W>(
-            ctx,
-            &targets,
-            list,
-            report,
-            activated_per_pattern,
-            detected_per_pattern,
-            obs,
-            (start, end),
-        );
-        targets.retain(|&id| matches!(list.status(id), FaultStatus::Undetected));
-        if obs.enabled() {
-            obs.add(names::FSIM_REPACK_SEGMENTS, 1);
-        }
-        start = end;
-        segment = segment.saturating_mul(2);
-    }
-}
-
-/// Dispatches one guided target list: the segmented repacking runner when
-/// the guide provides observability keys in drop mode, the monolithic path
-/// (with at most a one-shot group reordering) otherwise. Without keys this
-/// is byte-identical to the unguided engine.
-#[allow(clippy::too_many_arguments)]
-fn run_guided_list<F: SiteOverride, const W: usize>(
-    ctx: &Ctx<'_>,
-    targets: Vec<FaultId>,
-    guide: &SimGuide<'_>,
-    list: &mut FaultList<F>,
-    report: &mut FaultSimReport,
-    activated_per_pattern: &mut [u32],
-    detected_per_pattern: &mut [u32],
-    obs: Obs<'_>,
-) {
-    match guide.order_keys {
-        Some(keys) if ctx.config.drop_detected => {
-            run_dropping_repacked::<F, W>(
-                ctx,
-                targets,
-                keys,
-                list,
-                report,
-                activated_per_pattern,
-                detected_per_pattern,
-                obs,
-            );
-        }
-        keys => {
-            let mut targets = targets;
-            if let Some(keys) = keys {
-                order_groups_hardest_first(&mut targets, keys, list);
-            }
-            run_target_list::<F, W>(
-                ctx,
-                &targets,
-                list,
-                report,
-                activated_per_pattern,
-                detected_per_pattern,
-                obs,
-                (0, ctx.patterns.len()),
-            );
-        }
-    }
-}
-
-/// [`simulate`] with static-analysis guidance (see
-/// [`fault_simulate_guided`](crate::fault_simulate_guided)):
-///
-/// - **Hardest-first group ordering** (`guide.order_keys`): the 63-fault
-///   worker batches are reordered by descending mean observability cost
-///   (see [`order_groups_hardest_first`]); batch contents keep enumeration
-///   order. In drop mode the ordering is applied *repeatedly*: the run
-///   proceeds in growing pattern segments and the
-///   still-undetected faults are re-packed into fresh hardest-first
-///   groups between segments (see [`run_dropping_repacked`]), so the
-///   batch count shrinks as faults drop. The detected set and every
-///   detection stamp are unchanged either way.
-/// - **Dominance reduction** (`guide.dominance`, drop mode only): removed
-///   dominator classes are excluded from direct simulation. After the
-///   direct pass they *inherit* detection from their earliest-detected
-///   supporter (iterated to a fixpoint — supporters may themselves be
-///   inherited dominators), and whatever remains undetected gets an
-///   explicit residual pass. The final detected set — and therefore the
-///   reported coverage — is identical to simulating every class: a
-///   supporter detection implies the dominator is detectable by that very
-///   pattern, and undetected dominators are still simulated for real.
+/// **Dominance reduction** (`guide.dominance`, drop mode only): removed
+/// dominator classes are excluded from direct simulation. After the direct
+/// pass they *inherit* detection from their earliest-detected supporter
+/// (iterated to a fixpoint — supporters may themselves be inherited
+/// dominators), and whatever remains undetected gets an explicit residual
+/// pass. The final detected set — and therefore the reported coverage — is
+/// identical to simulating every class: a supporter detection implies the
+/// dominator is detectable by that very pattern, and undetected dominators
+/// are still simulated for real.
 ///
 /// `W` is the kernel's block width in words: [`crate::kernel::BLOCK_WORDS`]
 /// for every public entry point; only in-crate tests pick another.
@@ -487,18 +386,16 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
     // Dominance is per-pattern reasoning over *first* detections; in
     // non-drop mode every pattern's observations are reported, so the
     // reduction would change the per-pattern stats. Apply it in drop mode
-    // only (ordering is safe in both).
+    // only.
     let dominance = guide
         .dominance
         .filter(|d| !d.is_identity() && config.drop_detected);
     match dominance {
         None => {
-            run_guided_list::<F, W>(
+            simulate_targets::<F, W>(
                 &ctx,
                 targets,
-                guide,
                 list,
-                &mut report,
                 &mut activated_per_pattern,
                 &mut detected_per_pattern,
                 obs,
@@ -508,12 +405,10 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
             // Phase 1: simulate the non-dominator classes directly.
             let (direct, deferred): (Vec<FaultId>, Vec<FaultId>) =
                 targets.iter().partition(|&&id| !dom.is_removed(id));
-            run_guided_list::<F, W>(
+            simulate_targets::<F, W>(
                 &ctx,
                 direct,
-                guide,
                 list,
-                &mut report,
                 &mut activated_per_pattern,
                 &mut detected_per_pattern,
                 obs,
@@ -539,7 +434,6 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
                     }
                     if let Some((t, cc)) = best {
                         list.mark_detected(id, cc, t);
-                        report.record_detection(id, cc, t);
                         // Supporters detected in a previous run carry that
                         // run's pattern index; only stamps from this
                         // sequence can be tallied per pattern.
@@ -567,12 +461,10 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
                 obs.add(names::FSIM_DOMINANCE_INHERITED, inherited);
                 obs.add(names::FSIM_DOMINANCE_RESIDUAL, residual.len() as u64);
             }
-            run_guided_list::<F, W>(
+            simulate_targets::<F, W>(
                 &ctx,
                 residual,
-                guide,
                 list,
-                &mut report,
                 &mut activated_per_pattern,
                 &mut detected_per_pattern,
                 obs,

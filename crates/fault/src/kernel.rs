@@ -14,9 +14,9 @@
 //!   [`Levelization`] segments — each segment is one branch-free loop over
 //!   gates of one kind, reading and writing a flat `net × word` span
 //!   buffer.
-//! - **Fault-parallel across 63-fault batches.** Batches fix the report
-//!   order; within a batch each fault is propagated alone: its faulty
-//!   machine differs from the good one only where the fault's effect
+//! - **Fault-parallel across 63-fault batches.** Workers take batches off
+//!   one shared counter; within a batch each fault is propagated alone: its
+//!   faulty machine differs from the good one only where the fault's effect
 //!   survives, so the kernel forces the fault's seed words (a
 //!   [`SiteOverride`]: one site for stuck-at and transition faults, both
 //!   endpoints for a bridge) and chases the **difference frontier** through
@@ -31,10 +31,10 @@
 //! every lane of a block cannot change anything) and the frontier itself
 //! (a pin fault whose effect is absorbed by the seed gate propagates
 //! nowhere). Detection, activation, and per-pattern tallies are extracted
-//! per pattern, and the per-batch detection log is sorted back into serial
-//! `(pattern, lane)` order — the order a serial simulator that nests the
-//! pattern loop inside the batch loop produces, so reports are
-//! bit-identical to the serial oracle the tests keep.
+//! per pattern. Tallies are sums and each fault's first detection is a fact
+//! about the fault, so neither depends on which worker ran which batch in
+//! which order: reports are bit-identical to the serial oracle the tests
+//! keep.
 //!
 //! Fault dropping maps naturally: a dropped fault simply stops after the
 //! block containing its first detection. In drop mode the first `W` words
@@ -44,9 +44,10 @@
 //! the probe graduate to wide blocks.
 //!
 //! Workers run one of two jobs over the same good machine, screens and
-//! frontier. [`run_batches_kernel`] is a per-instance run: tallies and a
-//! detection log. [`settle_batches`] is the settlement pass of a
-//! lock-step union (`lockstep.rs`): each fault carries the mask of
+//! frontier, both through the same claim loop ([`claim`]).
+//! [`run_batches_kernel`] is a per-instance run: tallies and first
+//! detections. [`settle_batches`] is the settlement pass of a lock-step
+//! union (`lockstep.rs`): each fault carries the mask of
 //! instances still open, and a detecting union row settles the open
 //! instances that apply it. A per-instance run given settled stamps
 //! (`Ctx::stamps`) answers every settled fault's blocks from its stamp
@@ -252,10 +253,8 @@ fn tally_bits(mut word: u64, t_base: usize, tally: &mut [u32]) {
 struct FaultRun<F> {
     fid: FaultId,
     fault: F,
-    /// 1-based batch lane (serial tie-break within a pattern).
-    lane: usize,
-    /// First-detection pattern, once found.
-    detected_at: Option<usize>,
+    /// Whether the fault's first detection in the window was found.
+    detected: bool,
 }
 
 /// Reusable difference-frontier state, epoch-stamped so nothing is cleared
@@ -419,12 +418,13 @@ fn propagate<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     d_acc
 }
 
-/// Folds one evaluated block into the tallies and detection log: activation
-/// is counted per pattern up to and including a dropped fault's detecting
-/// pattern; the `detected` tally counts only the first observation in drop
-/// mode, every observation otherwise, and the log records first
-/// detections. Both `d` and `a` arrive masked to the span's valid lanes.
-#[allow(clippy::too_many_arguments)]
+/// Folds one evaluated block into the window's tallies and first
+/// detections: activation is counted per pattern up to and including a
+/// dropped fault's detecting pattern; the `detected` tally counts only the
+/// first observation in drop mode, every observation otherwise, and each
+/// fault's first detection in the window is recorded. Both `d` and `a`
+/// arrive masked to the window's valid lanes; tallies are indexed from the
+/// window's first pattern `p0`.
 fn absorb_block<F, const BW: usize>(
     d: [u64; BW],
     mut a: [u64; BW],
@@ -433,46 +433,35 @@ fn absorb_block<F, const BW: usize>(
     p0: usize,
     drop: bool,
     out: &mut WorkerOut,
-    det: &mut Vec<(usize, usize, FaultId)>,
 ) {
+    let first = d.iter().position(|&dw| dw != 0);
     if drop {
-        let mut hit: Option<(usize, u32)> = None;
-        for (w, &dw) in d.iter().enumerate() {
-            if dw != 0 {
-                hit = Some((w, dw.trailing_zeros()));
-                break;
-            }
-        }
-        if let Some((hw, hb)) = hit {
-            let t = p0 + (base + hw) * 64 + hb as usize;
+        if let Some(hw) = first {
+            let hb = d[hw].trailing_zeros();
+            let k = (base + hw) * 64 + hb as usize;
             // The fault is skipped from the pattern after its detection on:
             // clip activation to bits <= the detecting pattern.
             for aw in a.iter_mut().skip(hw + 1) {
                 *aw = 0;
             }
             a[hw] &= if hb == 63 { !0 } else { (1u64 << (hb + 1)) - 1 };
-            run.detected_at = Some(t);
-            det.push((t, run.lane, run.fid));
-            out.detected[t] += 1;
+            run.detected = true;
+            out.detections.push((run.fid, p0 + k));
+            out.detected[k] += 1;
         }
         for (w, &aw) in a.iter().enumerate() {
-            tally_bits(aw, p0 + (base + w) * 64, &mut out.activated);
+            tally_bits(aw, (base + w) * 64, &mut out.activated);
         }
     } else {
         for w in 0..BW {
-            let t_base = p0 + (base + w) * 64;
+            let t_base = (base + w) * 64;
             tally_bits(a[w], t_base, &mut out.activated);
             tally_bits(d[w], t_base, &mut out.detected);
         }
-        if run.detected_at.is_none() {
-            for (w, &dw) in d.iter().enumerate() {
-                if dw != 0 {
-                    let t = p0 + (base + w) * 64 + dw.trailing_zeros() as usize;
-                    run.detected_at = Some(t);
-                    det.push((t, run.lane, run.fid));
-                    break;
-                }
-            }
+        if let Some(w) = first.filter(|_| !run.detected) {
+            run.detected = true;
+            let t = p0 + (base + w) * 64 + d[w].trailing_zeros() as usize;
+            out.detections.push((run.fid, t));
         }
     }
 }
@@ -551,12 +540,11 @@ fn fault_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     win: &Window<'_, C>,
     base: usize,
     drop: bool,
-    det: &mut Vec<(usize, usize, FaultId)>,
     out: &mut WorkerOut,
     work: &mut Work,
 ) {
     if let Some((d, a)) = eval_block::<F, C, BW>(ctx, fr, run.fid, &run.fault, win, base, work) {
-        absorb_block::<F, BW>(d, a, run, base, win.p0, drop, out, det);
+        absorb_block::<F, BW>(d, a, run, base, win.p0, drop, out);
     }
 }
 
@@ -692,83 +680,88 @@ fn start_worker<'o, const W: usize>(
     (worker_span, Some((kernel_span, gs)))
 }
 
-/// Flushes a worker's gate-evaluation work and local metrics into `obs`.
-fn finish_worker(obs: Obs<'_>, mut local: Metrics, work: &Work) {
+/// The claim loop every worker runs: takes batches off `batches` by the
+/// shared counter `next` until none is left, calling `job` on each, and
+/// returns how many it took. The batches balance dynamically, and which
+/// worker takes which batch is unobservable: tallies are sums, and first
+/// detections and settlements are facts about faults.
+fn claim<T>(batches: &[T], next: &AtomicUsize, mut job: impl FnMut(&T)) -> usize {
+    let mut taken = 0;
+    // Relaxed: the counter only hands out indices; the batches were
+    // written before the workers started.
+    while let Some(batch) = batches.get(next.fetch_add(1, Ordering::Relaxed)) {
+        job(batch);
+        taken += 1;
+    }
+    taken
+}
+
+/// Flushes a worker's batch count, gate-evaluation work and local metrics
+/// into `obs`.
+fn finish_worker(obs: Obs<'_>, span: &mut Span<'_>, mut local: Metrics, taken: usize, work: &Work) {
     if let Some(rec) = obs {
+        span.arg("batches", taken);
+        local.add(names::FSIM_BATCHES, taken as u64);
         local.add(names::FSIM_KERNEL_FAULT_BLOCKS, work.fault_blocks);
         local.add(names::FSIM_KERNEL_CONE_GATES, work.cone_gates);
         rec.merge_metrics(&local);
+        rec.record(names::FSIM_BATCHES_PER_WORKER, taken as f64);
     }
 }
 
-/// One worker's job: simulates a contiguous range of batches over the
-/// pattern window `pat_range` and returns per-batch detection logs (serial
-/// `(pattern, lane)` order within each batch) and exact per-pattern
-/// tallies. `W` is the block width in words (see [`walk_blocks`]). Faults
-/// with a settled stamp in `ctx.stamps` are answered from it (see
-/// [`eval_block`]).
+/// One worker's job in a per-instance run: takes batches off `batches` by
+/// the shared counter `next` (see [`claim`]), simulates their faults over
+/// the pattern window `pat_range`, and returns their first detections and
+/// the window's exact per-pattern tallies. `W` is the block width in words
+/// (see [`walk_blocks`]). Faults with a settled stamp in `ctx.stamps` are
+/// answered from it (see [`eval_block`]).
 pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
     ctx: &Ctx<'_>,
     batches: &[Vec<(FaultId, F)>],
+    next: &AtomicUsize,
     obs: Obs<'_>,
-    first_batch: usize,
     pat_range: (usize, usize),
 ) -> WorkerOut {
     const { assert!(W <= BLOCK_WORDS, "frontier rows hold BLOCK_WORDS words") };
-    let n_pat = ctx.patterns.len();
+    let span = pat_range.1 - pat_range.0;
     let mut out = WorkerOut {
-        detections: Vec::with_capacity(batches.len()),
-        activated: vec![0u32; n_pat],
-        detected: vec![0u32; n_pat],
+        detections: Vec::new(),
+        activated: vec![0u32; span],
+        detected: vec![0u32; span],
     };
     let mut local = Metrics::default();
     let (mut worker_span, started) = start_worker::<W>(ctx, obs, pat_range, &mut local);
-    worker_span.arg("first_batch", first_batch);
-    worker_span.arg("batches", batches.len());
     let Some((_kernel_span, gs)) = started else {
-        out.detections.extend(batches.iter().map(|_| Vec::new()));
         return out;
     };
-    local.add(names::FSIM_BATCHES, batches.len() as u64);
     let before = OnceCell::new();
     let win = gs.window(ctx, pat_range.0, &before);
     let drop = ctx.config.drop_detected;
     let mut fr = None;
     let mut work = Work::default();
 
-    for batch in batches {
-        let mut det: Vec<(usize, usize, FaultId)> = Vec::new();
-        for (lane0, &(fid, fault)) in batch.iter().enumerate() {
+    let taken = claim(batches, next, |batch| {
+        for &(fid, fault) in batch {
             let mut run = FaultRun {
                 fid,
                 fault,
-                lane: lane0 + 1,
-                detected_at: None,
+                detected: false,
             };
             walk_blocks::<W>(gs.stride, drop, |base, wide| {
                 if wide {
                     fault_block::<F, _, W>(
-                        ctx, &mut fr, &mut run, &win, base, drop, &mut det, &mut out, &mut work,
+                        ctx, &mut fr, &mut run, &win, base, drop, &mut out, &mut work,
                     );
                 } else {
                     fault_block::<F, _, 1>(
-                        ctx, &mut fr, &mut run, &win, base, drop, &mut det, &mut out, &mut work,
+                        ctx, &mut fr, &mut run, &win, base, drop, &mut out, &mut work,
                     );
                 }
-                drop && run.detected_at.is_some()
+                drop && run.detected
             });
         }
-        // Serial order within a batch is pattern-major, then lane: restore
-        // it so the engine's batch-major merge is byte-identical to a
-        // serial simulator's.
-        det.sort_unstable();
-        out.detections.push(
-            det.into_iter()
-                .map(|(t, _, fid)| (fid, ctx.patterns.cc(t), t))
-                .collect(),
-        );
-    }
-    finish_worker(obs, local, &work);
+    });
+    finish_worker(obs, &mut worker_span, local, taken, &work);
     out
 }
 
@@ -778,13 +771,11 @@ pub(crate) type Settlement = (FaultId, u64, Stamp);
 
 /// One worker's job in a lock-step union pass (`ctx.patterns` holds the
 /// union rows U): takes batches off `batches` by the shared counter `next`
-/// until none is left, and walks each fault over the window `pat_range`
-/// of U in drop-mode block order with its `open` instance mask. At each
+/// (see [`claim`]), and walks each fault over the window `pat_range` of U
+/// in drop-mode block order with its `open` instance mask. At each
 /// detecting U-row `u`, in ascending order, the open instances among
 /// `users[u]` settle at position `at[u]` and leave the mask; the fault
-/// stops when none is left open. Settlements are facts about (fault,
-/// instance) pairs, so which worker takes which batch changes nothing and
-/// the batches balance dynamically, hardest first.
+/// stops when none is left open.
 pub(crate) fn settle_batches<F: SiteOverride, const W: usize>(
     ctx: &Ctx<'_>,
     users: &[u64],
@@ -821,9 +812,7 @@ pub(crate) fn settle_batches<F: SiteOverride, const W: usize>(
             }
         }
     };
-    let mut taken = 0usize;
-    while let Some(batch) = batches.get(next.fetch_add(1, Ordering::Relaxed)) {
-        taken += 1;
+    let taken = claim(batches, next, |batch| {
         for &(fid, fault, mut open) in batch {
             walk_blocks::<W>(gs.stride, true, |base, wide| {
                 if wide {
@@ -840,10 +829,8 @@ pub(crate) fn settle_batches<F: SiteOverride, const W: usize>(
                 open == 0
             });
         }
-    }
-    worker_span.arg("batches", taken);
-    local.add(names::FSIM_BATCHES, taken as u64);
-    finish_worker(obs, local, &work);
+    });
+    finish_worker(obs, &mut worker_span, local, taken, &work);
     settled
 }
 
@@ -852,9 +839,8 @@ mod tests {
     //! The block-width axis: whole streams at `W = 1` (every block on the
     //! 64-bit remainder path) and `W = BLOCK_WORDS` give identical reports
     //! and list states for every fault model, in drop and non-drop mode,
-    //! unguided and in repacking windows, over pattern counts that hit
-    //! every block shape. The netlist stays tiny so the suite runs under
-    //! Miri.
+    //! over pattern counts that hit every block shape and up to three
+    //! windows. The netlist stays tiny so the suite runs under Miri.
 
     use std::fmt::Display;
 
@@ -907,20 +893,15 @@ mod tests {
         p: &PatternSeq,
         mut list: FaultList<F>,
         cfg: &FaultSimConfig,
-        guide: &SimGuide<'_>,
     ) -> (FaultSimReport, String) {
-        let report = simulate_guided::<F, W>(netlist, p, &mut list, cfg, None, guide, None);
+        let guide = SimGuide::default();
+        let report = simulate_guided::<F, W>(netlist, p, &mut list, cfg, None, &guide, None);
         (report, list.to_report_text())
     }
 
     fn assert_widths_agree<F: SiteOverride + Display>(fresh: impl Fn(&Netlist) -> FaultList<F>) {
         let n = netlist();
         assert!(!fresh(&n).is_empty());
-        let keys: Vec<f64> = (0..n.gates().len()).map(|g| (g * 7 % 5) as f64).collect();
-        let repacked = SimGuide {
-            order_keys: Some(&keys),
-            ..SimGuide::default()
-        };
         for n_pat in SHAPES {
             let p = patterns(n.inputs().width(), n_pat);
             for drop_detected in [true, false] {
@@ -928,14 +909,11 @@ mod tests {
                     drop_detected,
                     threads: 1,
                 };
-                for guide in [SimGuide::default(), repacked] {
-                    assert_eq!(
-                        run::<F, 1>(&n, &p, fresh(&n), &cfg, &guide),
-                        run::<F, BLOCK_WORDS>(&n, &p, fresh(&n), &cfg, &guide),
-                        "{n_pat} patterns, drop={drop_detected}, keys={}",
-                        guide.order_keys.is_some()
-                    );
-                }
+                assert_eq!(
+                    run::<F, 1>(&n, &p, fresh(&n), &cfg),
+                    run::<F, BLOCK_WORDS>(&n, &p, fresh(&n), &cfg),
+                    "{n_pat} patterns, drop={drop_detected}"
+                );
             }
         }
     }

@@ -76,7 +76,7 @@ pub use fault::{Fault, FaultSite, Polarity, SiteOverride};
 pub use list::{FaultId, FaultList, FaultStatus};
 pub use report::{FaultSimReport, PatternStats};
 pub use sim::{
-    fault_simulate, fault_simulate_guided, fault_simulate_instances, fault_simulate_observed,
-    FaultSimConfig, SimBackend, SimGuide,
+    fault_simulate, fault_simulate_guided, fault_simulate_instances, FaultSimConfig, SimBackend,
+    SimGuide,
 };
 pub use universe::FaultUniverse;

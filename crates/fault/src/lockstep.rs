@@ -17,9 +17,9 @@
 //!    when none is open. Instances still open at the end never detect it.
 //! 2. **Stamped runs.** The unchanged per-instance engine runs once per
 //!    instance, with every target settled: a block reads its detect word
-//!    from the stamp instead of propagating (see `kernel.rs`). Repacking,
-//!    hardest-first groups, dominance phases, tallies and the detection
-//!    log are the engine's own, so reports and lists are byte-identical.
+//!    from the stamp instead of propagating (see `kernel.rs`). The window
+//!    schedule, dominance phases and tallies are the engine's own, so
+//!    reports and lists are byte-identical.
 //!
 //! **Why the stamps are exact.** On a combinational module a row's
 //! detections do not depend on what precedes it or on repeats. Instance
@@ -37,11 +37,9 @@
 
 use warpstl_netlist::{Netlist, PatternSeq};
 use warpstl_obs::{names, Obs, ObsExt};
-use warpstl_sync::AtomicUsize;
 
 use crate::engine::{
-    fan_out, order_groups_hardest_first, resolve_threads, run_targets, simulate_guided, Layout,
-    REPACK_SEGMENT,
+    fan_out_batches, resolve_threads, run_targets, simulate_guided, walk_windows, windows, Layout,
 };
 use crate::kernel::{settle_batches, Stamp, BLOCK_WORDS, NEVER, OPEN};
 use crate::{FaultId, FaultList, FaultSimConfig, FaultSimReport, SimGuide, SiteOverride};
@@ -88,20 +86,6 @@ impl Union {
         }
         Some(union)
     }
-}
-
-/// The longest pattern segment a drop-mode run over `len` patterns
-/// simulates at once: segments double from [`REPACK_SEGMENT`], the last
-/// one clipped to the stream.
-fn longest_segment(len: usize) -> usize {
-    let (mut start, mut segment, mut longest) = (0usize, REPACK_SEGMENT, 0usize);
-    while start < len {
-        let end = len.min(start + segment);
-        longest = longest.max(end - start);
-        start = end;
-        segment = segment.saturating_mul(2);
-    }
-    longest
 }
 
 /// The settled stamps of every instance (indexed by instance, then by
@@ -154,9 +138,8 @@ fn settle<F: SiteOverride>(
         obs.add(names::FSIM_UNION_ROWS, union.rows.len() as u64);
         obs.add(names::FSIM_UNION_INSTANCE_ROWS, instance_rows as u64);
     }
-    // Every instance's guide shares the order keys and the levelization.
-    let guide = &guides[members[0]];
-    let layout = Layout::of(netlist, guide);
+    // Every instance's guide shares the levelization.
+    let layout = Layout::of(netlist, &guides[members[0]]);
     let ctx = layout.ctx(netlist, &union.rows, config, None);
     let mut stamps = vec![vec![OPEN; n]; streams.len()];
     let mut stamp = |id: FaultId, mut instances: u64, t: Stamp| {
@@ -165,44 +148,42 @@ fn settle<F: SiteOverride>(
             instances &= instances - 1;
         }
     };
-    // The engine's drop-mode schedule over U: doubling pattern segments,
-    // survivors re-packed into hardest-first 63-fault batches between them,
-    // which the workers take off one counter (see `settle_batches`).
-    // Segments stop growing at the longest one a member's own run would
-    // use, so no worker buffer outgrows a per-instance run's.
-    let cap = longest_segment(longest);
-    let (mut start, mut segment) = (0usize, REPACK_SEGMENT);
-    while start < union.rows.len() && !targets.is_empty() {
-        let end = union.rows.len().min(start + segment.min(cap));
-        if let Some(keys) = guide.order_keys {
-            order_groups_hardest_first(&mut targets, keys, lead);
-        }
-        let batches: Vec<Vec<(FaultId, F, u64)>> = targets
-            .chunks(63)
-            .map(|c| c.iter().map(|&id| (id, lead.fault(id), open[id])).collect())
-            .collect();
-        let workers = resolve_threads(config).min(batches.len());
-        let next = AtomicUsize::new(0);
-        let settled = fan_out(workers, |_| {
-            settle_batches::<F, BLOCK_WORDS>(
-                &ctx,
-                &union.users,
-                &union.at,
-                &batches,
-                &next,
-                obs,
-                (start, end),
-            )
-        });
-        for (id, instances, t) in settled.into_iter().flatten() {
-            open[id] &= !instances;
-            stamp(id, instances, t);
-        }
-        targets.retain(|&id| open[id] != 0);
-        targets.sort_unstable();
-        start = end;
-        segment = segment.saturating_mul(2);
-    }
+    // The engine's window schedule over U, capped at the longest window a
+    // member's own run would use, so no worker buffer outgrows a
+    // per-instance run's.
+    let cap = windows(longest, usize::MAX)
+        .map(|(start, end)| end - start)
+        .max()
+        .expect("every stream has a window");
+    walk_windows(
+        union.rows.len(),
+        cap,
+        &mut targets,
+        obs,
+        |targets, range| {
+            let settled = fan_out_batches(
+                config,
+                targets,
+                |id| (id, lead.fault(id), open[id]),
+                |batches, next| {
+                    settle_batches::<F, BLOCK_WORDS>(
+                        &ctx,
+                        &union.users,
+                        &union.at,
+                        batches,
+                        next,
+                        obs,
+                        range,
+                    )
+                },
+            );
+            for (id, instances, t) in settled.into_iter().flatten() {
+                open[id] &= !instances;
+                stamp(id, instances, t);
+            }
+            targets.retain(|&id| open[id] != 0);
+        },
+    );
     for id in targets {
         stamp(id, open[id], NEVER);
     }

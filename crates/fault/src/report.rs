@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::FaultId;
-
 /// Statistics for one injected test pattern (one clock cycle at the target
 /// module).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +20,10 @@ pub struct PatternStats {
 /// each test pattern injected, the number of activated faults, and the
 /// number of detected faults per pattern."
 ///
+/// Which fault a pattern detected is recorded once, as the detection
+/// stamps of the run's [`FaultList`](crate::FaultList); the report keeps
+/// the counts.
+///
 /// # Examples
 ///
 /// ```
@@ -37,7 +39,6 @@ pub struct PatternStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSimReport {
     patterns: Vec<PatternStats>,
-    detections: Vec<(FaultId, u64, usize)>,
     by_cc: BTreeMap<u64, u32>,
     untestable: u32,
 }
@@ -61,11 +62,6 @@ impl FaultSimReport {
         }
     }
 
-    /// Appends an individual detection event.
-    pub fn record_detection(&mut self, fault: FaultId, cc: u64, pattern: usize) {
-        self.detections.push((fault, cc, pattern));
-    }
-
     /// Records how many target faults the run excluded as statically
     /// proven untestable, so reports account for them explicitly instead
     /// of silently inflating the undetected count.
@@ -83,7 +79,6 @@ impl FaultSimReport {
     /// pattern streams are simulated separately).
     pub fn merge(&mut self, other: &FaultSimReport) {
         self.patterns.extend_from_slice(&other.patterns);
-        self.detections.extend_from_slice(&other.detections);
         for (&cc, &d) in &other.by_cc {
             *self.by_cc.entry(cc).or_insert(0) += d;
         }
@@ -96,12 +91,6 @@ impl FaultSimReport {
     #[must_use]
     pub fn patterns(&self) -> &[PatternStats] {
         &self.patterns
-    }
-
-    /// Individual `(fault, cc, pattern)` detection events.
-    #[must_use]
-    pub fn detections(&self) -> &[(FaultId, u64, usize)] {
-        &self.detections
     }
 
     /// Total newly-detected faults.
@@ -200,7 +189,6 @@ mod tests {
     fn merge_combines() {
         let mut a = FaultSimReport::new();
         a.record_pattern(1, 2, 1);
-        a.record_detection(0, 1, 0);
         let mut b = FaultSimReport::new();
         b.record_pattern(1, 0, 2);
         b.record_pattern(3, 0, 1);

@@ -91,8 +91,8 @@ impl Default for FaultSimConfig {
 
 /// Static-analysis guidance for a fault-simulation run — the bridge from
 /// `warpstl-analyze` to the engine without a crate dependency: the
-/// analyzer's SCOAP observability scores travel as a plain per-net slice,
-/// and the universe's own [`DominanceView`] travels by reference.
+/// analyzer's untestability proofs travel as a plain per-fault slice, and
+/// the universe's own [`DominanceView`] travels by reference.
 ///
 /// Every field is optional and independent; the default (all `None`)
 /// makes [`fault_simulate_guided`] behave exactly like [`fault_simulate`].
@@ -123,14 +123,10 @@ pub struct SimGuide<'a> {
     /// on a list whose detections all came from real runs — never steer
     /// a run by pre-marking faults detected.
     pub targets: Option<&'a [bool]>,
-    /// Per-net observability cost (higher = harder to observe), indexed
-    /// by gate: targets are stably reordered hardest-first before
-    /// batching so each batch holds faults of similar difficulty.
-    pub order_keys: Option<&'a [f64]>,
     /// Precomputed [`Levelization`] of the netlist (rank-major SoA layout
     /// for the levelized kernel). Purely an accelerator: when `None` the
     /// engine levelizes on demand, and the results are identical either
-    /// way, so — unlike the two fields above — this never enters cache
+    /// way, so — unlike the fields above — this never enters cache
     /// keys. Callers holding a `ModuleContext` pass its cached copy.
     pub levels: Option<&'a Levelization>,
 }
@@ -170,7 +166,8 @@ impl<'a> SimGuide<'a> {
 /// Fault batches are independent, so the engine fans them out over
 /// [`FaultSimConfig::threads`] workers, each running the levelized kernel
 /// (see [`crate::engine`]); the report is bit-identical for every thread
-/// count.
+/// count. This is [`fault_simulate_guided`] with no observability handle
+/// and the default guide.
 ///
 /// # Panics
 ///
@@ -209,33 +206,19 @@ pub fn fault_simulate<F: SiteOverride>(
     list: &mut FaultList<F>,
     config: &FaultSimConfig,
 ) -> FaultSimReport {
-    crate::engine::simulate(netlist, patterns, list, config, None)
+    fault_simulate_guided(netlist, patterns, list, config, None, &SimGuide::default())
 }
 
-/// [`fault_simulate`] with an observability handle: when `obs` is
-/// `Some(recorder)`, the engine emits `fsim.run` / `fsim.worker` /
-/// `fsim.kernel` spans and its internal counters (batches, fault blocks,
-/// cone gates, detections, activations) into the recorder. With `None`
-/// this is exactly [`fault_simulate`] — the disabled path reads no clock
-/// and takes no lock.
+/// [`fault_simulate`] with an observability handle and guidance: a
+/// [`SimGuide`] carrying an optional [`DominanceView`] (simulate fewer
+/// classes, inherit the rest), an untestability bitmap, a target mask and
+/// the cached levelization.
 ///
-/// # Panics
-///
-/// As [`fault_simulate`].
-pub fn fault_simulate_observed<F: SiteOverride>(
-    netlist: &Netlist,
-    patterns: &PatternSeq,
-    list: &mut FaultList<F>,
-    config: &FaultSimConfig,
-    obs: warpstl_obs::Obs<'_>,
-) -> FaultSimReport {
-    crate::engine::simulate(netlist, patterns, list, config, obs)
-}
-
-/// [`fault_simulate`] guided by static analysis: a [`SimGuide`] carrying
-/// an optional [`DominanceView`] (simulate fewer classes, inherit the
-/// rest) and optional per-net observability keys (order targets
-/// hardest-first and re-pack survivors as faults drop).
+/// When `obs` is `Some(recorder)`, the engine emits `fsim.run` /
+/// `fsim.worker` / `fsim.kernel` spans and its internal counters (batches,
+/// fault blocks, cone gates, detections, activations) into the recorder;
+/// the disabled path reads no clock and takes no lock. With `None` and
+/// [`SimGuide::default`] this is exactly [`fault_simulate`].
 ///
 /// The *detected fault set* — and therefore [`FaultList::coverage`] — is
 /// identical to the unguided run over the same patterns: dominators

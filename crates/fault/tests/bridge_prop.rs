@@ -109,8 +109,8 @@ fn scalar_bridge(netlist: &Netlist, f: BridgeFault, assignment: u64) -> (bool, b
 /// The serial oracle over a whole stream on a fresh list: every bridge on
 /// every pattern, one at a time. Drop mode counts activations up to and
 /// including a bridge's first detection and tallies first detections;
-/// non-drop mode counts every activation and every observation. The log
-/// is batch-major (63 bridges per batch), then pattern, then bridge.
+/// non-drop mode counts every activation and every observation. Each
+/// bridge's first detection is stamped on the list.
 fn serial_bridge_run(
     netlist: &Netlist,
     patterns: &PatternSeq,
@@ -142,16 +142,9 @@ fn serial_bridge_run(
             }
         }
     }
-    for (b, chunk) in first.chunks(63).enumerate() {
-        let mut log: Vec<(usize, usize)> = chunk
-            .iter()
-            .enumerate()
-            .filter_map(|(k, t)| t.map(|t| (t, b * 63 + k)))
-            .collect();
-        log.sort_unstable();
-        for (t, id) in log {
+    for (id, t) in first.iter().enumerate() {
+        if let Some(t) = *t {
             list.mark_detected(id, patterns.cc(t), t);
-            report.record_detection(id, patterns.cc(t), t);
         }
     }
     for t in 0..patterns.len() {

@@ -7,7 +7,6 @@
 
 use proptest::prelude::*;
 
-use warpstl_analyze::Scoap;
 use warpstl_fault::{
     fault_simulate, fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse, SimGuide,
 };
@@ -85,7 +84,6 @@ proptest! {
         prop_assert!(netlist.is_combinational());
         let universe = FaultUniverse::enumerate(&netlist);
         let dominance = universe.dominance(&netlist);
-        let keys = Scoap::compute(&netlist).observability_keys();
         let patterns = pseudorandom_patterns(netlist.inputs().width(), n_pat, seed | 1);
         let cfg = FaultSimConfig::default();
 
@@ -93,10 +91,9 @@ proptest! {
         let mut base_list = FaultList::new(&universe);
         fault_simulate(&netlist, &patterns, &mut base_list, &cfg);
 
-        // Guided: dominance reduction + hardest-first ordering.
+        // Guided: dominance reduction.
         let guide = SimGuide {
             dominance: Some(&dominance),
-            order_keys: Some(&keys),
             ..SimGuide::default()
         };
         let mut guided_list = FaultList::new(&universe);
@@ -109,34 +106,6 @@ proptest! {
         // tallied exactly once, inherited ones included).
         prop_assert_eq!(report.total_detected() as usize, detected_ids(&guided_list).len());
     }
-
-    #[test]
-    fn ordering_alone_is_fully_transparent(
-        n_inputs in 2usize..5,
-        specs in proptest::collection::vec(
-            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
-            4..32,
-        ),
-        seed in any::<u64>(),
-    ) {
-        // With only order_keys set (no dominance), the detected set AND
-        // the per-fault stamps must match: first detections are
-        // batch-composition-independent.
-        let netlist = build_netlist(n_inputs, &specs);
-        let universe = FaultUniverse::enumerate(&netlist);
-        let keys = Scoap::compute(&netlist).observability_keys();
-        let patterns = pseudorandom_patterns(netlist.inputs().width(), 16, seed | 1);
-        let cfg = FaultSimConfig::default();
-
-        let mut base_list = FaultList::new(&universe);
-        fault_simulate(&netlist, &patterns, &mut base_list, &cfg);
-
-        let guide = SimGuide { order_keys: Some(&keys), ..SimGuide::default() };
-        let mut guided_list = FaultList::new(&universe);
-        fault_simulate_guided(&netlist, &patterns, &mut guided_list, &cfg, None, &guide);
-
-        prop_assert_eq!(guided_list.to_report_text(), base_list.to_report_text());
-    }
 }
 
 /// The same identity holds on a real module across two chained drop-mode
@@ -147,7 +116,6 @@ fn module_dominance_coverage_identity_across_runs() {
     let universe = FaultUniverse::enumerate(&netlist);
     let dominance = universe.dominance(&netlist);
     assert!(!dominance.is_identity());
-    let keys = Scoap::compute(&netlist).observability_keys();
     let p1 = pseudorandom_patterns(netlist.inputs().width(), 24, 0xd0d0_0001);
     let p2 = pseudorandom_patterns(netlist.inputs().width(), 24, 0xd0d0_0002);
     let cfg = FaultSimConfig::default();
@@ -158,7 +126,6 @@ fn module_dominance_coverage_identity_across_runs() {
 
     let guide = SimGuide {
         dominance: Some(&dominance),
-        order_keys: Some(&keys),
         ..SimGuide::default()
     };
     let mut guided_list = FaultList::new(&universe);

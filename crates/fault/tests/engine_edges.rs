@@ -9,7 +9,7 @@ mod support;
 
 use support::fault_simulate_reference;
 use warpstl_fault::{
-    fault_simulate, fault_simulate_observed, FaultList, FaultSimConfig, FaultUniverse,
+    fault_simulate, fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse, SimGuide,
 };
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
@@ -55,12 +55,13 @@ fn zero_patterns_record_an_empty_run() {
     let rec = Recorder::new();
 
     let mut list = FaultList::new(&universe);
-    let report = fault_simulate_observed(
+    let report = fault_simulate_guided(
         &n,
         &empty,
         &mut list,
         &FaultSimConfig::default(),
         Some(&rec),
+        &SimGuide::default(),
     );
     assert_eq!(report.total_detected(), 0);
     assert_eq!(list.detected().count(), 0);
@@ -88,7 +89,8 @@ fn zero_target_faults_is_a_clean_noop() {
     // Every fault pre-detected: the engine plans zero batches.
     let mut list = list_with_undetected(&universe, 0);
     let before = list.to_report_text();
-    let report = fault_simulate_observed(&n, &pats, &mut list, &cfg, Some(&rec));
+    let report =
+        fault_simulate_guided(&n, &pats, &mut list, &cfg, Some(&rec), &SimGuide::default());
     assert_eq!(report.total_detected(), 0);
     assert_eq!(list.to_report_text(), before);
 
@@ -156,7 +158,7 @@ fn full_batch_records_63_lane_detections() {
         drop_detected: true,
         threads: 1,
     };
-    fault_simulate_observed(&n, &pats, &mut list, &cfg, Some(&rec));
+    fault_simulate_guided(&n, &pats, &mut list, &cfg, Some(&rec), &SimGuide::default());
 
     let m = rec.metrics();
     assert_eq!(m.counter("fsim.target_faults"), 63);

@@ -1,8 +1,7 @@
 //! Parallel/serial equivalence: the threaded engine must produce
 //! **bit-identical** results to the serial oracle — same `FaultSimReport`
-//! (per-pattern stats and detection log, cc-stamps included), same
-//! fault-list state, same coverage — for every thread count, in drop and
-//! non-drop modes.
+//! (per-pattern stats), same fault-list state (cc-stamps included), same
+//! coverage — for every thread count, in drop and non-drop modes.
 
 mod support;
 

@@ -5,8 +5,8 @@
 //! instance's report and fault-list report text are `==` to a
 //! `fault_simulate_guided` run of that instance alone. The lists carry
 //! faults detected beforehand by real runs, odd instances carry target
-//! masks, and dominance, untestable pruning and order keys switch on and
-//! off independently, at 1 and 2 worker threads.
+//! masks, and dominance and untestable pruning switch on and off
+//! independently, at 1 and 2 worker threads.
 //!
 //! The lock-step union pass runs exactly when the engine documents it:
 //! drop mode, a model that does not read the previous pattern, at least
@@ -21,7 +21,6 @@ mod support;
 use proptest::prelude::*;
 
 use support::build_netlist;
-use warpstl_analyze::Scoap;
 use warpstl_fault::tdf::TdfList;
 use warpstl_fault::{
     fault_simulate_guided, fault_simulate_instances, BridgeConfig, BridgeUniverse, FaultList,
@@ -113,7 +112,6 @@ struct Axes {
     threads: usize,
     dominance: bool,
     untestable: bool,
-    keys: bool,
     masked: bool,
 }
 
@@ -124,18 +122,14 @@ fn axes() -> impl Strategy<Value = Axes> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
     )
-        .prop_map(
-            |(drop, threads, dominance, untestable, keys, masked)| Axes {
-                drop,
-                threads,
-                dominance,
-                untestable,
-                keys,
-                masked,
-            },
-        )
+        .prop_map(|(drop, threads, dominance, untestable, masked)| Axes {
+            drop,
+            threads,
+            dominance,
+            untestable,
+            masked,
+        })
 }
 
 /// Whether the engine's rule puts this call on the union path, and the
@@ -195,12 +189,10 @@ fn check<F: SiteOverride + std::fmt::Display>(
     dominance: Option<&warpstl_fault::DominanceView>,
 ) -> Option<usize> {
     let n = fresh.len();
-    let keys = Scoap::compute(netlist).observability_keys();
     let unt = flags(n, seed.rotate_left(31));
     let guide = SimGuide {
         dominance: dominance.filter(|_| axes.dominance),
         untestable: axes.untestable.then_some(unt.as_slice()),
-        order_keys: axes.keys.then_some(keys.as_slice()),
         ..SimGuide::default()
     };
     let cfg = FaultSimConfig {
@@ -361,17 +353,16 @@ fn lock_step_lanes_take_the_union_path_on_every_axis() {
     let bridges = BridgeUniverse::sample(&netlist, &BridgeConfig::default());
     let s = streams(netlist.inputs().width(), 8, Shape::Prologue, 256, 0x5eed);
     let total: usize = s.iter().map(PatternSeq::len).sum();
-    for bits in 0u32..64 {
+    for bits in 0u32..32 {
         let on = |b: u32| bits >> b & 1 == 1;
         let axes = Axes {
             drop: true,
             threads: 1 + usize::from(on(0)),
             dominance: on(1),
             untestable: on(2),
-            keys: on(3),
-            masked: on(4),
+            masked: on(3),
         };
-        let pre_len = if on(5) { 3 } else { 0 };
+        let pre_len = if on(4) { 3 } else { 0 };
         let fresh = FaultList::new(&universe);
         let union = check(&netlist, fresh, &s, pre_len, 0x5eed, axes, Some(&dominance));
         assert!(

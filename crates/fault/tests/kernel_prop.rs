@@ -1,7 +1,7 @@
 //! Property: the levelized kernel is **bit-identical** to the serial
 //! stuck-at oracle on random combinational netlists and random pattern
-//! sequences — same report (detections, stamps, tallies) and same fault
-//! list state — in drop and non-drop mode, across pattern counts that
+//! sequences — same report (per-pattern tallies) and same fault list
+//! state (stamps) — in drop and non-drop mode, across pattern counts that
 //! exercise every block shape (narrow-only spans, exact wide blocks, and
 //! wide blocks with a 64-bit remainder and a masked tail word).
 //!

@@ -225,7 +225,6 @@ pub fn fault_simulate_reference(
                 let lane = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
                 list.mark_detected(batch[lane - 1], cc, t);
-                report.record_detection(batch[lane - 1], cc, t);
             }
             detected[t] += if config.drop_detected {
                 newly.count_ones()
@@ -298,7 +297,6 @@ pub fn tdf_simulate_reference(
                 }
                 if detected_mask & lane_bit == 0 {
                     list.mark_detected(fid, cc, t);
-                    report.record_detection(fid, cc, t);
                     detected_mask |= lane_bit;
                     detected[t] += 1;
                 } else if !config.drop_detected {

@@ -17,7 +17,6 @@ mod support;
 use proptest::prelude::*;
 
 use support::{build_netlist, fault_simulate_reference};
-use warpstl_analyze::Scoap;
 use warpstl_fault::{fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
 use warpstl_netlist::PatternSeq;
 
@@ -71,7 +70,6 @@ proptest! {
         prop_assert!(netlist.is_combinational());
         let universe = FaultUniverse::enumerate(&netlist);
         let dominance = universe.dominance(&netlist);
-        let keys = Scoap::compute(&netlist).observability_keys();
         let p = patterns(netlist.inputs().width(), n_pat, seed);
         let targets = mask(universe.collapsed_len(), seed.rotate_left(17));
         let unt = mask(universe.collapsed_len(), seed.rotate_left(31));
@@ -88,7 +86,6 @@ proptest! {
             let cfg = FaultSimConfig { drop_detected: drop, threads };
             let guide = SimGuide {
                 dominance: dom.then_some(&dominance),
-                order_keys: dom.then_some(keys.as_slice()),
                 ..SimGuide::default()
             };
             let masked_guide = SimGuide { targets: Some(&targets), ..guide };
@@ -135,7 +132,6 @@ proptest! {
         let netlist = build_netlist(n_inputs, &specs);
         let universe = FaultUniverse::enumerate(&netlist);
         let dominance = universe.dominance(&netlist);
-        let keys = Scoap::compute(&netlist).observability_keys();
         let p = patterns(netlist.inputs().width(), n_pat, seed);
         let d = p.distinct();
         prop_assert!(d.len() <= 1 << n_inputs);
@@ -145,7 +141,6 @@ proptest! {
             let cfg = FaultSimConfig { threads, ..FaultSimConfig::default() };
             let guide = SimGuide {
                 dominance: dom.then_some(&dominance),
-                order_keys: dom.then_some(keys.as_slice()),
                 ..SimGuide::default()
             };
             // Unmasked and masked: the evaluation runs both kinds over

@@ -1,43 +1,24 @@
 //! Property: transition-delay faults on the shared kernel are
 //! **bit-identical** to the serial TDF oracle — same report (launch and
-//! detection tallies, detection log, stamps) and same list state — on
-//! random combinational netlists and streams of 1 to ~700 patterns, in
-//! drop and non-drop mode, with 1 and 2 worker threads.
+//! detection tallies) and same list state (stamps) — on random
+//! combinational netlists and streams of 1 to ~700 patterns, in drop and
+//! non-drop mode, with 1 and 2 worker threads.
 //!
 //! The kernel reads each site's good word one pattern earlier. Three
 //! places feed that carry bit: the previous word inside a block, the
-//! previous block, and — for a guided run whose order keys split the
-//! stream into repacking windows — the pattern before a window that starts
-//! mid-stream. A stream's first pattern never launches. Each case below
-//! exercises all of them, plus a second stream on the same list (whose
-//! first pattern must not launch off the first stream's last). Guidance
-//! reorders batches by design, so guided reports are compared with their
-//! detection logs in fault order; every other field must match as is.
+//! previous block, and the pattern before a window that starts mid-stream
+//! (every run walks windows of 64, 64, 128, … patterns). A stream's first
+//! pattern never launches. Each case below exercises all of them, plus a
+//! second stream on the same list (whose first pattern must not launch off
+//! the first stream's last).
 
 mod support;
 
 use proptest::prelude::*;
 
 use support::{build_netlist, pseudorandom_patterns, tdf_simulate_reference};
-use warpstl_analyze::Scoap;
 use warpstl_fault::tdf::TdfList;
-use warpstl_fault::{
-    fault_simulate, fault_simulate_guided, FaultSimConfig, FaultSimReport, SimGuide,
-};
-
-/// A report with its detection log sorted by fault id: the order-free
-/// content a guided run must share with an unguided one.
-fn by_fault(
-    report: &FaultSimReport,
-) -> (
-    Vec<warpstl_fault::PatternStats>,
-    Vec<(usize, u64, usize)>,
-    u32,
-) {
-    let mut log = report.detections().to_vec();
-    log.sort_unstable();
-    (report.patterns().to_vec(), log, report.untestable_count())
-}
+use warpstl_fault::{fault_simulate, FaultSimConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -57,7 +38,6 @@ proptest! {
         let width = netlist.inputs().width();
         let first = pseudorandom_patterns(width, n_pat, seed);
         let second = pseudorandom_patterns(width, n_pat / 3 + 1, seed.rotate_left(29));
-        let keys = Scoap::compute(&netlist).observability_keys();
 
         let mut oracle = TdfList::enumerate(&netlist);
         let cfg = FaultSimConfig { drop_detected: drop, threads: 1 };
@@ -77,19 +57,6 @@ proptest! {
                 list.to_report_text(), oracle.to_report_text(),
                 "list state at threads={}", threads
             );
-
-            // Order keys split a drop-mode run into windows of 64, 64,
-            // 128, … patterns; non-drop runs stay monolithic.
-            let guide = SimGuide { order_keys: Some(&keys), ..SimGuide::default() };
-            let mut list = TdfList::enumerate(&netlist);
-            for (stream, want) in [&first, &second].into_iter().zip(&expected) {
-                let report = fault_simulate_guided(&netlist, stream, &mut list, &cfg, None, &guide);
-                prop_assert_eq!(by_fault(&report), by_fault(want), "guided report at threads={}", threads);
-            }
-            prop_assert_eq!(
-                list.to_report_text(), oracle.to_report_text(),
-                "guided list state at threads={}", threads
-            );
         }
     }
 }
@@ -100,7 +67,6 @@ proptest! {
 #[test]
 fn decoder_unit_tdf_matches_the_serial_oracle() {
     let netlist = warpstl_netlist::modules::ModuleKind::DecoderUnit.build();
-    let keys = Scoap::compute(&netlist).observability_keys();
     let patterns = pseudorandom_patterns(netlist.inputs().width(), 700, 0x7df0);
     for drop in [true, false] {
         let cfg = FaultSimConfig {
@@ -109,13 +75,9 @@ fn decoder_unit_tdf_matches_the_serial_oracle() {
         };
         let mut oracle = TdfList::enumerate(&netlist);
         let expected = tdf_simulate_reference(&netlist, &patterns, &mut oracle, &cfg);
-        let guide = SimGuide {
-            order_keys: Some(&keys),
-            ..SimGuide::default()
-        };
         let mut list = TdfList::enumerate(&netlist);
-        let report = fault_simulate_guided(&netlist, &patterns, &mut list, &cfg, None, &guide);
-        assert_eq!(by_fault(&report), by_fault(&expected), "drop={drop}");
+        let report = fault_simulate(&netlist, &patterns, &mut list, &cfg);
+        assert_eq!(report, expected, "drop={drop}");
         assert_eq!(
             list.to_report_text(),
             oracle.to_report_text(),

@@ -98,7 +98,7 @@ pub mod names {
     /// Patterns the per-instance runs applied.
     pub const FSIM_PATTERNS: &str = "fsim.patterns";
     /// Target faults handed to the workers, summed over the target lists
-    /// of every run (direct, residual, and each repacking segment).
+    /// of every per-instance run (direct, residual, and each window).
     pub const FSIM_TARGET_FAULTS: &str = "fsim.target_faults";
     /// Workers the target lists were spread over, summed.
     pub const FSIM_WORKERS: &str = "fsim.workers";
@@ -114,7 +114,9 @@ pub mod names {
     pub const FSIM_KERNEL_FAULT_BLOCKS: &str = "fsim.kernel.fault_blocks";
     /// Gate evaluations of propagated difference frontiers.
     pub const FSIM_KERNEL_CONE_GATES: &str = "fsim.kernel.cone_gates";
-    /// Pattern segments drop-mode runs re-packed their survivors between.
+    /// Windows of the engine's one schedule, summed over every run (the
+    /// lock-step union passes included); drop mode re-packs its survivors
+    /// between them.
     pub const FSIM_REPACK_SEGMENTS: &str = "fsim.repack_segments";
     /// Target classes a run pruned as statically proven untestable.
     pub const FSIM_UNTESTABLE_PRUNED: &str = "fsim.untestable_pruned";

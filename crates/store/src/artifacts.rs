@@ -1,11 +1,11 @@
 //! The cached artifact and its compute wrapper.
 //!
 //! One artifact kind is persisted: **fsim stamps** — everything one
-//! fault-engine invocation produced: the per-pattern report rows, the
-//! individual detection events, and the *fault-list delta* (which faults
-//! flipped to detected, and where). Keyed by [`key_fsim`], which absorbs
-//! the entry fault-list state, so replaying the delta onto a list in that
-//! same state is bit-exact with re-running the engine.
+//! fault-engine invocation produced: the per-pattern report rows and the
+//! *fault-list delta* (which faults flipped to detected, and where). Keyed
+//! by [`key_fsim`], which absorbs the entry fault-list state, so replaying
+//! the delta onto a list in that same state is bit-exact with re-running
+//! the engine.
 //!
 //! The wrapper [`cached_fault_sim`] is the whole integration surface for
 //! the pipeline: call it where `fault_simulate_instances` would be called,
@@ -24,15 +24,12 @@ use crate::store::{EntryKind, Store};
 /// The persisted result of one fault-engine invocation.
 ///
 /// `list_updates` is the list *delta*, not the list: diffing detection
-/// flags before/after the engine call captures every fault the run flipped
-/// — including faults a dominance view marked by inheritance, which never
-/// surface as report detection events.
+/// flags before/after the engine call captures every fault the run flipped,
+/// faults a dominance view marked by inheritance included.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FsimStamps {
     /// Per-pattern `(cc, activated, detected)` report rows, in order.
     pub patterns: Vec<(u64, u32, u32)>,
-    /// Individual `(fault, cc, pattern)` detection events of the report.
-    pub report_detections: Vec<(usize, u64, usize)>,
     /// Faults the run newly detected: `(fault, cc, pattern)` stamps to
     /// replay onto the fault list.
     pub list_updates: Vec<(usize, u64, usize)>,
@@ -52,12 +49,6 @@ impl FsimStamps {
             w.u32(activated);
             w.u32(detected);
         }
-        w.write_len(self.report_detections.len());
-        for &(fault, cc, pattern) in &self.report_detections {
-            w.write_len(fault);
-            w.u64(cc);
-            w.write_len(pattern);
-        }
         w.write_len(self.list_updates.len());
         for &(fault, cc, pattern) in &self.list_updates {
             w.write_len(fault);
@@ -71,17 +62,6 @@ impl FsimStamps {
     /// Deserializes a cache payload; `None` on any malformation.
     #[must_use]
     pub fn decode(bytes: &[u8]) -> Option<FsimStamps> {
-        fn triples(r: &mut ByteReader<'_>) -> Option<Vec<(usize, u64, usize)>> {
-            let n = r.read_len()?;
-            if n > r.remaining() {
-                return None; // each triple is ≥ 24 bytes; reject absurd counts
-            }
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push((r.read_len()?, r.u64()?, r.read_len()?));
-            }
-            Some(out)
-        }
         let mut r = ByteReader::new(bytes);
         let n = r.read_len()?;
         if n > r.remaining() {
@@ -91,12 +71,17 @@ impl FsimStamps {
         for _ in 0..n {
             patterns.push((r.u64()?, r.u32()?, r.u32()?));
         }
-        let report_detections = triples(&mut r)?;
-        let list_updates = triples(&mut r)?;
+        let n = r.read_len()?;
+        if n > r.remaining() {
+            return None; // each triple is ≥ 24 bytes; reject absurd counts
+        }
+        let mut list_updates = Vec::with_capacity(n);
+        for _ in 0..n {
+            list_updates.push((r.read_len()?, r.u64()?, r.read_len()?));
+        }
         let untestable = r.u32()?;
         r.at_end().then_some(FsimStamps {
             patterns,
-            report_detections,
             list_updates,
             untestable,
         })
@@ -106,9 +91,8 @@ impl FsimStamps {
     /// over the wrong list would otherwise index out of bounds).
     #[must_use]
     pub fn bounded_by(&self, fault_count: usize) -> bool {
-        self.report_detections
+        self.list_updates
             .iter()
-            .chain(&self.list_updates)
             .all(|&(fault, _, _)| fault < fault_count)
     }
 
@@ -124,7 +108,6 @@ impl FsimStamps {
             .iter()
             .map(|p| (p.cc, p.activated, p.detected))
             .collect();
-        let report_detections = report.detections().to_vec();
         let list_updates = list
             .detected()
             .filter(|&(id, _, _, _)| !before.get(id).copied().unwrap_or(false))
@@ -132,7 +115,6 @@ impl FsimStamps {
             .collect();
         FsimStamps {
             patterns,
-            report_detections,
             list_updates,
             untestable: report.untestable_count(),
         }
@@ -150,9 +132,6 @@ impl FsimStamps {
         let mut report = FaultSimReport::new();
         for &(cc, activated, detected) in &self.patterns {
             report.record_pattern(cc, activated, detected);
-        }
-        for &(fault, cc, pattern) in &self.report_detections {
-            report.record_detection(fault, cc, pattern);
         }
         report.set_untestable(self.untestable);
         report
@@ -333,7 +312,6 @@ mod tests {
     fn stamps_codec_round_trips() {
         let stamps = FsimStamps {
             patterns: vec![(10, 4, 1), (11, 0, 0)],
-            report_detections: vec![(3, 10, 0)],
             list_updates: vec![(3, 10, 0), (5, 11, 1)],
             untestable: 2,
         };
@@ -601,7 +579,6 @@ mod tests {
         let key = Key(5);
         let stamps = FsimStamps {
             patterns: vec![(1, 1, 1)],
-            report_detections: vec![],
             list_updates: vec![(99, 1, 0)],
             untestable: 0,
         };

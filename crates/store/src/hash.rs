@@ -269,8 +269,8 @@ pub trait KeyedFault: SiteOverride {
 }
 
 /// Stuck-at universes are a pure function of the netlist structure, so the
-/// faults themselves add nothing; the guide's dominance, ordering, and
-/// untestable pruning are stuck-at constructs and key here.
+/// faults themselves add nothing; the guide's dominance and untestable
+/// pruning are stuck-at constructs and key here.
 impl KeyedFault for Fault {
     const MODEL_TAG: u8 = 0;
 
@@ -278,7 +278,12 @@ impl KeyedFault for Fault {
 
     fn absorb_guide(h: &mut CanonicalHasher, guide: &SimGuide<'_>) {
         h.bool(guide.dominance.is_some());
-        h.bool(guide.order_keys.is_some());
+        // Absorbed twice on purpose: this slot held the presence of the
+        // retired hardest-first ordering keys, which every product stuck-at
+        // guide set together with dominance, so keys keep their bytes and
+        // warm stores keep hitting (like the doubled `drop_detected` in
+        // `key_fsim`).
+        h.bool(guide.dominance.is_some());
         // The untestable bitmap changes the target set, and with it the
         // per-pattern tallies and the report's untestable row — so, unlike
         // `levels`, its *content* is key material.
@@ -310,7 +315,7 @@ impl KeyedFault for BridgeFault {
 
     fn absorb_guide(_h: &mut CanonicalHasher, guide: &SimGuide<'_>) {
         debug_assert!(
-            guide.dominance.is_none() && guide.order_keys.is_none() && guide.untestable.is_none(),
+            guide.dominance.is_none() && guide.untestable.is_none(),
             "bridging guides carry only the levelization"
         );
     }

@@ -41,9 +41,11 @@ use crate::names;
 /// The entry-file magic.
 pub const MAGIC: [u8; 8] = *b"WSTLSTOR";
 
-/// The on-disk header layout version. Bump on any header change: old
-/// entries then degrade to misses (counted as `version_mismatch`).
-pub const FORMAT_VERSION: u32 = 1;
+/// The on-disk entry layout version. Bump on any header or payload layout
+/// change: old entries then degrade to misses (counted as
+/// `version_mismatch`) that `cache gc` reclaims, never a misread replay.
+/// v2: fsim stamps no longer carry the report's detection log.
+pub const FORMAT_VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 8 + 4 + 1 + 8 + 16;
 

@@ -208,6 +208,20 @@ cmp "$SMOKE_DIR/tdf-t1.out" "$SMOKE_DIR/tdf-auto.out" || {
 }
 echo "tdf OK: extension_tdf output identical at WARPSTL_THREADS=1 and auto"
 
+echo "== reorder smoke test =="
+# Small-Block reordering reads first detections per clock cycle from the
+# Fault Sim Report's rows, which sum worker tallies in no fixed order: the
+# extension experiment's output must not depend on the worker count.
+WARPSTL_SCALE=64 WARPSTL_THREADS=1 cargo run -q --release -p warpstl-bench \
+    --bin extension_reorder > "$SMOKE_DIR/reorder-t1.out" 2>/dev/null || exit 1
+WARPSTL_SCALE=64 cargo run -q --release -p warpstl-bench \
+    --bin extension_reorder > "$SMOKE_DIR/reorder-auto.out" 2>/dev/null || exit 1
+cmp "$SMOKE_DIR/reorder-t1.out" "$SMOKE_DIR/reorder-auto.out" || {
+    echo "extension_reorder output differs between WARPSTL_THREADS=1 and auto" >&2
+    exit 1
+}
+echo "reorder OK: extension_reorder output identical at WARPSTL_THREADS=1 and auto"
+
 echo "== bridging smoke test =="
 # Bridging runs on the shared threaded engine: its report JSON must not
 # depend on the worker count, and a warm --cache-dir rerun must hit the
