@@ -26,8 +26,8 @@
 //! when one input of a 2-input gate is implied constant at its
 //! non-controlling value, the gate degenerates to a buffer or inverter of
 //! the other pin, making that pin's faults behaviorally identical to the
-//! output's — extra edges for the dominance view, beyond what structural
-//! collapsing sees. Nets that are *reachable* yet have both stem
+//! output's — equivalences beyond what structural collapsing sees, which
+//! spread untestability proofs across the merged classes. Nets that are *reachable* yet have both stem
 //! polarities proven untestable are flagged by the `redundant-logic` lint:
 //! the logic they compute provably never influences an output under any
 //! input.

@@ -1,9 +1,9 @@
 //! Criterion benches for the parallel fault-simulation engine.
 //!
 //! Times the engine (`fault_simulate`) at several thread counts, with and
-//! without a live recorder, and drop-mode runs with and without static
-//! guidance, on the Decoder Unit and on the SFU datapath; plus one
-//! single-thread kernel row per module at 512 patterns. Non-drop mode is
+//! without a live recorder, and a single-thread drop-mode run, on the
+//! Decoder Unit and on the SFU datapath; plus one single-thread kernel row
+//! per module at 512 patterns. Non-drop mode is
 //! used where runs should process the same work regardless of detection
 //! order. Run with `cargo bench -p warpstl-bench --bench fsim`.
 
@@ -95,9 +95,7 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
         );
     });
 
-    // Dominance collapsing vs the equivalence-only baseline, both in drop
-    // mode (dominance only activates there): the static-analysis payoff.
-    let dominance = universe.dominance(netlist);
+    // Drop mode, single thread: the mode the compaction flow runs.
     let drop1 = FaultSimConfig {
         threads: 1,
         ..FaultSimConfig::default()
@@ -106,17 +104,6 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
         b.iter_batched(
             || FaultList::new(&universe),
             |mut list| fault_simulate(netlist, &pats, &mut list, &drop1),
-            BatchSize::SmallInput,
-        );
-    });
-    let guide = SimGuide {
-        dominance: Some(&dominance),
-        ..SimGuide::default()
-    };
-    c.bench_function(&format!("fsim/{name}/drop/guided"), |b| {
-        b.iter_batched(
-            || FaultList::new(&universe),
-            |mut list| fault_simulate_guided(netlist, &pats, &mut list, &drop1, None, &guide),
             BatchSize::SmallInput,
         );
     });

@@ -497,8 +497,9 @@ fn lint(args: &[String]) -> CliResult {
 }
 
 /// Statically analyzes one module netlist: SCOAP testability measures,
-/// fault dominance on top of the equivalence-collapsed universe, and the
-/// structural lints the compaction pipeline runs as its pre-simulation
+/// the fault-dominance relation on top of the equivalence-collapsed
+/// universe (an analysis count: the fault engine simulates every class),
+/// and the structural lints the compaction pipeline runs as its pre-simulation
 /// gate. Exits nonzero (via `Err`) when a lint error fires; warnings print
 /// but pass.
 fn analyze(args: &[String]) -> CliResult {
@@ -540,7 +541,7 @@ fn analyze(args: &[String]) -> CliResult {
             levels.ranks(),
             levels.segments().len(),
         );
-        // The fault model (and with it the dominance view) is only
+        // The fault model (and with it the dominance relation) is only
         // defined on netlists that pass the lint gate — that is what the
         // gate protects the pipeline from.
         if analysis.is_clean() {
@@ -555,7 +556,8 @@ fn analyze(args: &[String]) -> CliResult {
                         universe.collapse_ratio() * 100.0
                     );
                     println!(
-                        "dominance  {} direct + {} dominated ({:.1} % of classes simulated)",
+                        "dominance  {} undominated + {} dominated class(es) ({:.1} % undominated; \
+                         analysis only, every class is simulated)",
                         dominance.direct().len(),
                         dominance.removed().len(),
                         dominance.reduction_ratio() * 100.0

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use warpstl_analyze::{analyze, Analysis};
 use warpstl_fault::{
-    BridgeConfig, BridgeList, BridgeUniverse, DominanceView, Fault, FaultId, FaultList, FaultModel,
+    BridgeConfig, BridgeList, BridgeUniverse, Fault, FaultId, FaultList, FaultModel,
     FaultSimConfig, FaultSimReport, FaultSite, FaultStatus, FaultUniverse, Polarity, SimGuide,
 };
 use warpstl_gpu::ModulePatterns;
@@ -42,7 +42,6 @@ pub struct ModuleContext {
     /// its fault model.
     ledger: Ledger,
     analysis: Analysis,
-    dominance: DominanceView,
     levels: Levelization,
     /// Per collapsed-class flag: statically proven untestable.
     untestable: Vec<bool>,
@@ -57,9 +56,9 @@ pub(crate) enum Ledger {
     /// marked.
     StuckAt(Vec<FaultList>),
     /// Lists over a deterministically sampled two-net bridge universe.
-    /// Untestability proofs and dominance are stuck-at constructs, so
-    /// bridging lists carry neither — every sampled bridge counts in the
-    /// coverage denominator.
+    /// Untestability proofs are a stuck-at construct, so bridging lists
+    /// carry none — every sampled bridge counts in the coverage
+    /// denominator.
     Bridging(Vec<BridgeList>),
 }
 
@@ -148,8 +147,8 @@ impl Ledger {
     /// per-instance reports in instance order (`None` where the stream was
     /// empty or the mask selects no fault, and that list untouched).
     /// `guide` is the stuck-at guide of the module; bridging takes only
-    /// its levelization, since dominance and untestability index
-    /// the stuck-at universe.
+    /// its levelization, since the untestability bitmap indexes the
+    /// stuck-at universe.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn simulate(
         &mut self,
@@ -187,18 +186,17 @@ impl Ledger {
     }
 }
 
-/// Maps the analyzer's per-site untestability proofs and equivalence
-/// merges onto the collapsed fault classes of `universe`: the returned
-/// bitmap flags every class with a proven-untestable member (equivalent
-/// faults share test sets, so one proven member condemns the class), and
-/// the pairs are `(pin-fault class, output-fault class)` equivalences for
-/// the dominance view. Untestability propagates across the pairs before
-/// they are returned.
+/// Maps the analyzer's per-site untestability proofs onto the collapsed
+/// fault classes of `universe`: the returned bitmap flags every class with
+/// a proven-untestable member (equivalent faults share test sets, so one
+/// proven member condemns the class). The analyzer's equivalence merges,
+/// `(pin-fault class, output-fault class)` pairs, spread untestability
+/// further: a proof on either class of a pair condemns both.
 fn map_untestability(
     netlist: &Netlist,
     universe: &FaultUniverse,
     analysis: &Analysis,
-) -> (Vec<bool>, Vec<(FaultId, FaultId)>) {
+) -> Vec<bool> {
     let unt = &analysis.untestable;
     let mut bitmap = vec![false; universe.collapsed_len()];
     let rep = |site: FaultSite, stuck: bool| {
@@ -249,19 +247,18 @@ fn map_untestability(
             break;
         }
     }
-    (bitmap, pairs)
+    bitmap
 }
 
 impl ModuleContext {
     /// Builds the context for `module` with `instances` fault lists.
     ///
     /// The one-pass static analysis (SCOAP measures, lints, implication
-    /// closure), the dominance view — strengthened with the analyzer's
-    /// implication-derived fault equivalences — and the untestability
-    /// bitmap all run here, once per module; every PTP compacted against
-    /// this context reuses them. Each fault list is born with the proven
-    /// classes [marked untestable](FaultList::mark_untestable), so
-    /// coverage denominators count testable faults only.
+    /// closure) and the untestability bitmap it proves run here, once per
+    /// module; every PTP compacted against this context reuses them. Each
+    /// fault list is born with the proven classes
+    /// [marked untestable](FaultList::mark_untestable), so coverage
+    /// denominators count testable faults only.
     ///
     /// # Panics
     ///
@@ -281,9 +278,7 @@ impl ModuleContext {
             analysis.report
         );
         let universe = FaultUniverse::enumerate(&netlist);
-        let (untestable, equiv_pairs) = map_untestability(&netlist, &universe, &analysis);
-        let mut dominance = universe.dominance(&netlist);
-        dominance.extend_with_equivalences(&equiv_pairs);
+        let untestable = map_untestability(&netlist, &universe, &analysis);
         let lists = (0..instances)
             .map(|_| {
                 let mut l = FaultList::new(&universe);
@@ -300,7 +295,6 @@ impl ModuleContext {
             universe,
             ledger,
             analysis,
-            dominance,
             levels,
             untestable,
             store: None,
@@ -374,12 +368,6 @@ impl ModuleContext {
         &self.analysis
     }
 
-    /// The module's fault-dominance view over the collapsed universe.
-    #[must_use]
-    pub fn dominance(&self) -> &DominanceView {
-        &self.dominance
-    }
-
     /// The module's levelization (rank-major gate ordering); the levelized
     /// simulation kernel evaluates over it.
     #[must_use]
@@ -400,13 +388,12 @@ impl ModuleContext {
         self.ledger.untestable_count()
     }
 
-    /// The simulation guide (dominance + untestable pruning + levelization)
-    /// borrowed from this context — hand it to
+    /// The simulation guide (untestable pruning + levelization) borrowed
+    /// from this context — hand it to
     /// [`fault_simulate_guided`](warpstl_fault::fault_simulate_guided).
     #[must_use]
     pub fn sim_guide(&self) -> SimGuide<'_> {
         SimGuide {
-            dominance: Some(&self.dominance),
             untestable: Some(&self.untestable),
             targets: None,
             levels: Some(&self.levels),
@@ -439,7 +426,6 @@ impl ModuleContext {
         // Built field by field so the guide and cache borrow beside the
         // mutable ledger.
         let guide = SimGuide {
-            dominance: Some(&self.dominance),
             untestable: Some(&self.untestable),
             targets: None,
             levels: Some(&self.levels),
@@ -545,14 +531,12 @@ mod tests {
     #[test]
     fn context_carries_analysis_products() {
         let c = ModuleContext::new(ModuleKind::DecoderUnit, 1);
-        // Bundled modules pass the lint gate.
+        // Bundled modules pass the lint gate...
         assert!(c.analysis().is_clean());
-        // Dominance genuinely shrinks the collapsed universe...
-        assert!(!c.dominance().is_identity());
-        assert!(c.dominance().reduction_ratio() < 1.0);
-        // ...and the guide carries the dominance view and the levelization.
+        // ...and the guide carries the untestability proofs and the
+        // levelization.
         let guide = c.sim_guide();
-        assert!(guide.dominance.is_some() && guide.levels.is_some());
+        assert!(guide.untestable.is_some() && guide.levels.is_some());
     }
 
     #[test]

@@ -25,12 +25,10 @@ use crate::{label_instructions, CompactionError, CompactionReport, ModuleContext
 /// Each stamp indexes the stream of the run that wrote it. A fault outside
 /// `dropped_before` was newly detected by stage 3a: its stamp
 /// (`stage3a_stamp`, from the shared ledger) indexes `simulated`, the
-/// stream stage 3a ran — reversed for SFU_IMM. An inherited dominator
-/// carries its supporter's stamp, whose row detects it too. A fault in
+/// stream stage 3a ran — reversed for SFU_IMM. A fault in
 /// `dropped_before` was re-detected by the masked D(P) run: its stamp
 /// (`rerun_stamp`, from the scratch ledger) indexes `original`, which is
-/// `P.distinct()`. Stamps are only read here, never written to a ledger,
-/// so no dominance inheritance ever sees a copied one.
+/// `P.distinct()`. Stamps are only read here, never written to a ledger.
 fn witnessed(
     dropped_before: &[bool],
     stage3a_stamp: impl Fn(FaultId) -> Option<usize>,
@@ -412,10 +410,9 @@ impl Compactor {
                 )
             })
             .collect();
-        // The run leaves W out instead of pre-marking it, so no copied
-        // stamp feeds dominance inheritance; W joins its flags afterwards.
-        // With new rows and an empty W it stays unmasked, keeping its
-        // store key.
+        // The run leaves W out instead of pre-marking it; W joins its
+        // flags afterwards. With new rows and an empty W it stays
+        // unmasked, keeping its store key.
         let masks: Vec<Option<Vec<bool>>> = cptp
             .iter()
             .zip(&original)

@@ -1,10 +1,9 @@
-//! Fault dominance collapsing layered on the equivalence classes of a
+//! Fault dominance layered on the equivalence classes of a
 //! [`FaultUniverse`].
 //!
 //! Fault *f* dominates fault *g* when every test detecting *g* also
-//! detects *f* — so once *g* is detected, *f* needs no simulation of its
-//! own. The classic per-gate rules (for single-pattern, combinational
-//! detection):
+//! detects *f*. The classic per-gate rules (for single-pattern,
+//! combinational detection):
 //!
 //! | gate | removed dominator | supporters |
 //! |------|-------------------|------------|
@@ -19,11 +18,11 @@
 //!
 //! Equivalent faults have identical test sets, so the relation lifts
 //! soundly to the equivalence classes of the universe: class *F*
-//! dominates class *G* iff any members do. The engine then simulates only
-//! the non-dominator classes directly; dominators *inherit* detection
-//! from their supporters, and anything left undetected gets a residual
-//! pass — reported coverage is identical to simulating every class (see
-//! `crates/fault/src/engine.rs`).
+//! dominates class *G* iff any members do.
+//!
+//! The view is an analysis product: `warpstl analyze` prints it. The
+//! fault engine simulates every class, so each detection carries the
+//! class's own first-detection stamp.
 //!
 //! Dominance is **per-pattern** reasoning: with state, the dominator's
 //! faulty machine and the supporter's faulty machine diverge over time.
@@ -33,9 +32,10 @@ use warpstl_netlist::{GateKind, NetId, Netlist};
 
 use crate::{Fault, FaultId, FaultSite, FaultUniverse, Polarity};
 
-/// A dominance-reduced view of a [`FaultUniverse`]: which equivalence
-/// classes must be simulated directly, and which are *removed* because
-/// detecting any of their supporters implies their detection.
+/// The dominance relation over a [`FaultUniverse`]'s equivalence classes:
+/// which classes are *dominated* (removed by dominance collapsing, because
+/// detecting any of their supporters implies their detection), with their
+/// supporters, and which are not.
 ///
 /// # Examples
 ///
@@ -60,9 +60,9 @@ pub struct DominanceView {
     /// `supporters[id]`: class ids whose detection implies `id`'s
     /// detection. Empty for direct classes.
     supporters: Vec<Vec<FaultId>>,
-    /// Class ids with no supporters — simulated directly.
+    /// Class ids with no supporters.
     direct: Vec<FaultId>,
-    /// Class ids with supporters — removed from direct simulation.
+    /// Class ids with supporters.
     removed: Vec<FaultId>,
 }
 
@@ -113,42 +113,7 @@ impl DominanceView {
         }
     }
 
-    /// Folds implication-derived fault equivalences into the view: each
-    /// `(dropped, kept)` pair states that the two classes have identical
-    /// test sets (proven statically, e.g. a gate degenerating to a buffer
-    /// because the other pin is implied constant). `dropped` becomes a
-    /// removed class supported by `kept`, strengthening the classic
-    /// per-gate dominance rules with netlist-global reasoning.
-    ///
-    /// Pairs where `dropped` is already removed (it already inherits), or
-    /// where `kept` is itself removed (would chain through an inherited
-    /// class), or degenerate `dropped == kept` pairs are skipped — the
-    /// engine's inheritance is single-level plus a residual pass, so
-    /// supporters must stay direct.
-    pub fn extend_with_equivalences(&mut self, pairs: &[(FaultId, FaultId)]) {
-        for &(dropped, kept) in pairs {
-            if dropped == kept
-                || dropped >= self.supporters.len()
-                || kept >= self.supporters.len()
-                || !self.supporters[dropped].is_empty()
-                || !self.supporters[kept].is_empty()
-            {
-                continue;
-            }
-            self.supporters[dropped].push(kept);
-        }
-        self.direct.clear();
-        self.removed.clear();
-        for (id, sups) in self.supporters.iter().enumerate() {
-            if sups.is_empty() {
-                self.direct.push(id);
-            } else {
-                self.removed.push(id);
-            }
-        }
-    }
-
-    /// Class ids to simulate directly, ascending.
+    /// Class ids no other class dominates, ascending.
     #[must_use]
     pub fn direct(&self) -> &[FaultId] {
         &self.direct
@@ -167,20 +132,8 @@ impl DominanceView {
         &self.supporters[id]
     }
 
-    /// Whether `id` is a removed dominator.
-    #[must_use]
-    pub fn is_removed(&self, id: FaultId) -> bool {
-        !self.supporters[id].is_empty()
-    }
-
-    /// Whether the view removes nothing (sequential netlist, or no
-    /// applicable gates).
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        self.removed.is_empty()
-    }
-
-    /// Fraction of classes needing direct simulation (1.0 for identity).
+    /// Fraction of classes dominance collapsing keeps (1.0 when nothing
+    /// is dominated).
     #[must_use]
     pub fn reduction_ratio(&self) -> f64 {
         let total = self.supporters.len();
@@ -209,12 +162,15 @@ mod tests {
         let z_sa1 = u
             .rep_of(Fault::new(FaultSite::Output(z), Polarity::Sa1))
             .unwrap();
-        assert!(dom.is_removed(z_sa1));
+        assert_eq!(dom.removed(), &[z_sa1]);
         assert_eq!(dom.supporters(z_sa1).len(), 2);
         for &s in dom.supporters(z_sa1) {
-            assert!(!dom.is_removed(s), "supporter must be direct here");
+            assert!(
+                dom.supporters(s).is_empty(),
+                "supporter must be direct here"
+            );
         }
-        assert!(!dom.is_identity());
+        assert!(!dom.removed().is_empty());
         assert!(dom.reduction_ratio() < 1.0);
     }
 
@@ -228,40 +184,9 @@ mod tests {
         let n = b.finish();
         let u = FaultUniverse::enumerate(&n);
         let dom = u.dominance(&n);
-        assert!(dom.is_identity());
+        assert!(dom.removed().is_empty());
         assert_eq!(dom.direct().len(), u.collapsed_len());
         assert_eq!(dom.reduction_ratio(), 1.0);
-    }
-
-    #[test]
-    fn equivalence_pairs_extend_the_view() {
-        let mut b = Builder::new("xor2");
-        let x = b.input("x");
-        let y = b.input("y");
-        let z = b.xor(x, y);
-        b.output("z", z);
-        let n = b.finish();
-        let u = FaultUniverse::enumerate(&n);
-        let mut dom = u.dominance(&n);
-        assert!(dom.is_identity());
-        let pin_sa0 = u
-            .rep_of(Fault::new(FaultSite::InputPin(z, 0), Polarity::Sa0))
-            .unwrap();
-        let out_sa0 = u
-            .rep_of(Fault::new(FaultSite::Output(z), Polarity::Sa0))
-            .unwrap();
-        dom.extend_with_equivalences(&[
-            (pin_sa0, out_sa0),
-            (pin_sa0, pin_sa0),        // degenerate: skipped
-            (out_sa0, pin_sa0),        // kept already removed: skipped
-            (usize::MAX - 1, out_sa0), // out of range: skipped
-        ]);
-        assert!(dom.is_removed(pin_sa0));
-        assert_eq!(dom.supporters(pin_sa0), &[out_sa0]);
-        // The reverse pair was skipped: its kept class is already removed.
-        assert!(!dom.is_removed(out_sa0));
-        assert_eq!(dom.direct().len() + dom.removed().len(), u.collapsed_len());
-        assert!(!dom.is_identity());
     }
 
     #[test]
@@ -276,12 +201,12 @@ mod tests {
         assert!(!n.is_combinational());
         let u = FaultUniverse::enumerate(&n);
         let dom = u.dominance(&n);
-        assert!(dom.is_identity());
         assert!(dom.removed().is_empty());
+        assert_eq!(dom.direct().len(), u.collapsed_len());
     }
 
     #[test]
-    fn module_dominance_shrinks_the_target_list() {
+    fn module_dominance_removes_classes() {
         for kind in warpstl_netlist::modules::ModuleKind::ALL {
             let n = kind.build();
             let u = FaultUniverse::enumerate(&n);
@@ -293,7 +218,7 @@ mod tests {
                 kind.name()
             );
             assert!(
-                !dom.is_identity(),
+                !dom.removed().is_empty(),
                 "{}: bundled modules all contain AND/OR logic",
                 kind.name()
             );

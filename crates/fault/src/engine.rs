@@ -188,53 +188,6 @@ pub(crate) fn walk_windows(
     }
 }
 
-/// Simulates one target list of a per-instance run over the whole stream
-/// on the window schedule ([`walk_windows`]): marks first detections on
-/// `list` and adds per-pattern tallies into the caller's accumulators.
-/// Guided runs call this once per phase (direct targets, residual
-/// dominators), so the caller turns the tallies into `record_pattern`
-/// rows once. `W` is the kernel's block width in words.
-fn simulate_targets<F: SiteOverride, const W: usize>(
-    ctx: &Ctx<'_>,
-    mut targets: Vec<FaultId>,
-    list: &mut FaultList<F>,
-    activated_per_pattern: &mut [u32],
-    detected_per_pattern: &mut [u32],
-    obs: Obs<'_>,
-) {
-    let drop = ctx.config.drop_detected;
-    walk_windows(
-        ctx.patterns.len(),
-        usize::MAX,
-        &mut targets,
-        obs,
-        |targets, (p0, p1)| {
-            let outs = fan_out_batches(
-                &ctx.config,
-                targets,
-                |id| (id, list.fault(id)),
-                |batches, next| run_batches_kernel::<F, W>(ctx, batches, next, obs, (p0, p1)),
-            );
-            if obs.enabled() {
-                obs.add(names::FSIM_TARGET_FAULTS, targets.len() as u64);
-                obs.add(names::FSIM_WORKERS, outs.len() as u64);
-            }
-            for w in outs {
-                for (k, (&a, &d)) in w.activated.iter().zip(&w.detected).enumerate() {
-                    activated_per_pattern[p0 + k] += a;
-                    detected_per_pattern[p0 + k] += d;
-                }
-                for (fid, t) in w.detections {
-                    list.mark_detected(fid, ctx.patterns.cc(t), t);
-                }
-            }
-            if drop {
-                targets.retain(|&id| matches!(list.status(id), FaultStatus::Undetected));
-            }
-        },
-    );
-}
-
 /// The targets of one run over `list`: its undetected faults in drop mode
 /// (every fault otherwise) within the guide's target mask, minus the
 /// statically proven untestable ones, whose count comes second.
@@ -313,18 +266,10 @@ impl<'g> Layout<'g> {
 }
 
 /// The engine behind [`fault_simulate_guided`](crate::fault_simulate_guided)
-/// and every other entry point: plans the targets, walks each target list
-/// over the window schedule ([`walk_windows`]), and applies the guide.
-///
-/// **Dominance reduction** (`guide.dominance`, drop mode only): removed
-/// dominator classes are excluded from direct simulation. After the direct
-/// pass they *inherit* detection from their earliest-detected supporter
-/// (iterated to a fixpoint — supporters may themselves be inherited
-/// dominators), and whatever remains undetected gets an explicit residual
-/// pass. The final detected set — and therefore the reported coverage — is
-/// identical to simulating every class: a supporter detection implies the
-/// dominator is detectable by that very pattern, and undetected dominators
-/// are still simulated for real.
+/// and every other entry point: plans the targets and simulates them over
+/// the whole stream in one pass on the window schedule ([`walk_windows`]),
+/// marking first detections on `list` and turning the per-pattern tallies
+/// into the report's rows.
 ///
 /// `W` is the kernel's block width in words: [`crate::kernel::BLOCK_WORDS`]
 /// for every public entry point; only in-crate tests pick another.
@@ -362,7 +307,7 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
     // set is unchanged, but the engine stops paying for their cones. A
     // target mask restricts the candidates first, so the untestable row
     // counts masked-in faults only.
-    let (targets, untestable) = run_targets(list, config, guide);
+    let (mut targets, untestable) = run_targets(list, config, guide);
     report.set_untestable(untestable as u32);
 
     let layout = Layout::of(netlist, guide);
@@ -383,94 +328,31 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
         );
     }
 
-    // Dominance is per-pattern reasoning over *first* detections; in
-    // non-drop mode every pattern's observations are reported, so the
-    // reduction would change the per-pattern stats. Apply it in drop mode
-    // only.
-    let dominance = guide
-        .dominance
-        .filter(|d| !d.is_identity() && config.drop_detected);
-    match dominance {
-        None => {
-            simulate_targets::<F, W>(
-                &ctx,
-                targets,
-                list,
-                &mut activated_per_pattern,
-                &mut detected_per_pattern,
-                obs,
-            );
+    let drop = config.drop_detected;
+    walk_windows(n_pat, usize::MAX, &mut targets, obs, |targets, (p0, p1)| {
+        let outs = fan_out_batches(
+            config,
+            targets,
+            |id| (id, list.fault(id)),
+            |batches, next| run_batches_kernel::<F, W>(&ctx, batches, next, obs, (p0, p1)),
+        );
+        if obs.enabled() {
+            obs.add(names::FSIM_TARGET_FAULTS, targets.len() as u64);
+            obs.add(names::FSIM_WORKERS, outs.len() as u64);
         }
-        Some(dom) => {
-            // Phase 1: simulate the non-dominator classes directly.
-            let (direct, deferred): (Vec<FaultId>, Vec<FaultId>) =
-                targets.iter().partition(|&&id| !dom.is_removed(id));
-            simulate_targets::<F, W>(
-                &ctx,
-                direct,
-                list,
-                &mut activated_per_pattern,
-                &mut detected_per_pattern,
-                obs,
-            );
-            // Phase 2: removed dominators inherit detection from their
-            // earliest-detected supporter. Iterate to a fixpoint:
-            // supporters can themselves be dominators whose detection
-            // only appears in a previous sweep.
-            let mut inherited = 0u64;
-            loop {
-                let mut changed = false;
-                for &id in &deferred {
-                    if !matches!(list.status(id), FaultStatus::Undetected) {
-                        continue;
-                    }
-                    let mut best: Option<(usize, u64)> = None;
-                    for &s in dom.supporters(id) {
-                        if let FaultStatus::Detected { cc, pattern, .. } = list.status(s) {
-                            if best.is_none_or(|(bt, _)| pattern < bt) {
-                                best = Some((pattern, cc));
-                            }
-                        }
-                    }
-                    if let Some((t, cc)) = best {
-                        list.mark_detected(id, cc, t);
-                        // Supporters detected in a previous run carry that
-                        // run's pattern index; only stamps from this
-                        // sequence can be tallied per pattern.
-                        if t < n_pat {
-                            detected_per_pattern[t] += 1;
-                        }
-                        inherited += 1;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
+        for w in outs {
+            for (k, (&a, &d)) in w.activated.iter().zip(&w.detected).enumerate() {
+                activated_per_pattern[p0 + k] += a;
+                detected_per_pattern[p0 + k] += d;
             }
-            // Phase 3: dominators nothing vouched for are simulated after
-            // all — they may still be detectable by patterns that detect
-            // none of their supporters.
-            let residual: Vec<FaultId> = deferred
-                .iter()
-                .copied()
-                .filter(|&id| matches!(list.status(id), FaultStatus::Undetected))
-                .collect();
-            if obs.enabled() {
-                obs.add(names::FSIM_DOMINANCE_REMOVED, deferred.len() as u64);
-                obs.add(names::FSIM_DOMINANCE_INHERITED, inherited);
-                obs.add(names::FSIM_DOMINANCE_RESIDUAL, residual.len() as u64);
+            for (fid, t) in w.detections {
+                list.mark_detected(fid, patterns.cc(t), t);
             }
-            simulate_targets::<F, W>(
-                &ctx,
-                residual,
-                list,
-                &mut activated_per_pattern,
-                &mut detected_per_pattern,
-                obs,
-            );
         }
-    }
+        if drop {
+            targets.retain(|&id| matches!(list.status(id), FaultStatus::Undetected));
+        }
+    });
 
     for t in 0..n_pat {
         report.record_pattern(

@@ -18,8 +18,8 @@
 //! 2. **Stamped runs.** The unchanged per-instance engine runs once per
 //!    instance, with every target settled: a block reads its detect word
 //!    from the stamp instead of propagating (see `kernel.rs`). The window
-//!    schedule, dominance phases and tallies are the engine's own, so
-//!    reports and lists are byte-identical.
+//!    schedule and tallies are the engine's own, so reports and lists are
+//!    byte-identical.
 //!
 //! **Why the stamps are exact.** On a combinational module a row's
 //! detections do not depend on what precedes it or on repeats. Instance
@@ -107,7 +107,7 @@ fn settle<F: SiteOverride>(
         return None;
     }
     // Instance i's targets are exactly what its own run targets, so the
-    // stamped runs never propagate (dominance-removed classes included).
+    // stamped runs never propagate.
     let n = lists.first().map_or(0, FaultList::len);
     let mut open = vec![0u64; n];
     let mut members = Vec::new();

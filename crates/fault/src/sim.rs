@@ -2,7 +2,7 @@
 
 use warpstl_netlist::{Levelization, Netlist, PatternSeq};
 
-use crate::{DominanceView, FaultList, FaultSimReport, SiteOverride};
+use crate::{FaultList, FaultSimReport, SiteOverride};
 
 /// The names the `--sim-backend` flag, the serve `options.backend` field
 /// and the campaign `backends` axis accept.
@@ -91,17 +91,12 @@ impl Default for FaultSimConfig {
 
 /// Static-analysis guidance for a fault-simulation run — the bridge from
 /// `warpstl-analyze` to the engine without a crate dependency: the
-/// analyzer's untestability proofs travel as a plain per-fault slice, and
-/// the universe's own [`DominanceView`] travels by reference.
+/// analyzer's untestability proofs travel as a plain per-fault slice.
 ///
 /// Every field is optional and independent; the default (all `None`)
 /// makes [`fault_simulate_guided`] behave exactly like [`fault_simulate`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimGuide<'a> {
-    /// Dominance-reduced view of the target universe: removed dominator
-    /// classes inherit detection from their supporters instead of being
-    /// simulated directly (drop mode only; identity views are ignored).
-    pub dominance: Option<&'a DominanceView>,
     /// Per-fault untestability bitmap, indexed by [`FaultId`](crate::FaultId): classes the
     /// static implication engine proved redundant are excluded from the
     /// target list entirely — they can never be detected, so the detected
@@ -115,13 +110,9 @@ pub struct SimGuide<'a> {
     /// the testable ones), so its detected set is the unmasked run's
     /// detected set restricted to the mask, and the report's untestable
     /// row counts only masked-in untestable faults. Entries beyond the
-    /// slice are masked out. Every fault model honors it. Like `untestable`, the mask changes the report, so its content
-    /// is key material (`key_fsim`).
-    ///
-    /// Dominance inheritance reads the detection of *any* supporter in
-    /// the list, so a masked run is only a restriction of the unmasked one
-    /// on a list whose detections all came from real runs — never steer
-    /// a run by pre-marking faults detected.
+    /// slice are masked out. Every fault model honors it. Like
+    /// `untestable`, the mask changes the report, so its content is key
+    /// material (`key_fsim`).
     pub targets: Option<&'a [bool]>,
     /// Precomputed [`Levelization`] of the netlist (rank-major SoA layout
     /// for the levelized kernel). Purely an accelerator: when `None` the
@@ -210,9 +201,8 @@ pub fn fault_simulate<F: SiteOverride>(
 }
 
 /// [`fault_simulate`] with an observability handle and guidance: a
-/// [`SimGuide`] carrying an optional [`DominanceView`] (simulate fewer
-/// classes, inherit the rest), an untestability bitmap, a target mask and
-/// the cached levelization.
+/// [`SimGuide`] carrying an optional untestability bitmap, target mask and
+/// cached levelization.
 ///
 /// When `obs` is `Some(recorder)`, the engine emits `fsim.run` /
 /// `fsim.worker` / `fsim.kernel` spans and its internal counters (batches,
@@ -220,12 +210,10 @@ pub fn fault_simulate<F: SiteOverride>(
 /// the disabled path reads no clock and takes no lock. With `None` and
 /// [`SimGuide::default`] this is exactly [`fault_simulate`].
 ///
-/// The *detected fault set* — and therefore [`FaultList::coverage`] — is
-/// identical to the unguided run over the same patterns: dominators
-/// inherit detection only from supporters whose tests provably detect
-/// them, and uninherited dominators are still simulated in a residual
-/// pass. Detection stamps of inherited faults may differ (they take the
-/// supporter's earliest stamp).
+/// Every target is simulated in one pass, so each detected fault carries
+/// its own first-detection stamp. Pruning proven-untestable faults leaves
+/// the detected set and every stamp unchanged (the proofs are sound); a
+/// target mask restricts the detected set to the mask.
 ///
 /// # Panics
 ///
@@ -247,15 +235,16 @@ pub fn fault_simulate<F: SiteOverride>(
 /// let n = b.finish();
 ///
 /// let universe = FaultUniverse::enumerate(&n);
-/// let dominance = universe.dominance(&n);
 /// let mut list = FaultList::new(&universe);
 /// let mut pats = PatternSeq::new(2);
 /// for (cc, v) in [(0, 0b11), (1, 0b01), (2, 0b10)] {
 ///     pats.push_value(cc, v);
 /// }
-/// let guide = SimGuide { dominance: Some(&dominance), ..SimGuide::default() };
+/// // These patterns detect every fault; the mask keeps the first half.
+/// let mask: Vec<bool> = (0..list.len()).map(|id| 2 * id < list.len()).collect();
+/// let guide = SimGuide { targets: Some(&mask), ..SimGuide::default() };
 /// fault_simulate_guided(&n, &pats, &mut list, &FaultSimConfig::default(), None, &guide);
-/// assert_eq!(list.coverage(), 1.0); // identical to the unguided run
+/// assert_eq!(list.detection_flags(), mask);
 /// ```
 pub fn fault_simulate_guided<F: SiteOverride>(
     netlist: &Netlist,

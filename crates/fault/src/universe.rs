@@ -206,11 +206,12 @@ impl FaultUniverse {
         self.rep_of.get(&fault).map(|&i| i as usize)
     }
 
-    /// Layers fault-dominance collapsing on top of the equivalence
-    /// classes: a [`DominanceView`] naming which classes can be removed
-    /// from direct simulation because detecting one of their *supporters*
-    /// implies their detection. Identity (nothing removed) for sequential
-    /// netlists, where per-pattern dominance does not hold.
+    /// Layers fault dominance on top of the equivalence classes: a
+    /// [`DominanceView`] naming which classes dominance collapsing would
+    /// remove because detecting one of their *supporters* implies their
+    /// detection. An analysis product: the engine simulates every class.
+    /// Identity (nothing removed) for sequential netlists, where
+    /// per-pattern dominance does not hold.
     #[must_use]
     pub fn dominance(&self, netlist: &Netlist) -> DominanceView {
         DominanceView::build(self, netlist)

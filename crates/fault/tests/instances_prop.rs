@@ -5,8 +5,8 @@
 //! instance's report and fault-list report text are `==` to a
 //! `fault_simulate_guided` run of that instance alone. The lists carry
 //! faults detected beforehand by real runs, odd instances carry target
-//! masks, and dominance and untestable pruning switch on and off
-//! independently, at 1 and 2 worker threads.
+//! masks, and untestable pruning switches on and off, at 1 and 2 worker
+//! threads.
 //!
 //! The lock-step union pass runs exactly when the engine documents it:
 //! drop mode, a model that does not read the previous pattern, at least
@@ -110,26 +110,19 @@ fn streams(width: usize, k: usize, shape: Shape, len: usize, seed: u64) -> Vec<P
 struct Axes {
     drop: bool,
     threads: usize,
-    dominance: bool,
     untestable: bool,
     masked: bool,
 }
 
 fn axes() -> impl Strategy<Value = Axes> {
-    (
-        any::<bool>(),
-        1usize..=2,
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(drop, threads, dominance, untestable, masked)| Axes {
+    (any::<bool>(), 1usize..=2, any::<bool>(), any::<bool>()).prop_map(
+        |(drop, threads, untestable, masked)| Axes {
             drop,
             threads,
-            dominance,
             untestable,
             masked,
-        })
+        },
+    )
 }
 
 /// Whether the engine's rule puts this call on the union path, and the
@@ -186,12 +179,10 @@ fn check<F: SiteOverride + std::fmt::Display>(
     pre_len: usize,
     seed: u64,
     axes: Axes,
-    dominance: Option<&warpstl_fault::DominanceView>,
 ) -> Option<usize> {
     let n = fresh.len();
     let unt = flags(n, seed.rotate_left(31));
     let guide = SimGuide {
-        dominance: dominance.filter(|_| axes.dominance),
         untestable: axes.untestable.then_some(unt.as_slice()),
         ..SimGuide::default()
     };
@@ -284,11 +275,8 @@ proptest! {
     ) {
         let netlist = build_netlist(n_inputs, &specs);
         let universe = FaultUniverse::enumerate(&netlist);
-        let dominance = universe.dominance(&netlist);
         let s = streams(netlist.inputs().width(), k, shape, len, seed);
-        let union = check(
-            &netlist, FaultList::new(&universe), &s, pre_len, seed, axes, Some(&dominance),
-        );
+        let union = check(&netlist, FaultList::new(&universe), &s, pre_len, seed, axes);
         // Identical streams always share enough rows.
         if matches!(shape, Shape::Identical) && axes.drop && !axes.masked && pre_len == 0
             && !axes.untestable && k >= 2 && len > 0
@@ -314,7 +302,7 @@ proptest! {
         let netlist = build_netlist(n_inputs, &specs);
         let list = BridgeUniverse::sample(&netlist, &BridgeConfig::default()).new_list();
         let s = streams(netlist.inputs().width(), k, shape, len, seed);
-        check(&netlist, list, &s, pre_len, seed, axes, None);
+        check(&netlist, list, &s, pre_len, seed, axes);
     }
 
     #[test]
@@ -333,7 +321,7 @@ proptest! {
     ) {
         let netlist = build_netlist(n_inputs, &specs);
         let s = streams(netlist.inputs().width(), k, shape, len, seed);
-        let union = check(&netlist, TdfList::enumerate(&netlist), &s, pre_len, seed, axes, None);
+        let union = check(&netlist, TdfList::enumerate(&netlist), &s, pre_len, seed, axes);
         prop_assert!(union.is_none());
     }
 }
@@ -349,35 +337,25 @@ fn lock_step_lanes_take_the_union_path_on_every_axis() {
         .collect();
     let netlist = build_netlist(6, &specs);
     let universe = FaultUniverse::enumerate(&netlist);
-    let dominance = universe.dominance(&netlist);
     let bridges = BridgeUniverse::sample(&netlist, &BridgeConfig::default());
     let s = streams(netlist.inputs().width(), 8, Shape::Prologue, 256, 0x5eed);
     let total: usize = s.iter().map(PatternSeq::len).sum();
-    for bits in 0u32..32 {
+    for bits in 0u32..16 {
         let on = |b: u32| bits >> b & 1 == 1;
         let axes = Axes {
             drop: true,
             threads: 1 + usize::from(on(0)),
-            dominance: on(1),
-            untestable: on(2),
-            masked: on(3),
+            untestable: on(1),
+            masked: on(2),
         };
-        let pre_len = if on(4) { 3 } else { 0 };
+        let pre_len = if on(3) { 3 } else { 0 };
         let fresh = FaultList::new(&universe);
-        let union = check(&netlist, fresh, &s, pre_len, 0x5eed, axes, Some(&dominance));
+        let union = check(&netlist, fresh, &s, pre_len, 0x5eed, axes);
         assert!(
             union.is_some_and(|u| 4 * u < total),
             "{axes:?}: {union:?} of {total}"
         );
-        let union = check(
-            &netlist,
-            bridges.new_list(),
-            &s,
-            pre_len,
-            0x5eed,
-            axes,
-            None,
-        );
+        let union = check(&netlist, bridges.new_list(), &s, pre_len, 0x5eed, axes);
         assert!(
             union.is_some_and(|u| 4 * u < total),
             "{axes:?}: {union:?} of {total}"

@@ -1,12 +1,12 @@
 //! Set-level properties of the engine that standalone coverage evaluation
 //! relies on, on random combinational netlists, pattern streams and
-//! target masks, with the dominance guide on and off, and with 1 and 2
-//! worker threads:
+//! target masks, with 1 and 2 worker threads:
 //!
-//! 1. A run masked by [`SimGuide::targets`] on a fresh list detects
-//!    exactly the unmasked run's detected set intersected with the mask,
-//!    and its report's untestable row counts masked-in untestable faults
-//!    only. The unguided, unmasked run itself matches the serial oracle.
+//! 1. The unmasked run matches the serial oracle stamp for stamp, and a
+//!    run masked by [`SimGuide::targets`] on a fresh list detects exactly
+//!    the oracle's masked-in faults, with the oracle's stamps (pruned
+//!    untestable faults left out too). Its report's untestable row counts
+//!    masked-in untestable faults only.
 //! 2. A drop-mode run over `p.distinct()` detects the same set as a run
 //!    over `p` (rows repeat often here: the streams draw from few inputs).
 //!
@@ -45,11 +45,9 @@ fn mask(n: usize, seed: u64) -> Vec<bool> {
     draws(seed | 1).take(n).map(|v| v >> 40 & 1 == 1).collect()
 }
 
-/// Every dominance × thread-count cell of the matrix.
-fn matrix() -> impl Iterator<Item = (bool, usize)> {
-    [false, true]
-        .into_iter()
-        .flat_map(|dom| [1, 2].into_iter().map(move |t| (dom, t)))
+/// A list's first detections as `(fault, cc, pattern)`, ascending by fault.
+fn stamps(list: &FaultList) -> Vec<(usize, u64, usize)> {
+    list.detected().map(|(id, cc, t, _)| (id, cc, t)).collect()
 }
 
 proptest! {
@@ -69,7 +67,6 @@ proptest! {
         let netlist = build_netlist(n_inputs, &specs);
         prop_assert!(netlist.is_combinational());
         let universe = FaultUniverse::enumerate(&netlist);
-        let dominance = universe.dominance(&netlist);
         let p = patterns(netlist.inputs().width(), n_pat, seed);
         let targets = mask(universe.collapsed_len(), seed.rotate_left(17));
         let unt = mask(universe.collapsed_len(), seed.rotate_left(31));
@@ -82,30 +79,18 @@ proptest! {
             &FaultSimConfig { drop_detected: drop, threads: 1 },
         );
 
-        for (dom, threads) in matrix() {
+        for threads in [1, 2] {
             let cfg = FaultSimConfig { drop_detected: drop, threads };
-            let guide = SimGuide {
-                dominance: dom.then_some(&dominance),
-                ..SimGuide::default()
-            };
-            let masked_guide = SimGuide { targets: Some(&targets), ..guide };
+            let masked_guide = SimGuide { targets: Some(&targets), ..SimGuide::default() };
             let mut full = FaultList::new(&universe);
-            fault_simulate_guided(&netlist, &p, &mut full, &cfg, None, &guide);
-            if !dom {
-                prop_assert_eq!(full.to_report_text(), oracle.to_report_text());
-            }
+            fault_simulate_guided(&netlist, &p, &mut full, &cfg, None, &SimGuide::default());
+            prop_assert_eq!(full.to_report_text(), oracle.to_report_text());
+            // Faults are simulated independently, so a masked run stamps
+            // each masked-in fault exactly as the oracle does.
             let mut masked = FaultList::new(&universe);
             let report = fault_simulate_guided(&netlist, &p, &mut masked, &cfg, None, &masked_guide);
-            let expected: Vec<bool> = full
-                .detection_flags()
-                .iter()
-                .zip(&targets)
-                .map(|(&d, &m)| d && m)
-                .collect();
-            prop_assert_eq!(
-                masked.detection_flags(), expected,
-                "dominance={} threads={}", dom, threads
-            );
+            let expected: Vec<_> = stamps(&oracle).into_iter().filter(|s| targets[s.0]).collect();
+            prop_assert_eq!(stamps(&masked), expected, "threads={}", threads);
             prop_assert_eq!(report.untestable_count(), 0);
 
             // With pruning, the untestable row counts masked-in faults
@@ -116,6 +101,11 @@ proptest! {
             let report = fault_simulate_guided(&netlist, &p, &mut pruned, &cfg, None, &pruned_guide);
             let in_mask = targets.iter().zip(&unt).filter(|&(&m, &u)| m && u).count();
             prop_assert_eq!(report.untestable_count() as usize, in_mask);
+            let expected: Vec<_> = stamps(&oracle)
+                .into_iter()
+                .filter(|s| targets[s.0] && !unt[s.0])
+                .collect();
+            prop_assert_eq!(stamps(&pruned), expected, "threads={}", threads);
         }
     }
 
@@ -131,29 +121,24 @@ proptest! {
     ) {
         let netlist = build_netlist(n_inputs, &specs);
         let universe = FaultUniverse::enumerate(&netlist);
-        let dominance = universe.dominance(&netlist);
         let p = patterns(netlist.inputs().width(), n_pat, seed);
         let d = p.distinct();
         prop_assert!(d.len() <= 1 << n_inputs);
         let targets = mask(universe.collapsed_len(), seed.rotate_left(7));
 
-        for (dom, threads) in matrix() {
+        for threads in [1, 2] {
             let cfg = FaultSimConfig { threads, ..FaultSimConfig::default() };
-            let guide = SimGuide {
-                dominance: dom.then_some(&dominance),
-                ..SimGuide::default()
-            };
             // Unmasked and masked: the evaluation runs both kinds over
             // distinct rows.
-            for guide in [guide, SimGuide { targets: Some(&targets), ..guide }] {
+            let masked = SimGuide { targets: Some(&targets), ..SimGuide::default() };
+            for guide in [SimGuide::default(), masked] {
                 let mut over_p = FaultList::new(&universe);
                 fault_simulate_guided(&netlist, &p, &mut over_p, &cfg, None, &guide);
                 let mut over_d = FaultList::new(&universe);
                 fault_simulate_guided(&netlist, &d, &mut over_d, &cfg, None, &guide);
                 prop_assert_eq!(
                     over_d.detection_flags(), over_p.detection_flags(),
-                    "dominance={} threads={} masked={}",
-                    dom, threads, guide.targets.is_some()
+                    "threads={} masked={}", threads, guide.targets.is_some()
                 );
                 prop_assert_eq!(over_d.coverage().to_bits(), over_p.coverage().to_bits());
             }

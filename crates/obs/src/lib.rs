@@ -97,8 +97,8 @@ pub mod names {
     pub const FSIM_KERNEL_RUNS: &str = "fsim.kernel.runs";
     /// Patterns the per-instance runs applied.
     pub const FSIM_PATTERNS: &str = "fsim.patterns";
-    /// Target faults handed to the workers, summed over the target lists
-    /// of every per-instance run (direct, residual, and each window).
+    /// Target faults handed to the workers, summed over every window of
+    /// every per-instance run.
     pub const FSIM_TARGET_FAULTS: &str = "fsim.target_faults";
     /// Workers the target lists were spread over, summed.
     pub const FSIM_WORKERS: &str = "fsim.workers";
@@ -120,12 +120,6 @@ pub mod names {
     pub const FSIM_REPACK_SEGMENTS: &str = "fsim.repack_segments";
     /// Target classes a run pruned as statically proven untestable.
     pub const FSIM_UNTESTABLE_PRUNED: &str = "fsim.untestable_pruned";
-    /// Dominator classes removed from direct simulation.
-    pub const FSIM_DOMINANCE_REMOVED: &str = "fsim.dominance_removed";
-    /// Removed dominators that inherited a supporter's detection.
-    pub const FSIM_DOMINANCE_INHERITED: &str = "fsim.dominance_inherited";
-    /// Removed dominators simulated after all (nothing vouched for them).
-    pub const FSIM_DOMINANCE_RESIDUAL: &str = "fsim.dominance_residual";
     /// Detections the per-instance runs reported.
     pub const FSIM_DETECTIONS: &str = "fsim.detections";
     /// (fault, pattern) activations the per-instance runs tallied.

@@ -24,8 +24,8 @@ use crate::store::{EntryKind, Store};
 /// The persisted result of one fault-engine invocation.
 ///
 /// `list_updates` is the list *delta*, not the list: diffing detection
-/// flags before/after the engine call captures every fault the run flipped,
-/// faults a dominance view marked by inheritance included.
+/// flags before/after the engine call captures every fault the run
+/// flipped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FsimStamps {
     /// Per-pattern `(cc, activated, detected)` report rows, in order.
@@ -189,13 +189,17 @@ impl<'a> CacheCtx<'a> {
 /// `targets[i]` when present (else to `guide.targets`). Returns the
 /// engine's per-instance reports.
 ///
-/// Every instance the engine would run ([`SimGuide::runs_over`]) is
-/// looked up under its own [`key_fsim`]. A hit is
-/// replayed onto its list (new run, detection stamps, rebuilt report)
-/// under a `store.replay` span; the misses are simulated together, so the
-/// engine's lock-step union spans all of them, and each miss's stamps are
-/// persisted under its key. The result is bit-identical to running the
-/// engine uncached, because each key absorbs its instance's entry state.
+/// Every instance the engine would run ([`SimGuide::runs_over`]) is keyed
+/// with [`key_fsim`], and the instances are grouped by key: lock-step
+/// instances with identical streams, lists and masks (the two SFUs) share
+/// one. Each distinct key is looked up once. A hit is replayed onto every
+/// instance of its group (new run, detection stamps, rebuilt report) under
+/// a `store.replay` span. Each missed key is simulated once, on its first
+/// instance, with every other instance sitting out on an empty stream, so
+/// the engine's lock-step union spans the missed keys; its stamps are
+/// persisted once and replayed onto the group's other instances. The
+/// result is bit-identical to running the engine uncached, because each
+/// key absorbs its instances' entry state.
 #[allow(clippy::too_many_arguments)]
 pub fn cached_fault_sim<F: KeyedFault>(
     cache: CacheCtx<'_>,
@@ -210,30 +214,46 @@ pub fn cached_fault_sim<F: KeyedFault>(
     let Some(store) = cache.store else {
         return fault_simulate_instances(netlist, streams, lists, config, obs, guide, targets);
     };
-    let mut reports: Vec<Option<FaultSimReport>> = vec![None; lists.len()];
-    let mut misses: Vec<(usize, Key, Vec<bool>)> = Vec::new();
-    for (i, (stream, list)) in streams.iter().zip(lists.iter_mut()).enumerate() {
+    // The running instances grouped by key, in instance order.
+    let mut groups: Vec<(Key, Vec<usize>)> = Vec::new();
+    for (i, (stream, list)) in streams.iter().zip(lists.iter()).enumerate() {
         let guide = guide.for_instance(targets, i);
         if !guide.runs_over(stream) {
             continue;
         }
         let key = key_fsim(cache.netlist_key, stream, list, config, &guide);
-        match store.get_stamps(key, list.len(), obs) {
-            Some(stamps) => {
-                let _span = obs.span("store", "store.replay");
-                reports[i] = Some(stamps.replay(list));
-            }
-            None => misses.push((i, key, list.detection_flags())),
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((key, vec![i])),
         }
     }
-    let Some(&(first, _, _)) = misses.first() else {
-        return reports;
+    let mut reports: Vec<Option<FaultSimReport>> = vec![None; lists.len()];
+    let replay = |stamps: &FsimStamps,
+                  members: &[usize],
+                  lists: &mut [FaultList<F>],
+                  reports: &mut [Option<FaultSimReport>]| {
+        let _span = obs.span("store", "store.replay");
+        for &i in members {
+            reports[i] = Some(stamps.replay(&mut lists[i]));
+        }
     };
-    // Replayed instances sit this run out: an empty stream runs nothing.
-    let idle = PatternSeq::new(streams[first].width());
+    let mut misses: Vec<(Key, Vec<usize>, Vec<bool>)> = Vec::new();
+    for (key, members) in groups {
+        let lead = &lists[members[0]];
+        match store.get_stamps(key, lead.len(), obs) {
+            Some(stamps) => replay(&stamps, &members, lists, &mut reports),
+            None => misses.push((key, members, lead.detection_flags())),
+        }
+    }
+    if misses.is_empty() {
+        return reports;
+    }
+    // Only each missed key's first instance runs: an empty stream runs
+    // nothing.
+    let idle = PatternSeq::new(netlist.inputs().width());
     let run: Vec<&PatternSeq> = (0..streams.len())
         .map(|i| {
-            if misses.iter().any(|&(m, _, _)| m == i) {
+            if misses.iter().any(|(_, members, _)| members[0] == i) {
                 streams[i]
             } else {
                 &idle
@@ -241,10 +261,15 @@ pub fn cached_fault_sim<F: KeyedFault>(
         })
         .collect();
     let mut fresh = fault_simulate_instances(netlist, &run, lists, config, obs, guide, targets);
-    for (i, key, before) in misses {
-        if let Some(report) = fresh[i].take() {
-            store.put_stamps(key, &FsimStamps::capture(&report, &lists[i], &before), obs);
-            reports[i] = Some(report);
+    for (key, members, before) in misses {
+        let lead = members[0];
+        if let Some(report) = fresh[lead].take() {
+            let stamps = FsimStamps::capture(&report, &lists[lead], &before);
+            store.put_stamps(key, &stamps, obs);
+            reports[lead] = Some(report);
+            if members.len() > 1 {
+                replay(&stamps, &members[1..], lists, &mut reports);
+            }
         }
     }
     reports
@@ -253,7 +278,7 @@ pub fn cached_fault_sim<F: KeyedFault>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warpstl_fault::{fault_simulate_guided, FaultUniverse};
+    use warpstl_fault::{fault_simulate_guided, FaultUniverse, SiteOverride};
     use warpstl_netlist::Builder;
     use warpstl_obs::{names, Recorder};
 
@@ -546,6 +571,163 @@ mod tests {
         assert_eq!(rec.metrics().counter(names::CACHE_HIT), 4);
         assert_eq!(rec.metrics().counter(names::FSIM_RUNS), 0);
         let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn instances_sharing_a_key_look_up_simulate_and_write_once() {
+        let netlist = build_netlist();
+        let universe = FaultUniverse::enumerate(&netlist);
+        let config = FaultSimConfig::default();
+        let guide = SimGuide::default();
+        let store = temp_store("shared-key");
+        let cache = CacheCtx {
+            store: Some(&store),
+            netlist_key: crate::hash::key_netlist(&netlist),
+        };
+        // Lanes 0 and 2 apply one stream, as the two SFUs do; lane 1
+        // applies the same rows in reverse, so its key differs.
+        let shared = patterns_for(&netlist, 12);
+        let mut reversed = PatternSeq::new(netlist.inputs().width());
+        for t in (0..shared.len()).rev() {
+            reversed.push_row(shared.cc(t), shared.row(t));
+        }
+        let streams = [&shared, &reversed, &shared];
+        let run = |cache: CacheCtx<'_>, rec: Option<&Recorder>| {
+            let mut lists = vec![FaultList::new(&universe); 3];
+            let reports = cached_fault_sim(
+                cache,
+                &netlist,
+                &streams,
+                &mut lists,
+                &config,
+                rec,
+                &guide,
+                &[],
+            );
+            let texts: Vec<String> = lists.iter().map(FaultList::to_report_text).collect();
+            (reports, texts)
+        };
+        let uncached = run(CacheCtx::disabled(), None);
+        assert!(uncached.0.iter().all(Option::is_some));
+
+        // Cold: one lookup, one simulation and one write per distinct key.
+        let rec = Recorder::new();
+        assert_eq!(run(cache, Some(&rec)), uncached);
+        let m = rec.metrics();
+        assert_eq!(m.counter(names::CACHE_MISS), 2);
+        assert_eq!(m.counter(names::CACHE_WRITE), 2);
+        assert_eq!(m.counter(names::FSIM_RUNS), 2);
+        assert_eq!(store.scan().unwrap().valid_count(), 2);
+        // Warm: one hit per distinct key, replayed onto every lane.
+        let rec = Recorder::new();
+        assert_eq!(run(cache, Some(&rec)), uncached);
+        let m = rec.metrics();
+        assert_eq!(m.counter(names::CACHE_HIT), 2);
+        assert_eq!(m.counter(names::CACHE_MISS), 0);
+        assert_eq!(m.counter(names::FSIM_RUNS), 0);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// Runs `list` over `patterns` under `guide` and returns the key it ran
+    /// under, its report and the stamps a store would persist.
+    fn keyed_run<F: KeyedFault>(
+        netlist: &Netlist,
+        patterns: &PatternSeq,
+        mut list: FaultList<F>,
+        guide: &SimGuide<'_>,
+    ) -> (Key, FaultSimReport, FsimStamps) {
+        let config = FaultSimConfig::default();
+        let key = key_fsim(
+            crate::hash::key_netlist(netlist),
+            patterns,
+            &list,
+            &config,
+            guide,
+        );
+        let before = list.detection_flags();
+        let report = fault_simulate_guided(netlist, patterns, &mut list, &config, None, guide);
+        let stamps = FsimStamps::capture(&report, &list, &before);
+        (key, report, stamps)
+    }
+
+    /// Two copies of `fresh` with the even-numbered faults the earlier
+    /// stream `pre` detects marked detected: one as a run masked to them
+    /// stamped them, one with other stamps and a later run number. The
+    /// mask leaves faults undetected that share a detecting pattern with
+    /// detected ones, as an evaluation's masked runs do.
+    fn restamped<F: SiteOverride + std::fmt::Display>(
+        netlist: &Netlist,
+        pre: &PatternSeq,
+        fresh: &FaultList<F>,
+    ) -> (FaultList<F>, FaultList<F>) {
+        let mut earlier = fresh.clone();
+        let even: Vec<bool> = (0..fresh.len()).map(|id| id % 2 == 0).collect();
+        let masked = SimGuide {
+            targets: Some(&even),
+            ..SimGuide::default()
+        };
+        let config = FaultSimConfig::default();
+        fault_simulate_guided(netlist, pre, &mut earlier, &config, None, &masked);
+        let mut other = fresh.clone();
+        for _ in 0..3 {
+            other.begin_run();
+        }
+        for (id, cc, pattern, _) in earlier.detected() {
+            other.mark_detected(id, cc + 1000, pre.len() - 1 - pattern);
+        }
+        assert_ne!(other.to_report_text(), earlier.to_report_text());
+        assert_eq!(other.detection_flags(), earlier.detection_flags());
+        (earlier, other)
+    }
+
+    #[test]
+    fn earlier_stamps_and_run_numbers_never_steer_a_run() {
+        // `key_fsim` leaves earlier detection stamps and the run counter
+        // out, so two lists that differ only there must run identically.
+        let netlist = warpstl_netlist::modules::ModuleKind::DecoderUnit.build();
+        let width = netlist.inputs().width();
+        let (mut patterns, mut pre) = (PatternSeq::new(width), PatternSeq::new(width));
+        let mut state = 0x5eed_u64;
+        for t in 0..30u64 {
+            let bits: Vec<bool> = (0..width)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state & 1 == 1
+                })
+                .collect();
+            let seq = if t < 24 { &mut patterns } else { &mut pre };
+            seq.push_bits(t, &bits);
+        }
+
+        let universe = FaultUniverse::enumerate(&netlist);
+        let (a, b) = restamped(&netlist, &pre, &FaultList::new(&universe));
+        let n = a.len();
+        let unt: Vec<bool> = (0..n).map(|id| id % 11 == 0).collect();
+        let mask: Vec<bool> = (0..n).map(|id| id % 3 != 0).collect();
+        let guide = SimGuide {
+            untestable: Some(&unt),
+            targets: Some(&mask),
+            ..SimGuide::default()
+        };
+        let run_a = keyed_run(&netlist, &patterns, a, &guide);
+        assert!(!run_a.2.list_updates.is_empty(), "the run detects nothing");
+        assert_eq!(run_a, keyed_run(&netlist, &patterns, b, &guide));
+
+        let bridges = warpstl_fault::BridgeUniverse::sample(
+            &netlist,
+            &warpstl_fault::BridgeConfig::default(),
+        );
+        let (a, b) = restamped(&netlist, &pre, &bridges.new_list());
+        let mask: Vec<bool> = (0..a.len()).map(|id| id % 3 != 0).collect();
+        let guide = SimGuide {
+            targets: Some(&mask),
+            ..SimGuide::default()
+        };
+        let run_a = keyed_run(&netlist, &patterns, a, &guide);
+        assert!(!run_a.2.list_updates.is_empty(), "the run detects nothing");
+        assert_eq!(run_a, keyed_run(&netlist, &patterns, b, &guide));
     }
 
     #[test]

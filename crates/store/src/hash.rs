@@ -38,7 +38,10 @@ use warpstl_netlist::{GateKind, Netlist, PatternSeq};
 /// v3: a fault-model tag domain-separates stuck-at from bridging entries
 /// (see [`KeyedFault::MODEL_TAG`]) so cache entries never alias across
 /// models.
-pub const FSIM_SCHEMA: u32 = 3;
+/// v4: the engine simulates every target class in one pass, so dominated
+/// classes carry their own first-detection stamps and activation tallies;
+/// the guide keys only what it still carries.
+pub const FSIM_SCHEMA: u32 = 4;
 
 /// A 128-bit canonical content key. Displays as 32 lowercase hex digits —
 /// the on-disk entry file stem.
@@ -202,9 +205,9 @@ fn gate_kind_code(kind: GateKind) -> u8 {
 /// The canonical key of a netlist's *structure*: name, gate array (kinds
 /// and meaningful pins in definition order), port maps, flip-flop nets,
 /// and the `HashMap`-backed kind histogram absorbed unordered. Everything
-/// downstream of the netlist (fault universe enumeration, dominance,
-/// SCOAP keys) is a pure function of this structure, so it needs no
-/// separate key material.
+/// downstream of the netlist (fault universe enumeration, the static
+/// analysis and its untestability proofs) is a pure function of this
+/// structure, so it needs no separate key material.
 #[must_use]
 pub fn key_netlist(netlist: &Netlist) -> Key {
     let mut h = CanonicalHasher::new();
@@ -269,21 +272,14 @@ pub trait KeyedFault: SiteOverride {
 }
 
 /// Stuck-at universes are a pure function of the netlist structure, so the
-/// faults themselves add nothing; the guide's dominance and untestable
-/// pruning are stuck-at constructs and key here.
+/// faults themselves add nothing; the guide's untestable pruning is a
+/// stuck-at construct and keys here.
 impl KeyedFault for Fault {
     const MODEL_TAG: u8 = 0;
 
     fn absorb_fault(&self, _h: &mut CanonicalHasher) {}
 
     fn absorb_guide(h: &mut CanonicalHasher, guide: &SimGuide<'_>) {
-        h.bool(guide.dominance.is_some());
-        // Absorbed twice on purpose: this slot held the presence of the
-        // retired hardest-first ordering keys, which every product stuck-at
-        // guide set together with dominance, so keys keep their bytes and
-        // warm stores keep hitting (like the doubled `drop_detected` in
-        // `key_fsim`).
-        h.bool(guide.dominance.is_some());
         // The untestable bitmap changes the target set, and with it the
         // per-pattern tallies and the report's untestable row — so, unlike
         // `levels`, its *content* is key material.
@@ -315,7 +311,7 @@ impl KeyedFault for BridgeFault {
 
     fn absorb_guide(_h: &mut CanonicalHasher, guide: &SimGuide<'_>) {
         debug_assert!(
-            guide.dominance.is_none() && guide.untestable.is_none(),
+            guide.untestable.is_none(),
             "bridging guides carry only the levelization"
         );
     }
@@ -328,13 +324,13 @@ impl KeyedFault for BridgeFault {
 /// semantic `FaultSimConfig` flag, and the guide shape the model keys.
 /// A target mask ([`SimGuide::targets`]) changes the target set, so its
 /// presence and content key too — but only when present: an unmasked run
-/// absorbs nothing for it, so its key keeps the bytes it had before masks
-/// existed and warm stores keep hitting.
+/// absorbs nothing for it.
 /// Deliberately excluded: `threads` (the engine is bit-identical across
-/// worker counts), prior detection stamps
-/// (first-detection-wins makes them unobservable), and the list's run
-/// counter (replay stamps the warm list's own run number, exactly as a
-/// live simulation would).
+/// worker counts), prior detection stamps (a run targets the undetected
+/// faults and reads no earlier stamp; first-detection-wins keeps them),
+/// and the list's run counter (replay stamps the warm list's own run
+/// number, exactly as a live simulation would). The artifacts tests pin
+/// both exclusions: lists differing only there key equal and run equal.
 #[must_use]
 pub fn key_fsim<F: KeyedFault>(
     netlist_key: Key,
@@ -354,10 +350,6 @@ pub fn key_fsim<F: KeyedFault>(
         list.fault(id).absorb_fault(&mut h);
         h.bool(matches!(list.status(id), FaultStatus::Undetected));
     }
-    h.bool(config.drop_detected);
-    // Absorbed twice on purpose: keys written when this slot held a
-    // separate early-exit flag, which every product config set equal to
-    // `drop_detected`, keep their bytes, so warm stores keep hitting.
     h.bool(config.drop_detected);
     F::absorb_guide(&mut h, guide);
     if let Some(mask) = guide.targets {
@@ -651,7 +643,7 @@ mod tests {
         };
         assert_eq!(
             key_fsim(nk, &pats, &sa, &cfg, &guide).to_hex(),
-            "75bdb37023a88f70ba07c507b0b7a105"
+            "7b9c4636c380b6eff5c4f9c2a88f7efe"
         );
 
         let bridges = warpstl_fault::BridgeUniverse::sample(
@@ -668,7 +660,7 @@ mod tests {
         };
         assert_eq!(
             key_fsim(nk, &pats, &br, &cfg, &leveled).to_hex(),
-            "b061c3a423897851f9d653d0ecf4692f"
+            "8216678a27dbc38770677a3e203d7f28"
         );
     }
 }

@@ -265,7 +265,10 @@ echo "== evaluation smoke test =="
 # fault simulations take the lock-step union pass: fsim.union.runs must
 # be nonzero too.
 # The report JSON must not depend on the worker count or on tracing, and
-# a warm --cache-dir rerun must hit and reproduce the bytes.
+# a warm --cache-dir rerun must hit and reproduce the bytes. The store
+# looks up, simulates and writes each distinct key once (SFU_IMM's two
+# SFUs share one), so the cold run's writes equal its misses and the
+# entry files it leaves, and the warm run hits exactly those entries.
 for spec in "IMM --sb-count 4" "MEM --sb-count 4" "TPGEN --patterns 48" \
     "RAND --sb-count 4" "SFU_IMM --patterns 12"; do
     # $spec is unquoted on purpose: it is the generator's argument list.
@@ -304,7 +307,7 @@ cmp "$SMOKE_DIR/eval-auto.json" "$SMOKE_DIR/eval-t1.json" || {
 EVAL_CACHE="$SMOKE_DIR/eval-cache"
 cargo run -q --release -p warpstl-cli -- compact-stl "$SMOKE_DIR/eval.stl" \
     --cache-dir "$EVAL_CACHE" --json "$SMOKE_DIR/eval-cold.json" \
-    >/dev/null || exit 1
+    > "$SMOKE_DIR/eval-cold.out" || exit 1
 cargo run -q --release -p warpstl-cli -- compact-stl "$SMOKE_DIR/eval.stl" \
     --cache-dir "$EVAL_CACHE" --json "$SMOKE_DIR/eval-warm.json" \
     > "$SMOKE_DIR/eval-warm.out" || exit 1
@@ -312,11 +315,26 @@ cmp "$SMOKE_DIR/eval-cold.json" "$SMOKE_DIR/eval-warm.json" || {
     echo "cold and warm STL report JSON differ" >&2
     exit 1
 }
-grep -Eq '^cache +[1-9][0-9]* hit' "$SMOKE_DIR/eval-warm.out" || {
-    echo "warm STL run reported no cache hits:" >&2
-    cat "$SMOKE_DIR/eval-warm.out" >&2
-    exit 1
-}
+python3 - "$SMOKE_DIR/eval-cold.out" "$SMOKE_DIR/eval-warm.out" \
+    "$EVAL_CACHE" <<'EOF' || exit 1
+import os, re, sys
+
+def traffic(path):
+    with open(path) as f:
+        line = next(l for l in f if l.startswith("cache "))
+    m = re.match(r"cache +(\d+) hit\(s\), (\d+) miss\(es\), (\d+) write\(s\)", line)
+    assert m, f"unparsable cache line: {line!r}"
+    return tuple(int(g) for g in m.groups())
+
+cold, warm = traffic(sys.argv[1]), traffic(sys.argv[2])
+entries = sum(f.endswith(".fsr") for f in os.listdir(sys.argv[3]))
+_, misses, writes = cold
+assert entries > 0, "the cold run left no entries"
+assert misses == writes == entries, \
+    f"cold run: {misses} miss(es), {writes} write(s), {entries} entry file(s)"
+assert warm == (entries, 0, 0), f"warm run (hits, misses, writes): {warm}"
+print(f"store OK: {entries} distinct key(s) written once, hit once")
+EOF
 echo "evaluation OK: thread-count and cold/warm STL reports byte-identical, warm hits"
 
 echo "== serve smoke test =="
