@@ -95,7 +95,7 @@ pub fn dispatch(args: &[String]) -> CliResult {
         Some("serve") => serve(&args[1..]),
         Some("xlint") => crate::xlint::run(&args[1..]),
         Some("--help") | Some("-h") | None => {
-            println!("{USAGE}");
+            outln!("{USAGE}")?;
             Ok(())
         }
         Some(other) => Err(format!("unknown command `{other}`\n{USAGE}").into()),
@@ -184,12 +184,15 @@ fn open_store(flags: &Flags) -> Result<Option<Arc<Store>>, Box<dyn Error>> {
 
 /// One-line cache traffic summary, printed after a cached compaction so
 /// cold/warm runs are distinguishable from the console output alone.
-fn print_cache_line(store: &Store) {
+fn print_cache_line(store: &Store) -> CliResult {
     let s = store.session();
-    println!(
+    outln!(
         "cache    {} hit(s), {} miss(es), {} write(s)",
-        s.hits, s.misses, s.writes
-    );
+        s.hits,
+        s.misses,
+        s.writes
+    )?;
+    Ok(())
 }
 
 /// Inspects and maintains the on-disk artifact cache. `stats` and
@@ -209,28 +212,28 @@ fn cache(args: &[String]) -> CliResult {
     match action.as_str() {
         "stats" => {
             let scan = store.scan()?;
-            println!("dir      {}", store.root().display());
-            println!(
+            outln!("dir      {}", store.root().display())?;
+            outln!(
                 "entries  {} valid, {} invalid, {} byte(s) total",
                 scan.valid_count(),
                 scan.invalid_count(),
                 scan.total_bytes()
-            );
+            )?;
             for kind in EntryKind::ALL {
                 let (count, bytes) = scan.kind_summary(kind);
-                println!(
+                outln!(
                     "{:<12} {} entr{}, {} byte(s)",
                     kind.name(),
                     count,
                     plural_y(count),
                     bytes
-                );
+                )?;
             }
             Ok(())
         }
         "gc" => {
             let (removed, freed) = store.gc()?;
-            println!("removed {removed} invalid or stale file(s), freed {freed} byte(s)");
+            outln!("removed {removed} invalid or stale file(s), freed {freed} byte(s)")?;
             Ok(())
         }
         "verify" => {
@@ -241,15 +244,15 @@ fn cache(args: &[String]) -> CliResult {
                     EntryStatus::Corrupt => "corrupt",
                     EntryStatus::VersionMismatch => "version mismatch",
                 };
-                println!("{}: {status}", e.path.display());
+                outln!("{}: {status}", e.path.display())?;
             }
-            println!(
+            outln!(
                 "verified {} entr{}: {} valid, {} invalid",
                 scan.entries.len(),
                 plural_y(scan.entries.len()),
                 scan.valid_count(),
                 scan.invalid_count()
-            );
+            )?;
             if scan.invalid_count() == 0 {
                 Ok(())
             } else {
@@ -263,7 +266,7 @@ fn cache(args: &[String]) -> CliResult {
         }
         "clear" => {
             let removed = store.clear()?;
-            println!("removed {removed} entr{}", plural_y(removed));
+            outln!("removed {removed} entr{}", plural_y(removed))?;
             Ok(())
         }
         other => Err(format!("cache: unknown action `{other}` (stats|gc|verify|clear)").into()),
@@ -370,7 +373,7 @@ fn generate(args: &[String]) -> CliResult {
                 ptp.target
             );
         }
-        None => print!("{text}"),
+        None => out!("{text}")?,
     }
     Ok(())
 }
@@ -386,12 +389,12 @@ fn features(args: &[String]) -> CliResult {
     let compactor = Compactor::default();
     let ctx = compactor.context_for(ptp.target);
     let f = compactor.features(&ptp, &ctx)?;
-    println!("PTP      {}", f.name);
-    println!("target   {}", ptp.target);
-    println!("size     {} instructions", f.size);
-    println!("ARC      {:.1} %", f.arc_fraction * 100.0);
-    println!("duration {} ccs", f.duration);
-    println!("FC       {:.2} %", f.fault_coverage * 100.0);
+    outln!("PTP      {}", f.name)?;
+    outln!("target   {}", ptp.target)?;
+    outln!("size     {} instructions", f.size)?;
+    outln!("ARC      {:.1} %", f.arc_fraction * 100.0)?;
+    outln!("duration {} ccs", f.duration)?;
+    outln!("FC       {:.2} %", f.fault_coverage * 100.0)?;
     Ok(())
 }
 
@@ -431,30 +434,34 @@ fn compact(args: &[String]) -> CliResult {
     let mut ctx = compactor.context_for(ptp.target);
     let out = compactor.compact(&ptp, &mut ctx)?;
     let r = &out.report;
-    println!(
+    outln!(
         "size     {} -> {} instructions ({:+.2} %)",
         r.original_size,
         r.compacted_size,
         -r.size_reduction_pct()
-    );
-    println!(
+    )?;
+    outln!(
         "duration {} -> {} ccs ({:+.2} %)",
         r.original_duration,
         r.compacted_duration,
         -r.duration_reduction_pct()
-    );
-    println!(
+    )?;
+    outln!(
         "coverage {:.2} % -> {:.2} % ({:+.2} pp)",
         r.fc_before * 100.0,
         r.fc_after * 100.0,
         r.fc_diff_pct()
-    );
-    println!(
+    )?;
+    outln!(
         "SBs      {} of {} removed; {} logic + {} fault simulation(s) in {:.2?}",
-        r.sbs_removed, r.sbs_total, r.logic_sim_runs, r.fault_sim_runs, r.compaction_time
-    );
+        r.sbs_removed,
+        r.sbs_total,
+        r.logic_sim_runs,
+        r.fault_sim_runs,
+        r.compaction_time
+    )?;
     if let Some(st) = store.as_deref() {
-        print_cache_line(st);
+        print_cache_line(st)?;
     }
     if let Some(path) = flags.value("--out") {
         atomic_write(path, ptp_to_text(&out.compacted).as_bytes())?;
@@ -480,9 +487,9 @@ fn lint(args: &[String]) -> CliResult {
     let flags = Flags::new(&args[1..]);
     let report = warpstl_verify::verify_ptp(&ptp);
     if flags.has("--json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json())?;
     } else {
-        println!("{report}");
+        outln!("{report}")?;
     }
     if report.is_clean() {
         Ok(())
@@ -513,34 +520,36 @@ fn analyze(args: &[String]) -> CliResult {
     let netlist = warpstl_core::jobs::netlist_by_name(name)?;
     let analysis = warpstl_analyze::analyze(&netlist);
     if flags.has("--json") {
-        println!("{}", analysis.report.to_json());
+        outln!("{}", analysis.report.to_json())?;
     } else {
         let (max_co, mean_co) = analysis.scoap.co_summary();
-        println!(
+        outln!(
             "netlist    {} ({} gates, depth {})",
             netlist.name(),
             netlist.logic_gate_count(),
             netlist.logic_depth()
-        );
-        println!("SCOAP CO   max {max_co}, mean {mean_co:.1}");
+        )?;
+        outln!("SCOAP CO   max {max_co}, mean {mean_co:.1}")?;
         if flags.has("--implications") {
             let s = &analysis.report.implications;
-            println!(
+            outln!(
                 "implied    {} implication edge(s), {} impossible literal(s)",
-                s.edges, s.impossible
-            );
-            println!(
+                s.edges,
+                s.impossible
+            )?;
+            outln!(
                 "untestable {} fault site(s) proven, {} equivalence merge(s)",
-                s.untestable, s.merges
-            );
+                s.untestable,
+                s.merges
+            )?;
         }
         let levels = netlist.levelize();
         resolve_sim_backend(&flags);
-        println!(
+        outln!(
             "levels     {} ranks, {} segments; sim backend kernel",
             levels.ranks(),
             levels.segments().len(),
-        );
+        )?;
         // The fault model (and with it the dominance relation) is only
         // defined on netlists that pass the lint gate — that is what the
         // gate protects the pipeline from.
@@ -549,31 +558,31 @@ fn analyze(args: &[String]) -> CliResult {
                 FaultModel::StuckAt => {
                     let universe = FaultUniverse::enumerate(&netlist);
                     let dominance = universe.dominance(&netlist);
-                    println!(
+                    outln!(
                         "faults     {} total, {} after equivalence ({:.1} %)",
                         universe.total_len(),
                         universe.collapsed_len(),
                         universe.collapse_ratio() * 100.0
-                    );
-                    println!(
+                    )?;
+                    outln!(
                         "dominance  {} undominated + {} dominated class(es) ({:.1} % undominated; \
                          analysis only, every class is simulated)",
                         dominance.direct().len(),
                         dominance.removed().len(),
                         dominance.reduction_ratio() * 100.0
-                    );
+                    )?;
                 }
                 FaultModel::Bridging => {
                     let universe = BridgeUniverse::sample(&netlist, &BridgeConfig::default());
-                    println!(
+                    outln!(
                         "bridges    {} wired-AND/OR fault(s) over {} sampled net pair(s)",
                         universe.len(),
                         universe.candidate_pairs()
-                    );
+                    )?;
                 }
             }
         }
-        println!("{}", analysis.report);
+        outln!("{}", analysis.report)?;
     }
     if analysis.is_clean() {
         Ok(())
@@ -597,24 +606,24 @@ fn run(args: &[String]) -> CliResult {
         warpstl_gpu::RunOptions::default()
     };
     let result = warpstl_gpu::Gpu::default().run(&kernel, &opts)?;
-    println!("cycles     {}", result.cycles);
+    outln!("cycles     {}", result.cycles)?;
     let digest = result
         .signatures
         .iter()
         .fold(0u32, |acc, &s| acc.rotate_left(1) ^ s);
-    println!(
+    outln!(
         "signature  {digest:#010x} (over {} threads)",
         result.signatures.len()
-    );
+    )?;
     if flags.has("--trace") {
-        println!("trace      {} records", result.trace.len());
+        outln!("trace      {} records", result.trace.len())?;
         let bbs = BasicBlocks::of(&ptp.program);
         let arc = ArcAnalysis::of(&ptp.program, &bbs);
-        println!(
+        outln!(
             "structure  {} basic blocks, ARC {:.1} %",
             bbs.count(),
             arc.arc_fraction() * 100.0
-        );
+        )?;
     }
     Ok(())
 }
@@ -642,23 +651,23 @@ fn compact_stl(args: &[String]) -> CliResult {
         ..Compactor::default()
     })?;
     for r in &outcome.reports {
-        println!(
+        outln!(
             "{:<10} {:>7} -> {:>6} instr ({:+.2} %), ΔFC {:+.2} pp",
             r.name,
             r.original_size,
             r.compacted_size,
             -r.size_reduction_pct(),
             r.fc_diff_pct()
-        );
+        )?;
     }
-    println!(
+    outln!(
         "STL: {:.2} % size / {:.2} % duration reduction, {} fault simulation(s)",
         outcome.size_reduction_pct(),
         outcome.duration_reduction_pct(),
         outcome.fault_sim_runs()
-    );
+    )?;
     if let Some(st) = store.as_deref() {
-        print_cache_line(st);
+        print_cache_line(st)?;
     }
     if let Some(out) = flags.value("--out") {
         atomic_write(out, stl_to_text(&outcome.compacted).as_bytes())?;
@@ -706,9 +715,9 @@ fn patterns(args: &[String]) -> CliResult {
         dump(format!("fp32_{i}"), s)?;
     }
     for (name, n) in &written {
-        println!("{name}: {n} patterns");
+        outln!("{name}: {n} patterns")?;
     }
-    println!("wrote {} VCDE files to {dir}", written.len());
+    outln!("wrote {} VCDE files to {dir}", written.len())?;
     Ok(())
 }
 
@@ -733,10 +742,11 @@ fn serve(args: &[String]) -> CliResult {
     resolve_sim_backend(&flags);
     warpstl_serve::run(&config, |addr| {
         // Stdout is line-buffered: the URL reaches a piped reader
-        // immediately, which is what the smoke scripts parse.
-        println!("serving on http://{addr}");
+        // immediately, which is what the smoke scripts parse. Nobody
+        // reading it stops nothing: the daemon serves on.
+        let _ = outln!("serving on http://{addr}");
     })?;
-    println!("drained");
+    outln!("drained")?;
     Ok(())
 }
 
@@ -761,9 +771,9 @@ fn campaign(args: &[String]) -> CliResult {
         obs: recorder.clone(),
     };
     let report = warpstl_campaign::run_campaign(&spec, &config);
-    print!("{report}");
+    out!("{report}")?;
     if let Some(st) = store.as_deref() {
-        print_cache_line(st);
+        print_cache_line(st)?;
     }
     if let Some(out) = flags.value("--json") {
         atomic_write(out, report.to_json().as_bytes())?;
@@ -779,14 +789,20 @@ fn campaign(args: &[String]) -> CliResult {
 }
 
 fn modules() -> CliResult {
-    println!(
+    outln!(
         "{:<14} {:>7} {:>6} {:>8} {:>9} {:>10} {:>10}",
-        "module", "gates", "depth", "inputs", "outputs", "faults", "collapsed"
-    );
+        "module",
+        "gates",
+        "depth",
+        "inputs",
+        "outputs",
+        "faults",
+        "collapsed"
+    )?;
     for kind in ModuleKind::ALL {
         let n = kind.build();
         let u = FaultUniverse::enumerate(&n);
-        println!(
+        outln!(
             "{:<14} {:>7} {:>6} {:>8} {:>9} {:>10} {:>10}",
             kind.name(),
             n.logic_gate_count(),
@@ -795,7 +811,7 @@ fn modules() -> CliResult {
             n.outputs().width(),
             u.total_len(),
             u.collapsed_len()
-        );
+        )?;
     }
     Ok(())
 }

@@ -77,15 +77,15 @@ pub fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     let diagnostics = lint_workspace(&root)?;
     if json {
-        println!("{}", to_json(&diagnostics));
+        outln!("{}", to_json(&diagnostics))?;
     } else {
         for d in &diagnostics {
-            println!("{d}");
+            outln!("{d}")?;
         }
     }
     if diagnostics.is_empty() {
         if !json {
-            println!("xlint: clean");
+            outln!("xlint: clean")?;
         }
         Ok(())
     } else {

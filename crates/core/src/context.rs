@@ -1,6 +1,5 @@
 //! Per-module compaction context: the netlist and the shared fault lists.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use warpstl_analyze::{analyze, Analysis};
@@ -12,7 +11,7 @@ use warpstl_gpu::ModulePatterns;
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Levelization, NetId, Netlist, PatternSeq};
 use warpstl_obs::{Obs, ObsExt};
-use warpstl_store::{cached_fault_sim, key_netlist, CacheCtx, Key, Store};
+use warpstl_store::{cached_detect, cached_fault_sim, key_netlist, CacheCtx, Key, Store};
 
 /// The per-target-module state shared across the PTPs of an STL: the module
 /// netlist, its collapsed fault universe, and one fault list per physical
@@ -146,36 +145,57 @@ impl Ledger {
     /// restricted to `targets[i]` when present, and returns the
     /// per-instance reports in instance order (`None` where the stream was
     /// empty or the mask selects no fault, and that list untouched).
-    /// `guide` is the stuck-at guide of the module; bridging takes only
-    /// its levelization, since the untestability bitmap indexes the
-    /// stuck-at universe.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn simulate(
         &mut self,
         netlist: &Netlist,
-        streams: &[Cow<'_, PatternSeq>],
+        streams: &[&PatternSeq],
         config: &FaultSimConfig,
         obs: Obs<'_>,
         guide: SimGuide<'_>,
         targets: &[Option<&[bool]>],
         cache: CacheCtx<'_>,
     ) -> Vec<Option<FaultSimReport>> {
-        let streams: Vec<&PatternSeq> = streams.iter().map(AsRef::as_ref).collect();
         let mut span = obs.span("pipeline", "pipeline.instances");
         span.arg("instances", streams.len());
+        let guide = self.model_guide(guide);
+        with_lists!(self, lists => cached_fault_sim(
+            cache, netlist, streams, lists, config, obs, &guide, targets,
+        ))
+    }
+
+    /// [`Ledger::simulate`] without reports: only the detected sets and
+    /// their stamps change (see
+    /// [`cached_detect`](warpstl_store::cached_detect)).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn detect(
+        &mut self,
+        netlist: &Netlist,
+        streams: &[&PatternSeq],
+        config: &FaultSimConfig,
+        obs: Obs<'_>,
+        guide: SimGuide<'_>,
+        targets: &[Option<&[bool]>],
+        cache: CacheCtx<'_>,
+    ) {
+        let mut span = obs.span("pipeline", "pipeline.instances");
+        span.arg("instances", streams.len());
+        let guide = self.model_guide(guide);
+        with_lists!(self, lists => cached_detect(
+            cache, netlist, streams, lists, config, obs, &guide, targets,
+        ));
+    }
+
+    /// `guide`, the stuck-at guide of the module, as this ledger's model
+    /// reads it: bridging takes only its levelization, since the
+    /// untestability bitmap indexes the stuck-at universe.
+    fn model_guide<'g>(&self, guide: SimGuide<'g>) -> SimGuide<'g> {
         match self {
-            Ledger::StuckAt(lists) => cached_fault_sim(
-                cache, netlist, &streams, lists, config, obs, &guide, targets,
-            ),
-            Ledger::Bridging(lists) => {
-                let guide = SimGuide {
-                    levels: guide.levels,
-                    ..SimGuide::default()
-                };
-                cached_fault_sim(
-                    cache, netlist, &streams, lists, config, obs, &guide, targets,
-                )
-            }
+            Ledger::StuckAt(_) => guide,
+            Ledger::Bridging(_) => SimGuide {
+                levels: guide.levels,
+                ..SimGuide::default()
+            },
         }
     }
 
@@ -419,7 +439,7 @@ impl ModuleContext {
     /// empty). The instances run together through the artifact cache.
     pub(crate) fn simulate(
         &mut self,
-        streams: &[Cow<'_, PatternSeq>],
+        streams: &[&PatternSeq],
         config: &FaultSimConfig,
         obs: Obs<'_>,
     ) -> Vec<Option<FaultSimReport>> {
@@ -472,22 +492,6 @@ impl ModuleContext {
             ModuleKind::Sfu => patterns.sfu.iter().collect(),
             ModuleKind::Fp32 => patterns.fp32.iter().collect(),
         }
-    }
-
-    /// [`ModuleContext::streams`] with each stream reduced to its
-    /// [distinct](PatternSeq::distinct) rows: what a set-level evaluation
-    /// simulates. Exact only on a combinational module, where a drop-mode
-    /// run's detected set depends on which rows are applied, not on their
-    /// order or repeats — every bundled module is (asserted here).
-    pub(crate) fn distinct_streams(&self, patterns: &ModulePatterns) -> Vec<PatternSeq> {
-        assert!(
-            self.netlist.is_combinational(),
-            "set-level evaluation needs a combinational module"
-        );
-        self.streams(patterns)
-            .into_iter()
-            .map(PatternSeq::distinct)
-            .collect()
     }
 
     /// Aggregate fault coverage across all instances (weighted over the

@@ -27,8 +27,9 @@ use crate::{label_instructions, CompactionError, CompactionReport, ModuleContext
 /// (`stage3a_stamp`, from the shared ledger) indexes `simulated`, the
 /// stream stage 3a ran — reversed for SFU_IMM. A fault in
 /// `dropped_before` was re-detected by the masked D(P) run: its stamp
-/// (`rerun_stamp`, from the scratch ledger) indexes `original`, which is
-/// `P.distinct()`. Stamps are only read here, never written to a ledger.
+/// (`rerun_stamp`, from the scratch ledger) indexes `original`, the
+/// captured stream of P. Stamps are only read here, never written to a
+/// ledger.
 fn witnessed(
     dropped_before: &[bool],
     stage3a_stamp: impl Fn(FaultId) -> Option<usize>,
@@ -188,7 +189,8 @@ impl Compactor {
             ctx.instances(),
             "context instance count must match the GPU configuration"
         );
-        let reports = ctx.simulate(&streams, &self.fsim_config, self.observer());
+        let refs: Vec<&PatternSeq> = streams.iter().map(AsRef::as_ref).collect();
+        let reports = ctx.simulate(&refs, &self.fsim_config, self.observer());
         let mut merged = FaultSimReport::new();
         for report in reports.iter().flatten() {
             merged.merge(report);
@@ -354,14 +356,14 @@ impl Compactor {
     /// that yields that set (DESIGN.md §5, "Set-level evaluation"). Per
     /// instance:
     ///
-    /// - D(P) is what stage 3a newly detected plus a run over
-    ///   `P.distinct()` masked to the faults `dropped_before` it (none for
-    ///   a module's first PTP).
-    /// - D(P′) is the [witnessed] set W plus a run over `P′.distinct()`
-    ///   masked to the rest: D(P) ∖ W when P′ applies no row P does not
-    ///   (it then detects nothing outside D(P)), every fault ∖ W otherwise,
-    ///   and unmasked when W is empty too.
+    /// - D(P) is what stage 3a newly detected plus a run over P masked to
+    ///   the faults `dropped_before` it (none for a module's first PTP).
+    /// - D(P′) is the [witnessed] set W plus a run over P′ masked to the
+    ///   rest: D(P) ∖ W when P′ applies no row P does not (it then detects
+    ///   nothing outside D(P)), every fault ∖ W otherwise, and unmasked
+    ///   when W is empty too.
     ///
+    /// Both runs are detection passes (see [`Compactor::simulate_standalone`]).
     /// `simulated` are the streams stage 3a ran, whose stamps the shared
     /// ledgers of `ctx` hold; `original` and `compacted` are the captures
     /// of P and P′. One scratch ledger serves both runs.
@@ -376,7 +378,7 @@ impl Compactor {
         let mut scratch = ctx.fresh_ledger();
         // D(P): stage 3a found every detection outside the faults dropped
         // before it; only those need a (masked) run.
-        let original = ctx.distinct_streams(original);
+        let original = ctx.streams(original);
         let masks: Vec<Option<&[bool]>> =
             dropped_before.iter().map(|d| Some(d.as_slice())).collect();
         self.simulate_standalone(ctx, &mut scratch, &original, &masks);
@@ -397,7 +399,7 @@ impl Compactor {
         let fc_before = scratch.coverage_of(&detected);
 
         // D(P′): a fault whose witness row P′ still applies needs no run.
-        let cptp = ctx.distinct_streams(compacted);
+        let cptp = ctx.streams(compacted);
         let witnessed: Vec<Vec<bool>> = (0..ctx.instances())
             .map(|i| {
                 witnessed(
@@ -405,7 +407,7 @@ impl Compactor {
                     |id| ctx.stamp(i, id),
                     |id| scratch.stamp(i, id),
                     &simulated[i],
-                    &original[i],
+                    original[i],
                     &cptp[i].row_set(),
                 )
             })
@@ -457,29 +459,31 @@ impl Compactor {
         (fc_before, scratch.coverage_of(&after))
     }
 
-    /// Fault-simulates one stream per instance into `scratch` (standalone
-    /// evaluation ledgers) in drop mode, with the compactor's thread
-    /// choice: the one simulation path of every standalone
-    /// coverage (`fc_before`/`fc_after`, [`Compactor::features`],
-    /// [`Compactor::combined_coverage`]). Callers pass
-    /// [distinct](ModuleContext::distinct_streams) streams. `targets[i]`,
-    /// when present, restricts instance `i` to a mask; an instance whose
-    /// mask selects no fault detects nothing and is not simulated.
+    /// Detects into `scratch` (standalone evaluation ledgers) what one
+    /// stream per instance detects, in drop mode with the compactor's
+    /// thread choice: the one simulation path of every standalone coverage
+    /// (`fc_before`/`fc_after`, [`Compactor::features`],
+    /// [`Compactor::combined_coverage`]). A standalone FC is the coverage
+    /// of a detected set, so this is a detection pass over the captured
+    /// streams (see
+    /// [`fault_detect_instances`](warpstl_fault::fault_detect_instances)),
+    /// with no report. `targets[i]`, when present, restricts instance `i`
+    /// to a mask; an instance whose mask selects no fault detects nothing
+    /// and is not simulated.
     fn simulate_standalone(
         &self,
         ctx: &ModuleContext,
         scratch: &mut Ledger,
-        streams: &[PatternSeq],
+        streams: &[&PatternSeq],
         targets: &[Option<&[bool]>],
     ) {
         let cfg = FaultSimConfig {
             threads: self.fsim_config.threads,
             ..FaultSimConfig::default()
         };
-        let streams: Vec<Cow<'_, PatternSeq>> = streams.iter().map(Cow::Borrowed).collect();
-        scratch.simulate(
+        scratch.detect(
             ctx.netlist(),
-            &streams,
+            streams,
             &cfg,
             self.observer(),
             ctx.sim_guide(),
@@ -499,7 +503,7 @@ impl Compactor {
         let arc = ArcAnalysis::of(&ptp.program, &bbs);
         let run = self.trace_for(ptp, ctx.module())?;
         let mut scratch = ctx.fresh_ledger();
-        self.simulate_standalone(ctx, &mut scratch, &ctx.distinct_streams(&run.patterns), &[]);
+        self.simulate_standalone(ctx, &mut scratch, &ctx.streams(&run.patterns), &[]);
         let fc = scratch.coverage();
         Ok(PtpFeatures {
             name: ptp.name.clone(),
@@ -520,7 +524,7 @@ impl Compactor {
         let mut scratch = ctx.fresh_ledger();
         for ptp in ptps {
             let run = self.trace_for(ptp, ctx.module())?;
-            self.simulate_standalone(ctx, &mut scratch, &ctx.distinct_streams(&run.patterns), &[]);
+            self.simulate_standalone(ctx, &mut scratch, &ctx.streams(&run.patterns), &[]);
         }
         Ok(scratch.coverage())
     }
@@ -763,28 +767,26 @@ mod tests {
         };
         let (a, b, c) = (0xa, 0xb, 0xc);
         // P is [a, b, a, c]; stage 3a ran it reversed, and the D(P) run
-        // ran its distinct rows. P′ applies a and b, not c.
+        // ran it as captured. P′ applies a and b, not c.
         let captured = seq(&[a, b, a, c]);
         let simulated = captured.reversed();
-        let original = captured.distinct();
         let rows = |p: &PatternSeq| (0..p.len()).map(|i| p.value(i)).collect::<Vec<_>>();
         assert_eq!(rows(&simulated), [c, a, b, a]);
-        assert_eq!(rows(&original), [a, b, c]);
         let cptp = seq(&[b, a]);
-        // Fault 0: stage 3a stamp 0 names c (captured row 0 and distinct
-        // row 0 are a). Fault 1: stage 3a stamp 3 names a (captured row 3
-        // is c). Fault 2: D(P)-run stamp 2 names c (stage 3a's row 2 is
-        // b, captured row 2 is a). Fault 3: D(P)-run stamp 0 names a
-        // (stage 3a's row 0 is c). Faults 4 and 5 went undetected.
+        // Fault 0: stage 3a stamp 0 names c (captured row 0 is a). Fault
+        // 1: stage 3a stamp 3 names a (captured row 3 is c). Fault 2:
+        // D(P)-run stamp 3 names c (stage 3a's row 3 is a). Fault 3:
+        // D(P)-run stamp 0 names a (stage 3a's row 0 is c). Faults 4 and
+        // 5 went undetected.
         let dropped_before = [false, false, true, true, false, true];
         let stage3a = [Some(0), Some(3), None, None, None, None];
-        let rerun = [None, None, Some(2), Some(0), None, None];
+        let rerun = [None, None, Some(3), Some(0), None, None];
         let w = witnessed(
             &dropped_before,
             |id| stage3a[id],
             |id| rerun[id],
             &simulated,
-            &original,
+            &captured,
             &cptp.row_set(),
         );
         assert_eq!(w, [false, true, false, true, false, false]);

@@ -53,15 +53,16 @@ pub struct CompactionReport {
     /// coverage of the set of faults the original program detects on
     /// fresh lists of the module (the paper's per-PTP FC column). The
     /// set is the faults the method's own simulation newly detected plus
-    /// those of the already-dropped faults that a masked run over the
-    /// original's distinct rows detects; the value is bit-identical to
-    /// simulating the whole captured stream on fresh lists.
+    /// those of the already-dropped faults that a masked detection pass
+    /// over the original's first-occurrence rows detects; the value is
+    /// bit-identical to simulating the whole captured stream on fresh
+    /// lists.
     pub fc_before: f64,
     /// Standalone fault coverage after compaction, in [0, 1]: the
     /// coverage of the set the compacted program detects on fresh lists.
     /// The set is the original's detected faults whose detecting row the
-    /// compacted program still applies, plus what one run over its
-    /// distinct rows detects among the rest (restricted to the original's
+    /// compacted program still applies, plus what one detection pass over
+    /// its first-occurrence rows detects among the rest (restricted to the original's
     /// detected set when the compacted program applies no row the
     /// original did not, and skipped when nothing is left). Bit-identical
     /// to simulating the whole captured stream on fresh lists.

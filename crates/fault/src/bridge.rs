@@ -214,34 +214,8 @@ impl BridgeUniverse {
                 candidate_pairs: 0,
             };
         }
-        let gates = netlist.gates();
-        let is_const =
-            |n: NetId| matches!(gates[n.index()].kind, GateKind::Const0 | GateKind::Const1);
-        let mut pairs: Vec<(NetId, NetId)> = Vec::new();
-        for g in gates {
-            for w in g.inputs().windows(2) {
-                let (mut a, mut b) = (w[0], w[1]);
-                if a == b || is_const(a) || is_const(b) {
-                    continue;
-                }
-                if a.index() > b.index() {
-                    std::mem::swap(&mut a, &mut b);
-                }
-                pairs.push((a, b));
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        // Non-feedback filter. Ascending index is a topological order of
-        // combinational logic, so only the lower net's cone can reach the
-        // higher net; one membership test per pair suffices.
-        let cones = netlist.fanout_cones();
-        pairs.retain(|&(a, b)| {
-            cones
-                .union_cone([a.index()])
-                .binary_search(&(b.index() as u32))
-                .is_err()
-        });
+        let mut pairs = adjacent_pairs(netlist);
+        retain_non_feedback(netlist, &mut pairs);
         let candidate_pairs = pairs.len();
 
         let keep = config.pairs.min(pairs.len());
@@ -339,6 +313,63 @@ impl SiteOverride for BridgeFault {
     }
 }
 
+/// Every pair of distinct non-constant nets feeding adjacent input pins of
+/// one gate, as `(lower, higher)` in ascending order, each once.
+fn adjacent_pairs(netlist: &Netlist) -> Vec<(NetId, NetId)> {
+    let gates = netlist.gates();
+    let is_const = |n: NetId| matches!(gates[n.index()].kind, GateKind::Const0 | GateKind::Const1);
+    let mut pairs: Vec<(NetId, NetId)> = Vec::new();
+    for g in gates {
+        for w in g.inputs().windows(2) {
+            let (mut a, mut b) = (w[0], w[1]);
+            if a == b || is_const(a) || is_const(b) {
+                continue;
+            }
+            if a.index() > b.index() {
+                std::mem::swap(&mut a, &mut b);
+            }
+            pairs.push((a, b));
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// The non-feedback filter: drops each `(a, b)` pair whose higher net `b`
+/// lies in the fanout cone of `a`. Ascending index is a topological order
+/// of combinational logic, so only the lower net's cone can reach the
+/// higher net, and every path from `a` to `b` runs through nets between
+/// them: a search from `a` that never steps above `b` and stops on
+/// reaching it decides each pair. One epoch-stamped visited array serves
+/// every pair.
+fn retain_non_feedback(netlist: &Netlist, pairs: &mut Vec<(NetId, NetId)>) {
+    let cones = netlist.fanout_cones();
+    let mut seen = vec![0u32; netlist.gates().len()];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut epoch = 0u32;
+    pairs.retain(|&(a, b)| {
+        let (a, b) = (a.index(), b.index());
+        epoch += 1;
+        seen[a] = epoch;
+        stack.clear();
+        stack.push(a);
+        while let Some(n) = stack.pop() {
+            for &s in cones.successors(n) {
+                let s = s as usize;
+                if s == b {
+                    return false;
+                }
+                if s < b && seen[s] != epoch {
+                    seen[s] = epoch;
+                    stack.push(s);
+                }
+            }
+        }
+        true
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,6 +428,30 @@ mod tests {
                     .is_err(),
                 "feedback pair sampled: {f}"
             );
+        }
+    }
+
+    #[test]
+    fn bounded_search_keeps_the_cone_filter_pairs_on_every_module() {
+        for kind in warpstl_netlist::modules::ModuleKind::ALL {
+            let n = kind.build();
+            let all = adjacent_pairs(&n);
+            let cones = n.fanout_cones();
+            let expected: Vec<(NetId, NetId)> = all
+                .iter()
+                .copied()
+                .filter(|&(a, b)| {
+                    cones
+                        .union_cone([a.index()])
+                        .binary_search(&(b.index() as u32))
+                        .is_err()
+                })
+                .collect();
+            let mut kept = all.clone();
+            retain_non_feedback(&n, &mut kept);
+            assert_eq!(kept, expected, "{kind}");
+            // The filter bites: some adjacent pairs are feedback pairs.
+            assert!(kept.len() < all.len(), "{kind}");
         }
     }
 

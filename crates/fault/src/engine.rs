@@ -21,18 +21,17 @@
 //! The kernel carries no flip-flop state across patterns, so the engine
 //! runs combinational netlists only; every bundled module is one.
 //!
-//! A module's instances run through `lockstep.rs`, which fans them out
-//! over this engine and may first settle every first detection in one
-//! lock-step union pass on the same schedule; the runs then read their
-//! stamps (`Ctx::stamps`).
+//! A module's instances run through `lockstep.rs`, which either fans them
+//! out over this engine or simulates them together in one lock-step union
+//! pass on the same schedule.
 
 use std::borrow::Cow;
 
 use warpstl_netlist::{FanoutCones, Gate, Levelization, Netlist, PatternSeq};
-use warpstl_obs::{names, Obs, ObsExt};
+use warpstl_obs::{names, Obs, ObsExt, Span};
 use warpstl_sync::AtomicUsize;
 
-use crate::kernel::{run_batches_kernel, Stamp};
+use crate::kernel::run_batches_kernel;
 use crate::{
     FaultId, FaultList, FaultSimConfig, FaultSimReport, FaultStatus, SimGuide, SiteOverride,
 };
@@ -84,11 +83,6 @@ pub(crate) struct Ctx<'a> {
     /// Rank-major netlist layout (borrowed from the guide or levelized per
     /// run).
     pub(crate) levels: &'a Levelization,
-    /// Settled first detections on this stream, indexed by [`FaultId`]
-    /// (a stamped run of a lock-step union, see `lockstep.rs`): a settled
-    /// fault's blocks read their detect word from its stamp instead of
-    /// propagating. `None` propagates every fault.
-    pub(crate) stamps: Option<&'a [Stamp]>,
 }
 
 /// What one worker hands back for one window: the first detection
@@ -158,8 +152,8 @@ pub(crate) fn windows(n_pat: usize, cap: usize) -> impl Iterator<Item = (usize, 
     })
 }
 
-/// The one window schedule of every run, per-instance runs and the
-/// lock-step union pass alike: `window(targets, range)` simulates the
+/// The one window schedule of every pass, per-instance runs and the
+/// lock-step union passes alike: `window(targets, range)` simulates the
 /// targets over each of [`windows`]`(n_pat, cap)` in order, and in drop
 /// mode retains the survivors, which the next window re-packs into fresh
 /// batches in enumeration order. The walk ends after the last window or
@@ -181,11 +175,55 @@ pub(crate) fn walk_windows(
         if targets.is_empty() {
             break;
         }
-        window(targets, range);
         if obs.enabled() {
+            obs.add(names::FSIM_TARGET_FAULTS, targets.len() as u64);
             obs.add(names::FSIM_REPACK_SEGMENTS, 1);
         }
+        window(targets, range);
     }
+}
+
+/// Opens one kernel pass's `fsim.run` span and counts the pass: a
+/// per-instance run, a lock-step union pass and a detection pass each add
+/// one to `fsim.runs` and the rows they walk to `fsim.patterns`.
+pub(crate) fn begin_pass<'o>(obs: Obs<'o>, rows: usize) -> Span<'o> {
+    let mut span = obs.span("fsim", names::FSIM_RUN);
+    if obs.enabled() {
+        span.arg("patterns", rows);
+        obs.add(names::FSIM_RUNS, 1);
+        obs.add(names::FSIM_KERNEL_RUNS, 1);
+        obs.add(names::FSIM_PATTERNS, rows as u64);
+    }
+    span
+}
+
+/// The Fault Sim Report of one instance's run over `patterns`: one row
+/// per pattern from the run's tallies, and its untestable count. Counts
+/// the report's detections, activations and pruned classes.
+pub(crate) fn tally_report(
+    patterns: &PatternSeq,
+    activated: &[u32],
+    detected: &[u32],
+    untestable: usize,
+    obs: Obs<'_>,
+) -> FaultSimReport {
+    let mut report = FaultSimReport::new();
+    report.set_untestable(untestable as u32);
+    for (t, (&a, &d)) in activated.iter().zip(detected).enumerate() {
+        report.record_pattern(patterns.cc(t), a, d);
+    }
+    if obs.enabled() {
+        obs.add(names::FSIM_UNTESTABLE_PRUNED, untestable as u64);
+        obs.add(
+            names::FSIM_DETECTIONS,
+            detected.iter().map(|&d| u64::from(d)).sum(),
+        );
+        obs.add(
+            names::FSIM_ACTIVATIONS,
+            activated.iter().map(|&a| u64::from(a)).sum(),
+        );
+    }
+    report
 }
 
 /// The targets of one run over `list`: its undetected faults in drop mode
@@ -250,7 +288,6 @@ impl<'g> Layout<'g> {
         netlist: &'a Netlist,
         patterns: &'a PatternSeq,
         config: &FaultSimConfig,
-        stamps: Option<&'a [Stamp]>,
     ) -> Ctx<'a> {
         Ctx {
             gates: netlist.gates(),
@@ -260,21 +297,18 @@ impl<'g> Layout<'g> {
             out_nets: &self.out_nets,
             config: *config,
             levels: &self.levels,
-            stamps,
         }
     }
 }
 
 /// The engine behind [`fault_simulate_guided`](crate::fault_simulate_guided)
-/// and every other entry point: plans the targets and simulates them over
+/// and of each per-instance run: plans the targets and simulates them over
 /// the whole stream in one pass on the window schedule ([`walk_windows`]),
 /// marking first detections on `list` and turning the per-pattern tallies
 /// into the report's rows.
 ///
 /// `W` is the kernel's block width in words: [`crate::kernel::BLOCK_WORDS`]
 /// for every public entry point; only in-crate tests pick another.
-/// `stamps`, when present, are the run's settled first detections (see
-/// [`Ctx::stamps`]): a stamped run of a lock-step union.
 ///
 /// # Panics
 ///
@@ -287,7 +321,6 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
     config: &FaultSimConfig,
     obs: Obs<'_>,
     guide: &SimGuide<'_>,
-    stamps: Option<&[Stamp]>,
 ) -> FaultSimReport {
     assert_eq!(
         patterns.width(),
@@ -298,9 +331,8 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
         netlist.is_combinational() || list.is_empty(),
         "fault simulation is combinational-only: the kernel carries no flip-flop state"
     );
-    let mut run_span = obs.span("fsim", names::FSIM_RUN);
+    let mut run_span = begin_pass(obs, patterns.len());
     list.begin_run();
-    let mut report = FaultSimReport::new();
 
     // Statically-proven-untestable classes are dropped from the target
     // list before batching: they can never be detected, so the detected
@@ -308,26 +340,16 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
     // target mask restricts the candidates first, so the untestable row
     // counts masked-in faults only.
     let (mut targets, untestable) = run_targets(list, config, guide);
-    report.set_untestable(untestable as u32);
+    if obs.enabled() {
+        run_span.arg("faults", targets.len());
+    }
 
     let layout = Layout::of(netlist, guide);
-    let ctx = layout.ctx(netlist, patterns, config, stamps);
+    let ctx = layout.ctx(netlist, patterns, config);
 
     let n_pat = patterns.len();
     let mut activated_per_pattern = vec![0u32; n_pat];
     let mut detected_per_pattern = vec![0u32; n_pat];
-    if obs.enabled() {
-        run_span.arg("faults", targets.len());
-        run_span.arg("patterns", patterns.len());
-        obs.add(names::FSIM_RUNS, 1);
-        obs.add(names::FSIM_KERNEL_RUNS, 1);
-        obs.add(names::FSIM_PATTERNS, patterns.len() as u64);
-        obs.add(
-            names::FSIM_UNTESTABLE_PRUNED,
-            u64::from(report.untestable_count()),
-        );
-    }
-
     let drop = config.drop_detected;
     walk_windows(n_pat, usize::MAX, &mut targets, obs, |targets, (p0, p1)| {
         let outs = fan_out_batches(
@@ -337,7 +359,6 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
             |batches, next| run_batches_kernel::<F, W>(&ctx, batches, next, obs, (p0, p1)),
         );
         if obs.enabled() {
-            obs.add(names::FSIM_TARGET_FAULTS, targets.len() as u64);
             obs.add(names::FSIM_WORKERS, outs.len() as u64);
         }
         for w in outs {
@@ -353,23 +374,11 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
             targets.retain(|&id| matches!(list.status(id), FaultStatus::Undetected));
         }
     });
-
-    for t in 0..n_pat {
-        report.record_pattern(
-            patterns.cc(t),
-            activated_per_pattern[t],
-            detected_per_pattern[t],
-        );
-    }
-    if obs.enabled() {
-        obs.add(
-            names::FSIM_DETECTIONS,
-            u64::from(detected_per_pattern.iter().sum::<u32>()),
-        );
-        obs.add(
-            names::FSIM_ACTIVATIONS,
-            activated_per_pattern.iter().map(|&a| u64::from(a)).sum(),
-        );
-    }
-    report
+    tally_report(
+        patterns,
+        &activated_per_pattern,
+        &detected_per_pattern,
+        untestable,
+        obs,
+    )
 }

@@ -46,13 +46,12 @@
 //! Workers run one of two jobs over the same good machine, screens and
 //! frontier, both through the same claim loop ([`claim`]).
 //! [`run_batches_kernel`] is a per-instance run: tallies and first
-//! detections. [`settle_batches`] is the settlement pass of a lock-step
-//! union (`lockstep.rs`): each fault carries the mask of
-//! instances still open, and a detecting union row settles the open
-//! instances that apply it. A per-instance run given settled stamps
-//! (`Ctx::stamps`) answers every settled fault's blocks from its stamp
-//! instead of propagating; the frontier is allocated on the first
-//! propagation, so such a run never builds one.
+//! detections. [`settle_batches`] is the pass over a lock-step union
+//! (`lockstep.rs`): each fault carries the mask of instances still open,
+//! a detecting union row settles the open instances that apply it, and,
+//! when asked, every activating union row is credited to the open
+//! instances that apply it, a whole word at a time. The frontier is
+//! allocated on a worker's first propagation.
 
 use std::cell::OnceCell;
 use std::sync::atomic::Ordering;
@@ -68,16 +67,6 @@ use crate::{FaultId, SiteOverride};
 /// The block width, in 64-bit words, of every public simulation entry
 /// point: 256 patterns per wide block.
 pub(crate) const BLOCK_WORDS: usize = 4;
-
-/// A fault's settled first detection on one stream (see `Ctx::stamps`):
-/// the detecting pattern's index, [`NEVER`] when the stream never detects
-/// the fault, or [`OPEN`] when nothing was settled and the kernel must
-/// propagate.
-pub(crate) type Stamp = u32;
-/// Not settled: the fault propagates as usual.
-pub(crate) const OPEN: Stamp = Stamp::MAX;
-/// Settled as never detected by the stream.
-pub(crate) const NEVER: Stamp = Stamp::MAX - 1;
 
 /// The good machine over one pattern window: gate-major rows of `stride`
 /// words, bit `t` of word `w` = pattern `p0 + 64·w + t`.
@@ -475,33 +464,15 @@ struct Work {
     cone_gates: u64,
 }
 
-/// The detect word of a settled stamp: the stamp's lane when it falls in
-/// the `BW`-word block at word `base` of the window, else 0, confined to
-/// the window's valid lanes like a propagated detect word.
-fn stamp_word<C, const BW: usize>(stamp: Stamp, win: &Window<'_, C>, base: usize) -> [u64; BW] {
-    let mut d = [0u64; BW];
-    // A stamp before the block wraps far past it.
-    let lane = (stamp as usize).wrapping_sub(win.p0 + base * 64);
-    if stamp != NEVER && lane < BW * 64 {
-        d[lane / 64] = (1u64 << (lane % 64)) & win.mask[base + lane / 64];
-    }
-    d
-}
-
 /// Screens and evaluates one block for one fault: `None` when the override
 /// equals the good machine in every lane of the block (the faulty machine
 /// is identical there: no detection, no activation), else the detect and
-/// activation words, both confined to the window's valid lanes.
-///
-/// A fault with a settled stamp in `ctx.stamps` does not propagate: its
-/// detect word comes from [`stamp_word`]. Drop mode reads only a detect
-/// word's first set bit, which is then the stamp itself. The frontier is
-/// built on the first propagation, so a worker whose faults are all
-/// settled never allocates it.
+/// activation words, both confined to the window's valid lanes. The
+/// frontier is built on the first propagation, so a worker whose faults
+/// never pass the screen never allocates it.
 fn eval_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     ctx: &Ctx<'_>,
     fr: &mut Option<Frontier>,
-    fid: FaultId,
     fault: &F,
     win: &Window<'_, C>,
     base: usize,
@@ -519,14 +490,9 @@ fn eval_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     if any == 0 {
         return None;
     }
-    let d = match ctx.stamps.map(|s| s[fid]) {
-        Some(stamp) if stamp != OPEN => stamp_word::<C, BW>(stamp, win, base),
-        _ => {
-            work.fault_blocks += 1;
-            let fr = fr.get_or_insert_with(|| Frontier::new(ctx));
-            propagate::<F, C, BW>(ctx, fr, fault, win, base, &mut work.cone_gates)
-        }
-    };
+    work.fault_blocks += 1;
+    let fr = fr.get_or_insert_with(|| Frontier::new(ctx));
+    let d = propagate::<F, C, BW>(ctx, fr, fault, win, base, &mut work.cone_gates);
     Some((d, a))
 }
 
@@ -543,7 +509,7 @@ fn fault_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     out: &mut WorkerOut,
     work: &mut Work,
 ) {
-    if let Some((d, a)) = eval_block::<F, C, BW>(ctx, fr, run.fid, &run.fault, win, base, work) {
+    if let Some((d, a)) = eval_block::<F, C, BW>(ctx, fr, &run.fault, win, base, work) {
         absorb_block::<F, BW>(d, a, run, base, win.p0, drop, out);
     }
 }
@@ -713,8 +679,7 @@ fn finish_worker(obs: Obs<'_>, span: &mut Span<'_>, mut local: Metrics, taken: u
 /// the shared counter `next` (see [`claim`]), simulates their faults over
 /// the pattern window `pat_range`, and returns their first detections and
 /// the window's exact per-pattern tallies. `W` is the block width in words
-/// (see [`walk_blocks`]). Faults with a settled stamp in `ctx.stamps` are
-/// answered from it (see [`eval_block`]).
+/// (see [`walk_blocks`]).
 pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
     ctx: &Ctx<'_>,
     batches: &[Vec<(FaultId, F)>],
@@ -767,46 +732,125 @@ pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
 
 /// One settlement: the instances (a bit mask) whose first detection of
 /// the fault is at pattern position `t`.
-pub(crate) type Settlement = (FaultId, u64, Stamp);
+pub(crate) type Settlement = (FaultId, u64, usize);
+
+/// Where a union pass credits activation (see [`settle_batches`]).
+pub(crate) struct Lanes {
+    /// Every member of the union, bit `j` for member `j`.
+    pub(crate) members: u64,
+    /// Per member, the U-rows it applies in the window: bit `k % 64` of
+    /// word `k / 64` for the window's `k`-th U-row.
+    pub(crate) maps: Vec<Vec<u64>>,
+}
+
+/// One worker's activation credit over a window of a union pass, indexed
+/// by the window's U-rows. Tallies are sums, so merging credits across
+/// workers and windows is order-free.
+#[derive(Default)]
+pub(crate) struct Credit {
+    /// Activations of faults open on every member: each counts once for
+    /// every instance applying the U-row.
+    pub(crate) shared: Vec<u32>,
+    /// Per member, activations credited to it alone; empty until first
+    /// use.
+    pub(crate) lanes: Vec<Vec<u32>>,
+}
+
+impl Credit {
+    /// Credits the activating U-rows `bits` (the word at window-relative
+    /// row `k0`) to the `open` members that apply them: whole words, into
+    /// the shared counter when every member is open, else masked by each
+    /// open member's lane.
+    #[inline]
+    fn add(&mut self, bits: u64, open: u64, k0: usize, lanes: &Lanes) {
+        if bits == 0 {
+            return;
+        }
+        if open == lanes.members {
+            tally_bits(bits, k0, &mut self.shared);
+            return;
+        }
+        let mut rest = open;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let mine = bits & lanes.maps[i][k0 / 64];
+            if mine != 0 {
+                let counts = &mut self.lanes[i];
+                if counts.is_empty() {
+                    counts.resize(self.shared.len(), 0);
+                }
+                tally_bits(mine, k0, counts);
+            }
+        }
+    }
+}
 
 /// One worker's job in a lock-step union pass (`ctx.patterns` holds the
-/// union rows U): takes batches off `batches` by the shared counter `next`
-/// (see [`claim`]), and walks each fault over the window `pat_range` of U
-/// in drop-mode block order with its `open` instance mask. At each
-/// detecting U-row `u`, in ascending order, the open instances among
-/// `users[u]` settle at position `at[u]` and leave the mask; the fault
-/// stops when none is left open.
+/// union rows U, each stamped with its pattern position): takes batches
+/// off `batches` by the shared counter `next` (see [`claim`]), and walks
+/// each fault over the window `pat_range` of U in drop-mode block order
+/// with its `open` instance mask. At each detecting U-row `u`, in
+/// ascending order, the open instances among `users[u]` settle at U-row
+/// `u`'s position and leave the mask; the fault stops when none is left
+/// open.
+///
+/// With `lanes`, each activating U-row is also credited to the open
+/// instances applying it, and a detecting U-row is credited before its
+/// settled instances leave the mask: a per-instance drop-mode run counts
+/// a fault's activation at every pattern up to and including its first
+/// detection, so each instance gets exactly its own run's tallies.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn settle_batches<F: SiteOverride, const W: usize>(
     ctx: &Ctx<'_>,
     users: &[u64],
-    at: &[Stamp],
+    lanes: Option<&Lanes>,
     batches: &[Vec<(FaultId, F, u64)>],
     next: &AtomicUsize,
     obs: Obs<'_>,
     pat_range: (usize, usize),
-) -> Vec<Settlement> {
+) -> (Vec<Settlement>, Credit) {
     const { assert!(W <= BLOCK_WORDS, "frontier rows hold BLOCK_WORDS words") };
     let mut settled = Vec::new();
+    let mut credit = Credit::default();
+    if let Some(lanes) = lanes {
+        credit.shared = vec![0; pat_range.1 - pat_range.0];
+        credit.lanes = vec![Vec::new(); lanes.maps.len()];
+    }
     let mut local = Metrics::default();
     let (mut worker_span, started) = start_worker::<W>(ctx, obs, pat_range, &mut local);
     let Some((_kernel_span, gs)) = started else {
-        return settled;
+        return (settled, credit);
     };
     let before = OnceCell::new();
     let win = gs.window(ctx, pat_range.0, &before);
     let mut fr = None;
     let mut work = Work::default();
 
-    let mut settle = |d: &[u64], base: usize, fid: FaultId, open: &mut u64| {
-        for (w, &dw) in d.iter().enumerate() {
-            let u0 = win.p0 + (base + w) * 64;
-            let mut word = dw;
-            while word != 0 && *open != 0 {
-                let u = u0 + word.trailing_zeros() as usize;
-                word &= word - 1;
+    let mut fold = |d: &[u64], a: &[u64], base: usize, fid: FaultId, open: &mut u64| {
+        for (w, (&dw, &aw)) in d.iter().zip(a).enumerate() {
+            let k0 = (base + w) * 64;
+            let (mut dw, mut aw) = (dw, aw);
+            while *open != 0 {
+                // The activations up to and including the next detecting
+                // row are credited under the mask that row settles from.
+                let upto = if dw == 0 {
+                    !0
+                } else {
+                    u64::MAX >> (63 - dw.trailing_zeros())
+                };
+                if let Some(lanes) = lanes {
+                    credit.add(aw & upto, *open, k0, lanes);
+                }
+                aw &= !upto;
+                if dw == 0 {
+                    break;
+                }
+                let u = win.p0 + k0 + dw.trailing_zeros() as usize;
+                dw &= dw - 1;
                 let hits = *open & users[u];
                 if hits != 0 {
-                    settled.push((fid, hits, at[u]));
+                    settled.push((fid, hits, ctx.patterns.cc(u) as usize));
                     *open &= !hits;
                 }
             }
@@ -816,22 +860,22 @@ pub(crate) fn settle_batches<F: SiteOverride, const W: usize>(
         for &(fid, fault, mut open) in batch {
             walk_blocks::<W>(gs.stride, true, |base, wide| {
                 if wide {
-                    if let Some((d, _)) =
-                        eval_block::<F, _, W>(ctx, &mut fr, fid, &fault, &win, base, &mut work)
+                    if let Some((d, a)) =
+                        eval_block::<F, _, W>(ctx, &mut fr, &fault, &win, base, &mut work)
                     {
-                        settle(&d, base, fid, &mut open);
+                        fold(&d, &a, base, fid, &mut open);
                     }
-                } else if let Some((d, _)) =
-                    eval_block::<F, _, 1>(ctx, &mut fr, fid, &fault, &win, base, &mut work)
+                } else if let Some((d, a)) =
+                    eval_block::<F, _, 1>(ctx, &mut fr, &fault, &win, base, &mut work)
                 {
-                    settle(&d, base, fid, &mut open);
+                    fold(&d, &a, base, fid, &mut open);
                 }
                 open == 0
             });
         }
     });
     finish_worker(obs, &mut worker_span, local, taken, &work);
-    settled
+    (settled, credit)
 }
 
 #[cfg(test)]
@@ -895,7 +939,7 @@ mod tests {
         cfg: &FaultSimConfig,
     ) -> (FaultSimReport, String) {
         let guide = SimGuide::default();
-        let report = simulate_guided::<F, W>(netlist, p, &mut list, cfg, None, &guide, None);
+        let report = simulate_guided::<F, W>(netlist, p, &mut list, cfg, None, &guide);
         (report, list.to_report_text())
     }
 

@@ -29,7 +29,10 @@
 //! - [`fault_simulate_instances`] — a module's instances (8 SP cores,
 //!   2 SFUs) at once: in drop mode the rows they apply in lock-step are
 //!   simulated once for all of them, and each instance's report is still
-//!   byte-identical to its own run.
+//!   byte-identical to its own run;
+//! - [`fault_detect_instances`] — the same call without reports: only the
+//!   detected sets and their stamps, from one pass over the rows the
+//!   instances apply first.
 //!
 //! # Examples
 //!
@@ -76,7 +79,7 @@ pub use fault::{Fault, FaultSite, Polarity, SiteOverride};
 pub use list::{FaultId, FaultList, FaultStatus};
 pub use report::{FaultSimReport, PatternStats};
 pub use sim::{
-    fault_simulate, fault_simulate_guided, fault_simulate_instances, FaultSimConfig, SimBackend,
-    SimGuide,
+    fault_detect_instances, fault_simulate, fault_simulate_guided, fault_simulate_instances,
+    FaultSimConfig, SimBackend, SimGuide,
 };
 pub use universe::FaultUniverse;

@@ -255,7 +255,7 @@ pub fn fault_simulate_guided<F: SiteOverride>(
     guide: &SimGuide<'_>,
 ) -> FaultSimReport {
     crate::engine::simulate_guided::<F, { crate::kernel::BLOCK_WORDS }>(
-        netlist, patterns, list, config, obs, guide, None,
+        netlist, patterns, list, config, obs, guide,
     )
 }
 
@@ -268,14 +268,15 @@ pub fn fault_simulate_guided<F: SiteOverride>(
 ///
 /// Every report and list is `==` to what
 /// [`fault_simulate_guided`] produces for that instance alone, for every
-/// thread count. The instances run concurrently, the thread budget split
-/// across them. In drop mode, for a model that does not read the previous
+/// thread count. In drop mode, for a model that does not read the previous
 /// pattern ([`SiteOverride::READS_PREV`]), a module whose instances apply
 /// the same rows at the same positions (the SM's lock-step lanes) is
-/// simulated once over the union of those rows first; each instance's run
-/// then reads its faults' first detections from that pass instead of
-/// propagating them. The union runs when at least two instances have
-/// something to simulate and it removes at least half of their rows.
+/// simulated in one pass over the union of those rows, which settles each
+/// instance's first detections and tallies its activations; each report
+/// and list is then written from that pass without further simulation.
+/// The union runs when at least two instances have something to simulate
+/// and it removes at least half of their rows. Otherwise the instances run
+/// alone, concurrently, the thread budget split across them.
 ///
 /// # Panics
 ///
@@ -335,6 +336,78 @@ pub fn fault_simulate_instances<F: SiteOverride>(
     targets: &[Option<&[bool]>],
 ) -> Vec<Option<FaultSimReport>> {
     crate::lockstep::simulate_instances(netlist, streams, lists, config, obs, guide, targets)
+}
+
+/// The set-level sibling of [`fault_simulate_instances`]: the same
+/// arguments, but only the lists change and no report is built. Every
+/// running instance's list ends `==` to what [`fault_simulate_guided`]
+/// leaves over that instance's whole stream (one new run, first detections
+/// stamped at their positions in that stream), for every thread count.
+///
+/// In drop mode on a combinational module an instance first detects a
+/// fault at the first occurrence of its first detecting row, so the call
+/// simulates one pass over the rows the instances apply *first*, grouped
+/// by value at each position: repeats are skipped and lock-step lanes
+/// share their rows, whatever the instance count (instances beyond 64 are
+/// detected in groups of at most 64). This is the standalone evaluation's
+/// simulation: its coverages need detected sets, not tallies.
+///
+/// # Panics
+///
+/// As [`fault_simulate_instances`], and if `config` is not in drop mode or
+/// the model reads the previous pattern ([`SiteOverride::READS_PREV`]):
+/// first detections then depend on repeats and order.
+///
+/// # Examples
+///
+/// ```
+/// use warpstl_fault::{
+///     fault_detect_instances, fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse,
+///     SimGuide,
+/// };
+/// use warpstl_netlist::{Builder, PatternSeq};
+///
+/// let mut b = Builder::new("and2");
+/// let x = b.input("x");
+/// let y = b.input("y");
+/// let z = b.and(x, y);
+/// b.output("z", z);
+/// let n = b.finish();
+/// let universe = FaultUniverse::enumerate(&n);
+///
+/// // Two lanes that repeat their rows.
+/// let lanes: Vec<PatternSeq> = (0..2u64)
+///     .map(|lane| {
+///         let mut p = PatternSeq::new(2);
+///         for (cc, v) in [lane, 0b11, lane, 0b10, 0b11, 0b01].into_iter().enumerate() {
+///             p.push_value(cc as u64, v);
+///         }
+///         p
+///     })
+///     .collect();
+/// let streams: Vec<&PatternSeq> = lanes.iter().collect();
+/// let config = FaultSimConfig::default();
+/// let guide = SimGuide::default();
+/// let mut lists = vec![FaultList::new(&universe); 2];
+/// fault_detect_instances(&n, &streams, &mut lists, &config, None, &guide, &[]);
+///
+/// // The same stamps as simulating each whole lane alone.
+/// for (stream, list) in streams.iter().zip(&lists) {
+///     let mut alone = FaultList::new(&universe);
+///     fault_simulate_guided(&n, stream, &mut alone, &config, None, &guide);
+///     assert_eq!(list.to_report_text(), alone.to_report_text());
+/// }
+/// ```
+pub fn fault_detect_instances<F: SiteOverride>(
+    netlist: &Netlist,
+    streams: &[&PatternSeq],
+    lists: &mut [FaultList<F>],
+    config: &FaultSimConfig,
+    obs: warpstl_obs::Obs<'_>,
+    guide: &SimGuide<'_>,
+    targets: &[Option<&[bool]>],
+) {
+    crate::lockstep::detect_instances(netlist, streams, lists, config, obs, guide, targets);
 }
 
 #[cfg(test)]

@@ -13,8 +13,9 @@
 //!    whose endpoint values differ under that assignment.
 //! 4. The set-level properties of `target_mask_prop` hold for bridging
 //!    lists at every thread count: a masked run detects the unmasked
-//!    detected set within the mask, and a drop-mode run over
-//!    `p.distinct()` detects the same set as over `p`.
+//!    detected set within the mask, and a detection pass
+//!    (`fault_detect_instances`) over `p`, which skips its repeated rows,
+//!    detects the same set as a drop-mode run over `p`.
 
 mod support;
 
@@ -22,8 +23,8 @@ use proptest::prelude::*;
 
 use support::build_netlist;
 use warpstl_fault::{
-    fault_simulate, fault_simulate_guided, BridgeConfig, BridgeFault, BridgeList, BridgeUniverse,
-    FaultSimConfig, FaultSimReport, SimGuide,
+    fault_detect_instances, fault_simulate, fault_simulate_guided, BridgeConfig, BridgeFault,
+    BridgeList, BridgeUniverse, FaultSimConfig, FaultSimReport, SimGuide,
 };
 use warpstl_netlist::{GateKind, Netlist, PatternSeq};
 
@@ -261,7 +262,7 @@ proptest! {
     }
 
     #[test]
-    fn bridging_masks_and_distinct_rows_keep_detected_sets(
+    fn bridging_masks_and_detection_passes_keep_detected_sets(
         n_inputs in 2usize..6,
         specs in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
@@ -275,7 +276,6 @@ proptest! {
         let netlist = build_netlist(n_inputs, &specs);
         let universe = BridgeUniverse::sample(&netlist, &BridgeConfig { pairs: 96, seed });
         let p = pseudorandom(netlist.inputs().width(), n_patterns, seed);
-        let d = p.distinct();
         let targets: Vec<bool> = (0..universe.faults().len())
             .map(|i| (seed.rotate_left(i as u32 % 64) ^ i as u64) & 1 == 1)
             .collect();
@@ -297,13 +297,18 @@ proptest! {
             );
             prop_assert_eq!(untestable, 0);
             if drop {
+                let pass = |guide: &SimGuide<'_>| {
+                    let mut lists = vec![universe.new_list()];
+                    fault_detect_instances(&netlist, &[&p], &mut lists, &cfg, None, guide, &[]);
+                    lists[0].detection_flags()
+                };
                 prop_assert_eq!(
-                    &detect(&d, &SimGuide::default()).0, &full,
-                    "distinct rows at threads={}", threads
+                    &pass(&SimGuide::default()), &full,
+                    "detection pass at threads={}", threads
                 );
                 prop_assert_eq!(
-                    &detect(&d, &masked).0, &expected,
-                    "masked distinct rows at threads={}", threads
+                    &pass(&masked), &expected,
+                    "masked detection pass at threads={}", threads
                 );
             }
         }

@@ -16,10 +16,12 @@
 //! counters against it, so every case states which path it took.
 //! Transition faults and non-drop runs never take the union path.
 
+mod lanes;
 mod support;
 
 use proptest::prelude::*;
 
+use lanes::{flags, patterns, shape, streams, Shape};
 use support::build_netlist;
 use warpstl_fault::tdf::TdfList;
 use warpstl_fault::{
@@ -28,82 +30,6 @@ use warpstl_fault::{
 };
 use warpstl_netlist::{Netlist, PatternSeq};
 use warpstl_obs::{names, Recorder};
-
-/// xorshift64 draws; `state` must be nonzero.
-fn draws(mut state: u64) -> impl Iterator<Item = u64> {
-    std::iter::repeat_with(move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    })
-}
-
-/// `count` pseudorandom rows over `width` inputs, stamped `cc0 + index`.
-fn patterns(width: usize, count: usize, seed: u64, cc0: u64) -> PatternSeq {
-    let mut p = PatternSeq::new(width);
-    for (t, v) in draws(seed | 1).take(count).enumerate() {
-        let bits: Vec<bool> = (0..width).map(|b| (v >> b) & 1 == 1).collect();
-        p.push_bits(cc0 + t as u64, &bits);
-    }
-    p
-}
-
-/// A pseudorandom per-fault flag vector selecting about half of `n`.
-fn flags(n: usize, seed: u64) -> Vec<bool> {
-    draws(seed | 1).take(n).map(|v| v >> 40 & 1 == 1).collect()
-}
-
-/// How the instances' streams relate.
-#[derive(Debug, Clone, Copy)]
-enum Shape {
-    /// Every instance applies the same stream.
-    Identical,
-    /// A shared body behind a short per-instance prologue (the SP
-    /// programs' thread-id set-up).
-    Prologue,
-    /// Independently drawn streams.
-    Disjoint,
-    /// One body cut at different lengths (possibly empty).
-    Unequal,
-}
-
-fn shape() -> impl Strategy<Value = Shape> {
-    (0u8..4).prop_map(|v| match v {
-        0 => Shape::Identical,
-        1 => Shape::Prologue,
-        2 => Shape::Disjoint,
-        _ => Shape::Unequal,
-    })
-}
-
-fn streams(width: usize, k: usize, shape: Shape, len: usize, seed: u64) -> Vec<PatternSeq> {
-    let body = patterns(width, len, seed, 0);
-    (0..k)
-        .map(|i| {
-            let lane = seed.rotate_left(9) ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            match shape {
-                Shape::Identical => body.clone(),
-                Shape::Prologue => {
-                    let mut p = patterns(width, 1 + len / 8, lane, 0);
-                    let cc0 = p.len() as u64;
-                    for t in 0..body.len() {
-                        p.push_row(cc0 + t as u64, body.row(t));
-                    }
-                    p
-                }
-                Shape::Disjoint => patterns(width, len, lane, 0),
-                Shape::Unequal => {
-                    let mut p = PatternSeq::new(width);
-                    for t in 0..len * i / k.max(1) {
-                        p.push_row(t as u64, body.row(t));
-                    }
-                    p
-                }
-            }
-        })
-        .collect()
-}
 
 /// One case's switches.
 #[derive(Debug, Clone, Copy)]
@@ -168,6 +94,13 @@ fn union_rows<F: SiteOverride>(
     (2 * union <= total).then_some(union)
 }
 
+/// A list's fault-list report text and the number its next run gets: a
+/// call must start exactly one run on every list it simulates, and none on
+/// the others.
+fn ledger<F: std::fmt::Display + Clone>(list: &FaultList<F>) -> (String, u32) {
+    (list.to_report_text(), list.clone().begin_run())
+}
+
 /// Runs one case: pre-detects with a short real run per instance, then
 /// checks `fault_simulate_instances` against instance-by-instance runs and
 /// the union counters against [`union_rows`].
@@ -210,7 +143,7 @@ fn check<F: SiteOverride + std::fmt::Display>(
         .map(|(i, m)| (axes.masked && i % 2 == 1).then_some(m.as_slice()))
         .collect();
 
-    let expected: Vec<(Option<FaultSimReport>, String)> = (0..streams.len())
+    let expected: Vec<(Option<FaultSimReport>, (String, u32))> = (0..streams.len())
         .map(|i| {
             let mut list = lists[i].clone();
             let runs = !streams[i].is_empty() && masks[i].is_none_or(|m| m.contains(&true));
@@ -221,7 +154,7 @@ fn check<F: SiteOverride + std::fmt::Display>(
             let report = runs.then(|| {
                 fault_simulate_guided(netlist, &streams[i], &mut list, &cfg, None, &alone)
             });
-            (report, list.to_report_text())
+            (report, ledger(&list))
         })
         .collect();
     let union = union_rows(streams, &lists, &masks, guide.untestable, axes.drop);
@@ -234,13 +167,7 @@ fn check<F: SiteOverride + std::fmt::Display>(
         reports.into_iter().zip(&lists).zip(expected).enumerate()
     {
         prop_assert_eq!(report, want_report, "instance {} report, {:?}", i, axes);
-        prop_assert_eq!(
-            list.to_report_text(),
-            want_text,
-            "instance {} list, {:?}",
-            i,
-            axes
-        );
+        prop_assert_eq!(ledger(list), want_text, "instance {} list, {:?}", i, axes);
     }
     let m = rec.metrics();
     prop_assert_eq!(
@@ -360,5 +287,35 @@ fn lock_step_lanes_take_the_union_path_on_every_axis() {
             union.is_some_and(|u| 4 * u < total),
             "{axes:?}: {union:?} of {total}"
         );
+    }
+}
+
+#[test]
+fn union_windows_off_a_64_row_boundary_credit_every_lane() {
+    // 8 prologue lanes of 62 patterns: |U| exceeds the longest lane, and
+    // the windows over U are capped at 62 rows, so the second one starts
+    // at U-row 62, inside a word. Odd lanes are masked and earlier runs
+    // detected some faults, so faults open on only some lanes are credited
+    // lane by lane there.
+    let specs: Vec<(u8, u8, u8, u8)> = (0..48u8)
+        .map(|g| (g.wrapping_mul(7), g, g.wrapping_mul(3), g ^ 5))
+        .collect();
+    let netlist = build_netlist(6, &specs);
+    let universe = FaultUniverse::enumerate(&netlist);
+    let bridges = BridgeUniverse::sample(&netlist, &BridgeConfig::default());
+    let s = streams(netlist.inputs().width(), 8, Shape::Prologue, 55, 0x5eed);
+    let longest = s.iter().map(PatternSeq::len).max().unwrap();
+    assert!(longest < 64, "{longest}");
+    for threads in [1, 2] {
+        let axes = Axes {
+            drop: true,
+            threads,
+            untestable: false,
+            masked: true,
+        };
+        let union = check(&netlist, FaultList::new(&universe), &s, 3, 0x5eed, axes);
+        assert!(union.is_some_and(|u| u > longest), "{axes:?}: {union:?}");
+        let union = check(&netlist, bridges.new_list(), &s, 3, 0x5eed, axes);
+        assert!(union.is_some_and(|u| u > longest), "{axes:?}: {union:?}");
     }
 }

@@ -7,8 +7,10 @@
 //!    the oracle's masked-in faults, with the oracle's stamps (pruned
 //!    untestable faults left out too). Its report's untestable row counts
 //!    masked-in untestable faults only.
-//! 2. A drop-mode run over `p.distinct()` detects the same set as a run
-//!    over `p` (rows repeat often here: the streams draw from few inputs).
+//! 2. A detection pass (`fault_detect_instances`) over `p`, which skips
+//!    its repeated rows, leaves the list a drop-mode run over `p` leaves,
+//!    stamps included (rows repeat often here: the streams draw from few
+//!    inputs).
 //!
 //! `bridge_prop` checks both for bridging lists.
 
@@ -17,7 +19,10 @@ mod support;
 use proptest::prelude::*;
 
 use support::{build_netlist, fault_simulate_reference};
-use warpstl_fault::{fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
+use warpstl_fault::{
+    fault_detect_instances, fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse,
+    SimGuide,
+};
 use warpstl_netlist::PatternSeq;
 
 /// xorshift64 draws; `state` must be nonzero.
@@ -110,7 +115,7 @@ proptest! {
     }
 
     #[test]
-    fn drop_mode_over_distinct_rows_detects_the_same_set(
+    fn detection_pass_over_repeated_rows_detects_the_same_set(
         n_inputs in 2usize..6,
         specs in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
@@ -122,25 +127,23 @@ proptest! {
         let netlist = build_netlist(n_inputs, &specs);
         let universe = FaultUniverse::enumerate(&netlist);
         let p = patterns(netlist.inputs().width(), n_pat, seed);
-        let d = p.distinct();
-        prop_assert!(d.len() <= 1 << n_inputs);
+        prop_assert!(p.row_set().len() <= 1 << n_inputs);
         let targets = mask(universe.collapsed_len(), seed.rotate_left(7));
 
         for threads in [1, 2] {
             let cfg = FaultSimConfig { threads, ..FaultSimConfig::default() };
-            // Unmasked and masked: the evaluation runs both kinds over
-            // distinct rows.
+            // Unmasked and masked: the evaluation runs both kinds.
             let masked = SimGuide { targets: Some(&targets), ..SimGuide::default() };
             for guide in [SimGuide::default(), masked] {
-                let mut over_p = FaultList::new(&universe);
-                fault_simulate_guided(&netlist, &p, &mut over_p, &cfg, None, &guide);
-                let mut over_d = FaultList::new(&universe);
-                fault_simulate_guided(&netlist, &d, &mut over_d, &cfg, None, &guide);
+                let mut run = FaultList::new(&universe);
+                fault_simulate_guided(&netlist, &p, &mut run, &cfg, None, &guide);
+                let mut detect = vec![FaultList::new(&universe)];
+                fault_detect_instances(&netlist, &[&p], &mut detect, &cfg, None, &guide, &[]);
                 prop_assert_eq!(
-                    over_d.detection_flags(), over_p.detection_flags(),
+                    detect[0].to_report_text(), run.to_report_text(),
                     "threads={} masked={}", threads, guide.targets.is_some()
                 );
-                prop_assert_eq!(over_d.coverage().to_bits(), over_p.coverage().to_bits());
+                prop_assert_eq!(detect[0].coverage().to_bits(), run.coverage().to_bits());
             }
         }
     }

@@ -178,45 +178,6 @@ impl PatternSeq {
         }
     }
 
-    /// A copy without repeated rows: the first occurrence of each distinct
-    /// row is kept, in order, with its clock-cycle stamp.
-    ///
-    /// On a combinational module a drop-mode fault simulation detects
-    /// the same fault set over `distinct()` as over the whole sequence:
-    /// whether a fault is detected depends only on which row values are
-    /// applied, not on their order or repeats. Per-pattern tallies and
-    /// detection stamps do change, so only set-level consumers (standalone
-    /// coverage) may substitute it.
-    ///
-    /// ```
-    /// use warpstl_netlist::PatternSeq;
-    ///
-    /// let mut p = PatternSeq::new(8);
-    /// for (cc, v) in [(1, 0xa), (2, 0xb), (3, 0xa), (4, 0xc), (5, 0xb)] {
-    ///     p.push_value(cc, v);
-    /// }
-    /// let d = p.distinct();
-    /// assert_eq!((0..d.len()).map(|i| (d.cc(i), d.value(i))).collect::<Vec<_>>(),
-    ///            [(1, 0xa), (2, 0xb), (4, 0xc)]);
-    /// assert!(p.rows_subset_of(&d) && d.rows_subset_of(&p));
-    /// ```
-    #[must_use]
-    pub fn distinct(&self) -> PatternSeq {
-        let mut seen: HashSet<&[u64]> = HashSet::with_capacity(self.len());
-        let mut out = PatternSeq::new(self.width);
-        for (&cc, row) in self
-            .ccs
-            .iter()
-            .zip(self.data.chunks_exact(self.words_per_row))
-        {
-            if seen.insert(row) {
-                out.ccs.push(cc);
-                out.data.extend_from_slice(row);
-            }
-        }
-        out
-    }
-
     /// Whether every row of `self` also occurs somewhere in `other`
     /// (clock-cycle stamps ignored). Sequences of different widths share
     /// no rows, so the test is then `false` unless `self` is empty.
@@ -399,50 +360,6 @@ mod tests {
         assert_eq!(r.cc(0), 3);
         assert_eq!(r.value(2), 0x11);
         assert_eq!(r.reversed(), p);
-    }
-
-    #[test]
-    fn distinct_keeps_first_occurrences_in_order() {
-        // 70 bits: two words per row, so rows equal in one word only are
-        // still distinct.
-        let mut p = PatternSeq::new(70);
-        let row = |lo: bool, hi: bool| -> Vec<bool> {
-            (0..70)
-                .map(|b| if b < 64 { lo && b % 3 == 0 } else { hi })
-                .collect()
-        };
-        for (cc, lo, hi) in [
-            (10, true, false),
-            (11, false, true),
-            (12, true, false),
-            (13, true, true),
-            (14, false, true),
-            (15, true, true),
-            (16, false, false),
-        ] {
-            p.push_bits(cc, &row(lo, hi));
-        }
-        let d = p.distinct();
-        assert_eq!(d.width(), 70);
-        let ccs: Vec<u64> = (0..d.len()).map(|i| d.cc(i)).collect();
-        assert_eq!(ccs, [10, 11, 13, 16]);
-        for (i, src) in [0usize, 1, 3, 6].into_iter().enumerate() {
-            assert_eq!(d.row(i), p.row(src), "row {i}");
-        }
-        // Idempotent, and a sequence without repeats is its own distinct().
-        assert_eq!(d.distinct(), d);
-        // Both directions of the subset test hold between p and d.
-        assert!(p.rows_subset_of(&d) && d.rows_subset_of(&p));
-    }
-
-    #[test]
-    fn distinct_of_the_empty_stream_is_empty() {
-        let p = PatternSeq::new(5);
-        let d = p.distinct();
-        assert!(d.is_empty());
-        assert_eq!(d.width(), 5);
-        assert_eq!(d, p);
-        assert!(d.rows_subset_of(&p));
     }
 
     #[test]

@@ -82,23 +82,24 @@ pub mod names {
     /// targeted: those no witness row settled.
     pub const EVAL_RESIMULATED: &str = "eval.resimulated";
 
-    /// Span: one fault-engine run. A per-instance run counts under
-    /// [`FSIM_RUNS`]; a lock-step union pass records the span too (so
-    /// worker-utilization splits cover its workers) but counts under
-    /// [`FSIM_UNION_RUNS`] instead.
+    /// Span: one fault-engine pass (a per-instance run, a lock-step union
+    /// pass or a detection pass), counted under [`FSIM_RUNS`].
     pub const FSIM_RUN: &str = "fsim.run";
     /// Span: one engine worker's share of a run's fault batches.
     pub const FSIM_WORKER: &str = "fsim.worker";
     /// Span: a worker's good-machine evaluation and fault loop.
     pub const FSIM_KERNEL: &str = "fsim.kernel";
-    /// Per-instance fault-simulation runs.
+    /// Fault-engine passes: each per-instance run, lock-step union pass
+    /// ([`FSIM_UNION_RUNS`]) and detection pass ([`FSIM_DETECT_RUNS`])
+    /// counts one.
     pub const FSIM_RUNS: &str = "fsim.runs";
-    /// Runs on the levelized kernel (every run: it is the only path).
+    /// Passes on the levelized kernel (every pass: it is the only path).
     pub const FSIM_KERNEL_RUNS: &str = "fsim.kernel.runs";
-    /// Patterns the per-instance runs applied.
+    /// Rows the passes walked: a per-instance run's stream, a union's
+    /// U-rows, a detection pass's first-occurrence rows.
     pub const FSIM_PATTERNS: &str = "fsim.patterns";
     /// Target faults handed to the workers, summed over every window of
-    /// every per-instance run.
+    /// every pass.
     pub const FSIM_TARGET_FAULTS: &str = "fsim.target_faults";
     /// Workers the target lists were spread over, summed.
     pub const FSIM_WORKERS: &str = "fsim.workers";
@@ -109,29 +110,34 @@ pub mod names {
     /// Good-machine blocks the workers evaluated.
     pub const FSIM_KERNEL_BLOCKS: &str = "fsim.kernel.blocks";
     /// (fault, block) pairs whose difference frontier was propagated:
-    /// blocks screened out as inactive, or answered from a settled
-    /// lock-step stamp, are not counted.
+    /// blocks screened out as inactive are not counted.
     pub const FSIM_KERNEL_FAULT_BLOCKS: &str = "fsim.kernel.fault_blocks";
     /// Gate evaluations of propagated difference frontiers.
     pub const FSIM_KERNEL_CONE_GATES: &str = "fsim.kernel.cone_gates";
-    /// Windows of the engine's one schedule, summed over every run (the
-    /// lock-step union passes included); drop mode re-packs its survivors
-    /// between them.
+    /// Windows of the engine's one schedule, summed over every pass; drop
+    /// mode re-packs its survivors between them.
     pub const FSIM_REPACK_SEGMENTS: &str = "fsim.repack_segments";
-    /// Target classes a run pruned as statically proven untestable.
+    /// Target classes a pass pruned as statically proven untestable.
     pub const FSIM_UNTESTABLE_PRUNED: &str = "fsim.untestable_pruned";
-    /// Detections the per-instance runs reported.
+    /// Detections the Fault Sim Reports counted.
     pub const FSIM_DETECTIONS: &str = "fsim.detections";
-    /// (fault, pattern) activations the per-instance runs tallied.
+    /// (fault, pattern) activations the Fault Sim Reports tallied.
     pub const FSIM_ACTIVATIONS: &str = "fsim.activations";
-    /// Lock-step union passes: one drop-mode simulation over the distinct
-    /// rows a module's instances apply at each pattern position.
+    /// Lock-step union passes of stage 3a: one drop-mode simulation over
+    /// the distinct rows a module's instances apply at each pattern
+    /// position, which settles and tallies every instance's report.
     pub const FSIM_UNION_RUNS: &str = "fsim.union.runs";
     /// Rows the union passes simulated (|U|, summed).
     pub const FSIM_UNION_ROWS: &str = "fsim.union.rows";
     /// Rows of the instance streams the union passes covered (Σ len,
     /// summed): `fsim.union.rows` over this is the share left to simulate.
     pub const FSIM_UNION_INSTANCE_ROWS: &str = "fsim.union.instance_rows";
+    /// Detection passes: one report-free drop-mode simulation over the
+    /// rows a module's instances apply first, which settles only their
+    /// detected sets (the standalone evaluation's runs).
+    pub const FSIM_DETECT_RUNS: &str = "fsim.detect.runs";
+    /// Rows the detection passes simulated (|U′|, summed).
+    pub const FSIM_DETECT_ROWS: &str = "fsim.detect.rows";
 }
 
 use std::collections::BTreeMap;

@@ -1,24 +1,27 @@
-//! The cached artifact and its compute wrapper.
+//! The cached artifact and its compute wrappers.
 //!
 //! One artifact kind is persisted: **fsim stamps** — everything one
 //! fault-engine invocation produced: the per-pattern report rows and the
 //! *fault-list delta* (which faults flipped to detected, and where). Keyed
 //! by [`key_fsim`], which absorbs the entry fault-list state, so replaying
 //! the delta onto a list in that same state is bit-exact with re-running
-//! the engine.
+//! the engine. A detection pass builds no report, so its entries carry no
+//! report rows and live under detection-tagged keys of their own.
 //!
-//! The wrapper [`cached_fault_sim`] is the whole integration surface for
-//! the pipeline: call it where `fault_simulate_instances` would be called,
-//! with an optional store.
+//! The wrappers are the whole integration surface for the pipeline: call
+//! [`cached_fault_sim`] where `fault_simulate_instances` would be called,
+//! and [`cached_detect`] where `fault_detect_instances` would be, with an
+//! optional store.
 
 use warpstl_fault::{
-    fault_simulate_instances, FaultList, FaultSimConfig, FaultSimReport, SimGuide,
+    fault_detect_instances, fault_simulate_instances, FaultList, FaultSimConfig, FaultSimReport,
+    SimGuide,
 };
 use warpstl_netlist::{Netlist, PatternSeq};
 use warpstl_obs::{Obs, ObsExt};
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::hash::{key_fsim, Key, KeyedFault};
+use crate::hash::{key_detect, key_fsim, Key, KeyedFault};
 use crate::store::{EntryKind, Store};
 
 /// The persisted result of one fault-engine invocation.
@@ -214,6 +217,82 @@ pub fn cached_fault_sim<F: KeyedFault>(
     let Some(store) = cache.store else {
         return fault_simulate_instances(netlist, streams, lists, config, obs, guide, targets);
     };
+    let key = |stream: &PatternSeq, list: &FaultList<F>, guide: &SimGuide<'_>| {
+        key_fsim(cache.netlist_key, stream, list, config, guide)
+    };
+    cached_instances(
+        store,
+        netlist,
+        streams,
+        lists,
+        obs,
+        guide,
+        targets,
+        key,
+        |run, lists| fault_simulate_instances(netlist, run, lists, config, obs, guide, targets),
+    )
+}
+
+/// [`fault_detect_instances`] behind the cache: what [`cached_fault_sim`]
+/// does for [`fault_simulate_instances`], with the same grouping, lookup,
+/// replay and write-back. A detection pass builds no report, so its
+/// entries hold only the fault-list delta (no report rows), under a
+/// detection-tagged derivation of [`key_fsim`]: a run over the same
+/// inputs that does build a report keys apart and never replays such an
+/// entry.
+#[allow(clippy::too_many_arguments)]
+pub fn cached_detect<F: KeyedFault>(
+    cache: CacheCtx<'_>,
+    netlist: &Netlist,
+    streams: &[&PatternSeq],
+    lists: &mut [FaultList<F>],
+    config: &FaultSimConfig,
+    obs: Obs<'_>,
+    guide: &SimGuide<'_>,
+    targets: &[Option<&[bool]>],
+) {
+    let Some(store) = cache.store else {
+        fault_detect_instances(netlist, streams, lists, config, obs, guide, targets);
+        return;
+    };
+    let key = |stream: &PatternSeq, list: &FaultList<F>, guide: &SimGuide<'_>| {
+        key_detect(cache.netlist_key, stream, list, config, guide)
+    };
+    cached_instances(
+        store,
+        netlist,
+        streams,
+        lists,
+        obs,
+        guide,
+        targets,
+        key,
+        |run, lists| {
+            fault_detect_instances(netlist, run, lists, config, obs, guide, targets);
+            Vec::new()
+        },
+    );
+}
+
+/// The store side both cached entry points share: keys every running
+/// instance with `key`, groups the instances by key, replays each hit onto
+/// its group, and runs `simulate` once over the missed keys' first
+/// instances (every other instance on an empty stream) before persisting
+/// and replaying each missed key's stamps. `simulate` returns the
+/// per-instance reports, or none for a pass that builds no report; its
+/// entries then carry no report rows.
+#[allow(clippy::too_many_arguments)]
+fn cached_instances<F: KeyedFault>(
+    store: &Store,
+    netlist: &Netlist,
+    streams: &[&PatternSeq],
+    lists: &mut [FaultList<F>],
+    obs: Obs<'_>,
+    guide: &SimGuide<'_>,
+    targets: &[Option<&[bool]>],
+    key: impl Fn(&PatternSeq, &FaultList<F>, &SimGuide<'_>) -> Key,
+    simulate: impl FnOnce(&[&PatternSeq], &mut [FaultList<F>]) -> Vec<Option<FaultSimReport>>,
+) -> Vec<Option<FaultSimReport>> {
     // The running instances grouped by key, in instance order.
     let mut groups: Vec<(Key, Vec<usize>)> = Vec::new();
     for (i, (stream, list)) in streams.iter().zip(lists.iter()).enumerate() {
@@ -221,7 +300,7 @@ pub fn cached_fault_sim<F: KeyedFault>(
         if !guide.runs_over(stream) {
             continue;
         }
-        let key = key_fsim(cache.netlist_key, stream, list, config, &guide);
+        let key = key(stream, list, &guide);
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, members)) => members.push(i),
             None => groups.push((key, vec![i])),
@@ -260,16 +339,18 @@ pub fn cached_fault_sim<F: KeyedFault>(
             }
         })
         .collect();
-    let mut fresh = fault_simulate_instances(netlist, &run, lists, config, obs, guide, targets);
+    let mut fresh = simulate(&run, lists);
     for (key, members, before) in misses {
         let lead = members[0];
-        if let Some(report) = fresh[lead].take() {
-            let stamps = FsimStamps::capture(&report, &lists[lead], &before);
-            store.put_stamps(key, &stamps, obs);
-            reports[lead] = Some(report);
-            if members.len() > 1 {
-                replay(&stamps, &members[1..], lists, &mut reports);
-            }
+        let report = fresh
+            .get_mut(lead)
+            .and_then(Option::take)
+            .unwrap_or_default();
+        let stamps = FsimStamps::capture(&report, &lists[lead], &before);
+        store.put_stamps(key, &stamps, obs);
+        reports[lead] = Some(report);
+        if members.len() > 1 {
+            replay(&stamps, &members[1..], lists, &mut reports);
         }
     }
     reports
@@ -563,8 +644,9 @@ mod tests {
         let m = rec.metrics();
         assert_eq!(m.counter(names::CACHE_HIT), 1);
         assert_eq!(m.counter(names::CACHE_MISS), 3);
+        // The three misses run as one union pass.
         assert_eq!(m.counter(names::FSIM_UNION_RUNS), 1);
-        assert_eq!(m.counter(names::FSIM_RUNS), 3);
+        assert_eq!(m.counter(names::FSIM_RUNS), 1);
         // Every lane hits now.
         let rec = Recorder::new();
         assert_eq!(run(cache, Some(&rec)), uncached);
@@ -625,6 +707,88 @@ mod tests {
         assert_eq!(m.counter(names::CACHE_HIT), 2);
         assert_eq!(m.counter(names::CACHE_MISS), 0);
         assert_eq!(m.counter(names::FSIM_RUNS), 0);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn cached_detect_replays_lists_and_keys_apart_from_runs() {
+        let netlist = build_netlist();
+        let universe = FaultUniverse::enumerate(&netlist);
+        let config = FaultSimConfig::default();
+        let guide = SimGuide::default();
+        let store = temp_store("detect");
+        let cache = CacheCtx {
+            store: Some(&store),
+            netlist_key: crate::hash::key_netlist(&netlist),
+        };
+        // Lanes 0 and 2 apply one stream (one key); lane 1 reverses it.
+        let shared = patterns_for(&netlist, 12);
+        let mut reversed = PatternSeq::new(netlist.inputs().width());
+        for t in (0..shared.len()).rev() {
+            reversed.push_row(shared.cc(t), shared.row(t));
+        }
+        let streams = [&shared, &reversed, &shared];
+        let detect = |cache: CacheCtx<'_>, rec: Option<&Recorder>| {
+            let mut lists = vec![FaultList::new(&universe); 3];
+            cached_detect(
+                cache,
+                &netlist,
+                &streams,
+                &mut lists,
+                &config,
+                rec,
+                &guide,
+                &[],
+            );
+            lists
+                .iter()
+                .map(FaultList::to_report_text)
+                .collect::<Vec<_>>()
+        };
+        let uncached = detect(CacheCtx::disabled(), None);
+        let alone: Vec<String> = streams
+            .iter()
+            .map(|s| {
+                let mut list = FaultList::new(&universe);
+                fault_simulate_guided(&netlist, s, &mut list, &config, None, &guide);
+                list.to_report_text()
+            })
+            .collect();
+        assert_eq!(uncached, alone);
+
+        // Cold: one lookup, one write per distinct key, one pass in all.
+        let rec = Recorder::new();
+        assert_eq!(detect(cache, Some(&rec)), uncached);
+        let m = rec.metrics();
+        assert_eq!(m.counter(names::CACHE_MISS), 2);
+        assert_eq!(m.counter(names::CACHE_WRITE), 2);
+        assert_eq!(m.counter(names::FSIM_DETECT_RUNS), 1);
+        // Warm: every lane replays.
+        let rec = Recorder::new();
+        assert_eq!(detect(cache, Some(&rec)), uncached);
+        let m = rec.metrics();
+        assert_eq!(m.counter(names::CACHE_HIT), 2);
+        assert_eq!(m.counter(names::FSIM_RUNS), 0);
+        // A run over the same inputs needs report rows, which detection
+        // entries lack: it keys apart and misses.
+        let rec = Recorder::new();
+        let mut lists = vec![FaultList::new(&universe); 3];
+        let reports = cached_fault_sim(
+            cache,
+            &netlist,
+            &streams,
+            &mut lists,
+            &config,
+            Some(&rec),
+            &guide,
+            &[],
+        );
+        let m = rec.metrics();
+        assert_eq!(
+            (m.counter(names::CACHE_HIT), m.counter(names::CACHE_MISS)),
+            (0, 2)
+        );
+        assert_eq!(reports[0].as_ref().unwrap().patterns().len(), shared.len());
         let _ = std::fs::remove_dir_all(store.root());
     }
 

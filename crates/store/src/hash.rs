@@ -362,6 +362,26 @@ pub fn key_fsim<F: KeyedFault>(
     h.finish()
 }
 
+/// The key of a detection pass
+/// ([`fault_detect_instances`](warpstl_fault::fault_detect_instances)):
+/// [`key_fsim`] of the same inputs under a detection tag. A detection
+/// pass leaves the same fault-list delta as a run over the same inputs
+/// but builds no report, so its entries carry no report rows; the tag
+/// keeps a run from ever replaying one.
+#[must_use]
+pub(crate) fn key_detect<F: KeyedFault>(
+    netlist_key: Key,
+    patterns: &PatternSeq,
+    list: &FaultList<F>,
+    config: &FaultSimConfig,
+    guide: &SimGuide<'_>,
+) -> Key {
+    let mut h = CanonicalHasher::new();
+    h.str("warpstl.detect/v1");
+    h.u128(key_fsim(netlist_key, patterns, list, config, guide).0);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,6 +638,23 @@ mod tests {
             br_key,
             key_fsim(nk, &pats, &warm, &cfg, &SimGuide::default())
         );
+    }
+
+    #[test]
+    fn detection_keys_are_tagged_apart_from_run_keys() {
+        let netlist = ModuleKind::Sfu.build();
+        let nk = key_netlist(&netlist);
+        let universe = warpstl_fault::FaultUniverse::enumerate(&netlist);
+        let mut list = warpstl_fault::FaultList::new(&universe);
+        let mut pats = PatternSeq::new(netlist.inputs().width());
+        pats.push_value(0, 0xdead_beef);
+        let (cfg, guide) = (FaultSimConfig::default(), SimGuide::default());
+        let detect = key_detect(nk, &pats, &list, &cfg, &guide);
+        assert_ne!(detect, key_fsim(nk, &pats, &list, &cfg, &guide));
+        // Everything a run key absorbs, a detection key absorbs too.
+        list.begin_run();
+        list.mark_detected(0, 1, 0);
+        assert_ne!(detect, key_detect(nk, &pats, &list, &cfg, &guide));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   and scan/gc/clear maintenance. Corrupt or version-mismatched entries
 //!   degrade to misses, never errors.
 //! - [`artifacts`] — the typed artifact (fault-sim stamps) and the
-//!   [`cached_fault_sim`] wrapper the pipeline calls in place of the raw
-//!   engine.
+//!   [`cached_fault_sim`] and [`cached_detect`] wrappers the pipeline
+//!   calls in place of the raw engine.
 //!
 //! A module's static analysis is not cached: a compaction context runs it
 //! once, in memory, when it is built.
@@ -72,7 +72,7 @@ pub mod codec;
 pub mod hash;
 pub mod store;
 
-pub use artifacts::{cached_fault_sim, CacheCtx, FsimStamps};
+pub use artifacts::{cached_detect, cached_fault_sim, CacheCtx, FsimStamps};
 pub use hash::{key_fsim, key_netlist, CanonicalHasher, Key, KeyedFault, FSIM_SCHEMA};
 pub use store::{
     atomic_write, EntryInfo, EntryKind, EntryStatus, ScanReport, SessionStats, Store,

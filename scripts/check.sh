@@ -262,8 +262,10 @@ echo "== evaluation smoke test =="
 # original's detected set. Witness rows settle part of fc_after without
 # simulation: the traced run's eval.witnessed counter must be nonzero.
 # TPGEN, RAND and SFU_IMM run on 8, 8 and 2 lock-step instances, so their
-# fault simulations take the lock-step union pass: fsim.union.runs must
-# be nonzero too.
+# stage-3a fault simulations take the lock-step union pass:
+# fsim.union.runs must be nonzero too. MEM after IMM runs a masked D(P)
+# detection pass over the faults IMM dropped, so fsim.detect.runs must be
+# nonzero as well.
 # The report JSON must not depend on the worker count or on tracing, and
 # a warm --cache-dir rerun must hit and reproduce the bytes. The store
 # looks up, simulates and writes each distinct key once (SFU_IMM's two
@@ -296,6 +298,10 @@ assert unions > 0, f"no lock-step union pass, counters: {counters}"
 print(f"lock-step rows OK: {unions} union pass(es), "
       f"{counters.get('fsim.union.rows', 0)} of "
       f"{counters.get('fsim.union.instance_rows', 0)} rows simulated")
+detects = counters.get("fsim.detect.runs", 0)
+assert detects > 0, f"no evaluation detection pass, counters: {counters}"
+print(f"detection passes OK: {detects} pass(es) over "
+      f"{counters.get('fsim.detect.rows', 0)} first-occurrence rows")
 EOF
 WARPSTL_THREADS=1 cargo run -q --release -p warpstl-cli -- compact-stl \
     "$SMOKE_DIR/eval.stl" --no-cache --json "$SMOKE_DIR/eval-t1.json" \
