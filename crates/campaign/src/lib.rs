@@ -2,8 +2,8 @@
 //! # warpstl-campaign
 //!
 //! Declarative compaction campaigns: one JSON spec names a **matrix of
-//! scenarios** — {target module × GPU shape × fault model × backend label
-//! × drop mode} — and the runner expands the matrix, plans each
+//! scenarios** — {target module × GPU shape × fault model × drop mode} —
+//! and the runner expands the matrix, plans each
 //! cell as a store-keyed [`compact_job`](warpstl_core::compact_job), fans
 //! the cells out over a bounded worker pool, and folds the results into a
 //! deterministic [`CampaignReport`].
@@ -11,10 +11,9 @@
 //! The point of a campaign is the *comparison*: the same test program
 //! compacted against 8/16/32-lane GPU shapes, or against stuck-at vs
 //! bridging fault universes, in one invocation with one warm artifact
-//! store. Cells that share work share cache entries — every cell of a
-//! module reuses the analyze artifact, and identical (netlist, stream,
-//! fault-list, model) cells replay fault-simulation stamps — so the matrix
-//! costs far less than its cell count suggests.
+//! store. Cells that share work share cache entries — identical (netlist,
+//! stream, fault-list, model) cells replay fault-simulation stamps — so the
+//! matrix costs far less than its cell count suggests.
 //!
 //! Three layers, mirroring `warpstl serve`'s split:
 //!

@@ -57,7 +57,7 @@ impl CampaignReport {
     }
 
     /// The module's *baseline* cell: its first completed cell in matrix
-    /// order (the spec's first listed shape/model/backend combination).
+    /// order (the spec's first listed shape/model combination).
     #[must_use]
     pub fn baseline_of(&self, module: ModuleKind) -> Option<&CompactionReport> {
         self.ok_cells()
@@ -126,7 +126,6 @@ impl CampaignReport {
             out.push_str(&format!("      \"module\": \"{}\",\n", cell.module.name()));
             out.push_str(&format!("      \"lanes\": {},\n", cell.lanes));
             out.push_str(&format!("      \"fault_model\": \"{}\",\n", cell.model));
-            out.push_str(&format!("      \"backend\": \"{}\",\n", cell.backend));
             out.push_str(&format!(
                 "      \"drop_detected\": {},\n",
                 cell.drop_detected
@@ -249,7 +248,7 @@ impl fmt::Display for CampaignReport {
 mod tests {
     use super::*;
     use warpstl_core::{compact_job, JobOptions};
-    use warpstl_fault::{FaultModel, SimBackend};
+    use warpstl_fault::FaultModel;
     use warpstl_programs::generators::{generate_imm, ImmConfig};
     use warpstl_programs::serialize::ptp_to_text;
 
@@ -268,7 +267,6 @@ mod tests {
             module,
             lanes,
             model: FaultModel::StuckAt,
-            backend: SimBackend::Auto,
             drop_detected: true,
         }
     }

@@ -15,7 +15,6 @@
 //! | `modules` | \[string\] (required) | target modules, by [`ModuleKind`] name |
 //! | `lanes` | \[number\] (`[8]`) | SP lanes per SM; validated *per cell* by the job layer, so `[8, 12]` runs the 8-lane cells and reports the 12-lane cells as failed |
 //! | `fault_models` | \[string\] (`["stuck-at"]`) | `stuck-at` / `bridging` |
-//! | `backends` | \[string\] (`["auto"]`) | `auto` / `event` / `kernel` / `kernel64`: a cell label only — every cell runs the one levelized kernel, so cells that differ only here report identical results |
 //! | `drop` | \[bool\] (`[true]`) | fault dropping between patterns |
 //! | `sb_count` | number (`6`) | Small Blocks per generated test program |
 //! | `seed` | number (`1`) | generator seed |
@@ -27,7 +26,7 @@
 
 use std::fmt;
 
-use warpstl_fault::{FaultModel, SimBackend};
+use warpstl_fault::FaultModel;
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_serve::json::{parse, Json};
 
@@ -40,9 +39,6 @@ pub struct Cell {
     pub lanes: usize,
     /// Fault model the cell compacts against.
     pub model: FaultModel,
-    /// The `backends` axis value: a label in the cell name and report.
-    /// Fault simulation has one path, so it steers nothing.
-    pub backend: SimBackend,
     /// Drop detected faults between patterns.
     pub drop_detected: bool,
 }
@@ -51,11 +47,10 @@ impl fmt::Display for Cell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}/{}x{}/{}{}",
+            "{}/{}x{}{}",
             self.module.name(),
             self.lanes,
             self.model,
-            self.backend,
             if self.drop_detected { "" } else { "/no-drop" }
         )
     }
@@ -73,8 +68,6 @@ pub struct CampaignSpec {
     pub lanes: Vec<usize>,
     /// Fault models to sweep.
     pub fault_models: Vec<FaultModel>,
-    /// Backend labels to sweep (see [`Cell::backend`]).
-    pub backends: Vec<SimBackend>,
     /// Fault-dropping modes to sweep.
     pub drop: Vec<bool>,
     /// Small Blocks per generated test program.
@@ -91,7 +84,7 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// A human-readable message on malformed JSON, a missing or empty
-    /// `modules` array, an unknown module/model/backend name, or a field
+    /// `modules` array, an unknown module or model name, or a field
     /// of the wrong type. Lane *values* are deliberately not validated
     /// (see [`CampaignSpec::lanes`]).
     pub fn parse(text: &str) -> Result<CampaignSpec, String> {
@@ -130,18 +123,6 @@ impl CampaignSpec {
                 .collect::<Result<Vec<_>, _>>()?,
         };
 
-        let backends = match string_axis(&doc, "backends")? {
-            None => vec![SimBackend::Auto],
-            Some(names) => names
-                .iter()
-                .map(|s| {
-                    SimBackend::parse(s).ok_or_else(|| {
-                        format!("unknown backend `{s}` (auto|event|kernel|kernel64)")
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-
         let drop = match doc.get("drop") {
             None => vec![true],
             Some(Json::Arr(items)) => non_empty(
@@ -169,7 +150,6 @@ impl CampaignSpec {
             modules,
             lanes,
             fault_models,
-            backends,
             drop,
             sb_count,
             seed,
@@ -178,7 +158,7 @@ impl CampaignSpec {
     }
 
     /// Expands the matrix in spec order, module-major: for each module,
-    /// every lane count, then every fault model, backend, and drop mode.
+    /// every lane count, then every fault model and drop mode.
     /// Cell indices are the report's row order.
     #[must_use]
     pub fn expand(&self) -> Vec<Cell> {
@@ -187,16 +167,13 @@ impl CampaignSpec {
         for &module in &self.modules {
             for &lanes in &self.lanes {
                 for &model in &self.fault_models {
-                    for &backend in &self.backends {
-                        for &drop_detected in &self.drop {
-                            cells.push(Cell {
-                                module,
-                                lanes,
-                                model,
-                                backend,
-                                drop_detected,
-                            });
-                        }
+                    for &drop_detected in &self.drop {
+                        cells.push(Cell {
+                            module,
+                            lanes,
+                            model,
+                            drop_detected,
+                        });
                     }
                 }
             }
@@ -280,7 +257,6 @@ mod tests {
         assert_eq!(spec.modules, vec![ModuleKind::DecoderUnit]);
         assert_eq!(spec.lanes, vec![8]);
         assert_eq!(spec.fault_models, vec![FaultModel::StuckAt]);
-        assert_eq!(spec.backends, vec![SimBackend::Auto]);
         assert_eq!(spec.drop, vec![true]);
         assert_eq!(spec.sb_count, 6);
         assert_eq!(spec.seed, 1);
@@ -309,10 +285,10 @@ mod tests {
             spec.fault_models,
             vec![FaultModel::StuckAt, FaultModel::Bridging]
         );
-        assert_eq!(spec.backends, vec![SimBackend::Event, SimBackend::Kernel]);
         assert_eq!(spec.drop, vec![true, false]);
         assert_eq!((spec.sb_count, spec.seed, spec.bridge_pairs), (4, 7, 32));
-        assert_eq!(spec.expand().len(), 2 * 3 * 2 * 2 * 2);
+        // `backends` names a retired axis: ignored like any unread key.
+        assert_eq!(spec.expand().len(), 2 * 3 * 2 * 2);
     }
 
     #[test]
@@ -332,7 +308,7 @@ mod tests {
         assert_eq!((cells[0].lanes, cells[0].model), (8, FaultModel::StuckAt));
         assert_eq!((cells[1].lanes, cells[1].model), (8, FaultModel::Bridging));
         assert_eq!((cells[2].lanes, cells[2].model), (32, FaultModel::StuckAt));
-        assert_eq!(cells[0].to_string(), "decoder_unit/8xstuck-at/auto");
+        assert_eq!(cells[0].to_string(), "decoder_unit/8xstuck-at");
     }
 
     #[test]
@@ -346,10 +322,6 @@ mod tests {
             (
                 r#"{"modules": ["sfu"], "fault_models": ["nope"]}"#,
                 "unknown fault model",
-            ),
-            (
-                r#"{"modules": ["sfu"], "backends": ["gpu"]}"#,
-                "unknown backend",
             ),
             (r#"{"modules": ["sfu"], "lanes": [-8]}"#, "non-negative"),
             (r#"{"modules": ["sfu"], "lanes": 8}"#, "array"),

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use warpstl_core::Compactor;
-use warpstl_fault::{BridgeConfig, BridgeUniverse, FaultModel, FaultUniverse, SimBackend};
+use warpstl_fault::{BridgeConfig, BridgeUniverse, FaultModel, FaultUniverse};
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_obs::Recorder;
 use warpstl_programs::generators::{
@@ -16,7 +16,7 @@ use warpstl_programs::generators::{
 };
 use warpstl_programs::serialize::{ptp_from_text, ptp_to_text};
 use warpstl_programs::{ArcAnalysis, BasicBlocks, Ptp};
-use warpstl_store::{atomic_write, EntryKind, EntryStatus, Store};
+use warpstl_store::{atomic_write, EntryStatus, Store};
 
 type CliResult = Result<(), Box<dyn Error>>;
 
@@ -28,15 +28,12 @@ usage:
   warpstl compact     <PTP-FILE> [--out FILE] [--reverse] [--no-arc]
                       [--trace-out FILE] [--json FILE]
                       [--cache-dir DIR] [--no-cache]
-                      [--sim-backend auto|event|kernel|kernel64]
                       [--fault-model stuck-at|bridging] [--lanes 8|16|32]
   warpstl compact-stl <STL-FILE> [--out FILE] [--trace-out FILE]
                       [--json FILE] [--cache-dir DIR] [--no-cache]
-                      [--sim-backend auto|event|kernel|kernel64]
   warpstl cache       <stats|gc|verify|clear> [--cache-dir DIR]
   warpstl lint        <PTP-FILE> [--json]
   warpstl analyze     <MODULE> [--json] [--implications]
-                      [--sim-backend auto|event|kernel|kernel64]
                       [--fault-model stuck-at|bridging] [--lanes 8|16|32]
                       (a module name from `warpstl modules`, or the
                        `comb-loop` / `undriven` / `redundant-logic`
@@ -44,8 +41,8 @@ usage:
   warpstl campaign    <SPEC-FILE> [--jobs N] [--json FILE]
                       [--cache-dir DIR] [--no-cache] [--trace-out FILE]
                       (runs the spec's scenario matrix — module x lanes x
-                       fault model x backend x drop mode — over a bounded
-                       worker pool with one shared artifact store; the
+                       fault model x drop mode — over a bounded worker
+                       pool with one shared artifact store; the
                        --json report is byte-identical for any --jobs
                        value and across warm-cache reruns)
   warpstl run         <PTP-FILE> [--trace]
@@ -53,7 +50,6 @@ usage:
   warpstl modules
   warpstl serve       [--addr HOST:PORT] [--workers N] [--queue N]
                       [--cache-dir DIR] [--no-cache]
-                      [--sim-backend auto|event|kernel|kernel64]
   warpstl xlint       [--json] [ROOT]
                       (source-level policy lint over the workspace:
                        raw-sync, safety-comment, no-unwrap,
@@ -62,10 +58,6 @@ usage:
 caching: compact and compact-stl reuse stored artifacts when --cache-dir
 (or the WARPSTL_CACHE_DIR environment variable) names a directory;
 --no-cache disables the cache for one run.
-
-fault simulation: every run uses the levelized kernel. --sim-backend is
-still accepted for compatibility (an unknown name warns) and changes
-nothing.
 
 pruning: compact and compact-stl drop faults the static implication
 engine proves untestable before simulating (the proofs are sound, so
@@ -144,26 +136,8 @@ fn resolve_cache_dir(flags: &Flags, env: Option<&str>) -> Option<PathBuf> {
     flags.value("--cache-dir").or(env).map(PathBuf::from)
 }
 
-/// Parses `--sim-backend` for one invocation. Fault simulation has one
-/// path, so callers discard the value: the flag is accepted for
-/// compatibility, and an invalid name still warns and falls back to
-/// `auto` instead of failing the run.
-fn resolve_sim_backend(flags: &Flags) -> SimBackend {
-    match flags.value("--sim-backend") {
-        None => SimBackend::Auto,
-        Some(v) => SimBackend::parse(v).unwrap_or_else(|| {
-            eprintln!(
-                "warning: invalid --sim-backend value `{v}` (expected auto, event, kernel, or kernel64); falling back to auto"
-            );
-            SimBackend::Auto
-        }),
-    }
-}
-
-/// Resolves `--fault-model` for one invocation. Unlike `--sim-backend`
-/// (a pure performance knob that degrades to `auto`), the fault model
-/// changes what is simulated, so an invalid value is an error, not a
-/// warning.
+/// Resolves `--fault-model` for one invocation. The fault model changes
+/// what is simulated, so an invalid value is an error, not a warning.
 fn resolve_fault_model(flags: &Flags) -> Result<FaultModel, Box<dyn Error>> {
     match flags.value("--fault-model") {
         None => Ok(FaultModel::StuckAt),
@@ -219,16 +193,12 @@ fn cache(args: &[String]) -> CliResult {
                 scan.invalid_count(),
                 scan.total_bytes()
             )?;
-            for kind in EntryKind::ALL {
-                let (count, bytes) = scan.kind_summary(kind);
-                outln!(
-                    "{:<12} {} entr{}, {} byte(s)",
-                    kind.name(),
-                    count,
-                    plural_y(count),
-                    bytes
-                )?;
-            }
+            let count = scan.valid_count();
+            outln!(
+                "fsim-stamps  {count} entr{}, {} byte(s)",
+                plural_y(count),
+                scan.valid_bytes()
+            )?;
             Ok(())
         }
         "gc" => {
@@ -430,7 +400,6 @@ fn compact(args: &[String]) -> CliResult {
         store: store.clone(),
         ..Compactor::default()
     };
-    resolve_sim_backend(&flags);
     let mut ctx = compactor.context_for(ptp.target);
     let out = compactor.compact(&ptp, &mut ctx)?;
     let r = &out.report;
@@ -544,9 +513,8 @@ fn analyze(args: &[String]) -> CliResult {
             )?;
         }
         let levels = netlist.levelize();
-        resolve_sim_backend(&flags);
         outln!(
-            "levels     {} ranks, {} segments; sim backend kernel",
+            "levels     {} ranks, {} segments",
             levels.ranks(),
             levels.segments().len(),
         )?;
@@ -643,7 +611,6 @@ fn compact_stl(args: &[String]) -> CliResult {
         .value("--trace-out")
         .map(|_| Arc::new(Recorder::new()));
     let store = open_store(&flags)?;
-    resolve_sim_backend(&flags);
     let outcome = warpstl_core::compact_stl_with(&stl, |module| Compactor {
         reverse_patterns: module == ModuleKind::Sfu,
         obs: recorder.clone(),
@@ -724,8 +691,8 @@ fn patterns(args: &[String]) -> CliResult {
 /// Runs the compaction daemon in the foreground: binds, prints the URL
 /// (port 0 resolves to the actually-bound port, so scripts can parse it),
 /// and blocks until `POST /shutdown` or SIGTERM/SIGINT drains the queue.
-/// The cache and backend flags mean exactly what they mean on `compact`;
-/// every job shares the one store.
+/// The cache flags mean exactly what they mean on `compact`; every job
+/// shares the one store.
 fn serve(args: &[String]) -> CliResult {
     let flags = Flags::new(args);
     let env = warpstl_core::env::string_var("WARPSTL_CACHE_DIR", "a directory path", "no cache");
@@ -739,7 +706,6 @@ fn serve(args: &[String]) -> CliResult {
             }),
         cache_dir: resolve_cache_dir(&flags, env.as_deref()),
     };
-    resolve_sim_backend(&flags);
     warpstl_serve::run(&config, |addr| {
         // Stdout is line-buffered: the URL reaches a piped reader
         // immediately, which is what the smoke scripts parse. Nobody
@@ -1079,25 +1045,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_backend_flag_resolves_and_tolerates_garbage() {
-        for (v, want) in [
-            ("auto", SimBackend::Auto),
-            ("event", SimBackend::Event),
-            ("kernel", SimBackend::Kernel),
-            ("kernel64", SimBackend::Kernel64),
-        ] {
-            let args = s(&["--sim-backend", v]);
-            assert_eq!(resolve_sim_backend(&Flags::new(&args)), want);
-        }
-        // No flag and an invalid value both resolve to Auto (the invalid
-        // value warns but must not abort the compaction).
-        let args = s(&[]);
-        assert_eq!(resolve_sim_backend(&Flags::new(&args)), SimBackend::Auto);
-        let args = s(&["--sim-backend", "quantum"]);
-        assert_eq!(resolve_sim_backend(&Flags::new(&args)), SimBackend::Auto);
-    }
-
-    #[test]
     fn compact_report_is_backend_invariant() {
         let dir =
             std::env::temp_dir().join(format!("warpstl-cli-backend-test-{}", std::process::id()));
@@ -1114,28 +1061,24 @@ mod tests {
         ]))
         .unwrap();
 
-        // Every backend name still parses and runs the one kernel, so the
-        // report JSON (which carries no timings) is byte-identical across
-        // them. An invalid value falls back to auto and still completes.
+        // `--sim-backend` names a retired choice: the flag scanner ignores
+        // it like any key it does not read, so the report JSON (which
+        // carries no timings) is byte-identical with and without it.
         let mut reports = Vec::new();
-        for backend in ["event", "kernel", "kernel64", "bogus"] {
-            let out = dir.join(format!("{backend}.json"));
-            dispatch(&s(&[
-                "compact",
-                ptp_path.to_str().unwrap(),
-                "--sim-backend",
-                backend,
-                "--json",
-                out.to_str().unwrap(),
-            ]))
-            .unwrap();
+        for extra in [&[][..], &["--sim-backend", "event"][..]] {
+            let out = dir.join(format!("{}.json", reports.len()));
+            let mut args = vec!["compact", ptp_path.to_str().unwrap()];
+            args.extend_from_slice(extra);
+            args.extend_from_slice(&["--json", out.to_str().unwrap()]);
+            dispatch(&s(&args)).unwrap();
             reports.push(fs::read_to_string(&out).unwrap());
         }
-        assert_eq!(reports[0], reports[1], "event vs kernel report JSON");
-        assert_eq!(reports[1], reports[2], "kernel64 vs kernel report JSON");
-        assert_eq!(reports[2], reports[3], "auto fallback report JSON");
+        assert_eq!(
+            reports[0], reports[1],
+            "--sim-backend changed the report JSON"
+        );
 
-        // `analyze` accepts the flag too.
+        // `analyze` ignores it too.
         dispatch(&s(&["analyze", "decoder_unit", "--sim-backend", "event"])).unwrap();
         fs::remove_dir_all(&dir).ok();
     }

@@ -80,6 +80,6 @@ pub use list::{FaultId, FaultList, FaultStatus};
 pub use report::{FaultSimReport, PatternStats};
 pub use sim::{
     fault_detect_instances, fault_simulate, fault_simulate_guided, fault_simulate_instances,
-    FaultSimConfig, SimBackend, SimGuide,
+    FaultSimConfig, SimGuide,
 };
 pub use universe::FaultUniverse;

@@ -4,53 +4,6 @@ use warpstl_netlist::{Levelization, Netlist, PatternSeq};
 
 use crate::{FaultList, FaultSimReport, SiteOverride};
 
-/// The names the `--sim-backend` flag, the serve `options.backend` field
-/// and the campaign `backends` axis accept.
-///
-/// Fault simulation has one path, the levelized kernel, so no name steers
-/// anything: every name is parsed and printed so that existing specs,
-/// scripts and campaign cell labels keep working and unknown names are
-/// still rejected or warned about, and nothing reads the value after
-/// parsing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimBackend {
-    /// `auto`, the default.
-    #[default]
-    Auto,
-    /// `event`.
-    Event,
-    /// `kernel`.
-    Kernel,
-    /// `kernel64`.
-    Kernel64,
-}
-
-impl SimBackend {
-    /// Parses a backend name (`auto`, `event`, `kernel` or `kernel64`),
-    /// case-insensitively. Returns `None` for anything else.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<SimBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(SimBackend::Auto),
-            "event" => Some(SimBackend::Event),
-            "kernel" => Some(SimBackend::Kernel),
-            "kernel64" => Some(SimBackend::Kernel64),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SimBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimBackend::Auto => "auto",
-            SimBackend::Event => "event",
-            SimBackend::Kernel => "kernel",
-            SimBackend::Kernel64 => "kernel64",
-        })
-    }
-}
-
 /// Configuration of a fault-simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSimConfig {

@@ -1,23 +1,21 @@
-//! Fanout-cone analysis: which gates can a net's value ever influence?
+//! The fanout successor graph: which gates read each net's value.
 //!
-//! The fault simulator uses this to prune work: when a batch injects faults
-//! at up to 63 sites, every gate *outside* the union of the sites' fanout
-//! cones carries exactly the good-machine value in all lanes, so only cone
-//! gates need per-batch re-evaluation.
+//! Two walks run over it, both in `warpstl-fault`. The fault kernel's
+//! difference frontier pushes a fault's faulty-vs-good difference from a
+//! net to the gates that read it, rank by rank, until the difference dies
+//! out. Bridge sampling's non-feedback filter (`retain_non_feedback`)
+//! searches forward from a pair's lower net for its higher one.
 //!
-//! Reachability is computed over the *static* gate graph including the
-//! D-input edges of flip-flops, so a cone also covers multi-cycle fault
-//! propagation through state: if a fault can reach a DFF's D pin in cycle
-//! *t*, the DFF (and transitively its readers) are in the cone and carry
-//! per-batch state from cycle *t + 1* on.
+//! The graph is the *static* gate graph including the D-input edges of
+//! flip-flops: a DFF is a successor of its D input.
 
-use crate::{NetId, Netlist};
+use crate::Netlist;
 
 /// Precomputed fanout successor graph of a [`Netlist`], in compressed
-/// sparse-row form, with union-cone queries.
+/// sparse-row form.
 ///
-/// Built once per netlist (O(gates + pins)); each union-cone query is a
-/// breadth-first traversal touching only the cone itself.
+/// Built once per netlist (O(gates + pins)); each [`FanoutCones::successors`]
+/// query is a slice lookup.
 ///
 /// # Examples
 ///
@@ -32,9 +30,10 @@ use crate::{NetId, Netlist};
 /// let n = b.finish();
 ///
 /// let cones = FanoutCones::of(&n);
-/// // `a` reaches everything; `x` reaches only itself and `y`.
-/// assert_eq!(cones.cone_of(a).len(), 3);
-/// assert_eq!(cones.cone_of(x), vec![x.index() as u32, y.index() as u32]);
+/// // `a` is read by `x` and `y`, `x` by `y`, and `y` by nothing.
+/// assert_eq!(cones.successors(a.index()), [x.index() as u32, y.index() as u32]);
+/// assert_eq!(cones.successors(x.index()), [y.index() as u32]);
+/// assert!(cones.successors(y.index()).is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct FanoutCones {
@@ -90,45 +89,6 @@ impl FanoutCones {
     pub fn successors(&self, net: usize) -> &[u32] {
         &self.succs[self.offsets[net] as usize..self.offsets[net + 1] as usize]
     }
-
-    /// The transitive fanout cone of one net, including the driving gate
-    /// itself, as ascending gate indices (ascending order is a topological
-    /// order of the combinational logic).
-    #[must_use]
-    pub fn cone_of(&self, net: NetId) -> Vec<u32> {
-        self.union_cone([net.index()])
-    }
-
-    /// The union of the fanout cones of `seeds`, including the seeds, as
-    /// ascending gate indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a seed is out of range.
-    #[must_use]
-    pub fn union_cone<I: IntoIterator<Item = usize>>(&self, seeds: I) -> Vec<u32> {
-        let mut in_cone = vec![false; self.len()];
-        let mut frontier: Vec<u32> = Vec::new();
-        for s in seeds {
-            assert!(s < self.len(), "seed gate {s} out of range");
-            if !in_cone[s] {
-                in_cone[s] = true;
-                frontier.push(s as u32);
-            }
-        }
-        let mut cone = frontier.clone();
-        while let Some(g) = frontier.pop() {
-            for &r in self.successors(g as usize) {
-                if !in_cone[r as usize] {
-                    in_cone[r as usize] = true;
-                    cone.push(r);
-                    frontier.push(r);
-                }
-            }
-        }
-        cone.sort_unstable();
-        cone
-    }
 }
 
 impl Netlist {
@@ -144,51 +104,9 @@ mod tests {
     use crate::Builder;
 
     #[test]
-    fn combinational_cone_is_forward_reachability() {
-        // a -> x = NOT a -> y = AND(a, x); z = NOT b independent.
-        let mut b = Builder::new("t");
-        let a = b.input("a");
-        let bb = b.input("b");
-        let x = b.not(a);
-        let y = b.and(a, x);
-        let z = b.not(bb);
-        b.output("y", y);
-        b.output("z", z);
-        let n = b.finish();
-        let cones = n.fanout_cones();
-
-        assert_eq!(
-            cones.cone_of(a),
-            vec![a.index() as u32, x.index() as u32, y.index() as u32]
-        );
-        assert_eq!(cones.cone_of(bb), vec![bb.index() as u32, z.index() as u32]);
-        // Sinks reach only themselves.
-        assert_eq!(cones.cone_of(y), vec![y.index() as u32]);
-    }
-
-    #[test]
-    fn union_cone_merges_and_dedups() {
-        let mut b = Builder::new("t");
-        let a = b.input("a");
-        let c = b.input("c");
-        let x = b.and(a, c);
-        b.output("x", x);
-        let n = b.finish();
-        let cones = n.fanout_cones();
-        let u = cones.union_cone([a.index(), c.index()]);
-        assert_eq!(
-            u,
-            vec![a.index() as u32, c.index() as u32, x.index() as u32]
-        );
-        // Seeds already inside another seed's cone collapse.
-        let u2 = cones.union_cone([a.index(), x.index()]);
-        assert_eq!(u2, cones.cone_of(a));
-    }
-
-    #[test]
-    fn cones_cross_dff_boundaries() {
-        // in -> DFF -> out: the input's cone must include the DFF and its
-        // readers (multi-cycle propagation through state).
+    fn dff_is_a_successor_of_its_d_input() {
+        // d -> DFF -> NOT: the DFF reads its D input like any other gate
+        // reads a pin, and its readers read its output.
         let mut b = Builder::new("seq");
         let d = b.input("d");
         let q = b.dff(d);
@@ -196,38 +114,8 @@ mod tests {
         b.output("z", z);
         let n = b.finish();
         let cones = n.fanout_cones();
-        let cone = cones.cone_of(d);
-        assert!(cone.contains(&(q.index() as u32)));
-        assert!(cone.contains(&(z.index() as u32)));
-    }
-
-    #[test]
-    fn dff_feedback_loops_terminate() {
-        // q <- XOR(q, in): reachability over the cyclic graph must not spin.
-        let mut b = Builder::new("acc");
-        let i = b.input("in");
-        let q = b.dff_placeholder();
-        let x = b.xor(q, i);
-        b.connect_dff(q, x);
-        b.output("q", q);
-        let n = b.finish();
-        let cones = n.fanout_cones();
-        let cone = cones.cone_of(i);
-        assert!(cone.contains(&(q.index() as u32)));
-        assert!(cone.contains(&(x.index() as u32)));
-        // The q-cone includes the feedback XOR and itself.
-        let qcone = cones.cone_of(q);
-        assert!(qcone.contains(&(x.index() as u32)));
-        assert!(qcone.contains(&(q.index() as u32)));
-    }
-
-    #[test]
-    fn cones_are_sorted_ascending() {
-        let n = crate::modules::ModuleKind::DecoderUnit.build();
-        let cones = n.fanout_cones();
-        let inputs = n.inputs().nets().to_vec();
-        let u = cones.union_cone(inputs.iter().map(|n| n.index()));
-        assert!(u.windows(2).all(|w| w[0] < w[1]), "sorted and deduped");
-        assert!(u.len() <= n.gates().len());
+        assert_eq!(cones.successors(d.index()), [q.index() as u32]);
+        assert_eq!(cones.successors(q.index()), [z.index() as u32]);
+        assert!(cones.successors(z.index()).is_empty());
     }
 }

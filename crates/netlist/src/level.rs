@@ -7,10 +7,9 @@
 //! Within a rank the gates are additionally grouped by [`GateKind`], so each
 //! run of identical cells — a [`LevelSegment`] — evaluates as one branch-free
 //! loop over wide pattern words. The fault engine's levelized kernel
-//! (`warpstl-fault`) consumes this layout; the companion [`FanoutCones`]
-//! analysis supplies the per-fault pruning (a fault's cone spans a contiguous
-//! rank range starting at its site's rank, which is how cone pruning becomes
-//! rank-range masking in the kernel).
+//! (`warpstl-fault`) evaluates the good machine over these segments, and its
+//! difference frontier walks the companion [`FanoutCones`] successor graph
+//! in rank order, one bucket per rank.
 //!
 //! Ranks follow the same convention as [`Netlist::logic_depth`]: primary
 //! inputs, constants, and flip-flop outputs are rank 0 (their values are
@@ -208,28 +207,6 @@ impl Levelization {
     pub fn segments(&self) -> &[LevelSegment] {
         &self.segments
     }
-
-    /// The half-open rank range `[lo, hi)` spanned by `gates` — the
-    /// rank-range mask of a fanout cone. Returns `(0, 0)` for an empty set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a gate index is out of range.
-    #[must_use]
-    pub fn rank_range<I: IntoIterator<Item = u32>>(&self, gates: I) -> (u32, u32) {
-        let mut lo = u32::MAX;
-        let mut hi = 0u32;
-        for g in gates {
-            let r = self.rank_of[g as usize];
-            lo = lo.min(r);
-            hi = hi.max(r + 1);
-        }
-        if lo == u32::MAX {
-            (0, 0)
-        } else {
-            (lo, hi)
-        }
-    }
 }
 
 impl Netlist {
@@ -279,9 +256,6 @@ mod tests {
         assert_eq!(l.rank_of(net.index()), N as u32);
         assert_eq!(l.segments().len(), N + 1);
         assert!(l.segments().iter().skip(1).all(|s| s.len() == 1));
-        // Rank-range masking of the last gate's singleton cone.
-        assert_eq!(l.rank_range([net.index() as u32]), (N as u32, N as u32 + 1));
-        assert_eq!(l.rank_range(std::iter::empty()), (0, 0));
     }
 
     #[test]

@@ -116,23 +116,26 @@ pub fn ptp_from_text(text: &str) -> Result<Ptp, ParsePtpError> {
                     );
                 }
                 Some("kernel") => {
-                    let b: usize = parse_num(parts.next(), "kernel blocks")?;
-                    let t: usize = parse_num(parts.next(), "kernel threads")?;
+                    let b = parse_positive(parts.next(), "kernel blocks")?;
+                    let t = parse_positive(parts.next(), "kernel threads")?;
                     kernel = Some(KernelConfig::new(b, t));
                 }
                 Some("slots") => {
                     slots = Some(SbSlots {
                         base: parse_num(parts.next(), "slots base")?,
                         base_reg: parse_num(parts.next(), "slots base_reg")?,
-                        words_per_sb: parse_num(parts.next(), "slots words")?,
+                        words_per_sb: parse_slot_words(parts.next())?,
                         sb_count: parse_num(parts.next(), "slots count")?,
-                        stride_words: parse_num(parts.next(), "slots stride")?,
+                        stride_words: parse_positive(parts.next(), "slots stride")?,
                         threads: parse_num(parts.next(), "slots threads")?,
                     });
                 }
                 Some("data") => {
                     let addr = parse_hex(parts.next(), "data addr")?;
-                    let value = parse_hex(parts.next(), "data value")? as u32;
+                    let value = parse_hex(parts.next(), "data value")?;
+                    let value = u32::try_from(value).map_err(|_| {
+                        ParsePtpError::new(format!("data value {value:#x} exceeds 32 bits"))
+                    })?;
                     data.push((addr, value));
                 }
                 Some("END") | None => {}
@@ -203,6 +206,27 @@ fn parse_num<T: std::str::FromStr>(s: Option<&str>, what: &str) -> Result<T, Par
         .ok_or_else(|| ParsePtpError::new(format!("bad {what}")))
 }
 
+/// A count the launch shape or the slot layout divides by, so 0 is
+/// rejected here rather than panicking downstream.
+fn parse_positive(s: Option<&str>, what: &str) -> Result<usize, ParsePtpError> {
+    match parse_num(s, what)? {
+        0 => Err(ParsePtpError::new(format!("{what} must be at least 1"))),
+        n => Ok(n),
+    }
+}
+
+/// A slot's word count: the reducer divides load offsets by its byte size
+/// (`words_per_sb * 4`), which must therefore neither be 0 nor wrap to 0.
+fn parse_slot_words(s: Option<&str>) -> Result<usize, ParsePtpError> {
+    let words = parse_positive(s, "slots words")?;
+    if words > usize::MAX / 4 {
+        return Err(ParsePtpError::new(format!(
+            "slots words {words} overflows a byte size"
+        )));
+    }
+    Ok(words)
+}
+
 fn parse_hex(s: Option<&str>, what: &str) -> Result<u64, ParsePtpError> {
     let s = s.ok_or_else(|| ParsePtpError::new(format!("missing {what}")))?;
     let v = s.strip_prefix("0x").unwrap_or(s);
@@ -257,6 +281,49 @@ mod tests {
         assert!(ptp_from_text("; PTP x\n; target sfu\n; kernel 1 1\nFROB;").is_err());
         assert!(stl_from_text("").is_err());
         assert!(stl_from_text("not a header").is_err());
+    }
+
+    /// Parses `header` as the one extra header line of an otherwise valid
+    /// PTP and returns the error message.
+    fn header_error(header: &str) -> String {
+        let text = format!("; PTP x\n; target sfu\n; kernel 1 32\n{header}\nEXIT;\n; END\n");
+        ptp_from_text(&text).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn zero_kernel_blocks_is_a_parse_error() {
+        let err = header_error("; kernel 0 32");
+        assert!(err.contains("kernel blocks"), "{err}");
+    }
+
+    #[test]
+    fn zero_kernel_threads_is_a_parse_error() {
+        let err = header_error("; kernel 1 0");
+        assert!(err.contains("kernel threads"), "{err}");
+    }
+
+    #[test]
+    fn slot_words_without_a_byte_size_are_parse_errors() {
+        let err = header_error("; slots 0 5 0 2 4 32");
+        assert!(err.contains("slots words"), "{err}");
+        // A word count whose byte size wraps to 0 divides by zero too.
+        let err = header_error(&format!("; slots 0 5 {} 2 4 32", usize::MAX / 4 + 1));
+        assert!(err.contains("slots words"), "{err}");
+    }
+
+    #[test]
+    fn zero_slot_stride_is_a_parse_error() {
+        let err = header_error("; slots 0 5 2 2 0 32");
+        assert!(err.contains("slots stride"), "{err}");
+    }
+
+    #[test]
+    fn data_value_wider_than_a_word_is_a_parse_error() {
+        let err = header_error("; data 0x0 0x1ffffffff");
+        assert!(err.contains("data value"), "{err}");
+        // The widest word still parses.
+        let text = "; PTP x\n; target sfu\n; kernel 1 32\n; data 0x0 0xffffffff\nEXIT;\n; END\n";
+        assert_eq!(ptp_from_text(text).unwrap().global_init, [(0, u32::MAX)]);
     }
 
     #[test]

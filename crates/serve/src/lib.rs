@@ -19,11 +19,10 @@
 //! | `GET /metrics` | — | deterministic counters/cache/queue JSON |
 //! | `POST /shutdown` | — | flags a graceful drain |
 //!
-//! `options` accepts `reverse`, `respect_arc` (booleans), `backend`
-//! (`auto|event|kernel|kernel64`, validated for compatibility and
-//! otherwise ignored: fault simulation has one path) and `threads`; every
-//! field defaults to the server's configuration, and keys it does not
-//! read are ignored. Appending `?format=report` to a job endpoint returns
+//! `options` accepts `reverse`, `respect_arc`, `drop_detected`
+//! (booleans), `lanes`, `fault_model` (`stuck-at|bridging`) and `threads`;
+//! every field defaults to the server's configuration, and keys it does
+//! not read are ignored. Appending `?format=report` to a job endpoint returns
 //! the raw report JSON **byte-identical** to the CLI's `--json` file for
 //! the same input — the CLI equivalence suite doubles as the protocol
 //! oracle. Malformed bodies answer `400`, a full job queue answers `429`

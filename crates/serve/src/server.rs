@@ -31,7 +31,7 @@ use warpstl_sync::AtomicBool;
 use warpstl_core::jobs::{
     analyze_job, compact_job, compact_stl_job, lint_job, JobError, JobOptions,
 };
-use warpstl_fault::{host_parallelism, FaultModel, SimBackend};
+use warpstl_fault::{host_parallelism, FaultModel};
 use warpstl_obs::{names, Recorder};
 use warpstl_store::Store;
 
@@ -435,15 +435,6 @@ fn parse_options(body: &Json, shared: &Shared) -> Result<JobOptions, String> {
             .ok_or_else(|| "`options.fault_model` must be a string".to_string())?;
         opts.fault_model = FaultModel::parse(name)
             .ok_or_else(|| format!("unknown fault model `{name}` (stuck-at|bridging)"))?;
-    }
-    // Fault simulation has one path: a backend name is validated for
-    // compatibility (unknown names stay a 400) and then steers nothing.
-    if let Some(v) = options.get("backend") {
-        let name = v
-            .as_str()
-            .ok_or_else(|| "`options.backend` must be a string".to_string())?;
-        SimBackend::parse(name)
-            .ok_or_else(|| format!("unknown backend `{name}` (auto|event|kernel|kernel64)"))?;
     }
     if let Some(v) = options.get("threads") {
         opts.threads = v

@@ -90,10 +90,6 @@ fn malformed_bodies_answer_400_with_an_explanation() {
         ("/compact", "{\"ptp\": 42}"),
         (
             "/compact",
-            "{\"ptp\": \"x\", \"options\": {\"backend\": \"quantum\"}}",
-        ),
-        (
-            "/compact",
             "{\"ptp\": \"x\", \"options\": {\"threads\": -1}}",
         ),
         ("/compact-stl", "{}"),
@@ -123,6 +119,33 @@ fn malformed_bodies_answer_400_with_an_explanation() {
 }
 
 #[test]
+fn malformed_ptp_headers_answer_400_and_the_worker_serves_on() {
+    // One worker: a job that killed it would leave the next job unanswered.
+    let handle = serve(&ServeConfig {
+        workers: Some(1),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr();
+    let good = imm_ptp_text(2);
+    let bad = good.replacen("; kernel 1 32", "; kernel 0 32", 1);
+    assert_ne!(bad, good, "the generated PTP has a 1x32 launch");
+
+    let (status, _, reply) = exchange(addr, "POST", "/compact", &compact_body(&bad));
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("kernel blocks"), "{reply}");
+    let stl = format!("; STL lib\n{bad}");
+    let body = format!("{{\"stl\": \"{}\"}}", escape(&stl));
+    let (status, _, reply) = exchange(addr, "POST", "/compact-stl", &body);
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("kernel blocks"), "{reply}");
+
+    let (status, _, _) = exchange(addr, "POST", "/compact", &compact_body(&good));
+    assert_eq!(status, 200);
+    handle.shutdown();
+}
+
+#[test]
 fn compact_report_bytes_match_the_cli_and_envelope_embeds_them() {
     let ptp_text = imm_ptp_text(4);
     // The CLI's `--json FILE` writes exactly `report.to_json()`, which is
@@ -143,6 +166,16 @@ fn compact_report_bytes_match_the_cli_and_envelope_embeds_them() {
         raw, oracle.report_json,
         "serve report bytes != CLI --json bytes"
     );
+
+    // `options.backend` names a retired choice: like any key the server
+    // does not read, it is ignored, whatever its value.
+    let body = format!(
+        "{{\"ptp\": \"{}\", \"options\": {{\"backend\": \"quantum\"}}}}",
+        escape(&ptp_text)
+    );
+    let (status, _, raw) = exchange(addr, "POST", "/compact?format=report", &body);
+    assert_eq!(status, 200, "{raw}");
+    assert_eq!(raw, oracle.report_json, "an ignored key changed the report");
 
     let (status, _, envelope) = exchange(addr, "POST", "/compact", &compact_body(&ptp_text));
     assert_eq!(status, 200);

@@ -22,7 +22,7 @@ use warpstl_obs::{Obs, ObsExt};
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::hash::{key_detect, key_fsim, Key, KeyedFault};
-use crate::store::{EntryKind, Store};
+use crate::store::Store;
 
 /// The persisted result of one fault-engine invocation.
 ///
@@ -147,7 +147,7 @@ impl Store {
     /// corrupt misses rather than trusted into a replay).
     #[must_use]
     pub fn get_stamps(&self, key: Key, fault_count: usize, obs: Obs<'_>) -> Option<FsimStamps> {
-        let payload = self.get_verified(EntryKind::FsimStamps, key, obs)?;
+        let payload = self.get_verified(key, obs)?;
         match FsimStamps::decode(&payload).filter(|s| s.bounded_by(fault_count)) {
             Some(stamps) => {
                 self.note_hit(obs);
@@ -162,7 +162,7 @@ impl Store {
 
     /// Persists fsim stamps under `key`.
     pub fn put_stamps(&self, key: Key, stamps: &FsimStamps, obs: Obs<'_>) {
-        self.put(EntryKind::FsimStamps, key, &stamps.encode(), obs);
+        self.put(key, &stamps.encode(), obs);
     }
 }
 

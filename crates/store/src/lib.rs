@@ -75,8 +75,8 @@ pub mod store;
 pub use artifacts::{cached_detect, cached_fault_sim, CacheCtx, FsimStamps};
 pub use hash::{key_fsim, key_netlist, CanonicalHasher, Key, KeyedFault, FSIM_SCHEMA};
 pub use store::{
-    atomic_write, EntryInfo, EntryKind, EntryStatus, ScanReport, SessionStats, Store,
-    FORMAT_VERSION, MAGIC, TEMP_MAX_AGE,
+    atomic_write, EntryInfo, EntryStatus, ScanReport, SessionStats, Store, FORMAT_VERSION, MAGIC,
+    TEMP_MAX_AGE,
 };
 
 // `store.rs` counts cache traffic under these shared names.

@@ -2,13 +2,13 @@
 //!
 //! ## Entry format
 //!
-//! Every entry is one file named `<32-hex key>.<kind extension>`:
+//! Every entry is one file named `<32-hex key>.fsr`:
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "WSTLSTOR"
 //! 8       4     format version (u32 LE)            — layout of this header
-//! 12      1     entry kind code
+//! 12      1     entry kind code (always 2)
 //! 13      8     payload length (u64 LE)
 //! 21      16    payload checksum (u128 LE)         — canonical hash
 //! 37      n     payload
@@ -66,50 +66,14 @@ const LOCK_WAIT_MAX: Duration = Duration::from_secs(10);
 /// failure. Anything older is an orphan from a crashed writer.
 pub const TEMP_MAX_AGE: Duration = Duration::from_secs(3600);
 
-/// What an entry stores. The kind's code byte and extension are part of
-/// the on-disk format. Code 1 (`.ana`) is retired and must not be reused:
+/// The header's entry kind byte. It is part of the on-disk format and is
+/// checked on read. Code 1 (`.ana`) is retired and must not be reused:
 /// older builds wrote analysis reports under it, and the store treats
 /// those files as foreign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EntryKind {
-    /// One fault-engine invocation's detection stamps and report rows.
-    FsimStamps,
-}
+const KIND_CODE: u8 = 2;
 
-impl EntryKind {
-    /// Every kind, in code order.
-    pub const ALL: [EntryKind; 1] = [EntryKind::FsimStamps];
-
-    fn code(self) -> u8 {
-        match self {
-            EntryKind::FsimStamps => 2,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<EntryKind> {
-        EntryKind::ALL.into_iter().find(|k| k.code() == code)
-    }
-
-    /// Human-readable kind name (CLI output).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EntryKind::FsimStamps => "fsim-stamps",
-        }
-    }
-
-    /// The entry-file extension for this kind.
-    #[must_use]
-    pub fn extension(self) -> &'static str {
-        match self {
-            EntryKind::FsimStamps => "fsr",
-        }
-    }
-
-    fn from_extension(ext: &str) -> Option<EntryKind> {
-        EntryKind::ALL.into_iter().find(|k| k.extension() == ext)
-    }
-}
+/// The entry-file extension.
+const EXTENSION: &str = "fsr";
 
 /// Why a read missed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,8 +130,6 @@ pub enum EntryStatus {
 pub struct EntryInfo {
     /// The entry file.
     pub path: PathBuf,
-    /// The entry's kind (from its extension).
-    pub kind: EntryKind,
     /// File size in bytes.
     pub bytes: u64,
     /// Verification result.
@@ -203,13 +165,14 @@ impl ScanReport {
         self.entries.iter().map(|e| e.bytes).sum()
     }
 
-    /// `(valid, bytes)` for one kind.
+    /// Total bytes across the valid entries.
     #[must_use]
-    pub fn kind_summary(&self, kind: EntryKind) -> (usize, u64) {
+    pub fn valid_bytes(&self) -> u64 {
         self.entries
             .iter()
-            .filter(|e| e.kind == kind && e.status == EntryStatus::Valid)
-            .fold((0, 0), |(n, b), e| (n + 1, b + e.bytes))
+            .filter(|e| e.status == EntryStatus::Valid)
+            .map(|e| e.bytes)
+            .sum()
     }
 }
 
@@ -247,11 +210,10 @@ impl Store {
         &self.root
     }
 
-    /// The entry file path for `(kind, key)`.
+    /// The entry file path for `key`.
     #[must_use]
-    pub fn entry_path(&self, kind: EntryKind, key: Key) -> PathBuf {
-        self.root
-            .join(format!("{}.{}", key.to_hex(), kind.extension()))
+    pub fn entry_path(&self, key: Key) -> PathBuf {
+        self.root.join(format!("{}.{EXTENSION}", key.to_hex()))
     }
 
     /// This process's cache-traffic counters so far.
@@ -275,13 +237,13 @@ impl Store {
         h.finish().0
     }
 
-    /// Serializes a full entry (header + payload) for `kind`.
+    /// Serializes a full entry (header + payload).
     #[must_use]
-    pub fn encode_entry(kind: EntryKind, payload: &[u8]) -> Vec<u8> {
+    pub fn encode_entry(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.push(kind.code());
+        out.push(KIND_CODE);
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&Store::checksum(payload).to_le_bytes());
         out.extend_from_slice(payload);
@@ -298,7 +260,7 @@ impl Store {
             .ok_or(MissReason::Corrupt)
     }
 
-    fn decode_entry(kind: EntryKind, bytes: &[u8]) -> Result<Vec<u8>, MissReason> {
+    fn decode_entry(bytes: &[u8]) -> Result<Vec<u8>, MissReason> {
         let header = bytes.get(..HEADER_LEN).ok_or(MissReason::Corrupt)?;
         if header[..8] != MAGIC {
             return Err(MissReason::Corrupt);
@@ -307,7 +269,7 @@ impl Store {
         if version != FORMAT_VERSION {
             return Err(MissReason::VersionMismatch);
         }
-        if header.get(12).copied().and_then(EntryKind::from_code) != Some(kind) {
+        if header[12] != KIND_CODE {
             return Err(MissReason::Corrupt);
         }
         let len = u64::from_le_bytes(Store::header_field(header, 13)?);
@@ -351,13 +313,13 @@ impl Store {
         self.note_miss(MissReason::Corrupt, obs);
     }
 
-    /// Reads and verifies the payload of `(kind, key)`. **Does not** count
+    /// Reads and verifies the payload of `key`. **Does not** count
     /// a hit — the typed wrappers count it after the payload also decodes,
     /// so accounting stays exact; every failure path is counted here as a
     /// miss with its reason.
-    pub(crate) fn get_verified(&self, kind: EntryKind, key: Key, obs: Obs<'_>) -> Option<Vec<u8>> {
+    pub(crate) fn get_verified(&self, key: Key, obs: Obs<'_>) -> Option<Vec<u8>> {
         let mut span = obs.span("store", "store.read");
-        let path = self.entry_path(kind, key);
+        let path = self.entry_path(key);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(_) => {
@@ -371,7 +333,7 @@ impl Store {
         if obs.enabled() {
             span.arg("bytes", bytes.len());
         }
-        match Store::decode_entry(kind, &bytes) {
+        match Store::decode_entry(&bytes) {
             Ok(payload) => Some(payload),
             Err(reason) => {
                 self.note_miss(reason, obs);
@@ -380,28 +342,28 @@ impl Store {
         }
     }
 
-    /// Reads, verifies, and returns the payload of `(kind, key)`, counting
+    /// Reads, verifies, and returns the payload of `key`, counting
     /// a hit on success and a miss (with its reason) on every failure
     /// path. This is the raw public read surface — the typed wrapper
     /// [`Store::get_stamps`] additionally decodes the payload before
     /// counting the hit.
     #[must_use]
-    pub fn get(&self, kind: EntryKind, key: Key, obs: Obs<'_>) -> Option<Vec<u8>> {
-        let payload = self.get_verified(kind, key, obs)?;
+    pub fn get(&self, key: Key, obs: Obs<'_>) -> Option<Vec<u8>> {
+        let payload = self.get_verified(key, obs)?;
         self.note_hit(obs);
         Some(payload)
     }
 
-    /// Writes `(kind, key) -> payload` atomically. A filesystem failure is
+    /// Writes `key -> payload` atomically. A filesystem failure is
     /// counted (`write_errors`, `cache.write.error`) and otherwise
     /// ignored: a cache that cannot persist simply stays cold.
-    pub fn put(&self, kind: EntryKind, key: Key, payload: &[u8], obs: Obs<'_>) {
+    pub fn put(&self, key: Key, payload: &[u8], obs: Obs<'_>) {
         let mut span = obs.span("store", "store.write");
         if obs.enabled() {
             span.arg("bytes", payload.len());
         }
-        let entry = Store::encode_entry(kind, payload);
-        match atomic_write(self.entry_path(kind, key), &entry) {
+        let entry = Store::encode_entry(payload);
+        match atomic_write(self.entry_path(key), &entry) {
             Ok(()) => {
                 self.session.writes.fetch_add(1, Ordering::Relaxed);
                 obs.add(names::CACHE_WRITE, 1);
@@ -413,9 +375,9 @@ impl Store {
         }
     }
 
-    /// Scans the cache directory, verifying every recognized entry file.
-    /// Files without a known extension are ignored (the store never
-    /// touches foreign files in a user-supplied directory).
+    /// Scans the cache directory, verifying every entry file (`.fsr`).
+    /// Other files are ignored (the store never touches foreign files in a
+    /// user-supplied directory).
     ///
     /// # Errors
     ///
@@ -428,16 +390,12 @@ impl Store {
             if !path.is_file() {
                 continue;
             }
-            let Some(kind) = path
-                .extension()
-                .and_then(|e| e.to_str())
-                .and_then(EntryKind::from_extension)
-            else {
+            if path.extension().and_then(|e| e.to_str()) != Some(EXTENSION) {
                 continue;
-            };
+            }
             let (bytes, status) = match fs::read(&path) {
                 Ok(b) => {
-                    let status = match Store::decode_entry(kind, &b) {
+                    let status = match Store::decode_entry(&b) {
                         Ok(_) => EntryStatus::Valid,
                         Err(MissReason::VersionMismatch) => EntryStatus::VersionMismatch,
                         Err(_) => EntryStatus::Corrupt,
@@ -452,7 +410,6 @@ impl Store {
             };
             report.entries.push(EntryInfo {
                 path,
-                kind,
                 bytes,
                 status,
             });
@@ -501,7 +458,7 @@ impl Store {
             // Revalidate at the last moment: the scan's verdict may be
             // stale if a writer renamed a valid entry here since.
             let still_invalid = match fs::read(&entry.path) {
-                Ok(b) => Store::decode_entry(entry.kind, &b).is_err(),
+                Ok(b) => Store::decode_entry(&b).is_err(),
                 Err(e) if e.kind() == io::ErrorKind::NotFound => false,
                 Err(_) => true,
             };
@@ -664,22 +621,15 @@ mod tests {
         Store::open(dir).unwrap()
     }
 
-    fn get_raw(store: &Store, kind: EntryKind, key: Key, obs: Obs<'_>) -> Option<Vec<u8>> {
-        store.get(kind, key, obs)
-    }
-
     #[test]
     fn round_trip_and_session_counters() {
         let store = temp_store("roundtrip");
         let key = Key(42);
-        assert_eq!(get_raw(&store, EntryKind::FsimStamps, key, None), None);
-        store.put(EntryKind::FsimStamps, key, b"hello", None);
-        assert_eq!(
-            get_raw(&store, EntryKind::FsimStamps, key, None).as_deref(),
-            Some(b"hello".as_slice())
-        );
+        assert_eq!(store.get(key, None), None);
+        store.put(key, b"hello", None);
+        assert_eq!(store.get(key, None).as_deref(), Some(b"hello".as_slice()));
         // Another key is another entry.
-        assert_eq!(get_raw(&store, EntryKind::FsimStamps, Key(43), None), None);
+        assert_eq!(store.get(Key(43), None), None);
         let s = store.session();
         assert_eq!((s.hits, s.misses, s.writes), (1, 2, 1));
         assert_eq!(s.corrupt, 0);
@@ -690,16 +640,13 @@ mod tests {
     fn truncated_entry_degrades_to_miss() {
         let store = temp_store("truncate");
         let key = Key(7);
-        store.put(EntryKind::FsimStamps, key, b"payload-bytes", None);
-        let path = store.entry_path(EntryKind::FsimStamps, key);
+        store.put(key, b"payload-bytes", None);
+        let path = store.entry_path(key);
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() / 2]).unwrap();
 
         let rec = Recorder::new();
-        assert_eq!(
-            get_raw(&store, EntryKind::FsimStamps, key, Some(&rec)),
-            None
-        );
+        assert_eq!(store.get(key, Some(&rec)), None);
         let s = store.session();
         assert_eq!(s.corrupt, 1);
         assert_eq!(rec.metrics().counter(names::CACHE_MISS), 1);
@@ -711,12 +658,12 @@ mod tests {
     fn corrupt_kind_byte_degrades_to_miss() {
         let store = temp_store("kindbyte");
         let key = Key(8);
-        store.put(EntryKind::FsimStamps, key, b"payload", None);
-        let path = store.entry_path(EntryKind::FsimStamps, key);
+        store.put(key, b"payload", None);
+        let path = store.entry_path(key);
         let mut bytes = fs::read(&path).unwrap();
-        bytes[12] = 0xee; // no EntryKind has this code
+        bytes[12] = 0xee; // not the entry kind code
         fs::write(&path, &bytes).unwrap();
-        assert_eq!(get_raw(&store, EntryKind::FsimStamps, key, None), None);
+        assert_eq!(store.get(key, None), None);
         assert_eq!(store.session().corrupt, 1);
         let _ = fs::remove_dir_all(store.root());
     }
@@ -725,11 +672,11 @@ mod tests {
     fn file_shorter_than_the_header_degrades_to_miss() {
         let store = temp_store("shorthdr");
         let key = Key(10);
-        store.put(EntryKind::FsimStamps, key, b"payload", None);
-        let path = store.entry_path(EntryKind::FsimStamps, key);
+        store.put(key, b"payload", None);
+        let path = store.entry_path(key);
         // Keep only the magic: every header field read is out of range.
         fs::write(&path, &MAGIC[..]).unwrap();
-        assert_eq!(get_raw(&store, EntryKind::FsimStamps, key, None), None);
+        assert_eq!(store.get(key, None), None);
         assert_eq!(store.session().corrupt, 1);
         let _ = fs::remove_dir_all(store.root());
     }
@@ -738,12 +685,12 @@ mod tests {
     fn flipped_checksum_byte_degrades_to_miss() {
         let store = temp_store("checksum");
         let key = Key(9);
-        store.put(EntryKind::FsimStamps, key, b"payload", None);
-        let path = store.entry_path(EntryKind::FsimStamps, key);
+        store.put(key, b"payload", None);
+        let path = store.entry_path(key);
         let mut bytes = fs::read(&path).unwrap();
         bytes[22] ^= 0xff; // inside the stored checksum field
         fs::write(&path, &bytes).unwrap();
-        assert_eq!(get_raw(&store, EntryKind::FsimStamps, key, None), None);
+        assert_eq!(store.get(key, None), None);
         assert_eq!(store.session().corrupt, 1);
         let _ = fs::remove_dir_all(store.root());
     }
@@ -752,17 +699,14 @@ mod tests {
     fn version_bump_degrades_to_miss_and_gc_reclaims() {
         let store = temp_store("version");
         let key = Key(11);
-        store.put(EntryKind::FsimStamps, key, b"payload", None);
-        let path = store.entry_path(EntryKind::FsimStamps, key);
+        store.put(key, b"payload", None);
+        let path = store.entry_path(key);
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         fs::write(&path, &bytes).unwrap();
 
         let rec = Recorder::new();
-        assert_eq!(
-            get_raw(&store, EntryKind::FsimStamps, key, Some(&rec)),
-            None
-        );
+        assert_eq!(store.get(key, Some(&rec)), None);
         let s = store.session();
         assert_eq!(s.version_mismatch, 1);
         assert_eq!(s.corrupt, 0);
@@ -781,13 +725,13 @@ mod tests {
     #[test]
     fn scan_ignores_foreign_files_and_clear_spares_them() {
         let store = temp_store("foreign");
-        store.put(EntryKind::FsimStamps, Key(1), b"a", None);
-        store.put(EntryKind::FsimStamps, Key(2), b"b", None);
+        store.put(Key(1), b"a", None);
+        store.put(Key(2), b"b", None);
         let foreign = store.root().join("README.txt");
         fs::write(&foreign, "not an entry").unwrap();
         // An analysis entry left by an older build: a whole entry of the
         // retired kind code 1, under its old extension.
-        let mut retired = Store::encode_entry(EntryKind::FsimStamps, b"report");
+        let mut retired = Store::encode_entry(b"report");
         retired[12] = 1;
         let ana = store.root().join(format!("{}.ana", Key(3).to_hex()));
         fs::write(&ana, &retired).unwrap();
@@ -795,8 +739,8 @@ mod tests {
         let scan = store.scan().unwrap();
         assert_eq!(scan.entries.len(), 2);
         assert_eq!(scan.valid_count(), 2);
-        assert_eq!(scan.kind_summary(EntryKind::FsimStamps).0, 2);
         assert!(scan.total_bytes() > 0);
+        assert_eq!(scan.valid_bytes(), scan.total_bytes());
 
         assert_eq!(store.clear().unwrap(), 2);
         assert!(foreign.exists(), "clear must not delete foreign files");
@@ -807,7 +751,7 @@ mod tests {
     #[test]
     fn gc_sweeps_old_temps_but_spares_fresh_ones_by_default() {
         let store = temp_store("gc-temps");
-        store.put(EntryKind::FsimStamps, Key(1), b"keep", None);
+        store.put(Key(1), b"keep", None);
         let temp = store.root().join(".orphan.fsr.tmp.12345.0");
         fs::write(&temp, b"half-written").unwrap();
 

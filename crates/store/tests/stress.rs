@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use warpstl_store::{EntryKind, Key, Store};
+use warpstl_store::{Key, Store};
 
 fn temp_store(tag: &str) -> Store {
     let dir =
@@ -47,7 +47,7 @@ fn concurrent_same_key_writers_yield_only_whole_checksummed_reads() {
                 // Distinct valid payloads per (writer, round): a torn
                 // read could not produce any of these under a checksum.
                 let payload = format!("payload-{w}-{round}");
-                store.put(EntryKind::FsimStamps, key, payload.as_bytes(), None);
+                store.put(key, payload.as_bytes(), None);
             }
         }));
     }
@@ -59,7 +59,7 @@ fn concurrent_same_key_writers_yield_only_whole_checksummed_reads() {
         reader_handles.push(std::thread::spawn(move || {
             let mut observed = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                if let Some(bytes) = store.get(EntryKind::FsimStamps, key, None) {
+                if let Some(bytes) = store.get(key, None) {
                     let text = String::from_utf8(bytes).expect("payloads are UTF-8");
                     assert!(
                         text.starts_with("payload-"),
@@ -97,7 +97,7 @@ fn concurrent_same_key_writers_yield_only_whole_checksummed_reads() {
 
     // Last writer wins: the settled entry is one whole write, and the
     // final read (after all writers joined) sees some writer's last round.
-    let settled = store.get(EntryKind::FsimStamps, key, None).unwrap();
+    let settled = store.get(key, None).unwrap();
     let text = String::from_utf8(settled).unwrap();
     let last_round = format!("-{}", ROUNDS - 1);
     assert!(
@@ -133,12 +133,7 @@ fn concurrent_clear_and_gc_degrade_reads_to_plain_misses() {
             for round in 0..ROUNDS {
                 for k in 0..KEYS {
                     let payload = format!("entry-{k}-{round}");
-                    store.put(
-                        EntryKind::FsimStamps,
-                        Key(k.into()),
-                        payload.as_bytes(),
-                        None,
-                    );
+                    store.put(Key(k.into()), payload.as_bytes(), None);
                 }
             }
         })
@@ -160,7 +155,7 @@ fn concurrent_clear_and_gc_degrade_reads_to_plain_misses() {
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 for k in 0..KEYS {
-                    if let Some(bytes) = store.get(EntryKind::FsimStamps, Key(k.into()), None) {
+                    if let Some(bytes) = store.get(Key(k.into()), None) {
                         let text = String::from_utf8(bytes).expect("payloads are UTF-8");
                         assert!(text.starts_with(&format!("entry-{k}-")));
                     }
