@@ -77,8 +77,11 @@ pub(crate) struct Ctx<'a> {
     pub(crate) gates: &'a [Gate],
     pub(crate) patterns: &'a PatternSeq,
     pub(crate) cones: &'a FanoutCones,
+    /// The region table: each net's unique reader, or [`STEM`].
+    pub(crate) reader: &'a [u32],
     pub(crate) in_nets: &'a [usize],
-    pub(crate) out_nets: &'a [usize],
+    /// Whether a net is a module output (a detection observation point).
+    pub(crate) is_out: &'a [bool],
     pub(crate) config: FaultSimConfig,
     /// Rank-major netlist layout (borrowed from the guide or levelized per
     /// run).
@@ -156,9 +159,9 @@ pub(crate) fn windows(n_pat: usize, cap: usize) -> impl Iterator<Item = (usize, 
 /// lock-step union passes alike: `window(targets, range)` simulates the
 /// targets over each of [`windows`]`(n_pat, cap)` in order, and in drop
 /// mode retains the survivors, which the next window re-packs into fresh
-/// batches in enumeration order. The walk ends after the last window or
-/// once no target is left; a stream without patterns still gets its one
-/// empty window, so its workers' spans bracket the run.
+/// batches in the pass's (stem, id) order. The walk ends after the last
+/// window or once no target is left; a stream without patterns still gets
+/// its one empty window, so its workers' spans bracket the run.
 ///
 /// First detections are unchanged by the windows: every fault still sees
 /// every pattern in order until it drops, drop mode ignores later
@@ -258,12 +261,16 @@ pub(crate) fn run_targets<F>(
     (targets, untestable)
 }
 
-/// The netlist-side state a run's workers read: fanout cones, port nets,
-/// and the levelization.
+/// The region table's mark for a stem: a net with no unique reader.
+pub(crate) const STEM: u32 = u32::MAX;
+
+/// The netlist-side state a run's workers read: fanout cones, the region
+/// table, port nets, and the levelization.
 pub(crate) struct Layout<'g> {
     cones: FanoutCones,
+    reader: Vec<u32>,
     in_nets: Vec<usize>,
-    out_nets: Vec<usize>,
+    is_out: Vec<bool>,
     levels: Cow<'g, Levelization>,
 }
 
@@ -271,15 +278,54 @@ impl<'g> Layout<'g> {
     /// The layout of `netlist`. The kernel needs the rank-major layout;
     /// levelize here only when the guide did not bring the module's cached
     /// copy (O(gates log gates), negligible next to one pattern sweep).
+    ///
+    /// The region table partitions the netlist into fanout-free regions:
+    /// a net read by exactly one pin of one gate, and not a module output,
+    /// belongs to its reader's region; every other net (several pin reads,
+    /// none, or an output) is a *stem*, the one net through which its
+    /// region reaches the rest of the circuit.
     pub(crate) fn of(netlist: &Netlist, guide: &SimGuide<'g>) -> Layout<'g> {
+        let cones = netlist.fanout_cones();
+        let mut is_out = vec![false; netlist.gates().len()];
+        for net in netlist.outputs().nets() {
+            is_out[net.index()] = true;
+        }
+        let reader = (0..is_out.len())
+            .map(|net| match cones.successors(net) {
+                &[r] if !is_out[net] => r,
+                _ => STEM,
+            })
+            .collect();
         Layout {
-            cones: netlist.fanout_cones(),
+            cones,
+            reader,
             in_nets: netlist.inputs().nets().iter().map(|n| n.index()).collect(),
-            out_nets: netlist.outputs().nets().iter().map(|n| n.index()).collect(),
+            is_out,
             levels: guide
                 .levels
                 .map_or_else(|| Cow::Owned(netlist.levelize()), Cow::Borrowed),
         }
+    }
+
+    /// Orders `targets` by the stem of each fault's first seed in `list`,
+    /// then by id, so a region's faults reach a worker together and share
+    /// its stem's observability (`kernel.rs`). Every pass sorts once,
+    /// before its windows; batch composition is unobservable.
+    pub(crate) fn sort_by_stem<F: SiteOverride>(
+        &self,
+        targets: &mut [FaultId],
+        list: &FaultList<F>,
+    ) {
+        // A reader ranks above the net it reads, so descending rank order
+        // settles every reader's stem first.
+        let mut stem = vec![0u32; self.reader.len()];
+        for &g in self.levels.order().iter().rev() {
+            stem[g as usize] = match self.reader[g as usize] {
+                STEM => g,
+                r => stem[r as usize],
+            };
+        }
+        targets.sort_unstable_by_key(|&id| (stem[list.fault(id).seeds().0], id));
     }
 
     /// The workers' shared state for one run over `patterns`.
@@ -293,8 +339,9 @@ impl<'g> Layout<'g> {
             gates: netlist.gates(),
             patterns,
             cones: &self.cones,
+            reader: &self.reader,
             in_nets: &self.in_nets,
-            out_nets: &self.out_nets,
+            is_out: &self.is_out,
             config: *config,
             levels: &self.levels,
         }
@@ -345,6 +392,7 @@ pub(crate) fn simulate_guided<F: SiteOverride, const W: usize>(
     }
 
     let layout = Layout::of(netlist, guide);
+    layout.sort_by_stem(&mut targets, list);
     let ctx = layout.ctx(netlist, patterns, config);
 
     let n_pat = patterns.len();

@@ -15,20 +15,38 @@
 //!   gates of one kind, reading and writing a flat `net × word` span
 //!   buffer.
 //! - **Fault-parallel across 63-fault batches.** Workers take batches off
-//!   one shared counter; within a batch each fault is propagated alone: its
+//!   one shared counter; within a batch each fault is evaluated alone: its
 //!   faulty machine differs from the good one only where the fault's effect
 //!   survives, so the kernel forces the fault's seed words (a
 //!   [`SiteOverride`]: one site for stuck-at and transition faults, both
-//!   endpoints for a bridge) and chases the **difference frontier** through
-//!   the levelization's rank buckets — a gate is (re)evaluated for a block
-//!   only if one of its inputs actually changed, and the frontier dies
-//!   wherever the faulty word equals the good word. Fanout-cone pruning is
-//!   implicit: the frontier is confined to the seeds' cones and is usually
-//!   far smaller.
+//!   endpoints for a bridge) and follows the difference.
+//!
+//! The general walk is the **difference frontier** ([`frontier`]) through
+//! the levelization's rank buckets — a gate is (re)evaluated for a block
+//! only if one of its inputs actually changed, and the frontier dies
+//! wherever the faulty word equals the good word. Fanout-cone pruning is
+//! implicit: the frontier is confined to the seeds' cones and is usually
+//! far smaller. A bridge's two seeds walk it per fault.
+//!
+//! **Stem-shared propagation** (critical-path tracing inside fanout-free
+//! regions) serves every one-seed fault. The region table
+//! ([`Ctx::reader`]) gives each net its unique reader, or marks it a stem:
+//! a module output, or a net whose pin reads are not exactly one. The
+//! seed's diff walks the region's one path to the stem with one plain
+//! gate evaluation per step ([`region_path`]). Only the stem leaves the
+//! region, so past it the fault is a flip of the stem in the lanes of the
+//! stem's diff, and bit lanes are independent: the fault is detected
+//! where that diff meets the stem's observability. Each worker caches the
+//! observability of its current stem lane by lane ([`Frontier::observed`])
+//! and settles only lanes no earlier fault of the stem settled, with one
+//! frontier walk of a stem flip in exactly those lanes. Targets are
+//! sorted by stem before batching, so a region's faults meet one cache,
+//! and the cache restarts at every batch, so the walks a batch takes do
+//! not depend on which worker took it.
 //!
 //! Two screens keep per-fault work near zero for inert blocks: an
 //! activation screen (a fault whose override equals the good value in
-//! every lane of a block cannot change anything) and the frontier itself
+//! every lane of a block cannot change anything) and the walks themselves
 //! (a pin fault whose effect is absorbed by the seed gate propagates
 //! nowhere). Detection, activation, and per-pattern tallies are extracted
 //! per pattern. Tallies are sums and each fault's first detection is a fact
@@ -50,8 +68,10 @@
 //! (`lockstep.rs`): each fault carries the mask of instances still open,
 //! a detecting union row settles the open instances that apply it, and,
 //! when asked, every activating union row is credited to the open
-//! instances that apply it, a whole word at a time. The frontier is
-//! allocated on a worker's first propagation.
+//! instances that apply it, a whole word at a time. The frontier and the
+//! stem cache are allocated on a worker's first propagation. Each worker
+//! counts its work by cost center (`Work`) and flushes it into the
+//! `fsim.kernel.*` counters once.
 
 use std::cell::OnceCell;
 use std::sync::atomic::Ordering;
@@ -61,7 +81,7 @@ use warpstl_obs::{names, Metrics, Obs, ObsExt, Span};
 
 use warpstl_sync::AtomicUsize;
 
-use crate::engine::{Ctx, WorkerOut};
+use crate::engine::{Ctx, WorkerOut, STEM};
 use crate::{FaultId, SiteOverride};
 
 /// The block width, in 64-bit words, of every public simulation entry
@@ -228,14 +248,17 @@ fn good_at(ctx: &Ctx<'_>, in_slot: &[u32], t: usize) -> Vec<u64> {
     good
 }
 
-/// Adds 1 to `tally[t_base + bit]` for every set bit of `word`.
+/// Adds 1 to `tally[t_base + bit]` for every set bit of `word`, and
+/// returns how many bits that was.
 #[inline]
-fn tally_bits(mut word: u64, t_base: usize, tally: &mut [u32]) {
+fn tally_bits(mut word: u64, t_base: usize, tally: &mut [u32]) -> u64 {
+    let bits = u64::from(word.count_ones());
     while word != 0 {
         let b = word.trailing_zeros() as usize;
         word &= word - 1;
         tally[t_base + b] += 1;
     }
+    bits
 }
 
 /// Per-fault cross-block state.
@@ -247,7 +270,7 @@ struct FaultRun<F> {
 }
 
 /// Reusable difference-frontier state, epoch-stamped so nothing is cleared
-/// between faults or blocks.
+/// between walks or blocks, and the worker's stem-observability cache.
 struct Frontier {
     /// Faulty words of perturbed nets, `BLOCK_WORDS` words per net
     /// (narrower blocks use the first words of a row).
@@ -261,63 +284,128 @@ struct Frontier {
     /// One pending-gate bucket per levelization rank; gates are drained in
     /// ascending rank order, which is a valid evaluation order.
     buckets: Vec<Vec<u32>>,
-    /// Whether a net is a module output (a detection observation point).
-    is_out: Vec<bool>,
+    /// The stem the two masks below describe (`usize::MAX` before any).
+    stem: usize,
+    /// Per window word, the lanes whose observability of `stem` is
+    /// settled.
+    known: Vec<u64>,
+    /// Per window word, the settled lanes where a flip of `stem` reaches a
+    /// module output.
+    observed: Vec<u64>,
 }
 
 impl Frontier {
-    fn new(ctx: &Ctx<'_>) -> Frontier {
+    fn new(ctx: &Ctx<'_>, stride: usize) -> Frontier {
         let n = ctx.gates.len();
-        let mut is_out = vec![false; n];
-        for &o in ctx.out_nets {
-            is_out[o] = true;
-        }
         Frontier {
             faulty: vec![0u64; n * BLOCK_WORDS],
             stamp_val: vec![0u32; n],
             stamp_queued: vec![0u32; n],
             epoch: 0,
             buckets: vec![Vec::new(); ctx.levels.ranks()],
-            is_out,
+            stem: usize::MAX,
+            known: vec![0; stride],
+            observed: vec![0; stride],
         }
+    }
+
+    /// Forgets the cached stem at a batch's start, so the stem walks a
+    /// batch takes depend on its own faults alone, not on which batches
+    /// its worker took before, and the kernel's counters repeat run to
+    /// run.
+    fn start_batch(fr: &mut Option<Frontier>) {
+        if let Some(fr) = fr {
+            fr.stem = usize::MAX;
+        }
+    }
+
+    /// `d`, a diff of the non-output stem `stem` in the block at word
+    /// `base`, masked to the lanes where a flip of the stem reaches a
+    /// module output. Lanes an earlier fault of the stem settled are read
+    /// back; the rest of `d`'s lanes are settled by one frontier walk of a
+    /// stem flip in exactly those lanes, so a walk never costs more than
+    /// the fault's own propagation past the stem. Observability is a fact
+    /// of the good machine, so a settled lane holds for every fault of the
+    /// stem; the masks restart whenever the stem changes.
+    fn observed<C, const BW: usize>(
+        &mut self,
+        ctx: &Ctx<'_>,
+        win: &Window<'_, C>,
+        base: usize,
+        stem: usize,
+        d: [u64; BW],
+        work: &mut Work,
+    ) -> [u64; BW] {
+        if stem != self.stem {
+            self.stem = stem;
+            self.known.fill(0);
+            self.observed.fill(0);
+        }
+        let mut need = [0u64; BW];
+        for w in 0..BW {
+            need[w] = d[w] & !self.known[base + w];
+        }
+        if need != [0; BW] {
+            work.stem_walks += 1;
+            let seen = frontier(ctx, self, win, base, &[(stem, need)], &mut work.cone_gates);
+            for w in 0..BW {
+                self.known[base + w] |= need[w];
+                self.observed[base + w] |= seen[w];
+            }
+        }
+        let mut out = d;
+        for (o, &seen) in out.iter_mut().zip(&self.observed[base..]) {
+            *o &= seen;
+        }
+        out
     }
 }
 
-/// Propagates one fault's difference frontier through the block at word
-/// `base`, returning the diff word(s) observed at the module outputs
-/// (already confined to the window's valid lanes) and counting evaluated
-/// gates into `gate_evals`.
-///
-/// Every seed gate is forced to the fault's faulty word. Two seeds never
-/// lie in each other's cone, so the rank walk starts after the lower one
-/// and never revisits a seed.
-fn propagate<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
+/// The seeds' diffs in the block at word `base`: the injected faulty word
+/// against each seed's good word (the second is zero for a one-seed
+/// fault), masked to the valid lanes so no walk chases garbage in a span's
+/// tail bits.
+fn seed_diffs<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     ctx: &Ctx<'_>,
-    fr: &mut Frontier,
     fault: &F,
     win: &Window<'_, C>,
     base: usize,
+) -> [[u64; BW]; 2] {
+    let (s0, s1) = fault.seeds();
+    let (mut d0, mut d1) = ([0u64; BW], [0u64; BW]);
+    for (w, (d0, d1)) in d0.iter_mut().zip(&mut d1).enumerate() {
+        let word = base + w;
+        let at = |net: usize| win.at(net, word);
+        let prev = |net: usize| win.prev(net, word);
+        let faulty = fault.faulty_word(ctx.gates, at, prev);
+        *d0 = (faulty ^ at(s0)) & win.mask[word];
+        if let Some(s1) = s1 {
+            *d1 = (faulty ^ at(s1)) & win.mask[word];
+        }
+    }
+    [d0, d1]
+}
+
+/// Walks the difference frontier of `seeds` — each a net and its diff
+/// words, confined to the window's valid lanes — through the block at
+/// word `base`, returning the diff word(s) observed at the module outputs
+/// and counting evaluated gates into `gate_evals`.
+///
+/// Every seed is forced to its good word flipped in its diff's lanes. Two
+/// seeds never lie in each other's cone, so the rank walk starts after the
+/// lower one and never revisits a seed.
+fn frontier<C, const BW: usize>(
+    ctx: &Ctx<'_>,
+    fr: &mut Frontier,
+    win: &Window<'_, C>,
+    base: usize,
+    seeds: &[(usize, [u64; BW])],
     gate_evals: &mut u64,
 ) -> [u64; BW] {
     let levels = ctx.levels;
     let (good, stride) = (win.good, win.stride);
     fr.epoch += 1;
     let epoch = fr.epoch;
-    let (s0, s1) = fault.seeds();
-
-    // Seed diffs: the injected faulty word against the good word, masked
-    // to the valid lanes so the frontier never chases garbage in a span's
-    // tail bits.
-    let mut diffs = [[0u64; BW]; 2];
-    for w in 0..BW {
-        let at = |net: usize| good[net * stride + base + w];
-        let prev = |net: usize| win.prev(net, base + w);
-        let faulty = fault.faulty_word(ctx.gates, at, prev);
-        diffs[0][w] = (faulty ^ at(s0)) & win.mask[base + w];
-        if let Some(s1) = s1 {
-            diffs[1][w] = (faulty ^ at(s1)) & win.mask[base + w];
-        }
-    }
 
     let mut d_acc = [0u64; BW];
     let store = |fr: &mut Frontier, net: usize, words: &[u64; BW]| {
@@ -340,8 +428,8 @@ fn propagate<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     };
     let mut rank = usize::MAX;
     let mut max_rank = 0usize;
-    for (seed, diff) in std::iter::once((s0, diffs[0])).chain(s1.map(|s| (s, diffs[1]))) {
-        if diff.iter().all(|&d| d == 0) {
+    for &(seed, diff) in seeds {
+        if diff == [0; BW] {
             // The seed absorbed the fault in every lane of this block
             // (possible for pin faults when another input is controlling).
             continue;
@@ -352,7 +440,7 @@ fn propagate<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
             fw[w] = good[g0 + w] ^ diff[w];
         }
         store(fr, seed, &fw);
-        if fr.is_out[seed] {
+        if ctx.is_out[seed] {
             for w in 0..BW {
                 d_acc[w] |= diff[w];
             }
@@ -392,7 +480,7 @@ fn propagate<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
             *gate_evals += 1;
             if changed != 0 {
                 store(fr, gi, &out);
-                if fr.is_out[gi] {
+                if ctx.is_out[gi] {
                     for w in 0..BW {
                         d_acc[w] |= out[w] ^ good[o0 + w];
                     }
@@ -407,13 +495,86 @@ fn propagate<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     d_acc
 }
 
+/// Walks the diff `d` of net `net` down its fanout-free region's unique
+/// path: every net on it but the stem has one reader, which reads it on
+/// one pin and reads nothing else the fault can perturb, so one plain
+/// gate evaluation per step gives the reader's diff. Returns where the
+/// walk stopped with that net's diff: the region's stem, or the net where
+/// the diff died (then all zero). Counts evaluated gates into
+/// `gate_evals`.
+fn region_path<C, const BW: usize>(
+    ctx: &Ctx<'_>,
+    win: &Window<'_, C>,
+    base: usize,
+    mut net: usize,
+    mut d: [u64; BW],
+    gate_evals: &mut u64,
+) -> (usize, [u64; BW]) {
+    let (good, stride) = (win.good, win.stride);
+    while d != [0; BW] && ctx.reader[net] != STEM {
+        let r = ctx.reader[net] as usize;
+        let gate = &ctx.gates[r];
+        let mut ops = [[0u64; BW]; 3];
+        for (q, &p) in gate.inputs().iter().enumerate() {
+            let g = p.index() * stride + base;
+            ops[q].copy_from_slice(&good[g..g + BW]);
+            if p.index() == net {
+                for w in 0..BW {
+                    ops[q][w] ^= d[w];
+                }
+            }
+        }
+        let o0 = r * stride + base;
+        for w in 0..BW {
+            d[w] = gate.kind.eval(ops[0][w], ops[1][w], ops[2][w]) ^ good[o0 + w];
+        }
+        *gate_evals += 1;
+        net = r;
+    }
+    (net, d)
+}
+
+/// The detect word(s) of `fault` in the block at word `base`, confined to
+/// the window's valid lanes. A bridge's two seeds walk one frontier. A
+/// one-seed fault walks its region's path ([`region_path`]) and leaves the
+/// region only as a flip of the stem in the lanes of the stem's diff; bit
+/// lanes are independent, so it is detected exactly where that diff meets
+/// the stem's observability ([`Frontier::observed`]), or wherever the stem
+/// differs when the stem is a module output.
+fn detect<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
+    ctx: &Ctx<'_>,
+    fr: &mut Frontier,
+    fault: &F,
+    win: &Window<'_, C>,
+    base: usize,
+    work: &mut Work,
+) -> [u64; BW] {
+    let [d0, d1] = seed_diffs::<F, C, BW>(ctx, fault, win, base);
+    let (s0, s1) = fault.seeds();
+    if let Some(s1) = s1 {
+        return frontier(
+            ctx,
+            fr,
+            win,
+            base,
+            &[(s0, d0), (s1, d1)],
+            &mut work.cone_gates,
+        );
+    }
+    let (stem, d) = region_path(ctx, win, base, s0, d0, &mut work.cone_gates);
+    if d == [0; BW] || ctx.is_out[stem] {
+        return d;
+    }
+    fr.observed(ctx, win, base, stem, d, work)
+}
+
 /// Folds one evaluated block into the window's tallies and first
 /// detections: activation is counted per pattern up to and including a
 /// dropped fault's detecting pattern; the `detected` tally counts only the
 /// first observation in drop mode, every observation otherwise, and each
 /// fault's first detection in the window is recorded. Both `d` and `a`
 /// arrive masked to the window's valid lanes; tallies are indexed from the
-/// window's first pattern `p0`.
+/// window's first pattern `p0`. Returns the bits the tallies added.
 fn absorb_block<F, const BW: usize>(
     d: [u64; BW],
     mut a: [u64; BW],
@@ -422,8 +583,9 @@ fn absorb_block<F, const BW: usize>(
     p0: usize,
     drop: bool,
     out: &mut WorkerOut,
-) {
+) -> u64 {
     let first = d.iter().position(|&dw| dw != 0);
+    let mut tallied = 0;
     if drop {
         if let Some(hw) = first {
             let hb = d[hw].trailing_zeros();
@@ -437,15 +599,16 @@ fn absorb_block<F, const BW: usize>(
             run.detected = true;
             out.detections.push((run.fid, p0 + k));
             out.detected[k] += 1;
+            tallied += 1;
         }
         for (w, &aw) in a.iter().enumerate() {
-            tally_bits(aw, (base + w) * 64, &mut out.activated);
+            tallied += tally_bits(aw, (base + w) * 64, &mut out.activated);
         }
     } else {
         for w in 0..BW {
             let t_base = (base + w) * 64;
-            tally_bits(a[w], t_base, &mut out.activated);
-            tally_bits(d[w], t_base, &mut out.detected);
+            tallied += tally_bits(a[w], t_base, &mut out.activated);
+            tallied += tally_bits(d[w], t_base, &mut out.detected);
         }
         if let Some(w) = first.filter(|_| !run.detected) {
             run.detected = true;
@@ -453,15 +616,25 @@ fn absorb_block<F, const BW: usize>(
             out.detections.push((run.fid, t));
         }
     }
+    tallied
 }
 
-/// Gate-evaluation work of a worker, flushed into its metrics once.
+/// A worker's kernel work by cost center, flushed into its metrics once.
 #[derive(Default)]
 struct Work {
-    /// (fault, block) pairs whose frontier was propagated.
+    /// Good-machine gate-word evaluations.
+    good_words: u64,
+    /// (fault, block) activation screens.
+    screened_blocks: u64,
+    /// (fault, block) pairs that passed the screen and were propagated.
     fault_blocks: u64,
-    /// Gate evaluations of those frontiers.
+    /// Gate evaluations of propagation: region-path gates plus
+    /// frontier-walk gates.
     cone_gates: u64,
+    /// Frontier walks of stem flips ([`Frontier::observed`]).
+    stem_walks: u64,
+    /// Bits the tallies and union credits added.
+    tallied_bits: u64,
 }
 
 /// Screens and evaluates one block for one fault: `None` when the override
@@ -478,6 +651,7 @@ fn eval_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     base: usize,
     work: &mut Work,
 ) -> Option<([u64; BW], [u64; BW])> {
+    work.screened_blocks += 1;
     let mut a = [0u64; BW];
     let mut any = 0u64;
     for (w, aw) in a.iter_mut().enumerate() {
@@ -491,8 +665,8 @@ fn eval_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
         return None;
     }
     work.fault_blocks += 1;
-    let fr = fr.get_or_insert_with(|| Frontier::new(ctx));
-    let d = propagate::<F, C, BW>(ctx, fr, fault, win, base, &mut work.cone_gates);
+    let fr = fr.get_or_insert_with(|| Frontier::new(ctx, win.stride));
+    let d = detect::<F, C, BW>(ctx, fr, fault, win, base, work);
     Some((d, a))
 }
 
@@ -510,7 +684,7 @@ fn fault_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
     work: &mut Work,
 ) {
     if let Some((d, a)) = eval_block::<F, C, BW>(ctx, fr, &run.fault, win, base, work) {
-        absorb_block::<F, BW>(d, a, run, base, win.p0, drop, out);
+        work.tallied_bits += absorb_block::<F, BW>(d, a, run, base, win.p0, drop, out);
     }
 }
 
@@ -595,6 +769,13 @@ impl GoodSpan {
         }
     }
 
+    /// The good-machine gate-word evaluations behind this span: every gate
+    /// once per word, plus the pattern before the window when `before`
+    /// holds it.
+    fn good_words(&self, before: &OnceCell<Vec<u64>>) -> u64 {
+        (self.good.len() + before.get().map_or(0, Vec::len)) as u64
+    }
+
     /// The window over this span starting at pattern `p0`. `prev`'s carry
     /// into its first word: a stream's first pattern is its own
     /// predecessor, so it never launches a transition; a later window (a
@@ -662,14 +843,18 @@ fn claim<T>(batches: &[T], next: &AtomicUsize, mut job: impl FnMut(&T)) -> usize
     taken
 }
 
-/// Flushes a worker's batch count, gate-evaluation work and local metrics
-/// into `obs`.
+/// Flushes a worker's batch count, kernel work and local metrics into
+/// `obs`.
 fn finish_worker(obs: Obs<'_>, span: &mut Span<'_>, mut local: Metrics, taken: usize, work: &Work) {
     if let Some(rec) = obs {
         span.arg("batches", taken);
         local.add(names::FSIM_BATCHES, taken as u64);
+        local.add(names::FSIM_KERNEL_GOOD_WORDS, work.good_words);
+        local.add(names::FSIM_KERNEL_SCREENED_BLOCKS, work.screened_blocks);
         local.add(names::FSIM_KERNEL_FAULT_BLOCKS, work.fault_blocks);
         local.add(names::FSIM_KERNEL_CONE_GATES, work.cone_gates);
+        local.add(names::FSIM_KERNEL_STEM_WALKS, work.stem_walks);
+        local.add(names::FSIM_KERNEL_TALLIED_BITS, work.tallied_bits);
         rec.merge_metrics(&local);
         rec.record(names::FSIM_BATCHES_PER_WORKER, taken as f64);
     }
@@ -706,6 +891,7 @@ pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
     let mut work = Work::default();
 
     let taken = claim(batches, next, |batch| {
+        Frontier::start_batch(&mut fr);
         for &(fid, fault) in batch {
             let mut run = FaultRun {
                 fid,
@@ -726,6 +912,7 @@ pub(crate) fn run_batches_kernel<F: SiteOverride, const W: usize>(
             });
         }
     });
+    work.good_words = gs.good_words(&before);
     finish_worker(obs, &mut worker_span, local, taken, &work);
     out
 }
@@ -760,16 +947,16 @@ impl Credit {
     /// Credits the activating U-rows `bits` (the word at window-relative
     /// row `k0`) to the `open` members that apply them: whole words, into
     /// the shared counter when every member is open, else masked by each
-    /// open member's lane.
+    /// open member's lane. Returns the bits the credit added.
     #[inline]
-    fn add(&mut self, bits: u64, open: u64, k0: usize, lanes: &Lanes) {
+    fn add(&mut self, bits: u64, open: u64, k0: usize, lanes: &Lanes) -> u64 {
         if bits == 0 {
-            return;
+            return 0;
         }
         if open == lanes.members {
-            tally_bits(bits, k0, &mut self.shared);
-            return;
+            return tally_bits(bits, k0, &mut self.shared);
         }
+        let mut tallied = 0;
         let mut rest = open;
         while rest != 0 {
             let i = rest.trailing_zeros() as usize;
@@ -780,9 +967,10 @@ impl Credit {
                 if counts.is_empty() {
                     counts.resize(self.shared.len(), 0);
                 }
-                tally_bits(mine, k0, counts);
+                tallied += tally_bits(mine, k0, counts);
             }
         }
+        tallied
     }
 }
 
@@ -827,6 +1015,7 @@ pub(crate) fn settle_batches<F: SiteOverride, const W: usize>(
     let mut fr = None;
     let mut work = Work::default();
 
+    let mut tallied = 0;
     let mut fold = |d: &[u64], a: &[u64], base: usize, fid: FaultId, open: &mut u64| {
         for (w, (&dw, &aw)) in d.iter().zip(a).enumerate() {
             let k0 = (base + w) * 64;
@@ -840,7 +1029,7 @@ pub(crate) fn settle_batches<F: SiteOverride, const W: usize>(
                     u64::MAX >> (63 - dw.trailing_zeros())
                 };
                 if let Some(lanes) = lanes {
-                    credit.add(aw & upto, *open, k0, lanes);
+                    tallied += credit.add(aw & upto, *open, k0, lanes);
                 }
                 aw &= !upto;
                 if dw == 0 {
@@ -857,6 +1046,7 @@ pub(crate) fn settle_batches<F: SiteOverride, const W: usize>(
         }
     };
     let taken = claim(batches, next, |batch| {
+        Frontier::start_batch(&mut fr);
         for &(fid, fault, mut open) in batch {
             walk_blocks::<W>(gs.stride, true, |base, wide| {
                 if wide {
@@ -874,6 +1064,8 @@ pub(crate) fn settle_batches<F: SiteOverride, const W: usize>(
             });
         }
     });
+    work.good_words = gs.good_words(&before);
+    work.tallied_bits = tallied;
     finish_worker(obs, &mut worker_span, local, taken, &work);
     (settled, credit)
 }
@@ -884,14 +1076,20 @@ mod tests {
     //! 64-bit remainder path) and `W = BLOCK_WORDS` give identical reports
     //! and list states for every fault model, in drop and non-drop mode,
     //! over pattern counts that hit every block shape and up to three
-    //! windows. The netlist stays tiny so the suite runs under Miri.
+    //! windows. And the stem-shared oracle: at both widths, every one-seed
+    //! fault's detect word in every block is `==` a plain frontier walk
+    //! from its own seed diff. The netlists stay tiny so the suite runs
+    //! under Miri.
 
+    use std::cell::OnceCell;
     use std::fmt::Display;
 
     use warpstl_netlist::{Builder, Netlist, PatternSeq};
 
-    use super::BLOCK_WORDS;
-    use crate::engine::simulate_guided;
+    use super::{
+        detect, frontier, seed_diffs, walk_blocks, Frontier, GoodSpan, Window, Work, BLOCK_WORDS,
+    };
+    use crate::engine::{simulate_guided, windows, Ctx, Layout};
     use crate::tdf::TdfList;
     use crate::{
         BridgeConfig, BridgeUniverse, FaultList, FaultSimConfig, FaultSimReport, FaultUniverse,
@@ -917,6 +1115,26 @@ mod tests {
         b.output("q", q);
         b.output("r", r);
         b.output("o", o);
+        b.finish()
+    }
+
+    /// The region table's edge cases: a fanout-free chain through an
+    /// output that exactly one later gate reads, a gate reading one net on
+    /// two pins, and a dead-end gate.
+    fn regions() -> Netlist {
+        let mut b = Builder::new("kernel-regions");
+        let x = b.input("x");
+        let y = b.input("y");
+        let z = b.input("z");
+        let a = b.and(x, y);
+        let c = b.or(a, z);
+        let d = b.not(c);
+        let e = b.and(d, d);
+        let f = b.nand(e, x);
+        let g = b.xor(f, y);
+        b.nor(g, z);
+        b.output("c", c);
+        b.output("g", g);
         b.finish()
     }
 
@@ -959,6 +1177,74 @@ mod tests {
                     "{n_pat} patterns, drop={drop_detected}"
                 );
             }
+        }
+    }
+
+    /// Asserts, for every fault of `list` and every block of every window
+    /// over every [`SHAPES`] stream at width `W`, that the stem-shared
+    /// detect word `==` a plain frontier walk from the fault's own seed
+    /// diff. Faults run in the engine's (stem, id) order, so later faults
+    /// of a stem read lanes earlier ones settled. Returns the stem walks.
+    fn assert_stem_shared_is_exact<F: SiteOverride, const W: usize>(
+        n: &Netlist,
+        list: &FaultList<F>,
+    ) -> u64 {
+        let layout = Layout::of(n, &SimGuide::default());
+        let mut ids: Vec<usize> = (0..list.len()).collect();
+        layout.sort_by_stem(&mut ids, list);
+        let mut work = Work::default();
+        for n_pat in SHAPES {
+            let p = patterns(n.inputs().width(), n_pat);
+            let ctx = layout.ctx(n, &p, &FaultSimConfig::default());
+            for range in windows(n_pat, usize::MAX) {
+                let gs = GoodSpan::evaluate::<W>(&ctx, range);
+                let before = OnceCell::new();
+                let win = gs.window(&ctx, range.0, &before);
+                let mut shared = Frontier::new(&ctx, gs.stride);
+                let mut plain = Frontier::new(&ctx, gs.stride);
+                for &id in &ids {
+                    let f = list.fault(id);
+                    walk_blocks::<W>(gs.stride, false, |base, wide| {
+                        let (sh, pl) = (&mut shared, &mut plain);
+                        if wide {
+                            assert_block::<F, _, W>(&ctx, sh, pl, &win, base, &f, &mut work);
+                        } else {
+                            assert_block::<F, _, 1>(&ctx, sh, pl, &win, base, &f, &mut work);
+                        }
+                        false
+                    });
+                }
+            }
+        }
+        work.stem_walks
+    }
+
+    /// One block of [`assert_stem_shared_is_exact`]: `shared` carries the
+    /// stem cache across faults, `plain` only walks.
+    fn assert_block<F: SiteOverride, C: Fn(usize) -> u64, const BW: usize>(
+        ctx: &Ctx<'_>,
+        shared: &mut Frontier,
+        plain: &mut Frontier,
+        win: &Window<'_, C>,
+        base: usize,
+        f: &F,
+        work: &mut Work,
+    ) {
+        let [d0, _] = seed_diffs::<F, C, BW>(ctx, f, win, base);
+        let want = frontier(ctx, plain, win, base, &[(f.seeds().0, d0)], &mut 0);
+        let got = detect::<F, C, BW>(ctx, shared, f, win, base, work);
+        assert_eq!(got, want, "window at {}, word {base}", win.p0);
+    }
+
+    #[test]
+    fn stem_shared_detect_words_equal_per_fault_frontiers() {
+        for n in [netlist(), regions()] {
+            let stuck = FaultList::new(&FaultUniverse::enumerate(&n));
+            let tdf = TdfList::enumerate(&n);
+            assert!(assert_stem_shared_is_exact::<_, 1>(&n, &stuck) > 0);
+            assert!(assert_stem_shared_is_exact::<_, BLOCK_WORDS>(&n, &stuck) > 0);
+            assert!(assert_stem_shared_is_exact::<_, 1>(&n, &tdf) > 0);
+            assert!(assert_stem_shared_is_exact::<_, BLOCK_WORDS>(&n, &tdf) > 0);
         }
     }
 

@@ -215,6 +215,7 @@ fn settle<F: SiteOverride>(
         .expect("every stream has a window");
     // Every instance's guide shares the levelization.
     let layout = Layout::of(netlist, &guides[lead]);
+    layout.sort_by_stem(&mut targets, &lists[lead]);
     let ctx = layout.ctx(netlist, &union.rows, config);
     let mut settled: Vec<Settlement> = Vec::new();
     walk_windows(

@@ -171,3 +171,43 @@ fn full_batch_records_63_lane_detections() {
         m.counter("fsim.detections")
     );
 }
+
+#[test]
+fn kernel_work_counters_repeat_at_every_worker_count() {
+    // Each worker's stem cache restarts at every batch, so the walks a
+    // batch takes do not depend on which worker took it: every kernel
+    // work counter but the per-worker good machine repeats exactly.
+    let n = module();
+    let universe = FaultUniverse::enumerate(&n);
+    let pats = pseudorandom_patterns(n.inputs().width(), 700, 0xed6e_0004);
+    let names = [
+        "fsim.kernel.screened_blocks",
+        "fsim.kernel.fault_blocks",
+        "fsim.kernel.cone_gates",
+        "fsim.kernel.stem_walks",
+        "fsim.kernel.tallied_bits",
+    ];
+    for drop_detected in [true, false] {
+        let counts = |threads| {
+            let rec = Recorder::new();
+            let mut list = FaultList::new(&universe);
+            let cfg = FaultSimConfig {
+                drop_detected,
+                threads,
+            };
+            fault_simulate_guided(&n, &pats, &mut list, &cfg, Some(&rec), &SimGuide::default());
+            let m = rec.metrics();
+            names.map(|name| m.counter(name))
+        };
+        let one = counts(1);
+        assert!(one[3] > 0, "no stem walk: {one:?}");
+        assert!(one[3] < one[1], "a stem walk per fault-block: {one:?}");
+        for threads in [2, 3] {
+            assert_eq!(
+                counts(threads),
+                one,
+                "drop={drop_detected} threads={threads}"
+            );
+        }
+    }
+}

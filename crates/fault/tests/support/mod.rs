@@ -49,6 +49,52 @@ pub fn build_netlist(n_inputs: usize, specs: &[GateSpec]) -> Netlist {
     b.finish()
 }
 
+/// Builds a chain-biased random combinational netlist for the kernel's
+/// fanout-free-region edge cases. Every gate's first operand is the newest
+/// net, so long fanout-free chains form. Its other operands are mostly
+/// inputs, which keeps the chains fanout-free. Sometimes they are the
+/// newest net again (a gate reading one net on two pins), one of the last
+/// four nets (a stem mid-chain), or any net. A spec's fourth byte gives
+/// the gate's role: a mid-chain output that the next gate reads, a dead
+/// end that nothing reads and no output observes, or a plain link. The
+/// newest net is an output.
+pub fn build_chain_netlist(n_inputs: usize, specs: &[GateSpec]) -> Netlist {
+    let mut b = Builder::new("chain");
+    let mut nets: Vec<NetId> = (0..n_inputs).map(|i| b.input(&format!("i{i}"))).collect();
+    let mut n_out = 0;
+    for &(kind, a, bb, role) in specs {
+        let pick = |sel: u8| match sel % 8 {
+            0 => nets[nets.len() - 1],
+            1 => nets[nets.len() - 1 - (sel as usize / 8) % nets.len().min(4)],
+            2 => nets[sel as usize % nets.len()],
+            _ => nets[sel as usize % n_inputs],
+        };
+        let (x, y, z) = (nets[nets.len() - 1], pick(a), pick(bb));
+        let net = match kind % 9 {
+            0 => b.and(x, y),
+            1 => b.or(x, y),
+            2 => b.nand(x, y),
+            3 => b.nor(x, y),
+            4 => b.xor(x, y),
+            5 => b.xnor(x, y),
+            6 => b.not(x),
+            7 => b.buf(x),
+            _ => b.mux(y, x, z),
+        };
+        match role % 8 {
+            0 => {}
+            1 => {
+                b.output(&format!("o{n_out}"), net);
+                n_out += 1;
+                nets.push(net);
+            }
+            _ => nets.push(net),
+        }
+    }
+    b.output(&format!("o{n_out}"), nets[nets.len() - 1]);
+    b.finish()
+}
+
 /// `count` xorshift rows over `width` inputs, stamped with their index.
 pub fn pseudorandom_patterns(width: usize, count: usize, mut seed: u64) -> PatternSeq {
     seed |= 1;

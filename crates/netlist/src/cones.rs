@@ -1,10 +1,13 @@
 //! The fanout successor graph: which gates read each net's value.
 //!
-//! Two walks run over it, both in `warpstl-fault`. The fault kernel's
+//! Three walks run over it, all in `warpstl-fault`. The fault kernel's
 //! difference frontier pushes a fault's faulty-vs-good difference from a
 //! net to the gates that read it, rank by rank, until the difference dies
 //! out. Bridge sampling's non-feedback filter (`retain_non_feedback`)
-//! searches forward from a pair's lower net for its higher one.
+//! searches forward from a pair's lower net for its higher one. The
+//! engine's region table reads each net's successors once per pass: a
+//! net with exactly one successor that is not a module output belongs to
+//! that reader's fanout-free region, and every other net is a stem.
 //!
 //! The graph is the *static* gate graph including the D-input edges of
 //! flip-flops: a DFF is a successor of its D input.

@@ -109,11 +109,25 @@ pub mod names {
     pub const FSIM_BATCHES: &str = "fsim.batches";
     /// Good-machine blocks the workers evaluated.
     pub const FSIM_KERNEL_BLOCKS: &str = "fsim.kernel.blocks";
-    /// (fault, block) pairs whose difference frontier was propagated:
-    /// blocks screened out as inactive are not counted.
+    /// Good-machine gate-word evaluations: every gate once per word of a
+    /// worker's window, plus the pattern before a later window when
+    /// transition faults read it.
+    pub const FSIM_KERNEL_GOOD_WORDS: &str = "fsim.kernel.good_words";
+    /// (fault, block) activation screens: every block a fault walked,
+    /// whether screened out as inactive or propagated.
+    pub const FSIM_KERNEL_SCREENED_BLOCKS: &str = "fsim.kernel.screened_blocks";
+    /// (fault, block) pairs that passed the activation screen and were
+    /// propagated.
     pub const FSIM_KERNEL_FAULT_BLOCKS: &str = "fsim.kernel.fault_blocks";
-    /// Gate evaluations of propagated difference frontiers.
+    /// Gate evaluations of propagation: gates on fanout-free-region paths
+    /// plus gates of frontier walks (stem flips and bridges).
     pub const FSIM_KERNEL_CONE_GATES: &str = "fsim.kernel.cone_gates";
+    /// Stem-observability frontier walks: a stem flip propagated in the
+    /// lanes no earlier fault of its region settled.
+    pub const FSIM_KERNEL_STEM_WALKS: &str = "fsim.kernel.stem_walks";
+    /// Bits the per-pattern tallies and union credits added, counted one
+    /// popcount per word.
+    pub const FSIM_KERNEL_TALLIED_BITS: &str = "fsim.kernel.tallied_bits";
     /// Windows of the engine's one schedule, summed over every pass; drop
     /// mode re-packs its survivors between them.
     pub const FSIM_REPACK_SEGMENTS: &str = "fsim.repack_segments";

@@ -121,14 +121,16 @@ pub fn ptp_from_text(text: &str) -> Result<Ptp, ParsePtpError> {
                     kernel = Some(KernelConfig::new(b, t));
                 }
                 Some("slots") => {
-                    slots = Some(SbSlots {
+                    let layout = SbSlots {
                         base: parse_num(parts.next(), "slots base")?,
                         base_reg: parse_num(parts.next(), "slots base_reg")?,
                         words_per_sb: parse_slot_words(parts.next())?,
                         sb_count: parse_num(parts.next(), "slots count")?,
                         stride_words: parse_positive(parts.next(), "slots stride")?,
                         threads: parse_num(parts.next(), "slots threads")?,
-                    });
+                    };
+                    check_slot_stride(&layout)?;
+                    slots = Some(layout);
                 }
                 Some("data") => {
                     let addr = parse_hex(parts.next(), "data addr")?;
@@ -227,6 +229,20 @@ fn parse_slot_words(s: Option<&str>) -> Result<usize, ParsePtpError> {
     Ok(words)
 }
 
+/// A thread's slot array must fit its stride: only then is
+/// `SbSlots::locate` the inverse of `SbSlots::addr`, which the reducer's
+/// data relocation and the verifier's relocation rule rely on.
+fn check_slot_stride(slots: &SbSlots) -> Result<(), ParsePtpError> {
+    let array = slots.words_per_sb.checked_mul(slots.sb_count);
+    if array.is_none_or(|words| slots.stride_words < words) {
+        return Err(ParsePtpError::new(format!(
+            "slots stride {} is shorter than {} SB(s) of {} word(s)",
+            slots.stride_words, slots.sb_count, slots.words_per_sb
+        )));
+    }
+    Ok(())
+}
+
 fn parse_hex(s: Option<&str>, what: &str) -> Result<u64, ParsePtpError> {
     let s = s.ok_or_else(|| ParsePtpError::new(format!("missing {what}")))?;
     let v = s.strip_prefix("0x").unwrap_or(s);
@@ -315,6 +331,18 @@ mod tests {
     fn zero_slot_stride_is_a_parse_error() {
         let err = header_error("; slots 0 5 2 2 0 32");
         assert!(err.contains("slots stride"), "{err}");
+    }
+
+    #[test]
+    fn slot_stride_shorter_than_a_slot_array_is_a_parse_error() {
+        let err = header_error("; slots 0 5 2 3 5 32");
+        assert!(err.contains("slots stride"), "{err}");
+        // An array size that overflows never fits.
+        let err = header_error(&format!("; slots 0 5 2 {} 8 32", usize::MAX / 2 + 1));
+        assert!(err.contains("slots stride"), "{err}");
+        // An array that exactly fills its stride parses.
+        let text = "; PTP x\n; target sfu\n; kernel 1 32\n; slots 0 5 2 3 6 32\nEXIT;\n; END\n";
+        assert!(ptp_from_text(text).is_ok());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the CPTP is malformed and running it would be meaningless or misleading;
 //! *warnings* mean the shape is suspicious but the program still runs.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use warpstl_isa::{Instruction, Opcode, SpecialReg, SrcOperand};
 use warpstl_programs::{segment_small_blocks, BasicBlocks, ControlFlowGraph, Ptp};
@@ -426,12 +426,23 @@ pub(crate) fn memory_race(ctx: &Ctx) -> Vec<Diagnostic> {
 /// Rule 6: relocation soundness. After SB removal relocates the input
 /// region, every surviving slot load must still address a laid-out SB and
 /// find a backing word in `global_init` for every thread.
+///
+/// The backed threads of each (SB, word) are counted once, from the data
+/// image: `SbSlots::locate` maps each distinct data address to the one
+/// (thread, SB, word) whose slot it is, and bounds the thread. So the rule
+/// costs O(data words + loads), whatever thread count the layout claims.
 pub(crate) fn relocation(ptp: &Ptp) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let Some(slots) = ptp.sb_slots else {
         return out;
     };
     let have: HashSet<u64> = ptp.global_init.iter().map(|&(addr, _)| addr).collect();
+    let mut backed: HashMap<(usize, usize), usize> = HashMap::new();
+    for &addr in &have {
+        if let Some((_, sb, w)) = slots.locate(addr) {
+            *backed.entry((sb, w)).or_default() += 1;
+        }
+    }
     for (pc, instr) in ptp.program.iter().enumerate() {
         if instr.opcode != Opcode::Ldg {
             continue;
@@ -454,9 +465,7 @@ pub(crate) fn relocation(ptp: &Ptp) -> Vec<Diagnostic> {
             ));
             continue;
         }
-        let missing = (0..slots.threads)
-            .filter(|&t| !have.contains(&slots.addr(t, sb, w)))
-            .count();
+        let missing = slots.threads - backed.get(&(sb, w)).copied().unwrap_or(0);
         if missing > 0 {
             out.push(Diagnostic::error(
                 Rule::Relocation,

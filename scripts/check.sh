@@ -65,8 +65,13 @@ for stage in stages:
 assert complete.count("fsim.worker") >= 1, "missing fsim.worker spans"
 assert "warpstlMetrics" in trace, "missing embedded metrics"
 # The Decoder Unit has one instance: no lock-step union pass.
-unions = trace["warpstlMetrics"]["counters"].get("fsim.union.runs", 0)
+counters = trace["warpstlMetrics"]["counters"]
+unions = counters.get("fsim.union.runs", 0)
 assert unions == 0, f"a one-instance module ran {unions} union pass(es)"
+# The kernel's cost-center counters are flushed by every traced worker.
+for name in ["fsim.kernel.good_words", "fsim.kernel.screened_blocks",
+             "fsim.kernel.stem_walks", "fsim.kernel.tallied_bits"]:
+    assert name in counters, f"missing kernel counter {name}"
 print(f"trace OK: {len(events)} events, all {len(stages)} stage spans present")
 EOF
 
@@ -250,7 +255,8 @@ echo "== evaluation smoke test =="
 # stage-3a fault simulations take the lock-step union pass:
 # fsim.union.runs must be nonzero too. MEM after IMM runs a masked D(P)
 # detection pass over the faults IMM dropped, so fsim.detect.runs must be
-# nonzero as well.
+# nonzero as well. Faults of one fanout-free region share their stem's
+# observability walks: fsim.kernel.stem_walks must be nonzero.
 # The report JSON must not depend on the worker count or on tracing, and
 # a warm --cache-dir rerun must hit and reproduce the bytes. The store
 # looks up, simulates and writes each distinct key once (SFU_IMM's two
@@ -287,6 +293,11 @@ detects = counters.get("fsim.detect.runs", 0)
 assert detects > 0, f"no evaluation detection pass, counters: {counters}"
 print(f"detection passes OK: {detects} pass(es) over "
       f"{counters.get('fsim.detect.rows', 0)} first-occurrence rows")
+walks = counters.get("fsim.kernel.stem_walks", 0)
+blocks = counters.get("fsim.kernel.fault_blocks", 0)
+assert walks > 0, f"no stem-observability walk, counters: {counters}"
+print(f"stem sharing OK: {walks} stem walk(s) for {blocks} propagated "
+      f"fault-block(s), {walks / max(blocks, 1):.3f} per fault-block")
 EOF
 WARPSTL_THREADS=1 cargo run -q --release -p warpstl-cli -- compact-stl \
     "$SMOKE_DIR/eval.stl" --no-cache --json "$SMOKE_DIR/eval-t1.json" \
